@@ -219,6 +219,11 @@ def _validate_model(spec):
         path = Path(spec.get("path", ""))
         if not path.is_file() or not path.with_suffix(path.suffix + ".json").is_file():
             raise ConfigError(f"grid file not found: {spec.get('path')!r}")
+    required = {"warp-samples": ("samples", "t_bounds", "x_bounds"),
+                "minkowski-grid": ("bounds", "shape")}
+    missing = [key for key in required.get(kind, ()) if key not in spec]
+    if missing:
+        raise ConfigError(f"model kind {kind!r} needs {missing}")
     if kind == "warp-samples":
         samples = np.asarray(spec.get("samples", ()), dtype=float)
         if samples.ndim != 2 or len(samples) < 2 or np.any(samples[:, 1] <= 0.0):
@@ -1033,6 +1038,12 @@ def _validate(config: ExperimentConfig, resolved: dict) -> None:
             raise ConfigError("eps_list must be strictly decreasing")
     if "count" in params and int(params["count"]) < 1:
         raise ConfigError("count must be positive")
+    if params.get("ratio_pairs"):
+        radii = {float(r) for r in params["r_list"]}
+        missing = sorted({float(r) for pair in params["ratio_pairs"] for r in pair}
+                         - radii)
+        if missing:
+            raise ConfigError(f"ratio_pairs name radii missing from r_list: {missing}")
     if cmd == "suite" and params["mode"] not in ("quick", "full"):
         raise ConfigError("suite mode must be 'quick' or 'full'")
 
@@ -1087,10 +1098,20 @@ def _execute(config: ExperimentConfig, resolved: dict):
     return COMMANDS[config.command].runner(model, params, rng)
 
 
-def run(config: ExperimentConfig) -> RunRecord:
-    """Validate, dispatch, and persist one experiment run."""
+def _checked(config: ExperimentConfig) -> dict:
+    """The resolved config, validated: everything that runs before dispatch."""
     resolved = config.resolved()
     _validate(config, resolved)
+    return resolved
+
+
+def run(config: ExperimentConfig) -> RunRecord:
+    """Validate, dispatch, and persist one experiment run."""
+    return _dispatch(config, _checked(config))
+
+
+def _dispatch(config: ExperimentConfig, resolved: dict) -> RunRecord:
+    """Run a validated config and write its outputs."""
     started = _now()
     reports, plots = _execute(config, resolved)
     finished = _now()
@@ -1242,11 +1263,16 @@ def main(argv=None) -> int:
             config.command, config.model, params,
             args.out if args.out is not None else config.output_dir,
             args.seed if args.seed is not None else config.seed)
-        record = run(config)
-    except (ConfigError, KeyError, TypeError) as exc:
+        resolved = _checked(config)
+    except Exception as exc:        # loading, resolving or validating: exit 2
         _error_json("invalid-config", str(exc))
         return 2
-    except (ValueError, RuntimeError) as exc:
+    try:
+        record = _dispatch(config, resolved)
+    except ConfigError as exc:      # a measure, region or floor spec the runner rejects
+        _error_json("invalid-config", str(exc))
+        return 2
+    except Exception as exc:        # anything else after dispatch: exit 3
         _error_json("verifier-error", f"{type(exc).__name__}: {exc}")
         return 3
     for rep in record.payload()["reports"]:

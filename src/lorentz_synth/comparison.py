@@ -28,13 +28,12 @@ from .errors import HypothesisViolatedError, InvalidInputError, UnsupportedModel
 from .lipschitz_grid import MetricGrid
 from .models import (Event, ModelSpacetime, as_event, ball_volume_area,
                      lipschitz_1p1, lorentz_distance_field, minkowski,
-                     region_measure, time_separation, timelike_diameter,
-                     warped_product)
+                     region_measure, time_separation, time_separations,
+                     timelike_diameter, warped_product)
 from .onedim import (CDDensity, DEFAULT_C_CONST, aubry_diameter_bound,
                      curvature_deficit_sup, diameter_report)
-from .transport import (DiscreteMeasure, dirac, dynamical_coupling,
-                        eval_pushforward, lq_distance, renyi_entropy,
-                        separation_matrix)
+from .transport import (DiscreteMeasure, _optimal_plan, dirac, dynamical_coupling,
+                        eval_pushforward, renyi_entropy, separation_matrix)
 
 __all__ = [
     "InequalityReport", "BumpFunction", "NeedleRay", "NeedleDecomposition",
@@ -272,7 +271,7 @@ def _node_grid(ts, xs):
 
 
 def _chronological_separations(model, o, points, resolution=257) -> np.ndarray:
-    seps = np.asarray([time_separation(model, o, p, resolution) for p in points])
+    seps = time_separations(model, (o,), points, resolution)[0]
     if np.any(~np.isfinite(seps)) or np.any(seps <= 0.0):
         raise InvalidInputError(
             "every point must lie in the chronological future of the source")
@@ -385,7 +384,7 @@ def check_tmcp(model: ModelSpacetime, o, mu1: DiscreteMeasure, K: float,
     if np.any(m1 <= 0.0):
         raise InvalidInputError("mu1 needs positive reference cell masses")
     rho1 = mu1.weights / m1
-    value, plan = lq_distance(model, dirac(o), mu1, q, resolution=resolution)
+    value, plan = _optimal_plan(dirac(o), mu1, seps[None, :], q)
     dc = dynamical_coupling(model, plan, samples_per_curve)
 
     lhs, rhs, labels = [], [], []
@@ -440,7 +439,7 @@ def check_tcd_semiconvexity(model: ModelSpacetime, mu0: DiscreteMeasure,
         raise InvalidInputError("marginals need positive reference cell masses")
     rho0 = (mu0.weights / m0) ** (-1.0 / n_param)
     rho1 = (mu1.weights / m1) ** (-1.0 / n_param)
-    value, plan = lq_distance(model, mu0, mu1, q, resolution=resolution)
+    value, plan = _optimal_plan(mu0, mu1, L, q)
     dc = dynamical_coupling(model, plan, samples_per_curve)
 
     lhs, rhs, labels = [], [], []
@@ -676,15 +675,16 @@ def brenier_mccann_check(model: ModelSpacetime, o, mu1: DiscreteMeasure,
     if not 0.0 < q < 1.0:
         raise InvalidInputError("q must lie in (0, 1)")
     o = as_event(o)
-    _chronological_separations(model, o, mu1.support, resolution)
-    value, plan = lq_distance(model, dirac(o), mu1, q, resolution=resolution)
+    seps = _chronological_separations(model, o, mu1.support, resolution)
+    value, plan = _optimal_plan(dirac(o), mu1, seps[None, :], q)
     dc = dynamical_coupling(model, plan)
     ts, xs, field, spacing = _distance_field(model, o, resolution)
     ok, _, _, gsq = _field_gradients(model, ts, xs, field)
+    ends = [samples[-1] for samples, _ in dc.curves]
+    end_seps = time_separations(model, (o,), ends, resolution)[0]
 
     lhs, labels = [], []
-    for idx, (samples, _) in enumerate(dc.curves):
-        y = samples[-1]
+    for idx, (y, sep) in enumerate(zip(ends, end_seps)):
         i = int(round((y[0] - ts[0]) / (ts[1] - ts[0])))
         j = int(round((y[1] - xs[0]) / (xs[1] - xs[0])))
         i = min(max(i, 1), len(ts) - 2)
@@ -693,7 +693,7 @@ def brenier_mccann_check(model: ModelSpacetime, o, mu1: DiscreteMeasure,
             raise InvalidInputError(
                 "an endpoint sits too close to the light cone for the stencil")
         measured = field[i, j] ** (q - 1.0) * math.sqrt(gsq[i, j])
-        target = time_separation(model, o, tuple(y), resolution) ** (q - 1.0)
+        target = float(sep) ** (q - 1.0)
         lhs.append(abs(measured - target))
         labels.append(f"endpoint:{idx}")
     rhs = [10.0 * spacing] * len(lhs)

@@ -33,10 +33,6 @@ def is_neg_inf(x: float) -> bool:
     return x == NEG_INF
 
 
-def is_finite(x: float) -> bool:
-    return math.isfinite(x)
-
-
 def xmul(a: float, b: float) -> float:
     """Product with the convention 0 * inf = 0."""
     if a == 0.0 or b == 0.0:

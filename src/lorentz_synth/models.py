@@ -28,12 +28,16 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError, NoGeodesicError
 from .extreal import NEG_INF
 
 FAN_MAX_DEN = 16        # Farey density of the jump fan for slopes <= 1
 FAN_WIDE_DEN = 8        # coarser density for slopes in (1, 2]
+# bytes one stacked longest-path DP may hold: its S fields of n_t x n_x
+# float64 plus the per-row candidate buffer; more sources run in chunks
+STACK_BUDGET_BYTES = 32 * 2 ** 20
 # 3-point Gauss-Legendre nodes on [0, 1] flanked by the endpoints; the
 # endpoints take part in the causality check only
 _QS = np.array([0.0, 0.5 - 0.5 * math.sqrt(0.6), 0.5, 0.5 + 0.5 * math.sqrt(0.6), 1.0])
@@ -255,6 +259,12 @@ def _jump_fan():
 
 
 _FAN = tuple(_jump_fan())
+_PAD = max(abs(dj) for _, dj in _FAN)      # -inf columns on each side of a DP row
+_FAN_E = np.arange(len(_FAN))
+_FAN_DI = np.array([di for di, _ in _FAN])
+# offset of each jump's predecessor window in a padded row: node j of row
+# i - di is reached from column j - dj, i.e. window _PAD - dj
+_FAN_WINDOW = np.array([_PAD - dj for _, dj in _FAN])
 
 
 def _lattice_shape(model: ModelSpacetime, resolution: int):
@@ -299,39 +309,51 @@ def _edge_table(model: ModelSpacetime, shape):
     return ts, xs, W
 
 
-def _dp_longest(model: ModelSpacetime, shape, source: tuple | None):
-    """Longest-path value to every node, from one source or (None) free start."""
+def _dp_longest(model: ModelSpacetime, shape, sources):
+    """Longest-path value to every node, one field per source lattice node.
+
+    ``sources`` lists (i, j) nodes; their fields are stacked on a leading
+    axis, shape (S, n_t, n_x), and ``None`` gives the one free-start field
+    (1, n_t, n_x). The sweep starts at the lowest source row; rows below a
+    source's own row stay -inf, so every stacked field is bit-identical to
+    a one-source run. Each row takes the max over the whole jump fan in one
+    gather of predecessor windows. Memory is S x n_t x n_x float64 plus a
+    (fan x S x n_x) row buffer; callers split sources with
+    :func:`_source_chunks` to stay within ``STACK_BUDGET_BYTES``.
+    """
     ts, xs, W = _edge_table(model, shape)
     n_t, n_x = len(ts), len(xs)
-    if source is None:
-        dist = np.zeros((n_t, n_x))
-        start = 1
+    if sources is None:
+        dist = np.full((n_t, 1, n_x + 2 * _PAD), -np.inf)
+        dist[:, :, _PAD:-_PAD] = 0.0
+        start = 0
     else:
-        dist = np.full((n_t, n_x), -np.inf)
-        dist[source] = 0.0
-        start = source[0] + 1
-    buf = np.empty(n_x)
-    for i in range(start, n_t):
-        row = dist[i]
-        for e, (di, dj) in enumerate(_FAN):
-            ip = i - di
-            if ip < 0 or (source is not None and ip < source[0]):
-                continue
-            w = W[e, ip]
-            if w == -np.inf:
-                continue
-            prev = dist[ip]
-            if dj == 0:
-                np.maximum(row, prev + w, out=row)
-            elif dj > 0:
-                buf[:dj] = -np.inf
-                np.add(prev[:-dj], w, out=buf[dj:])
-                np.maximum(row, buf, out=row)
-            else:
-                buf[dj:] = -np.inf
-                np.add(prev[-dj:], w, out=buf[:dj])
-                np.maximum(row, buf, out=row)
-    return ts, xs, dist
+        dist = np.full((n_t, len(sources), n_x + 2 * _PAD), -np.inf)
+        for k, (i, j) in enumerate(sources):
+            dist[i, k, _PAD + j] = 0.0
+        start = min(i for i, _ in sources)
+    windows = sliding_window_view(dist, n_x, axis=2)     # (n_t, S, 2 _PAD + 1, n_x)
+    for i in range(start + 1, n_t):
+        ip = i - _FAN_DI
+        live = ip >= start
+        e, ip = _FAN_E[live], ip[live]
+        w = W[e, ip]
+        ok = w > -np.inf
+        if not ok.any():
+            continue
+        e, ip, w = e[ok], ip[ok], w[ok]
+        cand = windows[ip, :, _FAN_WINDOW[e]]           # (edges, S, n_x)
+        cand += w[:, None, None]
+        row = dist[i, :, _PAD:-_PAD]
+        np.maximum(row, cand.max(axis=0), out=row)
+    return ts, xs, np.moveaxis(dist[:, :, _PAD:-_PAD], 1, 0)
+
+
+def _source_chunks(shape, sources: list) -> list:
+    """Consecutive runs of ``sources`` small enough to stack in one DP."""
+    per_source = (shape[0] + len(_FAN)) * (shape[1] + 2 * _PAD) * 8
+    size = max(1, STACK_BUDGET_BYTES // per_source)
+    return [sources[k:k + size] for k in range(0, len(sources), size)]
 
 
 def _snap(ts: np.ndarray, xs: np.ndarray, p: Event):
@@ -358,45 +380,93 @@ def causally_related(model: ModelSpacetime, x: Event, y: Event) -> bool:
     return abs(y.x - x.x) <= _null_reach(model, x.t, y.t) + 1e-12
 
 
-def time_separation(model: ModelSpacetime, x, y, resolution: int = 257,
-                    richardson: bool = True) -> float:
-    """Time separation l(x, y); -inf sentinel when y is not in J^+(x)."""
-    x, y = as_event(x), as_event(y)
-    model.require_inside(x, y)
-    if x.coords == y.coords:
-        return 0.0
+def _node_event(ts: np.ndarray, xs: np.ndarray, node) -> Event:
+    return Event((float(ts[node[0]]), float(xs[node[1]])))
+
+
+def _flat_separation(x: Event, y: Event) -> float:
+    dt = y.t - x.t
+    dxs = np.asarray(y.coords[1:]) - np.asarray(x.coords[1:])
+    s2 = dt * dt - float(dxs @ dxs)
+    if dt > 0.0 and s2 >= 0.0:
+        return math.sqrt(s2)
+    return NEG_INF
+
+
+def _richardson(vals) -> float:
+    """Combine the coarse and fine lattice values of one pair (coarse first)."""
+    good = [float(v) for v in vals if v != -np.inf]
+    if not good:
+        return 0.0          # causal, but below the lattice's chronology resolution
+    out = good[-1]
+    if len(good) == 2:
+        out = max(good[1], 2.0 * good[1] - good[0])
+    return max(out, 0.0)
+
+
+def time_separations(model: ModelSpacetime, sources, targets, resolution: int = 257,
+                     richardson: bool = True) -> np.ndarray:
+    """l(x_i, y_j) for every source x_i and target y_j: an (n, m) array with
+    -inf sentinels where y_j is not in J^+(x_i).
+
+    Pair by pair the rules of :func:`time_separation` hold: equal events give
+    0; on the lattice kinds each event snaps once to the coarse grid, pairs
+    that snap to one node give 0, pairs whose snapped nodes are not causally
+    related give -inf, the rest read the longest-path values at the coarse
+    grid and its nested refinement, combined by one Richardson step and
+    clamped at 0. Each distinct snapped source gets one longest-path field
+    per lattice level, shared by all its targets: the sources are stacked in
+    one DP, S x n_t x n_x float64 per level, in chunks of at most
+    ``STACK_BUDGET_BYTES``.
+    """
+    srcs = [as_event(p) for p in sources]
+    tgts = [as_event(p) for p in targets]
+    model.require_inside(*srcs, *tgts)
+    out = np.empty((len(srcs), len(tgts)))
     if model.kind == "minkowski":
-        dt = y.t - x.t
-        dxs = np.asarray(y.coords[1:]) - np.asarray(x.coords[1:])
-        s2 = dt * dt - float(dxs @ dxs)
-        if dt > 0.0 and s2 >= 0.0:
-            return math.sqrt(s2)
-        return NEG_INF
+        for i, x in enumerate(srcs):
+            for j, y in enumerate(tgts):
+                out[i, j] = 0.0 if x.coords == y.coords else _flat_separation(x, y)
+        return out
     # snap once on the coarse grid; the fine grid nests, so a coarse node
     # (i, j) is the fine node (2i, 2j) and both passes see the same pair
     shape = _lattice_shape(model, resolution)
     ts, xs = _lattice_axes(model, shape)
-    src = _snap(ts, xs, x)
-    tgt = _snap(ts, xs, y)
-    if src == tgt:
-        return 0.0
-    sx = Event((float(ts[src[0]]), float(xs[src[1]])))
-    sy = Event((float(ts[tgt[0]]), float(xs[tgt[1]])))
-    if not causally_related(model, sx, sy):
-        return NEG_INF
-    vals = []
+    snapped_x = [_snap(ts, xs, p) for p in srcs]
+    snapped_y = [_snap(ts, xs, p) for p in tgts]
+    reads: dict = {}              # snapped source -> pairs read from its field
+    for i, x in enumerate(srcs):
+        for j, y in enumerate(tgts):
+            if x.coords == y.coords or snapped_x[i] == snapped_y[j]:
+                out[i, j] = 0.0
+            elif not causally_related(model, _node_event(ts, xs, snapped_x[i]),
+                                      _node_event(ts, xs, snapped_y[j])):
+                out[i, j] = NEG_INF
+            else:
+                reads.setdefault(snapped_x[i], []).append((i, j))
     shapes = [shape, _fine_shape(shape)] if richardson else [shape]
+    lattice = np.full((len(shapes), len(srcs), len(tgts)), -np.inf)
     for k, sh in enumerate(shapes):
         m = 2 ** k
-        _, _, dist = _dp_longest(model, sh, (src[0] * m, src[1] * m))
-        vals.append(float(dist[tgt[0] * m, tgt[1] * m]))
-    if all(v == -np.inf for v in vals):
-        return 0.0          # causal, but below the lattice's chronology resolution
-    good = [v for v in vals if v != -np.inf]
-    out = good[-1]
-    if len(good) == 2:
-        out = max(good[1], 2.0 * good[1] - good[0])
-    return max(float(out), 0.0)
+        for chunk in _source_chunks(sh, list(reads)):
+            _, _, dist = _dp_longest(model, sh, [(i * m, j * m) for i, j in chunk])
+            for node, field in zip(chunk, dist):
+                for i, j in reads[node]:
+                    lattice[k, i, j] = field[snapped_y[j][0] * m, snapped_y[j][1] * m]
+    for pairs in reads.values():
+        for i, j in pairs:
+            out[i, j] = _richardson(lattice[:, i, j])
+    return out
+
+
+def time_separation(model: ModelSpacetime, x, y, resolution: int = 257,
+                    richardson: bool = True) -> float:
+    """Time separation l(x, y); -inf sentinel when y is not in J^+(x).
+
+    The 1 x 1 case of :func:`time_separations`: on the lattice kinds one
+    longest-path field of n_t x n_x float64 per lattice level for x.
+    """
+    return float(time_separations(model, (x,), (y,), resolution, richardson)[0, 0])
 
 
 def lorentz_distance(model: ModelSpacetime, o) -> Callable[[Event], float]:
@@ -422,11 +492,12 @@ def lorentz_distance_field(model: ModelSpacetime, o, resolution: int = 257,
         raise InvalidInputError("the flat-chart field is closed-form; no lattice needed")
     shape = _lattice_shape(model, resolution)
     src = _snap(*_lattice_axes(model, shape), o)
-    ts, xs, dist_c = _dp_longest(model, shape, src)
+    ts, xs, (dist_c,) = _dp_longest(model, shape, [src])
     if not richardson:
         field = dist_c.copy()
     else:
-        ts, xs, dist_f = _dp_longest(model, _fine_shape(shape), (2 * src[0], 2 * src[1]))
+        ts, xs, (dist_f,) = _dp_longest(model, _fine_shape(shape),
+                                        [(2 * src[0], 2 * src[1])])
         field = dist_f.copy()
         # extrapolate at the nodes shared by both grids, where both see a path
         sub = dist_f[::2, ::2]
@@ -448,6 +519,17 @@ class LatticePath:
     cumlen: np.ndarray         # (k,) cumulative length from the start
     length: float
     multiple_maximizers: bool
+
+    def points(self, fractions: np.ndarray) -> np.ndarray:
+        """Chart points at the given fractions of the path length, linear in
+        ``cumlen`` between nodes: an (len(fractions), 2) array."""
+        want = fractions * self.length
+        k = np.clip(np.searchsorted(self.cumlen, want, side="right") - 1,
+                    0, len(self.cumlen) - 2)
+        seg = self.cumlen[k + 1] - self.cumlen[k]
+        frac = np.where(seg > 0.0,
+                        (want - self.cumlen[k]) / np.where(seg > 0, seg, 1.0), 0.0)
+        return self.nodes[k] + frac[:, None] * (self.nodes[k + 1] - self.nodes[k])
 
 
 def _backtrack(ts, xs, W, dist, source, target, prefer_last: bool = False):
@@ -475,19 +557,8 @@ def _backtrack(ts, xs, W, dist, source, target, prefer_last: bool = False):
     return path
 
 
-def maximizing_path(model: ModelSpacetime, x, y, resolution: int = 513) -> LatticePath:
-    """Longest lattice path between the snapped endpoints, with a conservative
-    multiple-maximizer flag: raised when two tied-within-1e-6 incoming edges at
-    the target backtrack to paths that differ in their interior nodes."""
-    x, y = as_event(x), as_event(y)
-    model.require_inside(x, y)
-    if model.kind == "minkowski":
-        raise InvalidInputError("flat-chart geodesics are straight; no lattice needed")
-    shape = _lattice_shape(model, resolution)
-    ts, xs, W = _edge_table(model, shape)
-    source = _snap(ts, xs, x)
-    target = _snap(ts, xs, y)
-    _, _, dist = _dp_longest(model, shape, source)
+def _lattice_path(ts, xs, W, dist, source, target) -> LatticePath:
+    """Backtrack the maximizer from ``source``'s field ``dist`` to ``target``."""
     if dist[target] == -np.inf or dist[target] <= 0.0:
         raise NoGeodesicError("endpoints are not chronologically related on the lattice")
 
@@ -516,6 +587,38 @@ def maximizing_path(model: ModelSpacetime, x, y, resolution: int = 513) -> Latti
     return LatticePath(nodes, np.cumsum(seg), float(dist[target]), multiple)
 
 
+def maximizing_paths(model: ModelSpacetime, pairs, resolution: int = 513) -> list:
+    """:func:`maximizing_path` for every (x, y) of ``pairs``, in order.
+
+    Each distinct snapped source gets one longest-path field, stacked with
+    the others in one DP (S x n_t x n_x float64, in chunks of at most
+    ``STACK_BUDGET_BYTES``), and every pair from it is backtracked there.
+    """
+    ends = [(as_event(x), as_event(y)) for x, y in pairs]
+    for x, y in ends:
+        model.require_inside(x, y)
+    if model.kind == "minkowski":
+        raise InvalidInputError("flat-chart geodesics are straight; no lattice needed")
+    shape = _lattice_shape(model, resolution)
+    ts, xs, W = _edge_table(model, shape)
+    nodes = [(_snap(ts, xs, x), _snap(ts, xs, y)) for x, y in ends]
+    paths = [None] * len(nodes)
+    for chunk in _source_chunks(shape, list(dict.fromkeys(s for s, _ in nodes))):
+        _, _, dist = _dp_longest(model, shape, chunk)
+        fields = dict(zip(chunk, dist))
+        for k, (source, target) in enumerate(nodes):
+            if source in fields:
+                paths[k] = _lattice_path(ts, xs, W, fields[source], source, target)
+    return paths
+
+
+def maximizing_path(model: ModelSpacetime, x, y, resolution: int = 513) -> LatticePath:
+    """Longest lattice path between the snapped endpoints, with a conservative
+    multiple-maximizer flag: raised when two tied-within-1e-6 incoming edges at
+    the target backtrack to paths that differ in their interior nodes."""
+    return maximizing_paths(model, [(x, y)], resolution)[0]
+
+
 def geodesic_point(model: ModelSpacetime, x, y, t: float, resolution: int = 513) -> Event:
     """A point gamma_t on a maximizing geodesic, affinely parametrized:
     l(x, gamma_t) = t l(x, y) up to lattice tolerance."""
@@ -527,22 +630,11 @@ def geodesic_point(model: ModelSpacetime, x, y, t: float, resolution: int = 513)
         if l == NEG_INF or l <= 0.0:
             raise NoGeodesicError("endpoints are not chronologically related")
         return Event(tuple((1 - t) * a + t * b for a, b in zip(x.coords, y.coords)))
-    path = maximizing_path(model, x, y, resolution)
-    want = t * path.length
-    k = int(np.searchsorted(path.cumlen, want, side="right")) - 1
-    k = min(max(k, 0), len(path.cumlen) - 2)
-    seg = path.cumlen[k + 1] - path.cumlen[k]
-    frac = 0.0 if seg <= 0.0 else (want - path.cumlen[k]) / seg
-    p = (1 - frac) * path.nodes[k] + frac * path.nodes[k + 1]
+    p = maximizing_path(model, x, y, resolution).points(np.array([t]))[0]
     return Event(tuple(float(c) for c in p))
 
 
 # -- measures and volumes ---------------------------------------------------------
-
-
-def _density_rows(model: ModelSpacetime, t_row: float, x_centers: np.ndarray):
-    base = float(model.warp(t_row)) if model.kind != "minkowski" else 1.0
-    return base * math.exp(-float(model.weight(t_row))) * np.ones_like(x_centers)
 
 
 def region_measure(model: ModelSpacetime, region: Callable[[np.ndarray], np.ndarray],
@@ -641,7 +733,9 @@ def ball_volume_area(model: ModelSpacetime, o, r: float,
 def ball_volume_profile(model: ModelSpacetime, o, radii: Sequence[float],
                         region: Callable[[np.ndarray], np.ndarray],
                         resolution: int = 1024) -> np.ndarray:
-    """v(r) for several radii with one sweep (shared l_o evaluations)."""
+    """v(r) for several radii: one :func:`ball_volume_area` call per radius,
+    each with its own l_o field and two region rasters; nothing is shared
+    between radii."""
     o = as_event(o)
     vs = []
     for r in radii:

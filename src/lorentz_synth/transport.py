@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,8 +24,8 @@ from scipy import optimize
 
 from .errors import InvalidInputError, NoGeodesicError
 from .extreal import NEG_INF, is_neg_inf
-from .models import (Event, ModelSpacetime, as_event, geodesic_point,
-                     maximizing_path, time_separation)
+from .models import (Event, ModelSpacetime, as_event, maximizing_paths,
+                     time_separation, time_separations)
 
 MARGINAL_TOL = 1e-10
 MERGE_DECIMALS = 12          # eval-map support points snap at 1e-12
@@ -94,18 +94,25 @@ def uniform_on_box(bounds: Sequence, per_axis: int) -> DiscreteMeasure:
 
 @dataclass(frozen=True)
 class Coupling:
-    """Transport plan between two discrete measures."""
+    """Transport plan between two discrete measures.
+
+    ``separations`` is the l matrix on the supports that the plan was solved
+    on, when known; it is neither serialized nor compared.
+    """
 
     mu: DiscreteMeasure
     nu: DiscreteMeasure
     matrix: np.ndarray
     marginal_tol: float = MARGINAL_TOL
+    separations: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
         if m.shape != (len(self.mu), len(self.nu)):
             raise InvalidInputError("plan shape must match the supports")
+        if self.separations is not None and np.shape(self.separations) != m.shape:
+            raise InvalidInputError("separations must match the plan shape")
         if np.any(m < -1e-15):
             raise InvalidInputError("plan entries must be nonnegative")
         if (np.max(np.abs(m.sum(axis=1) - self.mu.weights)) > self.marginal_tol
@@ -127,12 +134,15 @@ class Coupling:
 
 def separation_matrix(model: ModelSpacetime, mu: DiscreteMeasure,
                       nu: DiscreteMeasure, resolution: int = 257) -> np.ndarray:
-    """l(x_i, y_j) for all support pairs; -inf marks non-causal pairs."""
-    out = np.empty((len(mu), len(nu)))
-    for i, x in enumerate(mu.support):
-        for j, y in enumerate(nu.support):
-            out[i, j] = time_separation(model, x, y, resolution=resolution)
-    return out
+    """l(x_i, y_j) for all support pairs; -inf marks non-causal pairs.
+
+    On the lattice kinds each distinct source of ``mu`` gets one
+    longest-path field per lattice level, shared by all of ``nu``: the
+    sources are stacked in one DP of S x n_t x n_x float64 per level, in
+    chunks of at most ``models.STACK_BUDGET_BYTES`` (see
+    :func:`models.time_separations`).
+    """
+    return time_separations(model, mu.support, nu.support, resolution)
 
 
 def _certify(cost, plan, res, allowed):
@@ -155,9 +165,14 @@ def lq_distance(model: ModelSpacetime, mu: DiscreteMeasure, nu: DiscreteMeasure,
 
     Returns (value, plan); (-inf, None) when no causal coupling exists.
     """
+    return _optimal_plan(mu, nu, separation_matrix(model, mu, nu, resolution), q)
+
+
+def _optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, L: np.ndarray, q: float):
+    """:func:`lq_distance` on a given separation matrix ``L`` of the supports;
+    the plan keeps ``L`` as its ``separations``."""
     if not 0.0 < q < 1.0:
         raise InvalidInputError("need q in (0, 1)")
-    L = separation_matrix(model, mu, nu, resolution)
     allowed = L > NEG_INF
     cost = np.where(allowed, np.clip(L, 0.0, None) ** q, 0.0)
 
@@ -179,14 +194,22 @@ def lq_distance(model: ModelSpacetime, mu: DiscreteMeasure, nu: DiscreteMeasure,
     plan[idx] = res.x
     _certify(cost, plan, res, allowed)
     value = float(np.sum(cost * plan)) ** (1.0 / q)
-    return value, Coupling(mu, nu, plan)
+    return value, Coupling(mu, nu, plan, separations=L)
 
 
 def is_timelike_q_dualizable(plan: Coupling | None, model: ModelSpacetime) -> bool:
-    """Whether every mass-carrying pair of the plan is chronological."""
+    """Whether every mass-carrying pair of the plan is chronological.
+
+    Reads the separations the plan was solved on, so a plan from
+    :func:`lq_distance` is judged at its own lattice resolution; a plan
+    without them (built by hand or loaded from JSON) is judged at the
+    default resolution.
+    """
     if plan is None:
         return False
-    L = separation_matrix(model, plan.mu, plan.nu)
+    L = plan.separations
+    if L is None:
+        L = separation_matrix(model, plan.mu, plan.nu)
     carrying = plan.matrix > 1e-12
     return bool(np.all(L[carrying] > 0.0))
 
@@ -224,21 +247,15 @@ class DynamicalCoupling:
                 raise InvalidInputError("curve is not affinely parametrized")
 
 
-def _sample_geodesic(model: ModelSpacetime, x: Event, y: Event,
-                     ts: np.ndarray) -> np.ndarray:
-    if model.kind == "minkowski":
+def _sample_geodesic(x: Event, y: Event, ts: np.ndarray, path) -> np.ndarray:
+    """Samples at parameters ``ts`` of the lattice path, or of the straight
+    segment when ``path`` is None (flat charts)."""
+    if path is None:
         a = np.asarray(x.coords)
         b = np.asarray(y.coords)
         out = a[None, :] + ts[:, None] * (b - a)[None, :]
     else:
-        path = maximizing_path(model, x, y)
-        want = ts * path.length
-        k = np.clip(np.searchsorted(path.cumlen, want, side="right") - 1,
-                    0, len(path.cumlen) - 2)
-        seg = path.cumlen[k + 1] - path.cumlen[k]
-        frac = np.where(seg > 0.0,
-                        (want - path.cumlen[k]) / np.where(seg > 0, seg, 1.0), 0.0)
-        out = path.nodes[k] + frac[:, None] * (path.nodes[k + 1] - path.nodes[k])
+        out = path.points(ts)
     # rounding (and, on lattices, endpoint snapping) would otherwise keep the
     # time-0/1 push-forwards from reproducing the measures' support exactly
     out[ts == 0.0] = np.asarray(x.coords)
@@ -248,16 +265,24 @@ def _sample_geodesic(model: ModelSpacetime, x: Event, y: Event,
 
 def dynamical_coupling(model: ModelSpacetime, plan: Coupling,
                        samples_per_curve: int = 9) -> DynamicalCoupling:
-    """One sampled maximizing geodesic per positive plan entry."""
+    """One sampled maximizing geodesic per positive plan entry.
+
+    On the lattice kinds the geodesics come from one stacked 513-row field
+    for the plan's distinct carrying sources, whatever resolution the plan
+    was solved at.
+    """
     if not is_timelike_q_dualizable(plan, model):
         raise InvalidInputError("plan carries mass on non-chronological pairs")
     ts = np.linspace(0.0, 1.0, samples_per_curve)
-    curves = []
-    for i, j in zip(*np.nonzero(plan.matrix > 1e-12)):
-        x, y = plan.mu.support[i], plan.nu.support[j]
-        curves.append((_sample_geodesic(model, x, y, ts),
-                       float(plan.matrix[i, j])))
-    return DynamicalCoupling(ts, tuple(curves))
+    carrying = list(zip(*np.nonzero(plan.matrix > 1e-12)))
+    ends = [(plan.mu.support[i], plan.nu.support[j]) for i, j in carrying]
+    if model.kind == "minkowski":
+        paths = [None] * len(ends)
+    else:
+        paths = maximizing_paths(model, ends)
+    curves = tuple((_sample_geodesic(x, y, ts, path), float(plan.matrix[i, j]))
+                   for (i, j), (x, y), path in zip(carrying, ends, paths))
+    return DynamicalCoupling(ts, curves)
 
 
 def eval_pushforward(dc: DynamicalCoupling, t: float) -> DiscreteMeasure:

@@ -1,5 +1,6 @@
 """Console entry point: configs, determinism, exit codes, output layout."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -100,6 +101,47 @@ class TestExitCodes:
                    config={"command": "lp-deficit",
                            "parameters": {"eps_list": [0.3, 0.5]}})
         assert code == 2
+
+    def test_unparsable_parameter_is_an_invalid_config(self, tmp_path, capsys):
+        code = cli(tmp_path, "transport", config={"parameters": {"q": "abc"}})
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
+
+    def test_ratio_pairs_must_name_listed_radii(self, tmp_path, capsys):
+        # the default ratio_pairs reference radius 1.0
+        code = cli(tmp_path, "bishop-gromov",
+                   config={"parameters": {"r_list": [0.25, 0.5]}})
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-config" and "r_list" in err["detail"]
+
+    def test_malformed_measure_spec_is_an_invalid_config(self, tmp_path, capsys):
+        # measure specs are parsed by the runner, after dispatch
+        code = cli(tmp_path, "tcd", config={"parameters": {"source": {"foo": 1}}})
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-config" and "measure" in err["detail"]
+
+    def test_warp_samples_without_bounds_is_an_invalid_config(self, tmp_path, capsys):
+        code = cli(tmp_path, "tmcp",
+                   config={"model": {"kind": "warp-samples",
+                                     "samples": [[0.0, 1.0], [2.0, 1.0]],
+                                     "x_bounds": [-1.0, 1.0]}})
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-config" and "t_bounds" in err["detail"]
+
+    def test_key_error_inside_a_verifier_exits_three(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def broken(model, params, rng):
+            raise KeyError("lost")
+
+        monkeypatch.setitem(COMMANDS, "eikonal",
+                            dataclasses.replace(COMMANDS["eikonal"], runner=broken))
+        code = cli(tmp_path, "eikonal")
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "verifier-error" and "KeyError" in err["detail"]
 
 
 class TestOutputs:

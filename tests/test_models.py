@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lorentz_synth import models as M
 from lorentz_synth.errors import InvalidInputError, NoGeodesicError
 from lorentz_synth.extreal import NEG_INF, is_neg_inf
 from lorentz_synth.models import _lattice_axes, _lattice_shape
 
-from oracles import minkowski_l, warped_l_shooting
+from oracles import (dp_longest_loop, minkowski_l, time_separation_pairwise,
+                     warped_l_shooting)
 
 ARCTANH_06 = 0.6931471805599453  # artanh(0.6), frozen
 
@@ -173,6 +175,93 @@ class TestGeodesics:
         dc = M.double_cone_kink()
         with pytest.raises(NoGeodesicError):
             M.maximizing_path(dc, (0.0, -0.9), (0.05, 0.9), resolution=129)
+
+
+LATTICE_MODELS = {"desitter": M.desitter_like(), "kinked": M.kinked_slab()}
+
+
+class TestStackedFields:
+    """The stacked longest-path DP against the one-source loop, and the
+    batched separations against the one-pair rules in the oracles, bit for
+    bit."""
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_MODELS))
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_stacked_fields_equal_per_source_loops(self, name, data):
+        model = LATTICE_MODELS[name]
+        shape = _lattice_shape(model, 33)
+        rows = data.draw(st.lists(st.integers(0, shape[0] - 1), min_size=2,
+                                  max_size=4, unique=True))
+        sources = [(i, data.draw(st.integers(0, shape[1] - 1))) for i in rows]
+        ts, xs, stacked = M._dp_longest(model, shape, sources)
+        _, _, W = M._edge_table(model, shape)
+        assert stacked.shape == (len(sources),) + shape
+        for field, source in zip(stacked, sources):
+            want = dp_longest_loop(W, M._FAN, *shape, source)
+            assert np.array_equal(field, want)
+            assert np.array_equal(M._dp_longest(model, shape, [source])[2][0], want)
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_MODELS))
+    @pytest.mark.parametrize("budget", [M.STACK_BUDGET_BYTES, 1],
+                             ids=["one-stack", "one-source-chunks"])
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_batched_matrix_equals_pairwise(self, name, budget, data):
+        model = LATTICE_MODELS[name]
+        ts, xs = node_grid(model, 33)
+        point = st.tuples(st.floats(float(ts[0]), float(ts[-1])),
+                          st.floats(float(xs[0]), float(xs[-1])))
+        i = data.draw(st.integers(1, len(ts) - 2))
+        j = data.draw(st.integers(0, len(xs) - 2))
+        node = (ts[i], xs[j])
+        sources = [node] + data.draw(st.lists(point, min_size=0, max_size=2))
+        targets = data.draw(st.lists(point, min_size=1, max_size=3))
+        targets += [node,                                       # coincident
+                    (ts[i], xs[j] + 0.2 * (xs[1] - xs[0])),     # same node
+                    (ts[0], xs[-1]),                            # not causal
+                    (ts[-1], xs[-1])]
+        # causally related, but no lattice path at either level
+        sources.append((ts[0], xs[17]))
+        targets.append((ts[1], xs[20]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(M, "STACK_BUDGET_BYTES", budget)
+            got = M.time_separations(model, sources, targets, resolution=33)
+        want = np.array([[time_separation_pairwise(model, x, y, resolution=33)
+                          for y in targets] for x in sources])
+        assert np.array_equal(got, want)
+        assert M.time_separation(model, sources[0], targets[0], 33) == want[0, 0]
+        n = len(targets)
+        assert got[0, n - 5] == 0.0 and got[0, n - 4] == 0.0
+        assert got[0, n - 3] == NEG_INF
+        if name == "desitter":
+            assert got[-1, -1] == 0.0
+            assert M.causally_related(model, M.event(ts[0], xs[17]),
+                                      M.event(ts[1], xs[20]))
+
+    def test_lattice_tcd_runs_three_stacked_passes(self, monkeypatch):
+        # one separation matrix at 129 rows (plus its 257-row refinement),
+        # reused by the plan and its dualizability check, and one 513-row
+        # field for the geodesics of both sources
+        from lorentz_synth.comparison import check_tcd_semiconvexity
+        from lorentz_synth.transport import DiscreteMeasure
+
+        passes = []
+        dp = M._dp_longest
+
+        def counted(model, shape, sources):
+            passes.append((shape[0], None if sources is None else len(sources)))
+            return dp(model, shape, sources)
+
+        monkeypatch.setattr(M, "_dp_longest", counted)
+        half = np.array([0.5, 0.5])
+        mu0 = DiscreteMeasure(((0.6, -0.075), (0.6, 0.075)), half)
+        mu1 = DiscreteMeasure(((1.2, -0.075), (1.2, 0.075)), half)
+        rep = check_tcd_semiconvexity(M.desitter_like(x_half=0.5), mu0, mu1,
+                                      1.0, 2.0, 0.5, (0.25, 0.5, 0.75),
+                                      tolerance=1e-2, resolution=129)
+        assert rep.passed
+        assert passes == [(129, 2), (257, 2), (513, 2)]
 
 
 class TestMeasures:
