@@ -25,14 +25,16 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .comparison import (BumpFunction, InequalityReport, aubry_spacetime_check,
-                         bishop_gromov, bonnet_myers, brenier_mccann_check,
-                         brunn_minkowski, check_tcd_semiconvexity, check_tmcp,
-                         dalembert_check, eikonal_check, needle_decomposition)
+from .comparison import (BumpFunction, aubry_spacetime_check, bishop_gromov,
+                         bonnet_myers, brenier_mccann_check, brunn_minkowski,
+                         check_tcd_semiconvexity, check_tmcp, csv_text,
+                         dalembert_check, eikonal_check, jsonable, make_report,
+                         needle_decomposition)
 from .distortion import (KappaProfile, const_first_zero, const_sine,
                          defect_bound, first_zero, generalized_sine,
                          sigma_coeff, tau_coeff)
@@ -112,23 +114,12 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown parameter {key!r} for command {self.command!r}")
             params[key] = val
-        return {"command": self.command, "model": _plain(model),
-                "parameters": _plain(params), "seed": self.seed}
+        return {"command": self.command, "model": jsonable(model),
+                "parameters": jsonable(params), "seed": self.seed}
 
     def config_hash(self) -> str:
         text = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _plain(obj):
-    """JSON-ready copy with tuples flattened to lists."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 @dataclass(frozen=True)
@@ -165,38 +156,6 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 
 
-def _build_model(spec):
-    if spec is None:
-        return None
-    kind = spec.get("kind")
-    if kind == "minkowski":
-        return minkowski(tuple(map(tuple, spec.get("bounds", ((0.0, 1.0), (-1.0, 1.0))))),
-                         weight=_weight_fn(spec))
-    if kind == "cosh-warp":
-        return cosh_warp_model(spec.get("t_half", 1.2), spec.get("x_half", 1.2))
-    if kind == "desitter":
-        return desitter_like(spec.get("delta", 0.02), spec.get("x_half", 1.0))
-    if kind == "kinked-slab":
-        return kinked_slab(spec.get("slope", 0.25))
-    if kind == "warp-samples":
-        samples = np.asarray(spec["samples"], dtype=float)
-        warp = lambda t: np.interp(t, samples[:, 0], samples[:, 1])
-        return warped_product(warp, tuple(spec["t_bounds"]), tuple(spec["x_bounds"]),
-                              weight=_weight_fn(spec))
-    if kind == "grid":
-        return load_grid(spec["path"])
-    if kind == "minkowski-grid":
-        return minkowski_grid(tuple(map(tuple, spec["bounds"])),
-                              tuple(spec["shape"]))
-    if kind == "kinked-grid":
-        slope = float(spec.get("slope", 0.25))
-        return warped_grid(lambda t: 1.0 - slope * np.abs(t),
-                           tuple(spec.get("t_bounds", (-2.0, 2.0))),
-                           tuple(spec.get("x_bounds", (0.0, 2.0))),
-                           tuple(spec.get("shape", (1025, 129))))
-    raise ConfigError(f"unknown model kind {kind!r}")
-
-
 def _weight_fn(spec):
     coeffs = spec.get("weight_poly_t")
     if coeffs is None:
@@ -205,34 +164,94 @@ def _weight_fn(spec):
     return lambda t: np.polynomial.polynomial.polyval(t, c)
 
 
+def _warp_samples_model(spec):
+    samples = np.asarray(spec["samples"], dtype=float)
+    warp = lambda t: np.interp(t, samples[:, 0], samples[:, 1])
+    return warped_product(warp, tuple(spec["t_bounds"]), tuple(spec["x_bounds"]),
+                          weight=_weight_fn(spec))
+
+
+def _check_warp_samples(spec):
+    samples = np.asarray(spec.get("samples", ()), dtype=float)
+    if samples.ndim != 2 or len(samples) < 2 or np.any(samples[:, 1] <= 0.0):
+        raise ConfigError("warp samples need >= 2 rows of positive [t, a]")
+
+
+def _check_grid_file(spec):
+    path = Path(spec.get("path", ""))
+    if not path.is_file() or not path.with_suffix(path.suffix + ".json").is_file():
+        raise ConfigError(f"grid file not found: {spec.get('path')!r}")
+
+
+def _kinked_grid(spec):
+    slope = float(spec.get("slope", 0.25))
+    return warped_grid(lambda t: 1.0 - slope * np.abs(t),
+                       tuple(spec.get("t_bounds", (-2.0, 2.0))),
+                       tuple(spec.get("x_bounds", (0.0, 2.0))),
+                       tuple(spec.get("shape", (1025, 129))))
+
+
+def _check_kinked_grid(spec):
+    slope = float(spec.get("slope", 0.25))
+    t0, t1 = spec.get("t_bounds", (-2.0, 2.0))
+    if slope * max(abs(t0), abs(t1)) >= 1.0:
+        raise ConfigError("kinked warp must stay positive on the chart")
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """One model ``kind`` of a config: how it is built from its spec, the
+    keys the spec must carry, whether it is a sampled metric grid (rather
+    than a chart), and any further check run before dispatch."""
+
+    build: Callable
+    required: tuple = ()
+    grid: bool = False
+    check: Callable | None = None
+
+
+MODEL_KINDS = {
+    "minkowski": ModelKind(lambda spec: minkowski(
+        tuple(map(tuple, spec.get("bounds", ((0.0, 1.0), (-1.0, 1.0))))),
+        weight=_weight_fn(spec))),
+    "cosh-warp": ModelKind(lambda spec: cosh_warp_model(spec.get("t_half", 1.2),
+                                                        spec.get("x_half", 1.2))),
+    "desitter": ModelKind(lambda spec: desitter_like(spec.get("delta", 0.02),
+                                                     spec.get("x_half", 1.0))),
+    "kinked-slab": ModelKind(lambda spec: kinked_slab(spec.get("slope", 0.25))),
+    "warp-samples": ModelKind(_warp_samples_model, ("samples", "t_bounds", "x_bounds"),
+                              check=_check_warp_samples),
+    "grid": ModelKind(lambda spec: load_grid(spec["path"]), grid=True,
+                      check=_check_grid_file),
+    "minkowski-grid": ModelKind(lambda spec: minkowski_grid(
+        tuple(map(tuple, spec["bounds"])), tuple(spec["shape"])),
+        ("bounds", "shape"), grid=True),
+    "kinked-grid": ModelKind(_kinked_grid, grid=True, check=_check_kinked_grid),
+}
+
+
+def _model_kind(spec) -> ModelKind:
+    kind = spec.get("kind")
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    return MODEL_KINDS[kind]
+
+
+def _build_model(spec):
+    return None if spec is None else _model_kind(spec).build(spec)
+
+
 def _validate_model(spec):
     if spec is None:
         return
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("model spec must be a mapping with a 'kind'")
-    kind = spec["kind"]
-    known = {"minkowski", "cosh-warp", "desitter", "kinked-slab", "warp-samples",
-             "grid", "minkowski-grid", "kinked-grid"}
-    if kind not in known:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    if kind == "grid":
-        path = Path(spec.get("path", ""))
-        if not path.is_file() or not path.with_suffix(path.suffix + ".json").is_file():
-            raise ConfigError(f"grid file not found: {spec.get('path')!r}")
-    required = {"warp-samples": ("samples", "t_bounds", "x_bounds"),
-                "minkowski-grid": ("bounds", "shape")}
-    missing = [key for key in required.get(kind, ()) if key not in spec]
+    kind = _model_kind(spec)
+    missing = [key for key in kind.required if key not in spec]
     if missing:
-        raise ConfigError(f"model kind {kind!r} needs {missing}")
-    if kind == "warp-samples":
-        samples = np.asarray(spec.get("samples", ()), dtype=float)
-        if samples.ndim != 2 or len(samples) < 2 or np.any(samples[:, 1] <= 0.0):
-            raise ConfigError("warp samples need >= 2 rows of positive [t, a]")
-    if kind == "kinked-grid":
-        slope = float(spec.get("slope", 0.25))
-        t0, t1 = spec.get("t_bounds", (-2.0, 2.0))
-        if slope * max(abs(t0), abs(t1)) >= 1.0:
-            raise ConfigError("kinked warp must stay positive on the chart")
+        raise ConfigError(f"model kind {spec['kind']!r} needs {missing}")
+    if kind.check is not None:
+        kind.check(spec)
 
 
 def _build_measure(spec) -> DiscreteMeasure:
@@ -266,15 +285,6 @@ def _build_region(spec):
 def _build_bump(spec) -> BumpFunction:
     return BumpFunction(tuple(float(v) for v in spec["center"]),
                         float(spec["radius"]))
-
-
-def _mk(name, labels, lhs, rhs, tolerance=0.0, provenance=None) -> InequalityReport:
-    lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-    margin = rhs - lhs
-    passed = bool(lhs.size == 0 or float(np.min(margin)) >= -tolerance)
-    return InequalityReport(name, lhs, rhs, margin, float(tolerance), passed,
-                            tuple(labels), dict(provenance or {}))
 
 
 def _plot(file, x, y, rows, title):
@@ -316,8 +326,8 @@ def _run_distortion(model, params, rng):
         labels.append("first-zero:kappa=4")
         lhs.append(abs(fz4 - math.pi / 2.0))
         rhs.append(1e-8)
-        reports.append(_mk("distortion-closed-forms", labels, lhs, rhs, 0.0,
-                           {"kappas": list(params["kappas"])}))
+        reports.append(make_report("distortion-closed-forms", lhs, rhs, 0.0, labels,
+                                   {"kappas": list(params["kappas"])}))
     if check in ("ordering", "all"):
         n = int(_pick(params, "pairs"))
         worst_sigma = worst_tau = worst_dom = 0.0
@@ -340,10 +350,10 @@ def _run_distortion(model, params, rng):
                 worst_tau = max(worst_tau, t_lo - t_up)
                 if not is_inf(s_up):
                     worst_dom = max(worst_dom, s_up - t_up)
-        reports.append(_mk("distortion-ordering",
-                           ["sigma-monotone", "tau-monotone", "tau-dominates-sigma"],
-                           [worst_sigma, worst_tau, worst_dom], [1e-10] * 3,
-                           0.0, {"pairs": n}))
+        reports.append(make_report(
+            "distortion-ordering", [worst_sigma, worst_tau, worst_dom], [1e-10] * 3,
+            0.0, ["sigma-monotone", "tau-monotone", "tau-dominates-sigma"],
+            {"pairs": n}))
     if check in ("defect", "all"):
         n = int(_pick(params, "tuples"))
         worst = 0.0
@@ -372,8 +382,9 @@ def _run_distortion(model, params, rng):
                 continue
             worst = max(worst, (t_model - t_prof) - bound)
             used += 1
-        reports.append(_mk("defect-bound", ["defect-dominated"], [worst], [1e-8],
-                           0.0, {"tuples": used, "skipped": skipped}))
+        reports.append(make_report("defect-bound", [worst], [1e-8], 0.0,
+                                   ["defect-dominated"],
+                                   {"tuples": used, "skipped": skipped}))
     return reports, plots
 
 
@@ -397,9 +408,9 @@ def _run_cd_verify(model, params, rng):
         labels.append("counterexample-detected")
         lhs.append(1e-3)
         rhs.append(res.worst_violation)
-        reports.append(_mk("cd-model-densities", labels, lhs, rhs, 0.0,
-                           {"k_values": list(params["k_values"]),
-                            "n_values": list(params["n_values"])}))
+        reports.append(make_report("cd-model-densities", lhs, rhs, 0.0, labels,
+                                   {"k_values": list(params["k_values"]),
+                                    "n_values": list(params["n_values"])}))
         show = model_density(1.0, 2.0, 3.0)
         plots.append(_plot("model_density_K1_N2.csv", "x", "h",
                            np.column_stack([show.grid(), show.h_samples]),
@@ -416,8 +427,8 @@ def _run_cd_verify(model, params, rng):
             ref = min((eps * math.sqrt(big_k / (n_param - 1.0)) / (math.pi * c)) ** 5,
                       1.0 / c)
             worst = max(worst, abs(tmcp_delta(big_k, n_param, p, eps, c) - ref))
-        reports.append(_mk("delta-threshold", ["re-evaluation"], [worst], [0.0],
-                           0.0, {"tuples": n}))
+        reports.append(make_report("delta-threshold", [worst], [0.0], 0.0,
+                                   ["re-evaluation"], {"tuples": n}))
     return reports, plots
 
 
@@ -470,11 +481,11 @@ def _run_transport(model, params, rng):
             resolved, _ = lq_distance(model, sub_mu, sub_nu, q)
             worst_restriction = max(worst_restriction, abs(resolved - from_block))
             restricted += 1
-        reports.append(_mk(
+        reports.append(make_report(
             "coupling-certificates",
-            ["marginal-deviation", "dualizable", "restriction-deviation"],
             [worst_marginal, float(solved), worst_restriction],
             [1e-10, float(dualizable), 1e-9], 0.0,
+            ["marginal-deviation", "dualizable", "restriction-deviation"],
             {"instances": n_inst, "solved": solved, "infeasible": infeasible,
              "restriction_checked": restricted}))
     if check in ("q-geodesic", "all"):
@@ -488,10 +499,11 @@ def _run_transport(model, params, rng):
             dc = dynamical_coupling(model, plan)
             _, worst = verify_q_geodesic(model, dc, q, params["t_grid"],
                                          tolerance=params["gap_tolerance"])
-        reports.append(_mk("q-geodesic-gap", ["interpolation-gap"], [worst],
-                           [params["gap_tolerance"]], 0.0,
-                           {"q": q, "t_grid": list(params["t_grid"]),
-                            "target_points": len(target.support)}))
+        reports.append(make_report("q-geodesic-gap", [worst],
+                                   [params["gap_tolerance"]], 0.0,
+                                   ["interpolation-gap"],
+                                   {"q": q, "t_grid": list(params["t_grid"]),
+                                    "target_points": len(target.support)}))
     return reports, plots
 
 
@@ -533,9 +545,9 @@ def _run_tmcp(model, params, rng):
                 labels.append(f"eq:{lab}")
                 lhs.append(abs(float(m)))
                 rhs.append(params["equality_tolerance"])
-        reports.append(_mk("tmcp-equality", labels, lhs, rhs, 0.0,
-                           {"n_prime": eq,
-                            "tolerance": params["equality_tolerance"]}))
+        reports.append(make_report("tmcp-equality", lhs, rhs, 0.0, labels,
+                                   {"n_prime": eq,
+                                    "tolerance": params["equality_tolerance"]}))
     return reports, _tmcp_plots(rep, t_grid, n_primes, "entropy")
 
 
@@ -569,7 +581,8 @@ def _run_brunn_minkowski(model, params, rng):
         lhs.append(float(rep.lhs[0]))
         rhs.append(float(rep.rhs[0]))
         prov[f"t={t:g}"] = rep.provenance
-    merged = _mk("brunn-minkowski", labels, lhs, rhs, params["tolerance"], prov)
+    merged = make_report("brunn-minkowski", lhs, rhs, params["tolerance"], labels,
+                         prov)
     rows = np.column_stack([[float(t) for t in params["t_list"]], merged.margin])
     return [merged], [_plot("margin.csv", "t", "margin", rows,
                             "volume-growth margin")]
@@ -595,8 +608,8 @@ def _run_bishop_gromov(model, params, rng):
             labels.append(f"ratio:r={r:g},R={big_r:g}")
             lhs.append(dev)
             rhs.append(params["ratio_tolerance"])
-        reports.append(_mk("bishop-gromov-ratios", labels, lhs, rhs, 0.0,
-                           {"volumes": vols, "pairs": _plain(pairs)}))
+        reports.append(make_report("bishop-gromov-ratios", lhs, rhs, 0.0, labels,
+                                   {"volumes": vols, "pairs": jsonable(pairs)}))
     return reports, [
         _plot("volumes.csv", "r", "volume", np.column_stack([r_list, vols]),
               "ball volume by radius"),
@@ -613,10 +626,9 @@ def _run_bonnet_myers(model, params, rng):
     if window:
         lo, hi = float(window[0]), float(window[1])
         diam = float(rep.lhs[0])
-        reports.append(_mk("diameter-window",
-                           [f"above:{lo:g}", f"below:{hi:g}"],
-                           [lo, diam], [diam, hi], 0.0,
-                           {"diameter": diam, "window": [lo, hi]}))
+        reports.append(make_report("diameter-window", [lo, diam], [diam, hi], 0.0,
+                                   [f"above:{lo:g}", f"below:{hi:g}"],
+                                   {"diameter": diam, "window": [lo, hi]}))
     return reports, []
 
 
@@ -647,7 +659,7 @@ def _run_eikonal(model, params, rng):
         lhs.append(params["order_min"])
         rhs.append(order)
         prov["order"] = order
-    merged = _mk("eikonal", labels, lhs, rhs, 0.0, prov)
+    merged = make_report("eikonal", lhs, rhs, 0.0, labels, prov)
     return [merged], [_plot("deviation.csv", "spacing", "deviation",
                             np.column_stack([spacings, devs]),
                             "eikonal residual by grid spacing")]
@@ -680,7 +692,7 @@ def _run_brenier(model, params, rng):
         labels.append(f"shrink:{r0}->{r1}")
         lhs.append(d1)
         rhs.append(factor * d0)
-    merged = _mk("brenier-mccann", labels, lhs, rhs, 0.0, prov)
+    merged = make_report("brenier-mccann", lhs, rhs, 0.0, labels, prov)
     return [merged], [_plot("deviation.csv", "spacing", "max_deviation",
                             np.column_stack([spacings, devs]),
                             "endpoint-map deviation by grid spacing")]
@@ -710,13 +722,13 @@ def _run_dalembert(model, params, rng):
             lhs.append(d1)
             rhs.append(d0)
         prov[f"bump{i}"] = {"center": list(bumps[i].center),
-                            "radius": _plain(bumps[i].radius),
+                            "radius": jsonable(bumps[i].radius),
                             "deviations": devs}
         plots.append(_plot(f"deviation_bump{i}.csv", "spacing", "deviation",
                            np.column_stack([spacings, devs]),
                            f"weak-identity deviation, bump {i}"))
-    merged = _mk("dalembert", labels, lhs, rhs, 0.0,
-                 {**prov, "variant": params["variant"]})
+    merged = make_report("dalembert", lhs, rhs, 0.0, labels,
+                         {**prov, "variant": params["variant"]})
     return [merged], plots
 
 
@@ -742,9 +754,9 @@ def _run_needles(model, params, rng):
         labels.append("total-mass")
         lhs.append(abs(dec.total_mass() - expected))
         rhs.append(1e-9)
-    rep = _mk("needles", labels, lhs, rhs, 0.0,
-              {"rays": int(params["n_rays"]), "l_max": l_max,
-               "box_measure": exact, "cd_fraction": fraction})
+    rep = make_report("needles", lhs, rhs, 0.0, labels,
+                      {"rays": int(params["n_rays"]), "l_max": l_max,
+                       "box_measure": exact, "cd_fraction": fraction})
     rows = np.column_stack([[ray.rapidity for ray in dec.rays],
                             dec.quotient_weights])
     return [rep], [_plot("quotient.csv", "rapidity", "weight", rows,
@@ -761,8 +773,8 @@ def _run_mollify(grid, params, rng):
         labels.append(f"eps={eps:g}")
         lhs.append(sm.sup_error)
         rhs.append(grid.lipschitz_bound * eps + 1e-12)
-    rep = _mk("mollify", labels, lhs, rhs, 0.0,
-              {"lipschitz_bound": grid.lipschitz_bound, "eps_list": eps_list})
+    rep = make_report("mollify", lhs, rhs, 0.0, labels,
+                      {"lipschitz_bound": grid.lipschitz_bound, "eps_list": eps_list})
     return [rep], [_plot("sup_error.csv", "eps", "sup_error",
                          np.column_stack([eps_list, errs]),
                          "smoothing error by kernel radius")]
@@ -786,9 +798,9 @@ def _run_lp_deficit(grid, params, rng):
         labels.append(f"p={p:g}:final-ratio")
         lhs.append(ds[-1])
         rhs.append(params["final_ratio"] * ds[0])
-        reports.append(_mk(f"lp-deficit-p{p:g}", labels, lhs, rhs, 0.0,
-                           {"K": params["K"], "p": p, "eps_list": eps_list,
-                            "deficits": ds}))
+        reports.append(make_report(f"lp-deficit-p{p:g}", lhs, rhs, 0.0, labels,
+                                   {"K": params["K"], "p": p, "eps_list": eps_list,
+                                    "deficits": ds}))
         plots.append(_plot(f"deficit_p{p:g}.csv", "eps", "deficit",
                            np.column_stack([eps_list, ds]),
                            f"curvature deficit by kernel radius, p={p:g}"))
@@ -1006,10 +1018,10 @@ def _validate(config: ExperimentConfig, resolved: dict) -> None:
     params = resolved["parameters"]
     _validate_model(model)
     cmd = config.command
-    grid_kinds = {"grid", "minkowski-grid", "kinked-grid"}
-    if model is not None and model["kind"] in grid_kinds and cmd not in _GRID_OK_COMMANDS:
+    grid = model is not None and _model_kind(model).grid
+    if grid and cmd not in _GRID_OK_COMMANDS:
         raise ConfigError(f"command {cmd!r} needs a model chart, not a grid")
-    if cmd in _GRID_COMMANDS and (model is None or model["kind"] not in grid_kinds):
+    if cmd in _GRID_COMMANDS and not grid:
         raise ConfigError(f"command {cmd!r} operates on a sampled metric grid")
     if cmd in _CHECKS and params.get("check") not in _CHECKS[cmd]:
         raise ConfigError(
@@ -1057,31 +1069,19 @@ def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _csv_label(label: str) -> str:
-    return f'"{label}"' if "," in label else label
-
-
-def _margins_csv(reports) -> str:
-    rows = ["report,label,lhs,rhs,margin"]
-    for rep in reports:
-        for lab, a, b, m in zip(rep.labels, rep.lhs, rep.rhs, rep.margin):
-            rows.append(f"{rep.name},{_csv_label(lab)},"
-                        f"{float(a)!r},{float(b)!r},{float(m)!r}")
-    return "\n".join(rows) + "\n"
-
-
 def _write_outputs(out_dir: Path, record: RunRecord, reports, plots) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(record.to_json())
-    (out_dir / "margins.csv").write_text(_margins_csv(reports))
+    (out_dir / "margins.csv").write_text(csv_text(
+        ("report", "label", "lhs", "rhs", "margin"),
+        ((rep.name, *row) for rep in reports
+         for row in zip(rep.labels, rep.lhs, rep.rhs, rep.margin))))
     plot_dir = out_dir / "plots"
     plot_dir.mkdir(exist_ok=True)
     manifest = []
     for plot in plots:
-        lines = [f"{plot['x']},{plot['y']}"]
-        for a, b in plot["rows"]:
-            lines.append(f"{float(a)!r},{float(b)!r}")
-        (plot_dir / plot["file"]).write_text("\n".join(lines) + "\n")
+        (plot_dir / plot["file"]).write_text(
+            csv_text((plot["x"], plot["y"]), plot["rows"]))
         manifest.append({"file": plot["file"],
                          "columns": [plot["x"], plot["y"]],
                          "title": plot["title"]})
@@ -1187,7 +1187,7 @@ def _suite_rows(mode: str, seed: int):
         rhs.append(0.0)
         prov["rows"].append({"row": idx, "check": title, "passed": passed,
                              "worst_margin": worst})
-    return [_mk("suite", labels, lhs, rhs, 0.0, prov)], []
+    return [make_report("suite", lhs, rhs, 0.0, labels, prov)], []
 
 
 def suite(mode: str = "full", seed: int = 0,

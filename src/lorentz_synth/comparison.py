@@ -16,20 +16,23 @@ disintegration of a flat chart.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import ndimage
 
 from .distortion import KappaProfile, const_first_zero, const_sine, tau_coeff, ttilde_coeff
 from .errors import HypothesisViolatedError, InvalidInputError, UnsupportedModelError
 from .lipschitz_grid import MetricGrid
 from .models import (Event, ModelSpacetime, as_event, ball_volume_area,
-                     lipschitz_1p1, lorentz_distance_field, minkowski,
-                     region_measure, time_separation, time_separations,
-                     timelike_diameter, warped_product)
+                     cell_centers, lipschitz_1p1, lorentz_distance_field,
+                     maximizing_paths, minkowski, region_measure,
+                     time_separations, timelike_diameter, warped_product)
 from .onedim import (CDDensity, DEFAULT_C_CONST, aubry_diameter_bound,
                      curvature_deficit_sup, diameter_report)
 from .transport import (DiscreteMeasure, _optimal_plan, dirac, dynamical_coupling,
@@ -80,30 +83,45 @@ class InequalityReport:
             "tolerance": self.tolerance,
             "passed": bool(self.passed),
             "labels": list(self.labels),
-            "provenance": _jsonable(self.provenance),
+            "provenance": jsonable(self.provenance),
         })
 
     def to_csv(self) -> str:
         """Flat plot-ready table: one row per margin entry."""
-        rows = ["label,lhs,rhs,margin"]
-        for lab, a, b, m in zip(self.labels, self.lhs, self.rhs, self.margin):
-            if "," in lab:
-                lab = f'"{lab}"'
-            rows.append(f"{lab},{float(a)!r},{float(b)!r},{float(m)!r}")
-        return "\n".join(rows) + "\n"
+        return csv_text(("label", "lhs", "rhs", "margin"),
+                        zip(self.labels, self.lhs, self.rhs, self.margin))
 
 
-def _jsonable(obj):
+def csv_text(header, rows) -> str:
+    """CSV text of a header and rows, each line ending in a bare newline.
+
+    Strings are quoted where the ``csv`` module needs it (a comma, a quote or
+    a line break); every other value is written as ``repr(float(v))``, which
+    reads back to the same float.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, str) else repr(float(v)) for v in row]
+                     for row in rows)
+    return out.getvalue()
+
+
+def jsonable(obj):
+    """JSON-ready copy: string keys, tuples and arrays as lists, numpy
+    scalars as Python numbers."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
 
 
-def _report(name, lhs, rhs, tolerance, labels, provenance) -> InequalityReport:
+def make_report(name, lhs, rhs, tolerance, labels, provenance) -> InequalityReport:
+    """The report of ``lhs <= rhs`` entrywise: margins ``rhs - lhs``, passed
+    iff the smallest margin is at least ``-tolerance``."""
     lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
     rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
     if lhs.shape != rhs.shape or len(labels) != lhs.size:
@@ -189,12 +207,6 @@ def _ttilde_vec(K: float, n_param: float, thetas: np.ndarray) -> np.ndarray:
     return np.asarray([ttilde_coeff(K, n_param, float(th)) for th in thetas])
 
 
-def _density_on(model: ModelSpacetime, ts: np.ndarray) -> np.ndarray:
-    """Chart density exp(-weight) sqrt|det g| as a function of time."""
-    base = model.warp(ts) if model.kind != "minkowski" else np.ones_like(np.asarray(ts, float))
-    return base * np.exp(-model.weight(ts))
-
-
 def _as_model(obj) -> ModelSpacetime:
     """Accept a chart model directly, or lift a diagonal unit-lapse metric
     grid with x-independent coefficients to its warped chart."""
@@ -258,10 +270,7 @@ def _field_gradients(model: ModelSpacetime, ts, xs, field):
                       & pos[1:-1, :-2] & pos[1:-1, 2:])
     safe = np.where(pos, field, 0.0)
     gt, gx = np.gradient(safe, ts, xs)
-    if model.kind == "minkowski":
-        a2 = np.ones(len(ts))
-    else:
-        a2 = np.asarray(model.warp(ts), float) ** 2
+    a2 = np.asarray(model.warp(ts), float) ** 2
     gsq = gt * gt - gx * gx / a2[:, None]
     return ok, gt, gx, gsq
 
@@ -328,12 +337,9 @@ def voronoi_cell_masses(model: ModelSpacetime, mu: DiscreteMeasure,
     t1 = min(float(pts[:, 0].max()) + pad, bt1)
     x0 = max(float(pts[:, 1].min()) - pad, bx0)
     x1 = min(float(pts[:, 1].max()) + pad, bx1)
-    ht = (t1 - t0) / resolution
-    hx = (x1 - x0) / resolution
-    tc = t0 + ht * (np.arange(resolution) + 0.5)
-    xc = x0 + hx * (np.arange(resolution) + 0.5)
-    cell_mass = (_density_on(model, tc) * ht * hx)[:, None] \
-        * np.ones((1, resolution))
+    tc, ht = cell_centers(t0, t1, resolution)
+    xc, hx = cell_centers(x0, x1, resolution)
+    cell_mass = (model.density(tc) * ht * hx)[:, None] * np.ones((1, resolution))
     grid = _node_grid(tc, xc).reshape(-1, 2)
     masses = np.zeros(n)
     chunk = max(1, int(4e6) // n)
@@ -373,10 +379,7 @@ def check_tmcp(model: ModelSpacetime, o, mu1: DiscreteMeasure, K: float,
                          n_prime_grid, variant="past", tolerance=tolerance,
                          samples_per_curve=samples_per_curve,
                          cells_resolution=cells_resolution, resolution=resolution)
-        prov = dict(rep.provenance)
-        prov["variant"] = "future"
-        return InequalityReport(rep.name, rep.lhs, rep.rhs, rep.margin,
-                                rep.tolerance, rep.passed, rep.labels, prov)
+        return replace(rep, provenance={**rep.provenance, "variant": "future"})
     o = as_event(o)
     model.require_inside(o)
     seps = _chronological_separations(model, o, mu1.support, resolution)
@@ -413,7 +416,7 @@ def check_tmcp(model: ModelSpacetime, o, mu1: DiscreteMeasure, K: float,
                   "lq_value": value, "cells_resolution": cells_resolution,
                   "samples_per_curve": samples_per_curve,
                   "resolution": resolution}
-    return _report("tmcp", lhs, rhs, tolerance, labels, provenance)
+    return make_report("tmcp", lhs, rhs, tolerance, labels, provenance)
 
 
 def check_tcd_semiconvexity(model: ModelSpacetime, mu0: DiscreteMeasure,
@@ -461,25 +464,12 @@ def check_tcd_semiconvexity(model: ModelSpacetime, mu0: DiscreteMeasure,
                   "cells_resolution": cells_resolution,
                   "samples_per_curve": samples_per_curve,
                   "resolution": resolution}
-    return _report("tcd", lhs, rhs, tolerance, labels, provenance)
+    return make_report("tcd", lhs, rhs, tolerance, labels, provenance)
 
 
 # ---------------------------------------------------------------------------
 # volume comparison
 # ---------------------------------------------------------------------------
-
-
-def _dilate_one_cell(mask: np.ndarray) -> np.ndarray:
-    out = mask.copy()
-    out[1:, :] |= mask[:-1, :]
-    out[:-1, :] |= mask[1:, :]
-    out[:, 1:] |= mask[:, :-1]
-    out[:, :-1] |= mask[:, 1:]
-    out[1:, 1:] |= mask[:-1, :-1]
-    out[1:, :-1] |= mask[:-1, 1:]
-    out[:-1, 1:] |= mask[1:, :-1]
-    out[:-1, :-1] |= mask[1:, 1:]
-    return out
 
 
 def brunn_minkowski(model: ModelSpacetime, source, X1: Callable, K: float,
@@ -491,16 +481,15 @@ def brunn_minkowski(model: ModelSpacetime, source, X1: Callable, K: float,
     samples of the two sets, then rasterized. The one-cell dilated coverage
     carries the pass margin (raw coverage is recorded as the inner estimate);
     the lhs is inf tau^{(t)}_{K,N} over the attained separations times
-    m[X1]^{1/N}. Lattice kinds interpolate pair by pair, so keep their sample
-    counts small.
+    m[X1]^{1/N}. Lattice kinds compute one longest-path field per source and
+    backtrack one lattice geodesic per pair, so keep their sample counts
+    small.
     """
     if not 0.0 <= t <= 1.0:
         raise InvalidInputError("t outside [0, 1]")
     (t0, t1), (x0, x1) = model.bounds
-    ht = (t1 - t0) / resolution
-    hx = (x1 - x0) / resolution
-    tc = t0 + ht * (np.arange(resolution) + 0.5)
-    xc = x0 + hx * (np.arange(resolution) + 0.5)
+    tc, ht = cell_centers(t0, t1, resolution)
+    xc, hx = cell_centers(x0, x1, resolution)
     grid = _node_grid(tc, xc)
     mask1 = np.asarray(X1(grid), bool)
     if not np.any(mask1):
@@ -531,19 +520,14 @@ def brunn_minkowski(model: ModelSpacetime, source, X1: Callable, K: float,
         sweep = (1.0 - t) * src[:, None, :] + t * tgt[None, :, :]
         sweep = sweep.reshape(-1, 2)
     else:
-        # pairwise lattice geodesics: practical only for small sample counts
-        from .models import geodesic_point
+        # one lattice field per source and level, one backtrack per pair
         if len(src) * len(tgt) > 4096:
             tgt = tgt[::max(1, len(tgt) // max(1, 4096 // max(1, len(src))))]
-        seps, pts = [], []
-        for a in src:
-            for b in tgt:
-                seps.append(time_separation(model, tuple(a), tuple(b)))
-                pts.append(geodesic_point(model, tuple(a), tuple(b), t).coords)
-        seps = np.asarray(seps)
+        seps = time_separations(model, src, tgt).ravel()
         if np.any(~np.isfinite(seps)) or np.any(seps <= 0.0):
             raise InvalidInputError("X1 must be chronologically after the source")
-        sweep = np.asarray(pts)
+        paths = maximizing_paths(model, [(a, b) for a in src for b in tgt])
+        sweep = np.asarray([path.points(np.array([t]))[0] for path in paths])
 
     inf_tau = min(_tau_const(K, n_param, t, float(th))
                   for th in np.linspace(float(seps.min()), float(seps.max()), 33))
@@ -553,16 +537,17 @@ def brunn_minkowski(model: ModelSpacetime, source, X1: Callable, K: float,
     jj = np.clip(((sweep[:, 1] - x0) / hx).astype(int), 0, resolution - 1)
     cover = np.zeros((resolution, resolution), dtype=bool)
     cover[ii, jj] = True
-    cell_mass = (_density_on(model, tc) * ht * hx)[:, None]
+    cell_mass = (model.density(tc) * ht * hx)[:, None]
     inner = float(np.sum(cover * cell_mass))
-    upper = float(np.sum(_dilate_one_cell(cover) * cell_mass))
+    upper = float(np.sum(ndimage.binary_dilation(cover, np.ones((3, 3), bool))
+                         * cell_mass))
     provenance = {"K": K, "N": n_param, "t": t, "resolution": resolution,
                   "m_x1": m_x1, "inf_tau": inf_tau,
                   "inner_measure": inner, "upper_measure": upper,
                   "inner_lhs": inner ** (1.0 / n_param),
                   "pairs": int(len(seps))}
-    return _report("brunn-minkowski", [lower], [upper ** (1.0 / n_param)],
-                   tolerance, ["volume"], provenance)
+    return make_report("brunn-minkowski", [lower], [upper ** (1.0 / n_param)],
+                       tolerance, ["volume"], provenance)
 
 
 def bishop_gromov(model: ModelSpacetime, o, region: Callable, K: float,
@@ -614,7 +599,7 @@ def bishop_gromov(model: ModelSpacetime, o, region: Callable, K: float,
             labels.append(f"s:r={rs[i]:g},R={rs[j]:g}")
     provenance = {"K": K, "N": n_param, "r_list": rs, "volumes": vols,
                   "areas": areas, "dr": dr, "resolution": resolution}
-    return _report("bishop-gromov", lhs, rhs, tolerance, labels, provenance)
+    return make_report("bishop-gromov", lhs, rhs, tolerance, labels, provenance)
 
 
 def bonnet_myers(model: ModelSpacetime, K: float, n_param: float,
@@ -630,8 +615,8 @@ def bonnet_myers(model: ModelSpacetime, K: float, n_param: float,
     bound = math.pi * math.sqrt((n_param - 1.0) / K)
     provenance = {"K": K, "N": n_param, "resolution": resolution,
                   "diameter": diam, "bound": bound}
-    return _report("bonnet-myers", [diam], [bound], tolerance, ["diameter"],
-                   provenance)
+    return make_report("bonnet-myers", [diam], [bound], tolerance, ["diameter"],
+                       provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +644,8 @@ def eikonal_check(model_or_grid, o, sample_region: Callable,
                   "nodes": int(np.sum(sel)),
                   "mean_deviation": float(np.mean(dev)),
                   "past_directed_fraction": float(np.mean(gt[sel] < 0.0))}
-    return _report("eikonal", [float(np.max(dev))], [5.0 * spacing], tolerance,
-                   ["max-deviation"], provenance)
+    return make_report("eikonal", [float(np.max(dev))], [5.0 * spacing],
+                       tolerance, ["max-deviation"], provenance)
 
 
 def brenier_mccann_check(model: ModelSpacetime, o, mu1: DiscreteMeasure,
@@ -701,7 +686,7 @@ def brenier_mccann_check(model: ModelSpacetime, o, mu1: DiscreteMeasure,
                   "lq_value": value, "endpoints": len(lhs),
                   "max_deviation": float(max(lhs)),
                   "mean_deviation": float(np.mean(lhs))}
-    return _report("brenier-mccann", lhs, rhs, tolerance, labels, provenance)
+    return make_report("brenier-mccann", lhs, rhs, tolerance, labels, provenance)
 
 
 def dalembert_check(model_or_grid, o, phi, K: float, n_param: float,
@@ -734,7 +719,7 @@ def dalembert_check(model_or_grid, o, phi, K: float, n_param: float,
                   "resolution": resolution, "spacing": spacing,
                   "support_nodes": int(np.sum(sup))}
     if not np.any(sup):
-        return _report("dalembert", [0.0], [0.0], tol, [variant], provenance)
+        return make_report("dalembert", [0.0], [0.0], tol, [variant], provenance)
 
     interior = np.zeros_like(sup)
     interior[2:-2, 2:-2] = True
@@ -747,10 +732,9 @@ def dalembert_check(model_or_grid, o, phi, K: float, n_param: float,
         raise InvalidInputError("separation gradient degenerates inside the support")
 
     gphi = np.asarray(phi.gradient(grid), float)
-    a2 = np.ones(len(ts)) if model.kind == "minkowski" \
-        else np.asarray(model.warp(ts), float) ** 2
-    a2g = np.broadcast_to(a2[:, None], field.shape)
-    dens = np.broadcast_to(_density_on(model, ts)[:, None], field.shape)
+    a2g = np.broadcast_to((np.asarray(model.warp(ts), float) ** 2)[:, None],
+                          field.shape)
+    dens = np.broadcast_to(model.density(ts)[:, None], field.shape)
     cell = float(ts[1] - ts[0]) * float(xs[1] - xs[0])
 
     l = field[sup]
@@ -768,7 +752,7 @@ def dalembert_check(model_or_grid, o, phi, K: float, n_param: float,
     else:
         lhs_val = -float(np.sum(pair * norm ** (q_prime - 2.0) * dens[sup])) * cell
         rhs_val = float(np.sum((n_param * tt - 1.0) / l * pv[sup] * dens[sup])) * cell
-    return _report("dalembert", [lhs_val], [rhs_val], tol, [variant], provenance)
+    return make_report("dalembert", [lhs_val], [rhs_val], tol, [variant], provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -877,8 +861,7 @@ def needle_decomposition(model: ModelSpacetime, o, window, n_rays: int = 64,
     if not 0.0 < r < l_max:
         raise InvalidInputError("cross-section radius must sit inside the fan")
 
-    db = (b1 - b0) / n_rays
-    betas = b0 + db * (np.arange(n_rays) + 0.5)
+    betas, db = cell_centers(b0, b1, n_rays)
     taus = np.linspace(0.0, l_max, tau_samples)
     oc = np.asarray(o.coords, dtype=float)
     rays, arc = [], []
@@ -948,13 +931,10 @@ def aubry_spacetime_check(model: ModelSpacetime, K: float, n_param: float,
         k_fn = _ricci_quotient_fn(model)
     (t0, t1), (x0, x1) = model.bounds
 
-    ht = (t1 - t0) / raster
-    hx = (x1 - x0) / raster
-    tc = t0 + ht * (np.arange(raster) + 0.5)
-    xc = x0 + hx * (np.arange(raster) + 0.5)
+    tc, ht = cell_centers(t0, t1, raster)
+    xc, hx = cell_centers(x0, x1, raster)
     kv = np.asarray(k_fn(_node_grid(tc, xc)), float)
-    wts = np.broadcast_to((_density_on(model, tc) * ht * hx)[:, None],
-                          kv.shape)
+    wts = np.broadcast_to((model.density(tc) * ht * hx)[:, None], kv.shape)
     regions = [(kv.ravel(), wts.ravel())]
     step = raster // boxes
     for bi in range(boxes):
@@ -977,7 +957,7 @@ def aubry_spacetime_check(model: ModelSpacetime, K: float, n_param: float,
     length = t1 - t0
     for xcol in x0 + (x1 - x0) * (np.arange(n_needles) + 0.5) / n_needles:
         pts = np.column_stack([tg, np.full_like(tg, xcol)])
-        density = CDDensity(0.0, length, _density_on(model, tg),
+        density = CDDensity(0.0, length, model.density(tg),
                             KappaProfile(length, tg - t0,
                                          np.asarray(k_fn(pts), float)),
                             n_param)
@@ -996,4 +976,4 @@ def aubry_spacetime_check(model: ModelSpacetime, K: float, n_param: float,
                   "deficit": deficit, "status": status, "boxes": boxes,
                   "raster": raster, "resolution": resolution,
                   "needles": needle_rows}
-    return _report("aubry", lhs, rhs, tolerance, labels, provenance)
+    return make_report("aubry", lhs, rhs, tolerance, labels, provenance)

@@ -206,36 +206,13 @@ def _rk4_scan_matrices(kappa_half: np.ndarray, h: float, n_steps: int):
     return p00, p01, p10, p11
 
 
-def _rk4_sine_scan(kappa_half: np.ndarray, h: float, n_steps: int):
-    p00, p01, p10, p11 = _rk4_scan_matrices(kappa_half, h, n_steps)
-    u = np.concatenate(([0.0], p01))
-    du = np.concatenate(([1.0], p11))
-    return u, du
-
-
-def _rk4_sine(kappa_half: np.ndarray, h, n_steps: int):
-    """RK4 for u'' + c(x) u = 0 given c sampled on the half-step grid.
-
-    ``kappa_half`` has shape (..., 2*n_steps + 1): values at x_0, x_{1/2},
-    x_1, ...; batched over the leading axes (``h`` may then be an array over
-    those axes). Returns (u, du) of shape (..., n_steps + 1) with u(0) = 0,
-    u'(0) = 1.
-    """
-    if kappa_half.ndim == 1:
-        return _rk4_sine_scan(kappa_half, float(h), n_steps)
-    lead = kappa_half.shape[:-1]
-    h = np.broadcast_to(np.asarray(h, dtype=float), lead)
-    u = np.zeros(lead + (n_steps + 1,))
-    du = np.zeros(lead + (n_steps + 1,))
-    du[..., 0] = 1.0
-    uk = np.zeros(lead)
-    dk = np.ones(lead)
-    for i in range(n_steps):
-        uk, dk = _rk4_step(kappa_half[..., 2 * i], kappa_half[..., 2 * i + 1],
-                           kappa_half[..., 2 * i + 2], h, uk, dk)
-        u[..., i + 1] = uk
-        du[..., i + 1] = dk
-    return u, du
+def _rk4_sine_solve(profile: KappaProfile):
+    """The RK4 scan of the sine ODE of ``profile`` over ``ODE_STEPS`` steps:
+    the solver nodes and the four entry arrays of the prefix transition
+    matrices (see :func:`_rk4_scan_matrices`)."""
+    half_grid = np.linspace(0.0, profile.length, 2 * ODE_STEPS + 1)
+    return (half_grid[::2],
+            *_rk4_scan_matrices(profile(half_grid), profile.length / ODE_STEPS, ODE_STEPS))
 
 
 @dataclass(frozen=True)
@@ -261,12 +238,9 @@ class FundamentalSystem:
 
 @lru_cache(maxsize=256)
 def _fundamental_cached(profile: KappaProfile) -> FundamentalSystem:
-    n = ODE_STEPS
-    h = profile.length / n
-    half_grid = np.linspace(0.0, profile.length, 2 * n + 1)
-    p00, p01, p10, p11 = _rk4_scan_matrices(profile(half_grid), h, n)
+    thetas, p00, p01, p10, p11 = _rk4_sine_solve(profile)
     return FundamentalSystem(
-        profile, half_grid[::2],
+        profile, thetas,
         np.concatenate(([0.0], p01)), np.concatenate(([1.0], p11)),
         np.concatenate(([1.0], p00)), np.concatenate(([0.0], p10)))
 
@@ -278,12 +252,9 @@ def sine_fundamental(profile: KappaProfile) -> FundamentalSystem:
 
 @lru_cache(maxsize=512)
 def _generalized_sine_cached(profile: KappaProfile) -> GeneralizedSine:
-    n = ODE_STEPS
-    h = profile.length / n
-    half_grid = np.linspace(0.0, profile.length, 2 * n + 1)
-    kap = profile(half_grid)
-    u, du = _rk4_sine(kap, h, n)
-    thetas = half_grid[::2]
+    thetas, _, p01, _, p11 = _rk4_sine_solve(profile)
+    u = np.concatenate(([0.0], p01))
+    du = np.concatenate(([1.0], p11))
     fz = _first_zero_from_samples(thetas, u, du)
     return GeneralizedSine(profile, thetas, u, du, fz)
 

@@ -139,6 +139,10 @@ class ModelSpacetime:
             return np.zeros_like(np.asarray(t, dtype=float))
         return np.interp(t, self.weight_samples[:, 0], self.weight_samples[:, 1])
 
+    def density(self, t):
+        """Chart density exp(-weight) sqrt|det g| as a function of time."""
+        return self.warp(t) * np.exp(-self.weight(t))
+
     def lipschitz_bound(self) -> float:
         """Recorded sup of finite-difference quotients of the coefficients."""
         out = 0.0
@@ -637,6 +641,12 @@ def geodesic_point(model: ModelSpacetime, x, y, t: float, resolution: int = 513)
 # -- measures and volumes ---------------------------------------------------------
 
 
+def cell_centers(lo: float, hi: float, n: int):
+    """Midpoints of ``n`` equal cells tiling [lo, hi], and the cell width."""
+    h = (hi - lo) / n
+    return lo + h * (np.arange(n) + 0.5), h
+
+
 def region_measure(model: ModelSpacetime, region: Callable[[np.ndarray], np.ndarray],
                    resolution: int = 1024) -> float:
     """Midpoint-rule measure of a region: exp(-weight) sqrt|det g| summed over
@@ -649,10 +659,8 @@ def region_measure(model: ModelSpacetime, region: Callable[[np.ndarray], np.ndar
     if model.dim != 2:
         raise InvalidInputError("region integration is implemented in 1+1 only")
     (t0, t1), (x0, x1) = model.bounds
-    ht = (t1 - t0) / resolution
-    hx = (x1 - x0) / resolution
-    t_centers = t0 + ht * (np.arange(resolution) + 0.5)
-    x_centers = x0 + hx * (np.arange(resolution) + 0.5)
+    t_centers, ht = cell_centers(t0, t1, resolution)
+    x_centers, hx = cell_centers(x0, x1, resolution)
     total = 0.0
     chunk = max(1, int(2e6) // resolution)
     pts = np.empty((chunk, resolution, 2))
@@ -662,10 +670,7 @@ def region_measure(model: ModelSpacetime, region: Callable[[np.ndarray], np.ndar
         pts[:m, :, 0] = t_centers[lo:hi, None]
         pts[:m, :, 1] = x_centers[None, :]
         mask = np.asarray(region(pts[:m]), dtype=bool)
-        dens = model.warp(t_centers[lo:hi]) if model.kind != "minkowski" \
-            else np.ones(m)
-        dens = dens * np.exp(-model.weight(t_centers[lo:hi]))
-        total += float(np.sum(mask * dens[:, None]))
+        total += float(np.sum(mask * model.density(t_centers[lo:hi])[:, None]))
     return total * ht * hx
 
 
@@ -728,21 +733,6 @@ def ball_volume_area(model: ModelSpacetime, o, r: float,
     v0 = region_measure(model, lambda p: ball(p, r), resolution)
     v1 = region_measure(model, lambda p: ball(p, r + dr), resolution)
     return v0, (v1 - v0) / dr
-
-
-def ball_volume_profile(model: ModelSpacetime, o, radii: Sequence[float],
-                        region: Callable[[np.ndarray], np.ndarray],
-                        resolution: int = 1024) -> np.ndarray:
-    """v(r) for several radii: one :func:`ball_volume_area` call per radius,
-    each with its own l_o field and two region rasters; nothing is shared
-    between radii."""
-    o = as_event(o)
-    vs = []
-    for r in radii:
-        v, _ = ball_volume_area(model, o, r, region, dr=1e-3,
-                                resolution=resolution, check_star_shaped=False)
-        vs.append(v)
-    return np.asarray(vs)
 
 
 def timelike_diameter(model: ModelSpacetime, resolution: int = 257,

@@ -80,9 +80,6 @@ class CDDensity:
     def total_mass(self) -> float:
         return float(np.trapezoid(self.h_samples, self.grid()))
 
-    def is_probability(self, tol: float = 1e-8) -> bool:
-        return abs(self.total_mass() - 1.0) <= tol
-
     def normalized(self) -> "CDDensity":
         m = self.total_mass()
         if m <= 0.0:

@@ -15,7 +15,6 @@ geodesics the entropy inequalities are stated along.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 

@@ -1,14 +1,17 @@
 """Console entry point: configs, determinism, exit codes, output layout."""
 
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
 
 from lorentz_synth import lipschitz_grid as L
-from lorentz_synth.cli import (COMMANDS, ConfigError, ExperimentConfig, main,
-                               run, suite)
+from lorentz_synth.cli import (COMMANDS, MODEL_KINDS, ConfigError, ExperimentConfig,
+                               _build_model, _validate_model, main, run, suite)
+from lorentz_synth.comparison import make_report
 
 
 def cli(tmp_path, *argv, config=None):
@@ -58,6 +61,24 @@ class TestConfig:
             resolved = ExperimentConfig.from_mapping({"command": name}).resolved()
             json.dumps(resolved)  # must be serializable as written
 
+    def test_every_model_kind_validates_and_builds(self, tmp_path):
+        L.save_grid(L.minkowski_grid(((0.0, 1.0), (-1.0, 1.0)), (33, 33)),
+                    tmp_path / "grid.bin")
+        # the keys a kind cannot default; every other kind builds from its name
+        given = {"warp-samples": {"samples": [[0.0, 1.0], [1.0, 1.5]],
+                                  "t_bounds": [0.0, 1.0], "x_bounds": [-1.0, 1.0]},
+                 "grid": {"path": str(tmp_path / "grid.bin")},
+                 "minkowski-grid": {"bounds": [[0.0, 1.0], [-1.0, 1.0]],
+                                    "shape": [33, 33]}}
+        assert set(given) <= set(MODEL_KINDS)
+        for name, kind in MODEL_KINDS.items():
+            spec = {"kind": name, **given.get(name, {})}
+            _validate_model(spec)
+            assert isinstance(_build_model(spec), L.MetricGrid) == kind.grid
+            if kind.required:
+                with pytest.raises(ConfigError, match="needs"):
+                    _validate_model({"kind": name})
+
 
 class TestExitCodes:
     def test_malformed_json_is_a_parse_error(self, tmp_path, capsys):
@@ -75,6 +96,12 @@ class TestExitCodes:
             cli(tmp_path, "no-such-check")
         assert exc.value.code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "usage-error"
+
+    def test_unknown_model_kind_is_an_invalid_config(self, tmp_path, capsys):
+        code = cli(tmp_path, "tmcp", config={"model": {"kind": "nope"}})
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "invalid-config", "detail": "unknown model kind 'nope'"}
 
     def test_missing_grid_file_is_an_invalid_config(self, tmp_path, capsys):
         code = cli(tmp_path, "mollify",
@@ -162,10 +189,19 @@ class TestOutputs:
             assert all(len(line.split(",")) == 2 for line in lines)
         assert "PASS" in capsys.readouterr().out
 
-    def test_quoted_labels_survive_the_csv(self, tmp_path, capsys):
+    def test_quoted_labels_survive_the_csv(self, tmp_path, capsys, monkeypatch):
         assert cli(tmp_path, "bishop-gromov", "--quick") == 0
-        csv = (tmp_path / "run" / "margins.csv").read_text()
-        assert '"v:r=0.25,R=0.5"' in csv
+        text = (tmp_path / "run" / "margins.csv").read_text()
+        assert '"v:r=0.25,R=0.5"' in text
+        # labels with commas and embedded quotes read back whole
+        labels = ['say "hi", then', "plain"]
+        quoted = make_report("quoted", [0.5, 1.0], [1.0, 1.0], 0.0, labels, {})
+        monkeypatch.setitem(COMMANDS, "eikonal", dataclasses.replace(
+            COMMANDS["eikonal"], runner=lambda model, params, rng: ([quoted], [])))
+        assert cli(tmp_path, "eikonal") == 0
+        rows = list(csv.reader(io.StringIO(
+            (tmp_path / "run" / "margins.csv").read_text())))
+        assert [row[:2] for row in rows[1:]] == [["quoted", lab] for lab in labels]
 
     def test_same_seed_means_identical_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

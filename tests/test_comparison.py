@@ -13,16 +13,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lorentz_synth import comparison as C
 from lorentz_synth.comparison import (BumpFunction, aubry_spacetime_check,
                                       bishop_gromov, bonnet_myers,
                                       brenier_mccann_check, brunn_minkowski,
                                       check_tcd_semiconvexity, check_tmcp,
-                                      dalembert_check, eikonal_check,
+                                      dalembert_check, eikonal_check, make_report,
                                       needle_decomposition, voronoi_cell_masses)
 from lorentz_synth.errors import InvalidInputError, UnsupportedModelError
 from lorentz_synth.lipschitz_grid import metric_grid, minkowski_grid
-from lorentz_synth.models import (cosh_warp_model, desitter_like, minkowski,
-                                  region_measure)
+from lorentz_synth.models import (cosh_warp_model, desitter_like, maximizing_path,
+                                  minkowski, region_measure, time_separation)
 from lorentz_synth.onedim import aubry_diameter_bound, verify_cd_density
 from lorentz_synth.transport import DiscreteMeasure, dirac, uniform_on_box
 
@@ -55,16 +56,20 @@ class TestReportPlumbing:
     def test_csv_plain_floats_and_quoting(self):
         model = minkowski(((-0.5, 2.5), (-1.0, 1.0)))
         mu1 = uniform_on_box(((1.2, 2.0), (-0.4, 0.4)), 2)
-        rep = check_tmcp(model, (0.0, 0.0), mu1, 0.0, 2.0, 0.5, (0.5,), (2.0,))
-        text = rep.to_csv()
-        assert "np.float64" not in text
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["label", "lhs", "rhs", "margin"]
-        assert len(rows) == 1 + len(rep.labels)
-        for row, lab, m in zip(rows[1:], rep.labels, rep.margin):
-            assert len(row) == 4
-            assert row[0] == lab
-            assert float(row[3]) == pytest.approx(float(m), abs=0.0)
+        tmcp = check_tmcp(model, (0.0, 0.0), mu1, 0.0, 2.0, 0.5, (0.5,), (2.0,))
+        # a label with a comma and embedded quotes must come back whole
+        quoted = make_report("quoted", [0.5, -1.0], [1.0, math.inf], 0.0,
+                             ['say "hi", then', 'plain'], {})
+        for rep in (tmcp, quoted):
+            text = rep.to_csv()
+            assert "np.float64" not in text
+            rows = list(csv.reader(io.StringIO(text)))
+            assert rows[0] == ["label", "lhs", "rhs", "margin"]
+            assert len(rows) == 1 + len(rep.labels)
+            for row, lab, m in zip(rows[1:], rep.labels, rep.margin):
+                assert len(row) == 4
+                assert row[0] == lab
+                assert float(row[3]) == pytest.approx(float(m), abs=0.0)
 
     def test_worst_margin(self):
         rep = bonnet_myers(desitter_like(), 1.0, 2.0, resolution=65)
@@ -285,6 +290,22 @@ class TestBrunnMinkowski:
         assert float(rep.lhs[0]) == pytest.approx(
             math.sqrt(rep.provenance["m_x1"]), abs=1e-12)
         assert rep.worst_margin() >= 0.0
+
+    def test_lattice_sweep_matches_the_per_pair_loop(self, monkeypatch):
+        # the batched lattice branch against one separation and one maximizer
+        # per (source, target) pair, bit for bit
+        model = cosh_warp_model()
+        source = lambda p: flat_box(p, -0.7, -0.6, 0.1)
+        target = lambda p: flat_box(p, 0.4, 0.6, 0.1)
+        args = (model, source, target, -1.0, 2.0, 0.4)
+        batched = brunn_minkowski(*args, resolution=24)
+        monkeypatch.setattr(C, "time_separations", lambda m, xs, ys: np.array(
+            [[time_separation(m, x, y) for y in ys] for x in xs]))
+        monkeypatch.setattr(C, "maximizing_paths", lambda m, pairs: [
+            maximizing_path(m, x, y) for x, y in pairs])
+        pairwise = brunn_minkowski(*args, resolution=24)
+        assert batched.provenance["pairs"] == 8
+        assert batched.to_json() == pairwise.to_json()
 
     def test_validation(self):
         model = big_flat()
