@@ -9,8 +9,7 @@ Exit status is 0 when every report passes, 1 when one fails, 2 for
 configuration problems, and 3 when a verifier raises; the latter two print a
 one-line structured error JSON.
 
-``suite`` replays the whole acceptance matrix (one table row per criterion)
-and honours ``LORENTZ_SYNTH_THREADS`` for running rows concurrently.
+``suite`` replays the whole acceptance matrix (one table row per criterion).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -1153,10 +1151,8 @@ def _suite_row_configs(mode: str):
 
 def _suite_rows(mode: str, seed: int):
     rows = _suite_row_configs(mode)
-    workers = max(1, int(os.environ.get("LORENTZ_SYNTH_THREADS", "1") or 1))
 
-    def one(idx_row):
-        idx, (title, cmd, overrides) = idx_row
+    def one(idx, title, cmd, overrides):
         spec = COMMANDS[cmd]
         params = dict(spec.parameters)
         params.update(overrides)
@@ -1168,11 +1164,7 @@ def _suite_rows(mode: str, seed: int):
         worst = min(rep.worst_margin() for rep in reports)
         return idx, title, passed, worst, elapsed
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, enumerate(rows, start=1)))
-    else:
-        results = [one(item) for item in enumerate(rows, start=1)]
+    results = [one(idx, *row) for idx, row in enumerate(rows, start=1)]
 
     labels, lhs, rhs = [], [], []
     prov = {"mode": mode, "rows": []}

@@ -29,10 +29,11 @@ from scipy import ndimage
 from .distortion import KappaProfile, const_first_zero, const_sine, tau_coeff, ttilde_coeff
 from .errors import HypothesisViolatedError, InvalidInputError, UnsupportedModelError
 from .lipschitz_grid import MetricGrid
-from .models import (Event, ModelSpacetime, as_event, ball_volume_area,
-                     cell_centers, lipschitz_1p1, lorentz_distance_field,
-                     maximizing_paths, minkowski, region_measure,
-                     time_separations, timelike_diameter, warped_product)
+from .models import (Event, ModelSpacetime, _node_grid, as_event,
+                     ball_volumes_areas, cell_centers, lipschitz_1p1,
+                     lorentz_distance_field, maximizing_paths, minkowski,
+                     region_measure, time_separations, timelike_diameter,
+                     warped_product)
 from .onedim import (CDDensity, DEFAULT_C_CONST, aubry_diameter_bound,
                      curvature_deficit_sup, diameter_report)
 from .transport import (DiscreteMeasure, _optimal_plan, dirac, dynamical_coupling,
@@ -232,29 +233,9 @@ def _as_model(obj) -> ModelSpacetime:
     raise InvalidInputError("expected a model spacetime or a metric grid")
 
 
-def _distance_field(model: ModelSpacetime, o: Event, resolution: int):
-    """l(o, .) sampled on a node grid: (ts, xs, field, spacing).
-
-    Flat charts use the closed form on a grid with near-square cells; lattice
-    kinds reuse the longest-path field.
-    """
-    model.require_inside(o)
-    if model.kind == "minkowski":
-        (t0, t1), (x0, x1) = model.bounds
-        ts = np.linspace(t0, t1, resolution)
-        h = ts[1] - ts[0]
-        nx = max(int(round((x1 - x0) / h)) + 1, 9)
-        xs = np.linspace(x0, x1, nx)
-        dt = ts[:, None] - o.t
-        dx = xs[None, :] - o.x
-        s2 = dt * dt - dx * dx
-        field = np.where((dt > 0.0) & (s2 > 0.0),
-                         np.sqrt(np.clip(s2, 0.0, None)), -np.inf)
-        field[(dt == 0.0) & (np.abs(dx) == 0.0)] = 0.0
-    else:
-        ts, xs, field = lorentz_distance_field(model, o, resolution)
-    spacing = max(float(ts[1] - ts[0]), float(xs[1] - xs[0]))
-    return ts, xs, field, spacing
+def _spacing(ts, xs) -> float:
+    """The larger node spacing of a field grid."""
+    return max(float(ts[1] - ts[0]), float(xs[1] - xs[0]))
 
 
 def _field_gradients(model: ModelSpacetime, ts, xs, field):
@@ -273,10 +254,6 @@ def _field_gradients(model: ModelSpacetime, ts, xs, field):
     a2 = np.asarray(model.warp(ts), float) ** 2
     gsq = gt * gt - gx * gx / a2[:, None]
     return ok, gt, gx, gsq
-
-
-def _node_grid(ts, xs):
-    return np.stack(np.meshgrid(ts, xs, indexing="ij"), axis=-1)
 
 
 def _chronological_separations(model, o, points, resolution=257) -> np.ndarray:
@@ -511,21 +488,15 @@ def brunn_minkowski(model: ModelSpacetime, source, X1: Callable, K: float,
     while len(src) * len(tgt) > max_pairs and len(src) > 1:
         src = src[::2]
 
+    if model.kind != "minkowski" and len(src) * len(tgt) > 4096:
+        tgt = tgt[::max(1, len(tgt) // max(1, 4096 // max(1, len(src))))]
+    seps = time_separations(model, src, tgt).ravel()
+    if np.any(~np.isfinite(seps)) or np.any(seps <= 0.0):
+        raise InvalidInputError("X1 must be chronologically after the source")
     if model.kind == "minkowski":
-        seps2 = (tgt[None, :, 0] - src[:, None, 0]) ** 2 \
-            - (tgt[None, :, 1] - src[:, None, 1]) ** 2
-        if np.any(tgt[None, :, 0] <= src[:, None, 0]) or np.any(seps2 <= 0.0):
-            raise InvalidInputError("X1 must be chronologically after the source")
-        seps = np.sqrt(seps2).ravel()
-        sweep = (1.0 - t) * src[:, None, :] + t * tgt[None, :, :]
-        sweep = sweep.reshape(-1, 2)
+        sweep = ((1.0 - t) * src[:, None, :] + t * tgt[None, :, :]).reshape(-1, 2)
     else:
         # one lattice field per source and level, one backtrack per pair
-        if len(src) * len(tgt) > 4096:
-            tgt = tgt[::max(1, len(tgt) // max(1, 4096 // max(1, len(src))))]
-        seps = time_separations(model, src, tgt).ravel()
-        if np.any(~np.isfinite(seps)) or np.any(seps <= 0.0):
-            raise InvalidInputError("X1 must be chronologically after the source")
         paths = maximizing_paths(model, [(a, b) for a in src for b in tgt])
         sweep = np.asarray([path.points(np.array([t]))[0] for path in paths])
 
@@ -568,13 +539,7 @@ def bishop_gromov(model: ModelSpacetime, o, region: Callable, K: float,
         raise InvalidInputError("need a strictly increasing list of positive radii")
     if rs[-1] >= _pi_radius(K, n_param):
         raise InvalidInputError("radii must stay below the conjugate radius")
-    vols, areas = [], []
-    for idx, r in enumerate(rs):
-        v, s = ball_volume_area(model, o, r, region, dr=dr,
-                                resolution=resolution,
-                                check_star_shaped=(idx == 0))
-        vols.append(v)
-        areas.append(s)
+    vols, areas = ball_volumes_areas(model, o, rs, region, dr, resolution)
     if min(vols) <= 0.0 or min(areas) <= 0.0:
         raise InvalidInputError("every ball must have positive measure and area")
 
@@ -634,7 +599,8 @@ def eikonal_check(model_or_grid, o, sample_region: Callable,
     """
     model = _as_model(model_or_grid)
     o = as_event(o)
-    ts, xs, field, spacing = _distance_field(model, o, resolution)
+    ts, xs, field = lorentz_distance_field(model, o, resolution)
+    spacing = _spacing(ts, xs)
     ok, gt, _, gsq = _field_gradients(model, ts, xs, field)
     sel = ok & np.asarray(sample_region(_node_grid(ts, xs)), bool)
     if not np.any(sel):
@@ -663,7 +629,8 @@ def brenier_mccann_check(model: ModelSpacetime, o, mu1: DiscreteMeasure,
     seps = _chronological_separations(model, o, mu1.support, resolution)
     value, plan = _optimal_plan(dirac(o), mu1, seps[None, :], q)
     dc = dynamical_coupling(model, plan)
-    ts, xs, field, spacing = _distance_field(model, o, resolution)
+    ts, xs, field = lorentz_distance_field(model, o, resolution)
+    spacing = _spacing(ts, xs)
     ok, _, _, gsq = _field_gradients(model, ts, xs, field)
     ends = [samples[-1] for samples, _ in dc.curves]
     end_seps = time_separations(model, (o,), ends, resolution)[0]
@@ -709,7 +676,8 @@ def dalembert_check(model_or_grid, o, phi, K: float, n_param: float,
         raise InvalidInputError("phi must provide an analytic .gradient(pts)")
     model = _as_model(model_or_grid)
     o = as_event(o)
-    ts, xs, field, spacing = _distance_field(model, o, resolution)
+    ts, xs, field = lorentz_distance_field(model, o, resolution)
+    spacing = _spacing(ts, xs)
     ok, gt, gx, gsq = _field_gradients(model, ts, xs, field)
     grid = _node_grid(ts, xs)
     pv = np.asarray(phi(grid), float)

@@ -15,8 +15,13 @@ below under refinement; one Richardson step over two nested resolutions
 cancels the leading linear error. An optional log-density weight (a function
 of t) enters the measure, never the lengths.
 
-The time separation convention: l(x, x) = 0, l(x, y) = -inf when y is not in
-the causal future of x, and causal-but-not-chronological pairs get 0.
+The time separation convention, the same on both chart kinds: l(x, x) = 0,
+l(x, y) = -inf when y is not in the causal future of x, and causal pairs that
+are not chronological (the null cone, or pairs below the lattice's chronology
+resolution) get 0. The flat closed form lives in :func:`_flat_separations`
+and the Richardson step in :func:`_richardson`; pair matrices, whole fields,
+the diameter and the ball volumes all read l through them. Ball volumes for
+any number of radii read one l_o field and one raster pass per call.
 """
 
 from __future__ import annotations
@@ -388,24 +393,27 @@ def _node_event(ts: np.ndarray, xs: np.ndarray, node) -> Event:
     return Event((float(ts[node[0]]), float(xs[node[1]])))
 
 
-def _flat_separation(x: Event, y: Event) -> float:
-    dt = y.t - x.t
-    dxs = np.asarray(y.coords[1:]) - np.asarray(x.coords[1:])
-    s2 = dt * dt - float(dxs @ dxs)
-    if dt > 0.0 and s2 >= 0.0:
-        return math.sqrt(s2)
-    return NEG_INF
+def _flat_separations(x, y) -> np.ndarray:
+    """l(x, y) on a flat chart, entrywise over broadcast (..., dim) arrays:
+    sqrt(dt^2 - |dx|^2) inside the future cone, 0 on the null cone and at
+    equal points, -inf outside J^+(x)."""
+    d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+    dt = d[..., 0]
+    s2 = dt * dt - np.sum(d[..., 1:] ** 2, axis=-1)
+    out = np.where((dt > 0.0) & (s2 >= 0.0), np.sqrt(np.maximum(s2, 0.0)), -np.inf)
+    out[np.all(d == 0.0, axis=-1)] = 0.0
+    return out
 
 
-def _richardson(vals) -> float:
-    """Combine the coarse and fine lattice values of one pair (coarse first)."""
-    good = [float(v) for v in vals if v != -np.inf]
-    if not good:
-        return 0.0          # causal, but below the lattice's chronology resolution
-    out = good[-1]
-    if len(good) == 2:
-        out = max(good[1], 2.0 * good[1] - good[0])
-    return max(out, 0.0)
+def _richardson(coarse, fine) -> np.ndarray:
+    """One Richardson step over the lattice values at the coarse grid and at
+    its nested refinement, entrywise: max(fine, 2 fine - coarse) where both
+    levels see a path, the one finite value where only one does, -inf where
+    neither does. Callers clamp at 0."""
+    coarse, fine = np.asarray(coarse), np.asarray(fine)
+    with np.errstate(invalid="ignore"):
+        ext = np.maximum(fine, 2.0 * fine - coarse)
+    return np.where((coarse > -np.inf) & (fine > -np.inf), ext, np.maximum(coarse, fine))
 
 
 def time_separations(model: ModelSpacetime, sources, targets, resolution: int = 257,
@@ -413,12 +421,13 @@ def time_separations(model: ModelSpacetime, sources, targets, resolution: int = 
     """l(x_i, y_j) for every source x_i and target y_j: an (n, m) array with
     -inf sentinels where y_j is not in J^+(x_i).
 
-    Pair by pair the rules of :func:`time_separation` hold: equal events give
-    0; on the lattice kinds each event snaps once to the coarse grid, pairs
-    that snap to one node give 0, pairs whose snapped nodes are not causally
-    related give -inf, the rest read the longest-path values at the coarse
-    grid and its nested refinement, combined by one Richardson step and
-    clamped at 0. Each distinct snapped source gets one longest-path field
+    Pair by pair the rules of :func:`time_separation` hold. Flat charts use
+    the closed form. On the lattice kinds each event snaps once to the
+    coarse grid, pairs that snap to one node give 0, pairs whose snapped
+    nodes are not causally related give -inf, the rest read the longest-path
+    values at the coarse grid and its nested refinement, combined by
+    :func:`_richardson` and clamped at 0 (a causal pair no lattice path
+    reaches gets 0). Each distinct snapped source gets one longest-path field
     per lattice level, shared by all its targets: the sources are stacked in
     one DP, S x n_t x n_x float64 per level, in chunks of at most
     ``STACK_BUDGET_BYTES``.
@@ -426,12 +435,11 @@ def time_separations(model: ModelSpacetime, sources, targets, resolution: int = 
     srcs = [as_event(p) for p in sources]
     tgts = [as_event(p) for p in targets]
     model.require_inside(*srcs, *tgts)
-    out = np.empty((len(srcs), len(tgts)))
     if model.kind == "minkowski":
-        for i, x in enumerate(srcs):
-            for j, y in enumerate(tgts):
-                out[i, j] = 0.0 if x.coords == y.coords else _flat_separation(x, y)
-        return out
+        x = np.asarray([p.coords for p in srcs], dtype=float).reshape(len(srcs), model.dim)
+        y = np.asarray([p.coords for p in tgts], dtype=float).reshape(len(tgts), model.dim)
+        return _flat_separations(x[:, None, :], y[None, :, :])
+    out = np.empty((len(srcs), len(tgts)))
     # snap once on the coarse grid; the fine grid nests, so a coarse node
     # (i, j) is the fine node (2i, 2j) and both passes see the same pair
     shape = _lattice_shape(model, resolution)
@@ -457,9 +465,10 @@ def time_separations(model: ModelSpacetime, sources, targets, resolution: int = 
             for node, field in zip(chunk, dist):
                 for i, j in reads[node]:
                     lattice[k, i, j] = field[snapped_y[j][0] * m, snapped_y[j][1] * m]
+    vals = np.maximum(_richardson(*lattice) if richardson else lattice[0], 0.0)
     for pairs in reads.values():
         for i, j in pairs:
-            out[i, j] = _richardson(lattice[:, i, j])
+            out[i, j] = vals[i, j]
     return out
 
 
@@ -483,35 +492,39 @@ def lorentz_distance(model: ModelSpacetime, o) -> Callable[[Event], float]:
     return l_o
 
 
-def lorentz_distance_field(model: ModelSpacetime, o, resolution: int = 257,
-                           richardson: bool = True):
-    """l(o, .) on the whole lattice: (ts, xs, values with -inf sentinels).
+def _node_grid(ts, xs) -> np.ndarray:
+    """The (len(ts), len(xs), 2) array of chart points (t_i, x_j)."""
+    return np.stack(np.meshgrid(ts, xs, indexing="ij"), axis=-1)
 
-    Nodes outside the causal future keep the sentinel; causal nodes are
-    clamped to >= 0. Only for the lattice kinds.
+
+def lorentz_distance_field(model: ModelSpacetime, o, resolution: int = 257):
+    """l(o, .) on a node grid of a 1+1 chart: (ts, xs, values).
+
+    Values follow the convention of :func:`time_separations`: -inf outside
+    J^+(o), 0 on the null cone and at o. Flat charts evaluate the closed form
+    on ``resolution`` time nodes and near-square cells (at least 9 columns).
+    The lattice kinds return the fine lattice of the Richardson pair; at the
+    nodes it shares with the coarse grid the two fields are combined by
+    :func:`_richardson`, so there the value equals :func:`time_separations`
+    to that node for every chronological pair. Causal values are clamped at
+    0.
     """
     o = as_event(o)
     model.require_inside(o)
+    if model.dim != 2:
+        raise InvalidInputError("the distance field is implemented in 1+1 only")
     if model.kind == "minkowski":
-        raise InvalidInputError("the flat-chart field is closed-form; no lattice needed")
+        (t0, t1), (x0, x1) = model.bounds
+        ts = np.linspace(t0, t1, resolution)
+        xs = np.linspace(x0, x1, max(int(round((x1 - x0) / (ts[1] - ts[0]))) + 1, 9))
+        return ts, xs, _flat_separations(o.coords, _node_grid(ts, xs))
     shape = _lattice_shape(model, resolution)
     src = _snap(*_lattice_axes(model, shape), o)
-    ts, xs, (dist_c,) = _dp_longest(model, shape, [src])
-    if not richardson:
-        field = dist_c.copy()
-    else:
-        ts, xs, (dist_f,) = _dp_longest(model, _fine_shape(shape),
-                                        [(2 * src[0], 2 * src[1])])
-        field = dist_f.copy()
-        # extrapolate at the nodes shared by both grids, where both see a path
-        sub = dist_f[::2, ::2]
-        both = (sub > -np.inf) & (dist_c > -np.inf)
-        ext = np.maximum(sub[both], 2.0 * sub[both] - dist_c[both])
-        shared = field[::2, ::2]
-        shared[both] = ext
-        field[::2, ::2] = shared
-    pos = field > -np.inf
-    field[pos] = np.maximum(field[pos], 0.0)
+    _, _, (coarse,) = _dp_longest(model, shape, [src])
+    ts, xs, (fine,) = _dp_longest(model, _fine_shape(shape), [(2 * src[0], 2 * src[1])])
+    field = fine.copy()
+    field[::2, ::2] = _richardson(coarse, fine[::2, ::2])
+    np.maximum(field, 0.0, out=field, where=field > -np.inf)
     return ts, xs, field
 
 
@@ -647,6 +660,34 @@ def cell_centers(lo: float, hi: float, n: int):
     return lo + h * (np.arange(n) + 0.5), h
 
 
+def _raster_measures(model: ModelSpacetime, masks: Callable, resolution: int) -> list:
+    """Midpoint-rule measures of several regions in one pass over the chart's
+    cell-centre raster.
+
+    The raster runs in chunks of rows; ``masks`` maps each chunk's
+    (rows, resolution, 2) points to an iterable of boolean masks, one per
+    region, and each region's measure is the sum over chunks of its masked
+    density sum, times the cell area.
+    """
+    if model.dim != 2:
+        raise InvalidInputError("region integration is implemented in 1+1 only")
+    (t0, t1), (x0, x1) = model.bounds
+    t_centers, ht = cell_centers(t0, t1, resolution)
+    x_centers, hx = cell_centers(x0, x1, resolution)
+    totals = 0.0
+    chunk = max(1, int(2e6) // resolution)
+    pts = np.empty((chunk, resolution, 2))
+    for lo in range(0, resolution, chunk):
+        hi = min(lo + chunk, resolution)
+        m = hi - lo
+        pts[:m, :, 0] = t_centers[lo:hi, None]
+        pts[:m, :, 1] = x_centers[None, :]
+        dens = model.density(t_centers[lo:hi])[:, None]
+        totals = totals + np.array([float(np.sum(np.asarray(mask, dtype=bool) * dens))
+                                    for mask in masks(pts[:m])])
+    return [float(v) for v in totals * ht * hx]
+
+
 def region_measure(model: ModelSpacetime, region: Callable[[np.ndarray], np.ndarray],
                    resolution: int = 1024) -> float:
     """Midpoint-rule measure of a region: exp(-weight) sqrt|det g| summed over
@@ -656,22 +697,7 @@ def region_measure(model: ModelSpacetime, region: Callable[[np.ndarray], np.ndar
     Implemented for 1+1 charts (all lattice models, and flat charts of any
     width in the spatial axis).
     """
-    if model.dim != 2:
-        raise InvalidInputError("region integration is implemented in 1+1 only")
-    (t0, t1), (x0, x1) = model.bounds
-    t_centers, ht = cell_centers(t0, t1, resolution)
-    x_centers, hx = cell_centers(x0, x1, resolution)
-    total = 0.0
-    chunk = max(1, int(2e6) // resolution)
-    pts = np.empty((chunk, resolution, 2))
-    for lo in range(0, resolution, chunk):
-        hi = min(lo + chunk, resolution)
-        m = hi - lo
-        pts[:m, :, 0] = t_centers[lo:hi, None]
-        pts[:m, :, 1] = x_centers[None, :]
-        mask = np.asarray(region(pts[:m]), dtype=bool)
-        total += float(np.sum(mask * model.density(t_centers[lo:hi])[:, None]))
-    return total * ht * hx
+    return _raster_measures(model, lambda pts: [region(pts)], resolution)[0]
 
 
 def _assert_star_shaped(model: ModelSpacetime, o: Event,
@@ -698,26 +724,30 @@ def _assert_star_shaped(model: ModelSpacetime, o: Event,
             raise InvalidInputError("region is not star-shaped about the apex")
 
 
-def ball_volume_area(model: ModelSpacetime, o, r: float,
-                     region: Callable[[np.ndarray], np.ndarray],
-                     dr: float = 0.01, resolution: int = 1024,
-                     check_star_shaped: bool = True):
-    """Ball volume v(r) = m[region and {0 <= l_o <= r}] and the difference
-    quotient area s(r) = (v(r + dr) - v(r)) / dr."""
+def ball_volumes_areas(model: ModelSpacetime, o, radii: Sequence[float],
+                       region: Callable[[np.ndarray], np.ndarray],
+                       dr: float = 0.01, resolution: int = 1024):
+    """Ball volumes v(r) = m[region and {0 <= l_o <= r}] and difference
+    quotient areas s(r) = (v(r + dr) - v(r)) / dr for every r in ``radii``:
+    two lists of floats.
+
+    One l_o field serves all radii (flat charts read the closed form at the
+    cell centres, the lattice kinds the node of :func:`lorentz_distance_field`
+    nearest to each centre), and one raster pass measures every ball; each
+    volume is the same sum of per-chunk masked sums that
+    :func:`region_measure` of its ball gives. The region must be star-shaped
+    about o.
+    """
     o = as_event(o)
     model.require_inside(o)
-    if r <= 0.0:
+    radii = [float(r) for r in radii]
+    if any(r <= 0.0 for r in radii):
         raise InvalidInputError("need r > 0")
-    if check_star_shaped:
-        _assert_star_shaped(model, o, region)
+    _assert_star_shaped(model, o, region)
 
     if model.kind == "minkowski":
         def l_of(pts):
-            dt = pts[..., 0] - o.t
-            dx = pts[..., 1] - o.x
-            s2 = dt * dt - dx * dx
-            out = np.where((dt > 0) & (s2 >= 0), np.sqrt(np.clip(s2, 0, None)), -np.inf)
-            return np.where((dt == 0) & (dx == 0), 0.0, out)
+            return _flat_separations(o.coords, pts)
     else:
         ts, xs, field = lorentz_distance_field(model, o)
 
@@ -726,26 +756,33 @@ def ball_volume_area(model: ModelSpacetime, o, r: float,
             jj = np.clip((pts[..., 1] - xs[0]) / (xs[1] - xs[0]), 0, len(xs) - 1)
             return field[np.round(ii).astype(int), np.round(jj).astype(int)]
 
-    def ball(pts, radius):
+    def balls(pts):
         l = l_of(pts)
-        return region(pts) & (l >= 0.0) & (l <= radius)
+        inside = region(pts) & (l >= 0.0)
+        return (inside & (l <= level) for r in radii for level in (r, r + dr))
 
-    v0 = region_measure(model, lambda p: ball(p, r), resolution)
-    v1 = region_measure(model, lambda p: ball(p, r + dr), resolution)
-    return v0, (v1 - v0) / dr
+    v = _raster_measures(model, balls, resolution)
+    vols, outer = v[0::2], v[1::2]
+    return vols, [(v1 - v0) / dr for v0, v1 in zip(vols, outer)]
 
 
-def timelike_diameter(model: ModelSpacetime, resolution: int = 257,
-                      richardson: bool = True) -> float:
-    """Sup of the time separation over chart pairs (lattice lower estimate)."""
+def ball_volume_area(model: ModelSpacetime, o, r: float,
+                     region: Callable[[np.ndarray], np.ndarray],
+                     dr: float = 0.01, resolution: int = 1024):
+    """Ball volume v(r) and area s(r): the one-radius case of
+    :func:`ball_volumes_areas`."""
+    vols, areas = ball_volumes_areas(model, o, [r], region, dr, resolution)
+    return vols[0], areas[0]
+
+
+def timelike_diameter(model: ModelSpacetime, resolution: int = 257) -> float:
+    """Sup of the time separation over chart pairs (lattice lower estimate):
+    the maxima of the free-start fields on both lattice levels, combined by
+    :func:`_richardson`."""
     (t0, t1) = model.bounds[0]
     if model.kind == "minkowski":
         return t1 - t0          # attained by any constant-space pair
     shape = _lattice_shape(model, resolution)
-    _, _, d_c = _dp_longest(model, shape, None)
-    best = float(np.max(d_c))
-    if richardson:
-        _, _, d_f = _dp_longest(model, _fine_shape(shape), None)
-        fine = float(np.max(d_f))
-        best = max(fine, 2.0 * fine - best)
-    return max(best, 0.0)
+    _, _, coarse = _dp_longest(model, shape, None)
+    _, _, fine = _dp_longest(model, _fine_shape(shape), None)
+    return max(float(_richardson(np.max(coarse), np.max(fine))), 0.0)

@@ -340,6 +340,25 @@ class TestBishopGromov:
         for vol, r in zip(rep.provenance["volumes"], rs):
             assert vol == pytest.approx(math.atanh(0.6) * r * r, abs=1e-4)
 
+    def test_one_lattice_field_serves_every_radius(self, monkeypatch):
+        # one l_o field (its coarse and fine longest-path passes) for all
+        # four radii, where rebuilding it per radius ran eight passes
+        from lorentz_synth import models as M
+
+        passes = []
+        dp = M._dp_longest
+
+        def counted(model, shape, sources):
+            passes.append(shape)
+            return dp(model, shape, sources)
+
+        monkeypatch.setattr(M, "_dp_longest", counted)
+        cone = lambda p: np.abs(p[..., 1]) <= 0.6 * (p[..., 0] + 1.0)
+        rep = bishop_gromov(cosh_warp_model(), (-1.0, 0.0), cone, -1.0, 2.0,
+                            (0.2, 0.4, 0.6, 0.8), resolution=256, dr=0.01)
+        assert len(rep.provenance["volumes"]) == 4
+        assert passes == [(257, 257), (513, 513)]
+
     def test_validation(self):
         model = big_flat()
         whole = lambda p: np.ones(p.shape[:-1], bool)

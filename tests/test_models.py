@@ -11,8 +11,8 @@ from lorentz_synth.errors import InvalidInputError, NoGeodesicError
 from lorentz_synth.extreal import NEG_INF, is_neg_inf
 from lorentz_synth.models import _lattice_axes, _lattice_shape
 
-from oracles import (dp_longest_loop, minkowski_l, time_separation_pairwise,
-                     warped_l_shooting)
+from oracles import (ball_volume_rasters, dp_longest_loop, minkowski_l,
+                     time_separation_pairwise, warped_l_shooting)
 
 ARCTANH_06 = 0.6931471805599453  # artanh(0.6), frozen
 
@@ -264,6 +264,71 @@ class TestStackedFields:
         assert passes == [(129, 2), (257, 2), (513, 2)]
 
 
+class TestOneSeparation:
+    """The flat closed form, the Richardson step and the distance field give
+    the values of time_separation(s), bit for bit."""
+
+    def test_flat_field_equals_time_separation_at_every_node(self):
+        # the default eikonal chart at resolution 129: besides the origin,
+        # 128 nodes sit on the null cone |x| = t, where both give 0
+        mk = M.minkowski(((0.0, 2.0), (-1.0, 1.0)))
+        ts, xs, field = M.lorentz_distance_field(mk, (0.0, 0.0), 129)
+        nodes = M._node_grid(ts, xs)
+        want = M.time_separations(mk, [(0.0, 0.0)], nodes.reshape(-1, 2))[0]
+        assert np.array_equal(field, want.reshape(field.shape))
+        null = np.abs(nodes[..., 1]) == nodes[..., 0]
+        assert np.sum(null) == 129 and np.all(field[null] == 0.0)
+        assert np.all(field[nodes[..., 0] < np.abs(nodes[..., 1])] == NEG_INF)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_flat_matrix_equals_the_oracle(self, data):
+        # dyadic coordinates keep the differences exact, so the null pairs
+        # are null in floating point too
+        mk = M.minkowski(((-2.0, 2.0), (-2.0, 2.0)))
+        coord = st.integers(-32, 32).map(lambda k: k / 64)
+        step = st.integers(1, 48).map(lambda k: k / 64)
+        x = (data.draw(coord), data.draw(coord))
+        h, w = data.draw(step), data.draw(step)
+        offsets = [(0.0, 0.0),                        # coincident
+                   (h, h), (h, -h),                   # null
+                   (-h, 0.0), (-h, w),                # past
+                   (0.0, w), (h, h + w),              # spacelike
+                   (h + w, h), (h + w, -h)]           # timelike
+        targets = [(x[0] + a, x[1] + b) for a, b in offsets]
+        targets.append((data.draw(st.floats(-2.0, 2.0)), data.draw(st.floats(-2.0, 2.0))))
+        sources = [x, (data.draw(coord), data.draw(coord))]
+        got = M.time_separations(mk, sources, targets)
+        want = np.array([[minkowski_l(a, b) for b in targets] for a in sources])
+        assert np.array_equal(got, want)
+        assert list(got[0, :3]) == [0.0, 0.0, 0.0]
+        assert np.all(got[0, 3:7] == NEG_INF) and np.all(got[0, 7:9] > 0.0)
+
+    @pytest.mark.parametrize("resolution", [65, 129])
+    @pytest.mark.parametrize("name", ["cosh", "desitter", "double-cone", "kinked"])
+    def test_pair_values_read_the_field_at_fine_nodes(self, name, resolution):
+        # both read one Richardson rule: a chronological pair's value is the
+        # field of its source at the fine node (2i, 2j) of the snapped target
+        model = {"cosh": M.cosh_warp_model(), "desitter": M.desitter_like(),
+                 "double-cone": M.double_cone_kink(), "kinked": M.kinked_slab()}[name]
+        (t0, t1), (x0, x1) = model.bounds
+        rng = np.random.default_rng(19)
+        sources = np.column_stack([rng.uniform(t0, t0 + 0.4 * (t1 - t0), 3),
+                                   rng.uniform(0.5 * x0, 0.5 * x1, 3)])
+        targets = np.column_stack([rng.uniform(t0, t1, 40), rng.uniform(x0, x1, 40)])
+        got = M.time_separations(model, sources, targets, resolution)
+        ts, xs = node_grid(model, resolution)
+        checked = 0
+        for source, row in zip(sources, got):
+            _, _, field = M.lorentz_distance_field(model, source, resolution)
+            for y, value in zip(targets, row):
+                if value > 0.0:
+                    i, j = M._snap(ts, xs, M.as_event(y))
+                    assert value == field[2 * i, 2 * j]
+                    checked += 1
+        assert checked >= 20
+
+
 class TestMeasures:
     def region_all(self, p):
         return np.ones(p.shape[:-1], dtype=bool)
@@ -325,6 +390,21 @@ class TestBallVolumes:
 
         with pytest.raises(InvalidInputError):
             M.ball_volume_area(mk, (0.0, 0.0), 0.4, shell)
+
+    @pytest.mark.parametrize("name, resolution", [("flat", 1500), ("cosh", 512)])
+    def test_one_field_volumes_equal_the_per_radius_rasters(self, name, resolution):
+        # 1500 raster rows run in two chunks of the shared raster loop
+        model = {"flat": M.minkowski(((0.0, 1.0), (-1.0, 1.0))),
+                 "cosh": M.cosh_warp_model()}[name]
+        o = (model.bounds[0][0] + 0.1, 0.0)
+        cone = lambda p: np.abs(p[..., 1] - o[1]) <= 0.6 * (p[..., 0] - o[0])
+        radii = (0.2, 0.35, 0.5, 0.65)
+        vols, areas = M.ball_volumes_areas(model, o, radii, cone, 0.01, resolution)
+        want = [ball_volume_rasters(model, o, r, cone, 0.01, resolution) for r in radii]
+        assert vols == [v for v, _ in want]
+        assert areas == [s for _, s in want]
+        assert M.ball_volume_area(model, o, 0.5, cone, 0.01, resolution) == want[2]
+        assert 0.0 < vols[0] < vols[-1]
 
     def test_lattice_kind_ball_volume(self):
         # a = 1 slab: the lattice distance field must reproduce the flat v(r)
