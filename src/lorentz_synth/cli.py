@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -37,7 +38,7 @@ from .distortion import (KappaProfile, const_first_zero, const_sine,
                          defect_bound, first_zero, generalized_sine,
                          sigma_coeff, tau_coeff)
 from .extreal import is_inf
-from .lipschitz_grid import (load_grid, lp_deficit_curve, minkowski_grid,
+from .lipschitz_grid import (load_grid, lp_deficit_curves, minkowski_grid,
                              mollify, warped_grid)
 from .models import (cosh_warp_model, desitter_like, kinked_slab, minkowski,
                      region_measure, warped_product)
@@ -780,10 +781,11 @@ def _run_mollify(grid, params, rng):
 
 def _run_lp_deficit(grid, params, rng):
     eps_list = [float(e) for e in params["eps_list"]]
+    curves = lp_deficit_curves(grid, params["K"],
+                               [float(p) for p in params["p_list"]],
+                               eps_list, params["n"])
     reports, plots = [], []
-    for p in params["p_list"]:
-        curve = lp_deficit_curve(grid, params["K"], float(p), eps_list,
-                                 params["n"])
+    for p, curve in zip(params["p_list"], curves):
         ds = [d for _, d in curve]
         labels, lhs, rhs = [], [], []
         for (e0, d0), (e1, d1) in zip(curve, curve[1:]):
@@ -1011,6 +1013,19 @@ _CHECKS = {"distortion": {"all", "closed-forms", "ordering", "defect"},
            "transport": {"all", "certificates", "q-geodesic"}}
 
 
+def _validate_p_list(p_list) -> None:
+    # reports and plot files are named by f"{p:g}", so two exponents that
+    # print alike would overwrite each other's deficit_p*.csv
+    if not isinstance(p_list, (list, tuple)) or not p_list:
+        raise ConfigError("p_list must be a non-empty list of exponents")
+    for p in p_list:
+        if isinstance(p, bool) or not isinstance(p, numbers.Real) \
+                or not math.isfinite(p) or p <= 0.0:
+            raise ConfigError(f"p_list values must be finite numbers > 0, got {p!r}")
+    if len({f"{p:g}" for p in p_list}) < len(p_list):
+        raise ConfigError(f"p_list values must be distinct, got {p_list}")
+
+
 def _validate(config: ExperimentConfig, resolved: dict) -> None:
     model = resolved["model"]
     params = resolved["parameters"]
@@ -1046,6 +1061,8 @@ def _validate(config: ExperimentConfig, resolved: dict) -> None:
             raise ConfigError("eps_list must be positive")
         if cmd == "lp-deficit" and any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("eps_list must be strictly decreasing")
+    if "p_list" in params:
+        _validate_p_list(params["p_list"])
     if "count" in params and int(params["count"]) < 1:
         raise ConfigError("count must be positive")
     if params.get("ratio_pairs"):

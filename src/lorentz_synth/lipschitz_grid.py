@@ -10,8 +10,10 @@ convolution with a compactly supported bump before any curvature is read off:
   (4th order, so the truncation error stays far below the mollification-scale
   features the deficit integrals need to resolve);
 * ``timelike_lower_bound_fn`` -- worst Ricci quotient over sampled cones;
-* ``lp_deficit_curve`` -- integral of |(k - K)_-|^p along a mollification
-  schedule, the quantitative track of curvature bounds surviving smoothing.
+* ``lp_deficit_curves`` -- integral of |(k - K)_-|^p along a mollification
+  schedule for every p in a list, the quantitative track of curvature bounds
+  surviving smoothing; k is scanned once per radius and read by every p
+  (``lp_deficit_curve`` is the one-p case).
 
 Derivatives at a node use neighbors up to 4 steps away; every operation
 records which nodes remain trustworthy in the ``valid`` mask instead of
@@ -33,7 +35,7 @@ from .errors import DegenerateMetricError, InvalidInputError
 
 COND_LIMIT = 1e12
 CURV_MARGIN = 4          # nodes a curvature stencil reaches past its center
-CONE_DIRECTIONS = 16     # slopes per node; two speeds make 32 samples
+CONE_DIRECTIONS = 16     # slopes per node, one sample each
 CONE_SPEED = 0.5
 
 
@@ -155,7 +157,8 @@ def _bump_kernel(radius_nodes: int, h: float, eps: float) -> np.ndarray:
 
 def mollify(grid: MetricGrid, eps: float) -> MetricGrid:
     """Convolve every coefficient and the weight with a smooth bump of radius
-    eps; the boundary band the kernel cannot see is marked invalid."""
+    eps; the boundary band the kernel cannot see is marked invalid. The
+    smoothed grid is built as a ``MetricGrid``, which checks its signature."""
     if eps < 2.0 * max(grid.spacing):
         raise InvalidInputError("kernel radius below twice the grid spacing")
     nodes = grid.nodes.copy()
@@ -176,21 +179,20 @@ def mollify(grid: MetricGrid, eps: float) -> MetricGrid:
         raise InvalidInputError("kernel radius leaves no interior nodes")
     sup_err = max(float(np.max(np.abs(nodes - grid.nodes)[valid])),
                   float(np.max(np.abs(w - grid.weight_nodes)[valid])))
-    _check_signature(nodes, valid)
     lip = max(_fd_sup_quotient(nodes, grid.spacing, len(grid.shape)),
               _fd_sup_quotient(w, grid.spacing, len(grid.shape)))
     return MetricGrid(grid.spacing, grid.origin, nodes, w, valid, lip, sup_err)
 
 
 def cone_narrowed(grid: MetricGrid, c: float) -> MetricGrid:
-    """Subtract c dt (x) dt from each nodal matrix and re-validate."""
+    """Subtract c dt (x) dt from each nodal matrix and re-validate (the
+    ``MetricGrid`` rebuilt by ``replace`` checks the signature)."""
     if c < 0.0:
         raise InvalidInputError("need c >= 0")
     if c == 0.0:
         return grid
     nodes = grid.nodes.copy()
     nodes[..., 0, 0] -= c
-    _check_signature(nodes, grid.valid)
     return replace(grid, nodes=nodes)
 
 
@@ -320,34 +322,62 @@ def bakry_emery(grid: MetricGrid, n_param: float) -> CurvatureField:
 # -- cone scans and deficit curves -------------------------------------------------
 
 
+def _quadratic_form(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v.M.v at every node, for component-major arrays: ``v`` is (dims, *shape)
+    and ``m`` is (dims, dims, *shape).
+
+    The terms v_i M_ij v_j are multiplied left to right and added one at a
+    time onto 0, i outer and j inner: the order of
+    ``np.einsum("...i,...ij,...j->...")``, so both give the same bits.
+    """
+    d = len(v)
+    out = np.zeros(v.shape[1:])
+    term = np.empty_like(out)
+    for i in range(d):
+        for j in range(d):
+            np.multiply(v[i], m[i][j], out=term)
+            term *= v[j]
+            out += term
+    return out
+
+
+def _components(tensors: np.ndarray) -> np.ndarray:
+    """(*shape, dims, dims) -> contiguous (dims, dims, *shape)."""
+    return np.ascontiguousarray(np.moveaxis(tensors, (-2, -1), (0, 1)))
+
+
 def default_cone_samples(grid: MetricGrid, directions: int = CONE_DIRECTIONS,
                          speed: float = CONE_SPEED):
     """Per-node timelike samples: ``directions`` chart slopes spread across the
-    cone (scaled by the nodal spatial coefficient), each at speeds
-    {speed, 2 speed}. Returns (*shape, 2*directions, dims)."""
+    cone (scaled by the nodal spatial coefficient), each at g-length
+    ``speed``. Returns (*shape, directions, dims), a view of a contiguous
+    sample-major (directions, dims, *shape) array.
+
+    One speed per direction is enough: the Ricci quotient of
+    ``timelike_lower_bound_fn`` is homogeneous of degree 0, and rescaling a
+    sample by a power of two changes no bit of it."""
     d = grid.dims
-    slopes = np.linspace(-0.9, 0.9, directions)
+    g_ij = _components(grid.nodes)
+    root_g00 = np.sqrt(np.clip(g_ij[0, 0], 0.0, None))
     # spatial scale per node: the slope of the chart null cone along each axis
-    vs = np.zeros(grid.shape + (2 * directions, d))
-    g00 = grid.nodes[..., 0, 0]
-    for m, s in enumerate(slopes):
-        v = np.zeros(grid.shape + (d,))
-        v[..., 0] = 1.0
-        ax = 1 + (m % (d - 1))
-        scale = np.sqrt(np.clip(-grid.nodes[..., ax, ax], 1e-300, None))
-        v[..., ax] = s * np.sqrt(np.clip(g00, 0.0, None)) / scale
-        norm2 = np.einsum("...i,...ij,...j->...", v, grid.nodes, v)
-        unit = v / np.sqrt(np.clip(norm2, 1e-300, None))[..., None]
-        vs[..., m, :] = speed * unit
-        vs[..., directions + m, :] = 2.0 * speed * unit
-    return vs
+    scales = {ax: np.sqrt(np.clip(-g_ij[ax, ax], 1e-300, None)) for ax in range(1, d)}
+    vs = np.zeros((directions, d) + grid.shape)
+    for n, s in enumerate(np.linspace(-0.9, 0.9, directions)):
+        v = vs[n]
+        v[0] = 1.0
+        ax = 1 + (n % (d - 1))
+        v[ax] = s * root_g00 / scales[ax]
+        v /= np.sqrt(np.clip(_quadratic_form(v, g_ij), 1e-300, None))
+        v *= speed
+    return np.moveaxis(vs, (0, 1), (-2, -1))
 
 
 def timelike_lower_bound_fn(field: CurvatureField, grid: MetricGrid,
                             cone_samples: np.ndarray | None = None) -> np.ndarray:
     """k(x) = min over sampled timelike v of BakryEmery(v, v) / g(v, v).
 
-    Entries outside ``field.valid`` are NaN.
+    ``cone_samples`` is (*shape, samples, dims). Entries outside
+    ``field.valid`` are NaN.
     """
     tensor = field.bakry_emery if field.bakry_emery is not None else field.ricci
     if tensor is None:
@@ -356,13 +386,15 @@ def timelike_lower_bound_fn(field: CurvatureField, grid: MetricGrid,
         cone_samples = default_cone_samples(grid)
     if cone_samples.shape[-2] == 0:
         raise InvalidInputError("empty cone sample")
+    samples = np.ascontiguousarray(np.moveaxis(cone_samples, (-2, -1), (0, 1)))
+    g_ij, t_ij = _components(grid.nodes), _components(tensor)
     k = np.full(grid.shape, np.inf)
-    for m in range(cone_samples.shape[-2]):
-        v = cone_samples[..., m, :]
-        gvv = np.einsum("...i,...ij,...j->...", v, grid.nodes, v)
+    for v in samples:
+        gvv = _quadratic_form(v, g_ij)
         if np.any(gvv[field.valid] <= 0.0):
             raise InvalidInputError("cone sample is not timelike at a valid node")
-        quot = np.einsum("...i,...ij,...j->...", v, tensor, v) / gvv
+        quot = _quadratic_form(v, t_ij)
+        quot /= gvv
         np.minimum(k, quot, out=k)
     k[~field.valid] = np.nan
     return k
@@ -373,17 +405,22 @@ def _measure_weights(grid: MetricGrid) -> np.ndarray:
     return dens * np.prod(grid.spacing)
 
 
-def lp_deficit_curve(grid: MetricGrid, K: float, p: float,
-                     eps_list: Sequence[float], n_param: float):
+def lp_deficit_curves(grid: MetricGrid, K: float, p_list: Sequence[float],
+                      eps_list: Sequence[float], n_param: float):
     """For each mollification radius: smooth, narrow cones, rebuild the
-    curvature, and integrate |(k - K)_-|^p over one fixed interior region
-    (the validity region of the largest radius)."""
+    curvature, scan k once, and integrate |(k - K)_-|^p for every p over one
+    fixed interior region (the validity region of the largest radius).
+
+    Returns one curve per p, in the order of ``p_list``: a list of
+    (eps, deficit) pairs."""
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise InvalidInputError("radii must be strictly decreasing")
     if any(e < 2.0 * max(grid.spacing) for e in eps_list):
         raise InvalidInputError("kernel radius below twice the grid spacing")
-    out = []
+    if len(p_list) == 0:
+        raise InvalidInputError("need at least one exponent p")
+    curves = [[] for _ in p_list]
     region = None
     for eps in eps_list:
         sm = mollify(grid, eps)
@@ -392,9 +429,17 @@ def lp_deficit_curve(grid: MetricGrid, K: float, p: float,
         k = timelike_lower_bound_fn(field, narrowed)
         if region is None:
             region = field.valid
-        deficit = np.clip(K - k[region], 0.0, None) ** p
-        out.append((eps, float(np.sum(deficit * _measure_weights(sm)[region]))))
-    return out
+        shortfall = np.clip(K - k[region], 0.0, None)
+        weights = _measure_weights(sm)[region]
+        for p, curve in zip(p_list, curves):
+            curve.append((eps, float(np.sum(shortfall ** p * weights))))
+    return curves
+
+
+def lp_deficit_curve(grid: MetricGrid, K: float, p: float,
+                     eps_list: Sequence[float], n_param: float):
+    """The one-p case of ``lp_deficit_curves``: a list of (eps, deficit)."""
+    return lp_deficit_curves(grid, K, [p], eps_list, n_param)[0]
 
 
 # -- binary grid format -------------------------------------------------------------

@@ -345,3 +345,34 @@ def ball_volume_rasters(model, o, r, region, dr, resolution):
 
     v0, v1 = measure(r), measure(r + dr)
     return v0, (v1 - v0) / dr
+
+
+def cone_scan_einsum(field, grid, directions=16, speed=0.5):
+    """k(x) = min over cone samples of T(v, v) / g(v, v), T the Bakry-Emery
+    tensor (else Ricci), NaN off ``field.valid``: the two-speed scan, one
+    ``np.einsum`` per sample. Each of ``directions`` slopes in [-0.9, 0.9]
+    along spatial axis 1 + (m mod (dims - 1)), scaled by the chart null
+    slope, is normalised to g-length 1 and taken at speeds ``speed`` and
+    ``2 speed``, stored as (*shape, 2 directions, dims)."""
+    d = grid.dims
+    nodes = grid.nodes
+    vs = np.zeros(grid.shape + (2 * directions, d))
+    for m, s in enumerate(np.linspace(-0.9, 0.9, directions)):
+        v = np.zeros(grid.shape + (d,))
+        v[..., 0] = 1.0
+        ax = 1 + (m % (d - 1))
+        scale = np.sqrt(np.clip(-nodes[..., ax, ax], 1e-300, None))
+        v[..., ax] = s * np.sqrt(np.clip(nodes[..., 0, 0], 0.0, None)) / scale
+        norm2 = np.einsum("...i,...ij,...j->...", v, nodes, v)
+        unit = v / np.sqrt(np.clip(norm2, 1e-300, None))[..., None]
+        vs[..., m, :] = speed * unit
+        vs[..., directions + m, :] = 2.0 * speed * unit
+    tensor = field.bakry_emery if field.bakry_emery is not None else field.ricci
+    k = np.full(grid.shape, np.inf)
+    for m in range(vs.shape[-2]):
+        v = vs[..., m, :]
+        gvv = np.einsum("...i,...ij,...j->...", v, nodes, v)
+        quot = np.einsum("...i,...ij,...j->...", v, tensor, v) / gvv
+        np.minimum(k, quot, out=k)
+    k[~field.valid] = np.nan
+    return k

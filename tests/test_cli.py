@@ -129,6 +129,19 @@ class TestExitCodes:
                            "parameters": {"eps_list": [0.3, 0.5]}})
         assert code == 2
 
+    @pytest.mark.parametrize("p_list", [[], ["abc"], [-1.0], [1.0, 1.0]],
+                             ids=["empty", "string", "negative", "repeated"])
+    def test_bad_p_list_is_an_invalid_config(self, tmp_path, capsys, p_list):
+        model = {"kind": "kinked-grid", "shape": [257, 33]}
+        code = cli(tmp_path, "lp-deficit",
+                   config={"model": model, "parameters": {"p_list": p_list}})
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "invalid-config" and "p_list" in err["detail"]
+        assert not (tmp_path / "run").exists()
+
     def test_unparsable_parameter_is_an_invalid_config(self, tmp_path, capsys):
         code = cli(tmp_path, "transport", config={"parameters": {"q": "abc"}})
         assert code == 2
@@ -240,6 +253,24 @@ class TestRunners:
             deficits = [float(r.split(",")[1]) for r in rows]
             assert all(b < a for a, b in zip(deficits, deficits[1:]))
             assert deficits[-1] <= 0.1 * deficits[0]
+
+    def test_lp_deficit_scans_once_per_radius(self, tmp_path, capsys, monkeypatch):
+        # k(x) does not depend on p: the default run (4 radii, 2 exponents)
+        # mollifies and rebuilds the curvature 4 times, not 8
+        calls = {"mollify": 0, "bakry_emery": 0, "timelike_lower_bound_fn": 0}
+        for name in calls:
+            fn = getattr(L, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(L, name, counted)
+        assert cli(tmp_path, "lp-deficit") == 0
+        assert calls == {"mollify": 4, "bakry_emery": 4, "timelike_lower_bound_fn": 4}
+        names = [r["name"] for r in
+                 json.loads((tmp_path / "run" / "report.json").read_text())["reports"]]
+        assert names == ["lp-deficit-p1", "lp-deficit-p2"]
 
     def test_grid_config_loads_a_saved_grid(self, tmp_path, capsys):
         g = L.minkowski_grid(((0.0, 2.0), (-1.0, 1.0)), (129, 129))

@@ -4,14 +4,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lorentz_synth import lipschitz_grid as L
 from lorentz_synth.errors import DegenerateMetricError, InvalidInputError
 from lorentz_synth.lipschitz_grid import _ricci_arrays
 
+from oracles import cone_scan_einsum
+
 
 def kinked_grid(shape=(1025, 129)):
     return L.warped_grid(lambda t: 1.0 - np.abs(t) / 4.0, (-2.0, 2.0), (0.0, 2.0), shape)
+
+
+def tilted_grid(dims, shape, off, weight):
+    """A smooth non-diagonal chart: g_00 and the spatial diagonal vary, and
+    ``off`` sets g_01 in 1+1 or g_12 in 2+1; the log-density is
+    weight * t * x."""
+    def fn(pts):
+        t, x = pts[..., 0], pts[..., 1]
+        g = np.zeros(pts.shape[:-1] + (dims, dims))
+        g[..., 0, 0] = 1.0 + 0.2 * np.sin(t + x)
+        g[..., 1, 1] = -(1.0 + 0.3 * t ** 2)
+        a, b = (0, 1) if dims == 2 else (1, 2)
+        if dims == 3:
+            g[..., 2, 2] = -(1.0 + 0.2 * np.cos(pts[..., 2]))
+        g[..., a, b] = g[..., b, a] = off * np.sin(x + pts[..., -1])
+        return g
+
+    bounds = ((-0.5, 0.5),) + ((0.0, 1.0),) * (dims - 1)
+    return L.metric_grid(fn, bounds, shape, weight=lambda p: weight * p[..., 0] * p[..., 1])
 
 
 class TestMetricGrid:
@@ -90,6 +112,16 @@ class TestMollify:
         g = L.minkowski_grid(((0, 1), (0, 1)), (17, 17))
         with pytest.raises(InvalidInputError):
             L.mollify(g, 0.05)
+
+    def test_one_signature_check_per_built_grid(self, monkeypatch):
+        g = kinked_grid((257, 33))
+        seen = []
+        check = L._check_signature
+        monkeypatch.setattr(L, "_check_signature",
+                            lambda nodes, mask: seen.append(1) or check(nodes, mask))
+        sm = L.mollify(g, 0.25)
+        L.cone_narrowed(sm, L.narrowing_constant(sm))
+        assert len(seen) == 2
 
     def test_signature_loss_is_reported(self):
         # an oscillating off-diagonal coefficient keeps det = -delta pointwise,
@@ -247,6 +279,41 @@ class TestConeScan:
         sel = f.valid
         assert np.allclose(k1[sel], k2[sel], atol=1e-12)
 
+    @pytest.mark.parametrize("case", ["kinked", "weighted", "3d-tilted"])
+    def test_scan_equals_the_two_speed_einsum_scan(self, case):
+        if case == "kinked":
+            sm = L.mollify(kinked_grid((257, 33)), 0.25)
+            g = L.cone_narrowed(sm, L.narrowing_constant(sm))
+            field = L.bakry_emery(g, 2.0)
+        elif case == "weighted":
+            g = L.warped_grid(np.cosh, (-1, 1), (0, 1), (65, 33),
+                              weight=lambda t: 0.3 * t ** 2 + 0.1 * t)
+            field = L.bakry_emery(g, 3.0)
+        else:
+            g = tilted_grid(3, (25, 17, 17), 0.4, 0.3)
+            field = L.bakry_emery(g, 4.5)
+        k = L.timelike_lower_bound_fn(field, g)
+        assert np.array_equal(k, cone_scan_einsum(field, g), equal_nan=True)
+        assert np.all(np.isfinite(k[field.valid]))
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(dims=st.sampled_from([2, 3]), off=st.floats(0.0, 1.0),
+           weight=st.floats(-1.0, 1.0), extra=st.floats(0.5, 4.0))
+    def test_scan_equals_the_oracle_on_tilted_charts(self, dims, off, weight, extra):
+        # a time-space g_01 tilts the cone against the samples, so keep it small
+        g = tilted_grid(dims, (17,) + (13,) * (dims - 1),
+                        0.05 * off if dims == 2 else 0.5 * off, weight)
+        field = L.bakry_emery(g, dims + extra)
+        k = L.timelike_lower_bound_fn(field, g)
+        assert np.array_equal(k, cone_scan_einsum(field, g), equal_nan=True)
+
+    def test_default_samples_are_one_speed_per_direction(self):
+        g = tilted_grid(3, (9, 9, 9), 0.3, 0.0)
+        vs = L.default_cone_samples(g, directions=6, speed=0.5)
+        assert vs.shape == g.shape + (6, 3)
+        gvv = np.einsum("...i,...ij,...j->...", vs, g.nodes[..., None, :, :], vs)
+        assert np.allclose(gvv, 0.25, rtol=1e-12)
+
     def test_empty_cone_sample_is_invalid(self):
         g = L.minkowski_grid(((0, 1), (0, 1)), (33, 33))
         with pytest.raises(InvalidInputError):
@@ -279,6 +346,33 @@ class TestDeficitCurve:
                 mins.append(-np.nanmin(k))
             worst.append(max(mins))
         assert all(w <= 0.5 for w in worst)
+
+    def test_one_scan_serves_every_p(self):
+        g = kinked_grid((257, 33))
+        p_list, eps = [1.0, 2.0, 0.5], [0.5, 0.25]
+
+        def einsum_curve(K, p):
+            # one full pass per p on the einsum scan, the region of the first radius
+            out, region = [], None
+            for e in eps:
+                sm = L.mollify(g, e)
+                nr = L.cone_narrowed(sm, L.narrowing_constant(sm))
+                field = L.bakry_emery(nr, 2.0)
+                region = field.valid if region is None else region
+                k = cone_scan_einsum(field, nr)
+                dens = np.sqrt(np.abs(np.linalg.det(sm.nodes))) \
+                    * np.exp(-sm.weight_nodes) * np.prod(sm.spacing)
+                out.append((e, float(np.sum(np.clip(K - k[region], 0.0, None) ** p
+                                            * dens[region]))))
+            return out
+
+        for K in (0.0, 0.3):
+            curves = L.lp_deficit_curves(g, K, p_list, eps, 2.0)
+            assert curves == [L.lp_deficit_curve(g, K, p, eps, 2.0) for p in p_list]
+            assert curves == [einsum_curve(K, p) for p in p_list]
+            assert all(d > 0.0 for curve in curves for _, d in curve)
+        with pytest.raises(InvalidInputError):
+            L.lp_deficit_curves(g, 0.0, [], [0.5, 0.25], 2.0)
 
     def test_schedule_validation(self):
         g = L.minkowski_grid(((0, 1), (0, 1)), (65, 65))
