@@ -32,8 +32,8 @@ from . import __version__
 from .comparison import (BumpFunction, aubry_spacetime_check, bishop_gromov,
                          bonnet_myers, brenier_mccann_check, brunn_minkowski,
                          check_tcd_semiconvexity, check_tmcp, csv_text,
-                         dalembert_check, eikonal_check, jsonable, make_report,
-                         needle_decomposition)
+                         dalembert_check, eikonal_check, jsonable, ladder_steps,
+                         make_report, needle_decomposition)
 from .distortion import (KappaProfile, const_first_zero, const_sine,
                          defect_bound, first_zero, generalized_sine,
                          sigma_coeff, tau_coeff)
@@ -200,12 +200,12 @@ def _check_kinked_grid(spec):
 @dataclass(frozen=True)
 class ModelKind:
     """One model ``kind`` of a config: how it is built from its spec, the
-    keys the spec must carry, whether it is a sampled metric grid (rather
-    than a chart), and any further check run before dispatch."""
+    keys the spec must carry, for a sampled metric grid (None for a chart)
+    its dimension from the spec, and any further check run before dispatch."""
 
     build: Callable
     required: tuple = ()
-    grid: bool = False
+    grid_dims: Callable | None = None
     check: Callable | None = None
 
 
@@ -220,12 +220,15 @@ MODEL_KINDS = {
     "kinked-slab": ModelKind(lambda spec: kinked_slab(spec.get("slope", 0.25))),
     "warp-samples": ModelKind(_warp_samples_model, ("samples", "t_bounds", "x_bounds"),
                               check=_check_warp_samples),
-    "grid": ModelKind(lambda spec: load_grid(spec["path"]), grid=True,
+    "grid": ModelKind(lambda spec: load_grid(spec["path"]),
+                      grid_dims=lambda spec: json.loads(   # the saved manifest
+                          Path(spec["path"] + ".json").read_text())["dims"],
                       check=_check_grid_file),
     "minkowski-grid": ModelKind(lambda spec: minkowski_grid(
         tuple(map(tuple, spec["bounds"])), tuple(spec["shape"])),
-        ("bounds", "shape"), grid=True),
-    "kinked-grid": ModelKind(_kinked_grid, grid=True, check=_check_kinked_grid),
+        ("bounds", "shape"), grid_dims=lambda spec: len(spec["bounds"])),
+    "kinked-grid": ModelKind(_kinked_grid, grid_dims=lambda spec: 2,   # a 1+1 warp
+                             check=_check_kinked_grid),
 }
 
 
@@ -679,18 +682,15 @@ def _run_brenier(model, params, rng):
                                    params["q"], resolution=res)
         devs.append(float(rep.provenance["max_deviation"]))
         spacings.append(float(rep.provenance["spacing"]))
-        for lab, a, b in zip(rep.labels, rep.lhs, rep.rhs):
-            labels.append(f"res={res}:{lab}")
-            lhs.append(float(a))
-            rhs.append(float(b))
+        labels += [f"res={res}:{lab}" for lab in rep.labels]
+        lhs += list(rep.lhs)
+        rhs += list(rep.rhs)
         prov[f"res={res}"] = {"max_deviation": devs[-1],
                               "mean_deviation": rep.provenance["mean_deviation"],
                               "spacing": spacings[-1]}
-    factor = params["shrink_factor"]
-    for (r0, d0), (r1, d1) in zip(zip(resolutions, devs), zip(resolutions[1:], devs[1:])):
-        labels.append(f"shrink:{r0}->{r1}")
-        lhs.append(d1)
-        rhs.append(factor * d0)
+    for entries, step in zip((labels, lhs, rhs), ladder_steps(
+            resolutions, devs, params["shrink_factor"], "shrink:{a}->{b}")):
+        entries.extend(step)
     merged = make_report("brenier-mccann", lhs, rhs, 0.0, labels, prov)
     return [merged], [_plot("deviation.csv", "spacing", "max_deviation",
                             np.column_stack([spacings, devs]),
@@ -700,26 +700,21 @@ def _run_brenier(model, params, rng):
 def _run_dalembert(model, params, rng):
     resolutions = [int(r) for r in _pick(params, "resolutions")]
     bumps = [_build_bump(b) for b in params["bumps"]]
-    labels, lhs, rhs, prov = [], [], [], {}
-    plots = []
+    labels, lhs, rhs, prov, plots = [], [], [], {}, []
     for i, bump in enumerate(bumps):
         devs, spacings = [], []
         for res in resolutions:
             rep = dalembert_check(model, tuple(params["origin"]), bump,
                                   params["K"], params["n"], params["q_prime"],
                                   params["variant"], resolution=res)
-            dev = abs(float(rep.lhs[0]) - float(rep.rhs[0]))
-            spacing = float(rep.provenance["spacing"])
-            devs.append(dev)
-            spacings.append(spacing)
+            devs.append(abs(float(rep.lhs[0]) - float(rep.rhs[0])))
+            spacings.append(float(rep.provenance["spacing"]))
             labels.append(f"bump{i}:res={res}")
-            lhs.append(dev)
-            rhs.append(10.0 * spacing)
-        for (r0, d0), (r1, d1) in zip(zip(resolutions, devs),
-                                      zip(resolutions[1:], devs[1:])):
-            labels.append(f"bump{i}:refine:{r0}->{r1}")
-            lhs.append(d1)
-            rhs.append(d0)
+            lhs.append(devs[-1])
+            rhs.append(rep.tolerance)
+        for entries, step in zip((labels, lhs, rhs), ladder_steps(
+                resolutions, devs, 1.0, f"bump{i}:refine:{{a}}->{{b}}")):
+            entries.extend(step)
         prov[f"bump{i}"] = {"center": list(bumps[i].center),
                             "radius": jsonable(bumps[i].radius),
                             "deviations": devs}
@@ -786,18 +781,12 @@ def _run_lp_deficit(grid, params, rng):
                                eps_list, params["n"])
     reports, plots = [], []
     for p, curve in zip(params["p_list"], curves):
-        ds = [d for _, d in curve]
-        labels, lhs, rhs = [], [], []
-        for (e0, d0), (e1, d1) in zip(curve, curve[1:]):
-            labels.append(f"p={p:g}:eps={e1:g}<{e0:g}")
-            lhs.append(d1)
-            rhs.append(d0)
-        labels.append(f"p={p:g}:strict-decrease")
-        lhs.append(1.0)
-        rhs.append(float(all(b < a for a, b in zip(ds, ds[1:]))))
-        labels.append(f"p={p:g}:final-ratio")
-        lhs.append(ds[-1])
-        rhs.append(params["final_ratio"] * ds[0])
+        levels, ds = zip(*curve)
+        labels, lhs, rhs = ladder_steps(levels, ds, 1.0, f"p={p:g}:eps={{b:g}}<{{a:g}}")
+        labels += [f"p={p:g}:strict-decrease", f"p={p:g}:final-ratio"]
+        lhs += [1.0, ds[-1]]
+        rhs += [float(all(b < a for a, b in zip(ds, ds[1:]))),
+                params["final_ratio"] * ds[0]]
         reports.append(make_report(f"lp-deficit-p{p:g}", lhs, rhs, 0.0, labels,
                                    {"K": params["K"], "p": p, "eps_list": eps_list,
                                     "deficits": ds}))
@@ -1031,7 +1020,7 @@ def _validate(config: ExperimentConfig, resolved: dict) -> None:
     params = resolved["parameters"]
     _validate_model(model)
     cmd = config.command
-    grid = model is not None and _model_kind(model).grid
+    grid = model is not None and _model_kind(model).grid_dims is not None
     if grid and cmd not in _GRID_OK_COMMANDS:
         raise ConfigError(f"command {cmd!r} needs a model chart, not a grid")
     if cmd in _GRID_COMMANDS and not grid:
@@ -1042,17 +1031,23 @@ def _validate(config: ExperimentConfig, resolved: dict) -> None:
     for key in ("q", "q_prime"):
         if key in params and not 0.0 < float(params[key]) < 1.0:
             raise ConfigError(f"{key} must lie in (0, 1)")
-    if "t_grid" in params and any(not 0.0 <= float(t) <= 1.0 for t in params["t_grid"]):
-        raise ConfigError("t_grid values must lie in [0, 1]")
-    if "t_list" in params and any(not 0.0 <= float(t) <= 1.0 for t in params["t_list"]):
-        raise ConfigError("t_list values must lie in [0, 1]")
+    for key in ("t_grid", "t_list"):
+        if key in params and any(not 0.0 <= float(t) <= 1.0 for t in params[key]):
+            raise ConfigError(f"{key} values must lie in [0, 1]")
+    counts = ("instances", "pairs", "tuples", "count", "n_rays", "boxes", "max_pairs")
     for key in ("resolution", "cells_resolution", "reference_resolution",
-                "raster", "tau_samples", "needle_samples"):
-        if key in params and int(params[key]) < 17:
-            raise ConfigError(f"{key} must be at least 17")
+                "raster", "tau_samples", "needle_samples", *counts):
+        least = 1 if key in counts else 17
+        for name in (key, f"quick_{key}"):
+            value = params.get(name, least)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not float(value).is_integer() or value < least):
+                raise ConfigError(f"{name} must be an integer of at least {least}")
     for key in ("resolutions", "quick_resolutions"):
         if key in params and any(int(r) < 17 for r in params[key]):
             raise ConfigError("every resolution must be at least 17")
+    if cmd == "lp-deficit" and float(params["n"]) < _model_kind(model).grid_dims(model):
+        raise ConfigError("lp-deficit needs n at least the grid dimension")
     if cmd in ("bonnet-myers", "aubry") and float(params["K"]) <= 0.0:
         raise ConfigError("the diameter bound needs K > 0")
     if "eps_list" in params:
@@ -1063,8 +1058,6 @@ def _validate(config: ExperimentConfig, resolved: dict) -> None:
             raise ConfigError("eps_list must be strictly decreasing")
     if "p_list" in params:
         _validate_p_list(params["p_list"])
-    if "count" in params and int(params["count"]) < 1:
-        raise ConfigError("count must be positive")
     if params.get("ratio_pairs"):
         radii = {float(r) for r in params["r_list"]}
         missing = sorted({float(r) for pair in params["ratio_pairs"] for r in pair}

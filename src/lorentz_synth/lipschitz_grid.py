@@ -253,7 +253,6 @@ class CurvatureField:
 
 def _christoffel_arrays(nodes: np.ndarray, spacing):
     d = nodes.shape[-1]
-    ginv = np.linalg.inv(nodes)
     dg = np.empty(nodes.shape[:-2] + (d, d, d))
     for k in range(d):
         dg[..., k, :, :] = _d1(nodes, k, spacing[k])
@@ -261,22 +260,25 @@ def _christoffel_arrays(nodes: np.ndarray, spacing):
     T = (np.moveaxis(dg, [-3, -2, -1], [-2, -1, -3])
          + np.moveaxis(dg, [-3, -2, -1], [-1, -2, -3])
          - dg)
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, T), ginv
+    return 0.5 * np.einsum("...kl,...lij->...kij", np.linalg.inv(nodes), T)
+
+
+def _check_conditioning(grid: MetricGrid):
+    if np.any(np.linalg.cond(grid.nodes[grid.valid]) > COND_LIMIT):
+        raise DegenerateMetricError("nodal matrix close to singular")
 
 
 def christoffels(grid: MetricGrid) -> CurvatureField:
     """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
-    cond = np.linalg.cond(grid.nodes[grid.valid])
-    if np.any(cond > COND_LIMIT):
-        raise DegenerateMetricError("nodal matrix close to singular")
-    gamma, _ = _christoffel_arrays(grid.nodes, grid.spacing)
+    _check_conditioning(grid)
+    gamma = _christoffel_arrays(grid.nodes, grid.spacing)
     return CurvatureField(grid, _eroded(grid.valid, CURV_MARGIN), gamma)
 
 
 def _ricci_arrays(nodes: np.ndarray, spacing):
     """Ricci tensor from nodal matrices; symmetric by construction because the
     contracted Christoffel is taken as the gradient of log sqrt|det g|."""
-    gamma, _ = _christoffel_arrays(nodes, spacing)
+    gamma = _christoffel_arrays(nodes, spacing)
     d = nodes.shape[-1]
     s = 0.5 * np.log(np.abs(np.linalg.det(nodes)))
     dgam = np.zeros(gamma.shape[:-3] + (d, d))
@@ -290,9 +292,7 @@ def _ricci_arrays(nodes: np.ndarray, spacing):
 
 
 def ricci(grid: MetricGrid) -> CurvatureField:
-    cond = np.linalg.cond(grid.nodes[grid.valid])
-    if np.any(cond > COND_LIMIT):
-        raise DegenerateMetricError("nodal matrix close to singular")
+    _check_conditioning(grid)
     ric, gamma = _ricci_arrays(grid.nodes, grid.spacing)
     return CurvatureField(grid, _eroded(grid.valid, CURV_MARGIN), gamma, ric)
 

@@ -74,7 +74,10 @@ class TestConfig:
         for name, kind in MODEL_KINDS.items():
             spec = {"kind": name, **given.get(name, {})}
             _validate_model(spec)
-            assert isinstance(_build_model(spec), L.MetricGrid) == kind.grid
+            built = _build_model(spec)
+            assert isinstance(built, L.MetricGrid) == (kind.grid_dims is not None)
+            if kind.grid_dims is not None:
+                assert kind.grid_dims(spec) == built.dims
             if kind.required:
                 with pytest.raises(ConfigError, match="needs"):
                     _validate_model({"kind": name})
@@ -141,6 +144,39 @@ class TestExitCodes:
         err = json.loads(lines[0])
         assert err["error"] == "invalid-config" and "p_list" in err["detail"]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind", ["kinked-grid", "minkowski-grid", "grid"])
+    def test_n_below_the_grid_dimension_is_an_invalid_config(self, tmp_path, capsys,
+                                                             kind):
+        bounds = [[0.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]
+        L.save_grid(L.minkowski_grid(bounds, (9, 9, 9)), tmp_path / "grid.bin")
+        model, n = {
+            "kinked-grid": ({"kind": kind, "shape": [257, 33]}, 1.0),
+            "minkowski-grid": ({"kind": kind, "bounds": bounds, "shape": [9, 9, 9]}, 2.5),
+            "grid": ({"kind": kind, "path": str(tmp_path / "grid.bin")}, 2.5)}[kind]
+        code = cli(tmp_path, "lp-deficit",
+                   config={"model": model, "parameters": {"n": n}})
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "invalid-config" and "grid dimension" in err["detail"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("transport", "instances", "abc"), ("transport", "quick_instances", 0),
+        ("distortion", "pairs", 2.5), ("distortion", "quick_tuples", None),
+        ("brenier", "count", 0), ("needles", "n_rays", "many"),
+        ("aubry", "boxes", -1), ("brunn-minkowski", "max_pairs", 0.5),
+        ("tmcp", "quick_cells_resolution", 16)])
+    def test_bad_count_is_an_invalid_config(self, tmp_path, capsys, command, key,
+                                            value):
+        code = cli(tmp_path, command, config={"parameters": {key: value}})
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "invalid-config" and key in err["detail"]
 
     def test_unparsable_parameter_is_an_invalid_config(self, tmp_path, capsys):
         code = cli(tmp_path, "transport", config={"parameters": {"q": "abc"}})

@@ -5,21 +5,27 @@ radial needle disintegration. Flat scenarios are checked against closed forms;
 warped ones against frozen lattice-error bands."""
 
 import csv
+import inspect
 import io
 import json
 import math
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lorentz_synth import cli
 from lorentz_synth import comparison as C
+from lorentz_synth import models as M
+from lorentz_synth import transport as TR
 from lorentz_synth.comparison import (BumpFunction, aubry_spacetime_check,
                                       bishop_gromov, bonnet_myers,
                                       brenier_mccann_check, brunn_minkowski,
                                       check_tcd_semiconvexity, check_tmcp,
-                                      dalembert_check, eikonal_check, make_report,
-                                      needle_decomposition, voronoi_cell_masses)
+                                      dalembert_check, eikonal_check, ladder_steps,
+                                      make_report, needle_decomposition,
+                                      voronoi_cell_masses)
 from lorentz_synth.errors import InvalidInputError, UnsupportedModelError
 from lorentz_synth.lipschitz_grid import metric_grid, minkowski_grid
 from lorentz_synth.models import (cosh_warp_model, desitter_like, maximizing_path,
@@ -74,6 +80,30 @@ class TestReportPlumbing:
     def test_worst_margin(self):
         rep = bonnet_myers(desitter_like(), 1.0, 2.0, resolution=65)
         assert rep.worst_margin() == float(np.min(rep.margin))
+
+    # the step labels of the brenier, dalembert and lp-deficit runners
+    @pytest.mark.parametrize("factor, label, levels, expected", [
+        (0.75, "shrink:{a}->{b}", [129, 257, 513],
+         ["shrink:129->257", "shrink:257->513"]),
+        (1.0, "bump2:refine:{a}->{b}", [65, 129, 257],
+         ["bump2:refine:65->129", "bump2:refine:129->257"]),
+        (1.0, "p=2:eps={b:g}<{a:g}", [0.8, 0.5, 0.3],
+         ["p=2:eps=0.5<0.8", "p=2:eps=0.3<0.5"]),
+    ])
+    def test_ladder_steps_hold_at_exactly_factor_times_the_last(
+            self, factor, label, levels, expected):
+        devs = [3.0e-3]
+        for _ in levels[1:]:
+            devs.append(factor * devs[-1])
+        labels, lhs, rhs = ladder_steps(levels, devs, factor, label)
+        assert labels == expected
+        assert lhs == devs[1:]
+        assert make_report("ladder", lhs, rhs, 0.0, labels, {}).passed
+        # one ulp above factor * d_k fails
+        devs[-1] = float(np.nextafter(devs[-1], np.inf))
+        labels, lhs, rhs = ladder_steps(levels, devs, factor, label)
+        rep = make_report("ladder", lhs, rhs, 0.0, labels, {})
+        assert not rep.passed and rep.margin[-1] < 0.0 and rep.margin[0] == 0.0
 
 
 class TestBumpFunction:
@@ -449,6 +479,64 @@ class TestBrenierMccann:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             brenier_mccann_check(big_flat(), (0.0, 0.0), self.endpoints(), 1.5)
+
+    @staticmethod
+    def default_run(monkeypatch, check):
+        """The default ``brenier`` run (seed 0) with ``check`` as the verifier."""
+        monkeypatch.setattr(cli, "brenier_mccann_check", check)
+        spec = cli.COMMANDS["brenier"]
+        reports, _ = spec.runner(cli._build_model(spec.model), dict(spec.parameters),
+                                 np.random.default_rng(0))
+        return reports[0]
+
+    @staticmethod
+    def mutant(line, replacement):
+        """brenier_mccann_check with one source line replaced."""
+        source = textwrap.dedent(inspect.getsource(C.brenier_mccann_check))
+        assert line in source
+        namespace = dict(vars(C))
+        exec(compile(source.replace(line, replacement), C.__file__, "exec"), namespace)
+        return namespace["brenier_mccann_check"]
+
+    def test_default_run_passes_and_the_target_exponent_mutant_fails(self, monkeypatch):
+        assert self.default_run(monkeypatch, brenier_mccann_check).passed
+        line = "targets = seps[carrying] ** (q - 1.0)"
+        mutant = self.mutant(line, line.replace("(q - 1.0)", "q"))
+        rep = self.default_run(monkeypatch, mutant)
+        assert not rep.passed
+        # the identity itself fails, not only the shrink step
+        assert min(m for lab, m in zip(rep.labels, rep.margin)
+                   if lab.startswith("res=")) < 0.0
+
+    def test_endpoint_moved_by_one_cell(self, monkeypatch, record_property):
+        # reported, not gated: a one-cell shift moves the measured side by
+        # about |d_t l^(q-1)| h, well inside the 10 * spacing allowance
+        line = "ends = mu1.points()[carrying]"
+        mutant = self.mutant(line, line + " + [ts[1] - ts[0], 0.0]")
+        rep = self.default_run(monkeypatch, mutant)
+        record_property("one_cell_shift_caught", not rep.passed)
+        print(f"endpoint moved by one cell in t: caught={not rep.passed}, "
+              f"worst margin {rep.worst_margin():.3e}")
+
+    @pytest.mark.parametrize("model, o, pts", [
+        (minkowski(((-0.5, 2.5), (-1.0, 1.0))), (0.0, 0.0),
+         ((1.2, 0.1), (1.5, -0.2), (1.0, 0.3))),
+        (cosh_warp_model(), (-0.8, 0.0), ((0.4, 0.1), (0.6, -0.2), (0.5, 0.2)))],
+        ids=["flat", "lattice"])
+    def test_one_separation_call(self, monkeypatch, model, o, pts):
+        calls = []
+        original = M.time_separations
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].kind)
+            return original(*args, **kwargs)
+
+        for module in (M, C, TR):
+            monkeypatch.setattr(module, "time_separations", counted)
+        mu1 = DiscreteMeasure(pts, np.full(3, 1.0 / 3.0))
+        rep = brenier_mccann_check(model, o, mu1, 0.5, resolution=129)
+        assert len(rep.lhs) == 3
+        assert calls == [model.kind]
 
 
 class TestDalembert:
