@@ -1,8 +1,8 @@
 """Digests of every deterministic output of the command-line runs.
 
 Runs ``lorentz-synth suite --quick`` and every other subcommand's default
-configuration (seed 0), one fresh interpreter each, into a temporary
-directory, and prints one sha256 per output:
+configuration, plain and with ``--quick`` (seed 0), one fresh interpreter
+each, into a temporary directory, and prints one sha256 per output:
 
 * the ``report.json`` payload, without the ``started``/``finished`` stamps;
 * ``margins.csv``;
@@ -33,13 +33,15 @@ SRC = ROOT / "src"
 
 
 def runs():
-    """(name, cli arguments) for the quick suite and each default run."""
+    """(name, cli arguments) for the quick suite and each default run, plain
+    and quick."""
     sys.path.insert(0, str(SRC))
     from lorentz_synth.cli import COMMANDS
     yield "suite-quick", ["suite", "--quick"]
     for name in COMMANDS:
         if name != "suite":
             yield name, [name]
+            yield f"{name}-quick", [name, "--quick"]
 
 
 def sha256(data: bytes) -> str:

@@ -5,9 +5,10 @@ requested chart, runs the library checks, and writes a ``report.json``, a
 flat ``margins.csv``, and two-column plot CSVs (with a ``manifest.json``)
 into the output directory.  Runs are deterministic: the same resolved
 configuration and seed produce bit-identical report payloads and CSV bytes.
-Exit status is 0 when every report passes, 1 when one fails, 2 for
-configuration problems, and 3 when a verifier raises; the latter two print a
-one-line structured error JSON.
+Exit status is 0 when every report passes, 1 when one fails, 2 for anything
+raised before dispatch (loading, resolving, the declared parameter types,
+building the model, a cross-field rule), and 3 for anything raised after; the
+latter two print a one-line structured error JSON.
 
 ``suite`` replays the whole acceptance matrix (one table row per criterion).
 """
@@ -38,10 +39,10 @@ from .distortion import (KappaProfile, const_first_zero, const_sine,
                          defect_bound, first_zero, generalized_sine,
                          sigma_coeff, tau_coeff)
 from .extreal import is_inf
-from .lipschitz_grid import (load_grid, lp_deficit_curves, minkowski_grid,
-                             mollify, warped_grid)
-from .models import (cosh_warp_model, desitter_like, kinked_slab, minkowski,
-                     region_measure, warped_product)
+from .lipschitz_grid import (MetricGrid, load_grid, lp_deficit_curves,
+                             minkowski_grid, mollify, warped_grid)
+from .models import (ModelSpacetime, cosh_warp_model, desitter_like, kinked_slab,
+                     minkowski, region_measure, warped_product)
 from .onedim import (CDDensity, model_density, tmcp_delta, verify_cd_density)
 from .transport import (DiscreteMeasure, dirac, dynamical_coupling,
                         is_timelike_q_dualizable, lq_distance,
@@ -107,7 +108,7 @@ class ExperimentConfig:
         """
         spec = COMMANDS[self.command]
         model = self.model if self.model is not None else spec.model
-        params = dict(spec.parameters)
+        params = spec.defaults()
         for key, val in self.parameters.items():
             if key not in params:
                 raise ConfigError(
@@ -151,8 +152,146 @@ class RunRecord:
 
 
 # ---------------------------------------------------------------------------
-# building blocks from config JSON
+# parameter types: each takes a JSON value and the key it sits under, and
+# returns what the runner reads or raises ConfigError naming that key
 # ---------------------------------------------------------------------------
+
+
+def _integer(least):
+    def check(value, name):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not float(value).is_integer() or value < least):
+            raise ConfigError(f"{name} must be an integer of at least {least}")
+        return int(value)
+    return check
+
+
+def _real(lo=-math.inf, hi=math.inf, strict=False, as_float=False):
+    """A finite number in [lo, hi], or in (lo, hi) when ``strict``. It keeps
+    its JSON type, so an integer stays one in provenance, unless ``as_float``."""
+    span = f"({lo:g}, {hi:g})" if strict else f"[{lo:g}, {hi:g}]"
+
+    def check(value, name):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+                or not (lo < value < hi if strict else lo <= value <= hi)):
+            raise ConfigError(f"{name} must be a finite number in {span}")
+        return float(value) if as_float else value
+    return check
+
+
+def _list(item, least=1):
+    def check(value, name):
+        if not isinstance(value, (list, tuple)) or len(value) < least:
+            raise ConfigError(f"{name} must be a list of at least {least} entries")
+        return [item(v, f"{name}[{i}]") for i, v in enumerate(value)]
+    return check
+
+
+def _pair(item, increasing=False):
+    """Two ``item`` values as a tuple; the first below the second when
+    ``increasing``."""
+    def check(value, name):
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ConfigError(f"{name} must be a pair")
+        pair = item(value[0], f"{name}[0]"), item(value[1], f"{name}[1]")
+        if increasing and not pair[0] < pair[1]:
+            raise ConfigError(f"{name} must be an increasing pair")
+        return pair
+    return check
+
+
+def _choice(*options):
+    def check(value, name):
+        if not any(type(value) is type(o) and value == o for o in options):
+            raise ConfigError(f"{name} must be one of {json.dumps(options)}")
+        return value
+    return check
+
+
+def _optional(kind):
+    return lambda value, name: None if value is None else kind(value, name)
+
+
+_REAL, _POSITIVE, _NONNEG = _real(), _real(0.0, strict=True), _real(0.0)
+_DIM, _Q = _real(1.0, strict=True), _real(0.0, 1.0, strict=True)      # N > 1; q
+_TIMES = _list(_real(0.0, 1.0))
+_EPS_LIST = _list(_real(0.0, strict=True, as_float=True))
+_COUNT, _RES = _integer(1), _integer(17)
+_POINT = _pair(_REAL)
+_BOX = _pair(_pair(_REAL, increasing=True))
+
+
+def _mapping(spec, name, what):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name}: cannot build a {what} from {spec!r}")
+    return spec
+
+
+def _measure(spec, name) -> DiscreteMeasure:
+    """{"dirac": point}, {"uniform_on_box": box, "per_axis": n}, or
+    {"points": [point, ...]} with optional "weights" (uniform by default)."""
+    _mapping(spec, name, "measure")
+    if "dirac" in spec:
+        return dirac(_POINT(spec["dirac"], f"{name}.dirac"))
+    if "uniform_on_box" in spec:
+        return uniform_on_box(_BOX(spec["uniform_on_box"], f"{name}.uniform_on_box"),
+                              _COUNT(spec.get("per_axis", 3), f"{name}.per_axis"))
+    if "points" in spec:
+        pts = _list(_POINT)(spec["points"], f"{name}.points")
+        weights = spec.get("weights")
+        return DiscreteMeasure(tuple(pts), np.full(len(pts), 1.0 / len(pts))
+                               if weights is None else np.asarray(
+                                   _list(_NONNEG)(weights, f"{name}.weights"), float))
+    raise ConfigError(f"{name}: cannot build a measure from {spec!r}")
+
+
+def _box_region(box, name):
+    """The indicator of the open box [[t0, t1], [x0, x1]]."""
+    (t0, t1), (x0, x1) = _BOX(box, name)
+    return lambda p: ((p[..., 0] > t0) & (p[..., 0] < t1)
+                      & (p[..., 1] > x0) & (p[..., 1] < x1))
+
+
+def _region(spec, name):
+    """{"box": box}, or {"cone": {"slope": s, "t_min": t}}: |x| <= s t above
+    t_min (no floor by default)."""
+    _mapping(spec, name, "region")
+    if "box" in spec:
+        return _box_region(spec["box"], f"{name}.box")
+    if "cone" in spec:
+        cone = _mapping(spec["cone"], f"{name}.cone", "cone")
+        slope = _POSITIVE(cone.get("slope", 0.6), f"{name}.cone.slope")
+        t_min = (_REAL(cone["t_min"], f"{name}.cone.t_min") if "t_min" in cone
+                 else -math.inf)
+        return lambda p: (np.abs(p[..., 1]) <= slope * p[..., 0]) & (p[..., 0] >= t_min)
+    raise ConfigError(f"{name}: cannot build a region from {spec!r}")
+
+
+def _bump(spec, name) -> BumpFunction:
+    """{"center": point, "radius": r}."""
+    _mapping(spec, name, "bump")
+    return BumpFunction(_POINT(spec.get("center"), f"{name}.center"),
+                        _POSITIVE(spec.get("radius"), f"{name}.radius"))
+
+
+def _curvature(spec, name):
+    """"default" (None: the chart's own floor), {"constant": c}, or
+    {"dip": {"floor": f, "depth": d, "width": w}}: a floor k of the chart
+    points (..., 2), the dip centred on t = 0."""
+    if spec is None or spec == "default":
+        return None
+    _mapping(spec, name, "curvature floor")
+    if "constant" in spec:
+        v = _REAL(spec["constant"], f"{name}.constant")
+        return lambda p: v * np.ones(np.shape(p)[:-1])
+    if "dip" in spec:
+        dip = _mapping(spec["dip"], f"{name}.dip", "dip")
+        floor = _REAL(dip.get("floor", 1.0), f"{name}.dip.floor")
+        depth = _REAL(dip.get("depth", 0.05), f"{name}.dip.depth")
+        width = _POSITIVE(dip.get("width", 0.2), f"{name}.dip.width")
+        return lambda p: floor - depth * np.exp(-(np.asarray(p)[..., 0] / width) ** 2)
+    raise ConfigError(f"{name}: cannot build a curvature floor from {spec!r}")
 
 
 def _weight_fn(spec):
@@ -176,12 +315,6 @@ def _check_warp_samples(spec):
         raise ConfigError("warp samples need >= 2 rows of positive [t, a]")
 
 
-def _check_grid_file(spec):
-    path = Path(spec.get("path", ""))
-    if not path.is_file() or not path.with_suffix(path.suffix + ".json").is_file():
-        raise ConfigError(f"grid file not found: {spec.get('path')!r}")
-
-
 def _kinked_grid(spec):
     slope = float(spec.get("slope", 0.25))
     return warped_grid(lambda t: 1.0 - slope * np.abs(t),
@@ -195,17 +328,22 @@ def _check_kinked_grid(spec):
     t0, t1 = spec.get("t_bounds", (-2.0, 2.0))
     if slope * max(abs(t0), abs(t1)) >= 1.0:
         raise ConfigError("kinked warp must stay positive on the chart")
+    _pair(_integer(2))(spec.get("shape", (1025, 129)), "kinked-grid shape")
+
+
+def _check_minkowski_grid(spec):
+    if len(_list(_integer(2))(spec["shape"], "minkowski-grid shape")) \
+            != len(spec["bounds"]):
+        raise ConfigError("minkowski-grid takes one shape entry per bound")
 
 
 @dataclass(frozen=True)
 class ModelKind:
     """One model ``kind`` of a config: how it is built from its spec, the
-    keys the spec must carry, for a sampled metric grid (None for a chart)
-    its dimension from the spec, and any further check run before dispatch."""
+    keys the spec must carry, and any further check run before the build."""
 
     build: Callable
     required: tuple = ()
-    grid_dims: Callable | None = None
     check: Callable | None = None
 
 
@@ -220,85 +358,34 @@ MODEL_KINDS = {
     "kinked-slab": ModelKind(lambda spec: kinked_slab(spec.get("slope", 0.25))),
     "warp-samples": ModelKind(_warp_samples_model, ("samples", "t_bounds", "x_bounds"),
                               check=_check_warp_samples),
-    "grid": ModelKind(lambda spec: load_grid(spec["path"]),
-                      grid_dims=lambda spec: json.loads(   # the saved manifest
-                          Path(spec["path"] + ".json").read_text())["dims"],
-                      check=_check_grid_file),
+    "grid": ModelKind(lambda spec: load_grid(spec["path"]), ("path",)),
     "minkowski-grid": ModelKind(lambda spec: minkowski_grid(
         tuple(map(tuple, spec["bounds"])), tuple(spec["shape"])),
-        ("bounds", "shape"), grid_dims=lambda spec: len(spec["bounds"])),
-    "kinked-grid": ModelKind(_kinked_grid, grid_dims=lambda spec: 2,   # a 1+1 warp
-                             check=_check_kinked_grid),
+        ("bounds", "shape"), check=_check_minkowski_grid),
+    "kinked-grid": ModelKind(_kinked_grid, check=_check_kinked_grid),
 }
 
 
-def _model_kind(spec) -> ModelKind:
-    kind = spec.get("kind")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    return MODEL_KINDS[kind]
-
-
 def _build_model(spec):
-    return None if spec is None else _model_kind(spec).build(spec)
-
-
-def _validate_model(spec):
+    """The chart or grid a model spec describes (None for none)."""
     if spec is None:
-        return
+        return None
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("model spec must be a mapping with a 'kind'")
-    kind = _model_kind(spec)
+    if spec["kind"] not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {spec['kind']!r}")
+    kind = MODEL_KINDS[spec["kind"]]
     missing = [key for key in kind.required if key not in spec]
     if missing:
         raise ConfigError(f"model kind {spec['kind']!r} needs {missing}")
     if kind.check is not None:
         kind.check(spec)
-
-
-def _build_measure(spec) -> DiscreteMeasure:
-    if "dirac" in spec:
-        return dirac(tuple(float(v) for v in spec["dirac"]))
-    if "uniform_on_box" in spec:
-        return uniform_on_box(tuple(map(tuple, spec["uniform_on_box"])),
-                              int(spec.get("per_axis", 3)))
-    if "points" in spec:
-        pts = tuple(tuple(float(v) for v in p) for p in spec["points"])
-        weights = spec.get("weights")
-        w = (np.full(len(pts), 1.0 / len(pts)) if weights is None
-             else np.asarray(weights, dtype=float))
-        return DiscreteMeasure(pts, w)
-    raise ConfigError(f"cannot build a measure from {spec!r}")
-
-
-def _build_region(spec):
-    if "box" in spec:
-        (t0, t1), (x0, x1) = [tuple(map(float, b)) for b in spec["box"]]
-        return lambda p: ((p[..., 0] > t0) & (p[..., 0] < t1)
-                          & (p[..., 1] > x0) & (p[..., 1] < x1))
-    if "cone" in spec:
-        cone = spec["cone"]
-        slope = float(cone.get("slope", 0.6))
-        t_min = float(cone.get("t_min", -math.inf))
-        return lambda p: (np.abs(p[..., 1]) <= slope * p[..., 0]) & (p[..., 0] >= t_min)
-    raise ConfigError(f"cannot build a region from {spec!r}")
-
-
-def _build_bump(spec) -> BumpFunction:
-    return BumpFunction(tuple(float(v) for v in spec["center"]),
-                        float(spec["radius"]))
+    return kind.build(spec)
 
 
 def _plot(file, x, y, rows, title):
     return {"file": file, "x": x, "y": y,
             "rows": np.asarray(rows, dtype=float), "title": title}
-
-
-def _pick(params, key):
-    """Value of ``key``, or of its ``quick_`` twin when quick mode is on."""
-    if params.get("quick") and f"quick_{key}" in params:
-        return params[f"quick_{key}"]
-    return params[key]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +418,7 @@ def _run_distortion(model, params, rng):
         reports.append(make_report("distortion-closed-forms", lhs, rhs, 0.0, labels,
                                    {"kappas": list(params["kappas"])}))
     if check in ("ordering", "all"):
-        n = int(_pick(params, "pairs"))
+        n = params["pairs"]
         worst_sigma = worst_tau = worst_dom = 0.0
         for _ in range(n):
             a, b = rng.uniform(-4.0, 4.0, 2)
@@ -357,7 +444,7 @@ def _run_distortion(model, params, rng):
             0.0, ["sigma-monotone", "tau-monotone", "tau-dominates-sigma"],
             {"pairs": n}))
     if check in ("defect", "all"):
-        n = int(_pick(params, "tuples"))
+        n = params["tuples"]
         worst = 0.0
         used = skipped = 0
         while used < n and skipped < 20 * n:
@@ -418,7 +505,7 @@ def _run_cd_verify(model, params, rng):
                            np.column_stack([show.grid(), show.h_samples]),
                            "one-dimensional model density, K=1, N=2"))
     if check in ("delta-formula", "all"):
-        n = int(params["tuples"])
+        n = params["tuples"]
         worst = 0.0
         for _ in range(n):
             big_k = float(rng.uniform(0.2, 5.0))
@@ -438,7 +525,7 @@ def _run_transport(model, params, rng):
     check = params["check"]
     reports, plots = [], []
     if check in ("certificates", "all"):
-        n_inst = int(_pick(params, "instances"))
+        n_inst = params["instances"]
         worst_marginal = worst_restriction = 0.0
         solved = dualizable = infeasible = restricted = 0
         for _ in range(n_inst):
@@ -491,9 +578,9 @@ def _run_transport(model, params, rng):
             {"instances": n_inst, "solved": solved, "infeasible": infeasible,
              "restriction_checked": restricted}))
     if check in ("q-geodesic", "all"):
-        src = dirac(tuple(params["origin"]))
-        target = _build_measure(params["target"])
-        q = float(params["q"])
+        src = dirac(params["origin"])
+        target = params["target"]
+        q = params["q"]
         _, plan = lq_distance(model, src, target, q)
         if plan is None:
             worst = math.inf
@@ -504,7 +591,7 @@ def _run_transport(model, params, rng):
         reports.append(make_report("q-geodesic-gap", [worst],
                                    [params["gap_tolerance"]], 0.0,
                                    ["interpolation-gap"],
-                                   {"q": q, "t_grid": list(params["t_grid"]),
+                                   {"q": q, "t_grid": params["t_grid"],
                                     "target_points": len(target.support)}))
     return reports, plots
 
@@ -530,20 +617,18 @@ def _tmcp_plots(rep, t_grid, n_prime_grid, stem):
 
 
 def _run_tmcp(model, params, rng):
-    mu1 = _build_measure(params["target"])
-    t_grid = tuple(float(t) for t in params["t_grid"])
-    n_primes = tuple(float(v) for v in params["n_prime_grid"])
-    rep = check_tmcp(model, tuple(params["origin"]), mu1, params["K"],
+    t_grid, n_primes = params["t_grid"], params["n_prime_grid"]
+    rep = check_tmcp(model, params["origin"], params["target"], params["K"],
                      params["n"], params["q"], t_grid, n_primes,
                      variant=params["variant"], tolerance=params["tolerance"],
-                     cells_resolution=int(_pick(params, "cells_resolution")),
-                     resolution=int(params["resolution"]))
+                     cells_resolution=params["cells_resolution"],
+                     resolution=params["resolution"])
     reports = [rep]
-    eq = params.get("equality_n_prime")
+    eq = params["equality_n_prime"]
     if eq is not None:
         labels, lhs, rhs = [], [], []
         for lab, m in zip(rep.labels, rep.margin):
-            if lab.startswith("t=") and lab.endswith(f"N'={float(eq):g}"):
+            if lab.startswith("t=") and lab.endswith(f"N'={eq:g}"):
                 labels.append(f"eq:{lab}")
                 lhs.append(abs(float(m)))
                 rhs.append(params["equality_tolerance"])
@@ -554,14 +639,12 @@ def _run_tmcp(model, params, rng):
 
 
 def _run_tcd(model, params, rng):
-    mu0 = _build_measure(params["source"])
-    mu1 = _build_measure(params["target"])
-    t_grid = tuple(float(t) for t in params["t_grid"])
-    rep = check_tcd_semiconvexity(model, mu0, mu1, params["K"], params["n"],
-                                  params["q"], t_grid,
+    t_grid = params["t_grid"]
+    rep = check_tcd_semiconvexity(model, params["source"], params["target"],
+                                  params["K"], params["n"], params["q"], t_grid,
                                   tolerance=params["tolerance"],
-                                  cells_resolution=int(_pick(params, "cells_resolution")),
-                                  resolution=int(params["resolution"]))
+                                  cells_resolution=params["cells_resolution"],
+                                  resolution=params["resolution"])
     rows_l = np.column_stack([t_grid, [float(v) for v in rep.lhs]])
     rows_r = np.column_stack([t_grid, [float(v) for v in rep.rhs]])
     return [rep], [_plot("entropy.csv", "t", "entropy", rows_l,
@@ -571,42 +654,39 @@ def _run_tcd(model, params, rng):
 
 
 def _run_brunn_minkowski(model, params, rng):
-    region = _build_region(params["x1"])
     labels, lhs, rhs, prov = [], [], [], {}
     for t in params["t_list"]:
-        rep = brunn_minkowski(model, tuple(params["source"]), region,
-                              params["K"], params["n"], float(t),
-                              resolution=int(_pick(params, "resolution")),
+        rep = brunn_minkowski(model, params["source"], params["x1"],
+                              params["K"], params["n"], t,
+                              resolution=params["resolution"],
                               tolerance=params["tolerance"],
-                              max_pairs=int(params["max_pairs"]))
+                              max_pairs=params["max_pairs"])
         labels.append(f"t={t:g}")
         lhs.append(float(rep.lhs[0]))
         rhs.append(float(rep.rhs[0]))
         prov[f"t={t:g}"] = rep.provenance
     merged = make_report("brunn-minkowski", lhs, rhs, params["tolerance"], labels,
                          prov)
-    rows = np.column_stack([[float(t) for t in params["t_list"]], merged.margin])
+    rows = np.column_stack([params["t_list"], merged.margin])
     return [merged], [_plot("margin.csv", "t", "margin", rows,
                             "volume-growth margin")]
 
 
 def _run_bishop_gromov(model, params, rng):
-    region = _build_region(params["region"])
-    r_list = tuple(float(r) for r in params["r_list"])
-    rep = bishop_gromov(model, tuple(params["origin"]), region, params["K"],
-                        params["n"], r_list,
-                        resolution=int(_pick(params, "resolution")),
+    r_list = params["r_list"]
+    rep = bishop_gromov(model, params["origin"], params["region"], params["K"],
+                        params["n"], r_list, resolution=params["resolution"],
                         dr=params["dr"], tolerance=params["tolerance"])
     reports = [rep]
     vols = [float(v) for v in rep.provenance["volumes"]]
     areas = [float(v) for v in rep.provenance["areas"]]
-    pairs = params.get("ratio_pairs") or ()
+    pairs = params["ratio_pairs"] or ()
     if pairs:
         labels, lhs, rhs = [], [], []
         for r, big_r in pairs:
-            vr = vols[r_list.index(float(r))]
-            vbig = vols[r_list.index(float(big_r))]
-            dev = abs(vr / vbig - (float(r) / float(big_r)) ** params["n"])
+            vr = vols[r_list.index(r)]
+            vbig = vols[r_list.index(big_r)]
+            dev = abs(vr / vbig - (r / big_r) ** params["n"])
             labels.append(f"ratio:r={r:g},R={big_r:g}")
             lhs.append(dev)
             rhs.append(params["ratio_tolerance"])
@@ -621,12 +701,11 @@ def _run_bishop_gromov(model, params, rng):
 
 def _run_bonnet_myers(model, params, rng):
     rep = bonnet_myers(model, params["K"], params["n"],
-                       resolution=int(_pick(params, "resolution")),
+                       resolution=params["resolution"],
                        tolerance=params["tolerance"])
     reports = [rep]
-    window = params.get("window")
-    if window:
-        lo, hi = float(window[0]), float(window[1])
+    if params["window"] is not None:
+        lo, hi = params["window"]
         diam = float(rep.lhs[0])
         reports.append(make_report("diameter-window", [lo, diam], [diam, hi], 0.0,
                                    [f"above:{lo:g}", f"below:{hi:g}"],
@@ -635,12 +714,10 @@ def _run_bonnet_myers(model, params, rng):
 
 
 def _run_eikonal(model, params, rng):
-    region = _build_region(params["region"])
-    resolutions = [int(r) for r in _pick(params, "resolutions")]
     labels, lhs, rhs, prov = [], [], [], {}
     devs, spacings = [], []
-    for res in resolutions:
-        rep = eikonal_check(model, tuple(params["origin"]), region,
+    for res in params["resolutions"]:
+        rep = eikonal_check(model, params["origin"], params["region"],
                             resolution=res)
         devs.append(float(rep.lhs[0]))
         spacings.append(float(rep.provenance["spacing"]))
@@ -668,17 +745,17 @@ def _run_eikonal(model, params, rng):
 
 
 def _run_brenier(model, params, rng):
-    count = int(params["count"])
+    count = params["count"]
     t_lo, t_hi = params["t_range"]
     x_lo, x_hi = params["x_range"]
     pts = tuple((float(t), float(x)) for t, x in
                 zip(rng.uniform(t_lo, t_hi, count), rng.uniform(x_lo, x_hi, count)))
     mu1 = DiscreteMeasure(pts, np.full(count, 1.0 / count))
-    resolutions = [int(r) for r in _pick(params, "resolutions")]
+    resolutions = params["resolutions"]
     labels, lhs, rhs, prov = [], [], [], {}
     devs, spacings = [], []
     for res in resolutions:
-        rep = brenier_mccann_check(model, tuple(params["origin"]), mu1,
+        rep = brenier_mccann_check(model, params["origin"], mu1,
                                    params["q"], resolution=res)
         devs.append(float(rep.provenance["max_deviation"]))
         spacings.append(float(rep.provenance["spacing"]))
@@ -698,13 +775,12 @@ def _run_brenier(model, params, rng):
 
 
 def _run_dalembert(model, params, rng):
-    resolutions = [int(r) for r in _pick(params, "resolutions")]
-    bumps = [_build_bump(b) for b in params["bumps"]]
+    resolutions, bumps = params["resolutions"], params["bumps"]
     labels, lhs, rhs, prov, plots = [], [], [], {}, []
     for i, bump in enumerate(bumps):
         devs, spacings = [], []
         for res in resolutions:
-            rep = dalembert_check(model, tuple(params["origin"]), bump,
+            rep = dalembert_check(model, params["origin"], bump,
                                   params["K"], params["n"], params["q_prime"],
                                   params["variant"], resolution=res)
             devs.append(abs(float(rep.lhs[0]) - float(rep.rhs[0])))
@@ -727,13 +803,11 @@ def _run_dalembert(model, params, rng):
 
 
 def _run_needles(model, params, rng):
-    window = tuple(float(v) for v in params["window"])
-    dec = needle_decomposition(model, tuple(params["origin"]), window,
-                               n_rays=int(params["n_rays"]),
-                               r=params["r"],
-                               tau_samples=int(params["tau_samples"]))
-    box = _build_region({"box": params["box"]})
-    exact = region_measure(model, box, int(_pick(params, "reference_resolution")))
+    window, box = params["window"], params["box"]
+    dec = needle_decomposition(model, params["origin"], window,
+                               n_rays=params["n_rays"], r=params["r"],
+                               tau_samples=params["tau_samples"])
+    exact = region_measure(model, box, params["reference_resolution"])
     l_max = float(dec.rays[0].tau[-1])
     expected = (window[1] - window[0]) * l_max * l_max / 2.0
     densities = dec.cd_densities(n_param=params["n"])
@@ -749,7 +823,7 @@ def _run_needles(model, params, rng):
         lhs.append(abs(dec.total_mass() - expected))
         rhs.append(1e-9)
     rep = make_report("needles", lhs, rhs, 0.0, labels,
-                      {"rays": int(params["n_rays"]), "l_max": l_max,
+                      {"rays": params["n_rays"], "l_max": l_max,
                        "box_measure": exact, "cd_fraction": fraction})
     rows = np.column_stack([[ray.rapidity for ray in dec.rays],
                             dec.quotient_weights])
@@ -758,7 +832,7 @@ def _run_needles(model, params, rng):
 
 
 def _run_mollify(grid, params, rng):
-    eps_list = [float(e) for e in params["eps_list"]]
+    eps_list = params["eps_list"]
     labels, lhs, rhs = [], [], []
     errs = []
     for eps in eps_list:
@@ -775,10 +849,9 @@ def _run_mollify(grid, params, rng):
 
 
 def _run_lp_deficit(grid, params, rng):
-    eps_list = [float(e) for e in params["eps_list"]]
-    curves = lp_deficit_curves(grid, params["K"],
-                               [float(p) for p in params["p_list"]],
-                               eps_list, params["n"])
+    eps_list = params["eps_list"]
+    curves = lp_deficit_curves(grid, params["K"], params["p_list"], eps_list,
+                               params["n"])
     reports, plots = [], []
     for p, curve in zip(params["p_list"], curves):
         levels, ds = zip(*curve)
@@ -796,29 +869,14 @@ def _run_lp_deficit(grid, params, rng):
     return reports, plots
 
 
-def _curvature_fn(spec):
-    if spec is None or spec == "default":
-        return None
-    if "constant" in spec:
-        v = float(spec["constant"])
-        return lambda t: v * np.ones_like(np.asarray(t, dtype=float))
-    if "dip" in spec:
-        floor = float(spec["dip"].get("floor", 1.0))
-        depth = float(spec["dip"].get("depth", 0.05))
-        width = float(spec["dip"].get("width", 0.2))
-        return lambda t: floor - depth * np.exp(-(np.asarray(t, dtype=float) / width) ** 2)
-    raise ConfigError(f"cannot build a curvature floor from {spec!r}")
-
-
 def _run_aubry(model, params, rng):
     rep = aubry_spacetime_check(model, params["K"], params["n"], params["p"],
                                 c_const=params["c_const"],
-                                k_fn=_curvature_fn(params["curvature"]),
-                                boxes=int(params["boxes"]),
-                                raster=int(_pick(params, "raster")),
-                                resolution=int(_pick(params, "resolution")),
-                                n_needles=int(params["n_needles"]),
-                                needle_samples=int(params["needle_samples"]))
+                                k_fn=params["curvature"], boxes=params["boxes"],
+                                raster=params["raster"],
+                                resolution=params["resolution"],
+                                n_needles=params["n_needles"],
+                                needle_samples=params["needle_samples"])
     rows = [(row["x"], row["deficit"]) for row in rep.provenance["needles"]
             if "deficit" in row]
     plots = []
@@ -829,21 +887,66 @@ def _run_aubry(model, params, rng):
     return [rep], plots
 
 
-def _run_suite(model, params, rng):
-    raise ConfigError("the suite command does not run through a single runner")
+# ---------------------------------------------------------------------------
+# command registry: help statement, default model, parameter declarations,
+# runner, and the cross-field rule run before dispatch
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# command registry: help statement, default model, default parameters, runner
-# ---------------------------------------------------------------------------
+def _bishop_gromov_rule(params, model):
+    radii = params["r_list"]
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ConfigError("r_list must be strictly increasing")
+    missing = sorted({r for pair in params["ratio_pairs"] or () for r in pair}
+                     - set(radii))
+    if missing:
+        raise ConfigError(f"ratio_pairs name radii missing from r_list: {missing}")
+
+
+def _dalembert_rule(params, model):
+    # u = l^q / q with 1/q + 1/q' = 1 makes q' < 0 for the power variant
+    power = params["variant"] == "power"
+    if not (params["q_prime"] < 0.0 if power else 0.0 < params["q_prime"] < 1.0):
+        raise ConfigError("q_prime must lie below 0 for the power variant, "
+                          "in (0, 1) for the distance variant")
+
+
+def _lp_deficit_rule(params, grid):
+    eps, p_list, n = params["eps_list"], params["p_list"], params["n"]
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ConfigError("eps_list must be strictly decreasing")
+    # reports and plot files are named by f"{p:g}", so two exponents that
+    # print alike would overwrite each other's deficit_p*.csv
+    if len({f"{p:g}" for p in p_list}) < len(p_list):
+        raise ConfigError(f"p_list values must be distinct, got {p_list}")
+    # lipschitz_grid.bakry_emery has no finite correction term otherwise
+    span = float(np.max(grid.weight_nodes) - np.min(grid.weight_nodes))
+    if n < grid.dims or (n == grid.dims and span > 1e-12):
+        raise ConfigError("lp-deficit needs n above the grid dimension, or equal "
+                          "to it with a constant weight")
 
 
 @dataclass(frozen=True)
 class CommandSpec:
+    """Each parameter is declared as name -> (type, default) or (type,
+    default, quick default); the quick default resolves as ``quick_<name>``
+    and takes the parameter's place when ``quick`` is on. ``models`` lists
+    the model types the command runs on."""
+
     statement: str
     model: dict | None
     parameters: dict
-    runner: object
+    runner: Callable | None
+    rule: Callable | None = None
+    models: tuple = (ModelSpacetime,)
+
+    def defaults(self) -> dict:
+        """The default parameter map: every default, quick twins, ``quick``."""
+        out = {"quick": False}
+        for name, (_, default, *quick) in self.parameters.items():
+            out[name] = default
+            out.update({f"quick_{name}": value for value in quick})
+        return out
 
 
 _BIG_FLAT = {"kind": "minkowski", "bounds": [[-2.5, 2.5], [-2.0, 2.0]]}
@@ -853,224 +956,185 @@ _KINKED = {"kind": "kinked-grid", "slope": 0.25, "t_bounds": [-2.0, 2.0],
 _BUMPS3 = [{"center": [1.2, 0.0], "radius": 0.35},
            {"center": [0.9, -0.3], "radius": 0.25},
            {"center": [1.6, 0.4], "radius": 0.3}]
+_ORIGIN = (_POINT, [0.0, 0.0])
+_K0, _N2, _Q_HALF = (_REAL, 0.0), (_DIM, 2.0), (_Q, 0.5)
+_EITHER = (ModelSpacetime, MetricGrid)
 
 COMMANDS = {
     "distortion": CommandSpec(
         "closed forms, curvature monotonicity, and the defect inequality for "
         "the distortion coefficients",
         None,
-        {"check": "all", "kappas": [-4.0, -1.0, 0.0, 1.0, 4.0],
-         "pairs": 1000, "quick_pairs": 200, "tuples": 1000, "quick_tuples": 200,
-         "quick": False},
+        {"check": (_choice("all", "closed-forms", "ordering", "defect"), "all"),
+         "kappas": (_list(_REAL), [-4.0, -1.0, 0.0, 1.0, 4.0]),
+         "pairs": (_COUNT, 1000, 200), "tuples": (_COUNT, 1000, 200)},
         _run_distortion),
     "cd-verify": CommandSpec(
         "the one-dimensional model densities satisfy the curvature-dimension "
         "inequality; the explicit entropy-gap threshold formula",
         None,
-        {"check": "all", "k_values": [-1.0, 0.0, 1.0, 4.0],
-         "n_values": [2.0, 3.0, 4.5], "tolerance": 1e-6, "tuples": 100,
-         "quick": False},
+        {"check": (_choice("all", "model-density", "delta-formula"), "all"),
+         "k_values": (_list(_REAL), [-1.0, 0.0, 1.0, 4.0]),
+         "n_values": (_list(_DIM), [2.0, 3.0, 4.5]), "tolerance": (_NONNEG, 1e-6),
+         "tuples": (_COUNT, 100)},
         _run_cd_verify),
     "transport": CommandSpec(
         "optimality certificates for causal couplings and affine "
         "interpolation of the q-cost along displacement geodesics",
         {"kind": "minkowski", "bounds": [[-2.0, 2.0], [-2.0, 2.0]]},
-        {"check": "all", "instances": 50, "quick_instances": 10,
-         "origin": [-1.0, 0.0], "q": 0.5,
-         "target": {"uniform_on_box": [[0.8, 1.2], [-0.3, 0.3]], "per_axis": 3},
-         "t_grid": [0.0, 0.25, 0.5, 0.75, 1.0], "gap_tolerance": 1e-6,
-         "quick": False},
+        {"check": (_choice("all", "certificates", "q-geodesic"), "all"),
+         "instances": (_COUNT, 50, 10), "origin": (_POINT, [-1.0, 0.0]), "q": _Q_HALF,
+         "target": (_measure, {"uniform_on_box": [[0.8, 1.2], [-0.3, 0.3]],
+                               "per_axis": 3}),
+         "t_grid": (_TIMES, [0.0, 0.25, 0.5, 0.75, 1.0]),
+         "gap_tolerance": (_NONNEG, 1e-6)},
         _run_transport),
     "tmcp": CommandSpec(
         "the timelike measure-contraction entropy inequality toward a point",
         _BIG_FLAT,
-        {"origin": [0.0, 0.0],
-         "target": {"uniform_on_box": [[1.0, 1.8], [-0.4, 0.4]], "per_axis": 4},
-         "K": 0.0, "n": 2.0, "q": 0.5, "t_grid": _T7,
-         "n_prime_grid": [2.0, 3.0, 4.0], "variant": "past",
-         "tolerance": 1e-3, "equality_n_prime": 2.0, "equality_tolerance": 2e-3,
-         "cells_resolution": 256, "quick_cells_resolution": 128,
-         "resolution": 257, "quick": False},
+        {"origin": _ORIGIN,
+         "target": (_measure, {"uniform_on_box": [[1.0, 1.8], [-0.4, 0.4]],
+                               "per_axis": 4}),
+         "K": _K0, "n": _N2, "q": _Q_HALF, "t_grid": (_TIMES, _T7),
+         "n_prime_grid": (_list(_DIM), [2.0, 3.0, 4.0]),
+         "variant": (_choice("past", "future"), "past"), "tolerance": (_NONNEG, 1e-3),
+         "equality_n_prime": (_optional(_DIM), 2.0),
+         "equality_tolerance": (_NONNEG, 2e-3),
+         "cells_resolution": (_RES, 256, 128), "resolution": (_RES, 257)},
         _run_tmcp),
     "tcd": CommandSpec(
         "displacement semiconvexity of the entropy between two measures "
         "(timelike curvature-dimension)",
         _BIG_FLAT,
-        {"source": {"uniform_on_box": [[0.2, 0.6], [-0.2, 0.2]], "per_axis": 3},
-         "target": {"uniform_on_box": [[1.6, 2.0], [-0.2, 0.2]], "per_axis": 3},
-         "K": 0.0, "n": 2.0, "q": 0.5, "t_grid": [0.25, 0.5, 0.75],
-         "tolerance": 5e-3, "cells_resolution": 256,
-         "quick_cells_resolution": 128, "resolution": 257, "quick": False},
+        {"source": (_measure, {"uniform_on_box": [[0.2, 0.6], [-0.2, 0.2]],
+                               "per_axis": 3}),
+         "target": (_measure, {"uniform_on_box": [[1.6, 2.0], [-0.2, 0.2]],
+                               "per_axis": 3}),
+         "K": _K0, "n": _N2, "q": _Q_HALF, "t_grid": (_TIMES, [0.25, 0.5, 0.75]),
+         "tolerance": (_NONNEG, 5e-3), "cells_resolution": (_RES, 256, 128),
+         "resolution": (_RES, 257)},
         _run_tcd),
     "brunn-minkowski": CommandSpec(
         "the timelike Brunn-Minkowski volume-growth inequality",
         _BIG_FLAT,
-        {"source": [0.0, 0.0], "x1": {"box": [[1.0, 1.6], [-0.3, 0.3]]},
-         "K": 0.0, "n": 2.0, "t_list": [0.5], "resolution": 512,
-         "quick_resolution": 256, "tolerance": 5e-3, "max_pairs": 400000,
-         "quick": False},
+        {"source": _ORIGIN, "x1": (_region, {"box": [[1.0, 1.6], [-0.3, 0.3]]}),
+         "K": _K0, "n": _N2, "t_list": (_list(_real(0.0, 1.0, as_float=True)), [0.5]),
+         "resolution": (_RES, 512, 256), "tolerance": (_NONNEG, 5e-3),
+         "max_pairs": (_COUNT, 400000)},
         _run_brunn_minkowski),
     "bishop-gromov": CommandSpec(
         "the timelike Bishop-Gromov volume and area monotonicity",
         {"kind": "minkowski", "bounds": [[-0.05, 1.35], [-0.85, 0.85]]},
-        {"origin": [0.0, 0.0], "region": {"cone": {"slope": 0.6}},
-         "K": 0.0, "n": 2.0, "r_list": [0.25, 0.5, 0.75, 1.0],
-         "resolution": 1024, "dr": 0.005,
-         "tolerance": 5e-3,
-         "ratio_pairs": [[0.5, 1.0], [0.25, 1.0], [0.5, 0.75]],
-         "ratio_tolerance": 1e-3, "quick": False},
-        _run_bishop_gromov),
+        {"origin": _ORIGIN, "region": (_region, {"cone": {"slope": 0.6}}),
+         "K": _K0, "n": _N2, "r_list": (_list(_POSITIVE, 2), [0.25, 0.5, 0.75, 1.0]),
+         "resolution": (_RES, 1024), "dr": (_POSITIVE, 0.005),
+         "tolerance": (_NONNEG, 5e-3),
+         "ratio_pairs": (_optional(_list(_pair(_POSITIVE), 0)),
+                         [[0.5, 1.0], [0.25, 1.0], [0.5, 0.75]]),
+         "ratio_tolerance": (_NONNEG, 1e-3)},
+        _run_bishop_gromov, _bishop_gromov_rule),
     "bonnet-myers": CommandSpec(
         "the timelike Bonnet-Myers diameter bound",
         {"kind": "desitter", "delta": 0.02, "x_half": 1.0},
-        {"K": 1.0, "n": 2.0, "resolution": 257, "quick_resolution": 129,
-         "tolerance": 0.02, "window": [math.pi - 0.1, math.pi + 0.05],
-         "quick": False},
+        {"K": (_POSITIVE, 1.0), "n": _N2, "resolution": (_RES, 257, 129),
+         "tolerance": (_NONNEG, 0.02),
+         "window": (_optional(_pair(_real(as_float=True), increasing=True)),
+                    [math.pi - 0.1, math.pi + 0.05])},
         _run_bonnet_myers),
     "dalembert": CommandSpec(
         "the distributional wave-operator comparison for powers of the "
         "time separation against smooth bumps",
         {"kind": "minkowski", "bounds": [[0.0, 2.6], [-1.2, 1.2]]},
-        {"origin": [0.0, 0.0], "K": 0.0, "n": 2.0, "q_prime": 0.5,
-         "variant": "distance", "bumps": _BUMPS3,
-         "resolutions": [65, 129, 257], "quick_resolutions": [65, 129],
-         "quick": False},
-        _run_dalembert),
+        {"origin": _ORIGIN, "K": _K0, "n": _N2, "q_prime": (_REAL, 0.5),
+         "variant": (_choice("distance", "power"), "distance"),
+         "bumps": (_list(_bump), _BUMPS3),
+         "resolutions": (_list(_RES), [65, 129, 257], [65, 129])},
+        _run_dalembert, _dalembert_rule, _EITHER),
     "eikonal": CommandSpec(
         "the eikonal identity for the gradient of the time separation",
         {"kind": "minkowski", "bounds": [[0.0, 2.0], [-1.0, 1.0]]},
-        {"origin": [0.0, 0.0],
-         "region": {"cone": {"slope": 0.6, "t_min": 0.5}},
-         "resolutions": [129, 257], "quick_resolutions": [65, 129],
-         "order_floor": 1e-10, "order_min": 0.9, "quick": False},
-        _run_eikonal),
+        {"origin": _ORIGIN,
+         "region": (_region, {"cone": {"slope": 0.6, "t_min": 0.5}}),
+         # the order fit needs two levels
+         "resolutions": (_list(_RES, 2), [129, 257], [65, 129]),
+         "order_floor": (_NONNEG, 1e-10), "order_min": (_REAL, 0.9)},
+        _run_eikonal, None, _EITHER),
     "brenier": CommandSpec(
         "the gradient representation of the optimal map between a point "
         "mass and a discrete target",
         {"kind": "minkowski", "bounds": [[-0.5, 2.5], [-1.0, 1.0]]},
-        {"origin": [0.0, 0.0], "q": 0.5, "count": 50,
-         "t_range": [0.9, 1.8], "x_range": [-0.5, 0.5],
-         "resolutions": [257, 513], "quick_resolutions": [129, 257],
-         "shrink_factor": 0.75, "quick": False},
+        {"origin": _ORIGIN, "q": _Q_HALF, "count": (_COUNT, 50),
+         "t_range": (_pair(_REAL, increasing=True), [0.9, 1.8]),
+         "x_range": (_pair(_REAL, increasing=True), [-0.5, 0.5]),
+         "resolutions": (_list(_RES), [257, 513], [129, 257]),
+         "shrink_factor": (_POSITIVE, 0.75)},
         _run_brenier),
     "needles": CommandSpec(
         "localization of the chart volume into one-dimensional needle "
         "densities over a radial fan",
         {"kind": "minkowski", "bounds": [[0.0, 1.5], [-1.5, 1.5]]},
-        {"origin": [0.0, 0.0], "window": [-0.8, 0.8], "n_rays": 64, "r": 0.1,
-         "tau_samples": 4097, "box": [[0.6, 1.1], [-0.2, 0.2]],
-         "box_tolerance": 1e-3, "n": 2.0, "reference_resolution": 4096,
-         "quick_reference_resolution": 2048, "quick": False},
+        {"origin": _ORIGIN, "window": (_pair(_REAL, increasing=True), [-0.8, 0.8]),
+         "n_rays": (_COUNT, 64), "r": (_POSITIVE, 0.1), "tau_samples": (_RES, 4097),
+         "box": (_box_region, [[0.6, 1.1], [-0.2, 0.2]]),
+         "box_tolerance": (_NONNEG, 1e-3), "n": _N2,
+         "reference_resolution": (_RES, 4096, 2048)},
         _run_needles),
     "mollify": CommandSpec(
         "the linear-in-radius error bound for metric mollification",
         _KINKED,
-        {"eps_list": [0.6, 0.3, 0.15], "quick": False},
-        _run_mollify),
+        {"eps_list": (_EPS_LIST, [0.6, 0.3, 0.15])},
+        _run_mollify, None, (MetricGrid,)),
     "lp-deficit": CommandSpec(
         "decay of the integral curvature deficit under shrinking "
         "mollification radii",
         _KINKED,
-        {"K": 0.0, "p_list": [1.0, 2.0], "eps_list": [0.8, 0.5, 0.3, 0.15],
-         "n": 2.0, "final_ratio": 0.1, "quick": False},
-        _run_lp_deficit),
+        {"K": _K0, "p_list": (_list(_POSITIVE), [1.0, 2.0]),
+         "eps_list": (_EPS_LIST, [0.8, 0.5, 0.3, 0.15]), "n": (_REAL, 2.0),
+         "final_ratio": (_NONNEG, 0.1)},
+        _run_lp_deficit, _lp_deficit_rule, (MetricGrid,)),
     "aubry": CommandSpec(
         "the deficit-perturbed diameter bound and its needle reduction",
         {"kind": "desitter", "delta": 0.02, "x_half": 1.0},
-        {"K": 1.0, "n": 2.0, "p": 2.0, "c_const": 10.0, "curvature": "default",
-         "boxes": 4, "raster": 256, "quick_raster": 128, "resolution": 257,
-         "quick_resolution": 129, "n_needles": 9, "needle_samples": 1025,
-         "quick": False},
+        {"K": (_POSITIVE, 1.0), "n": _N2, "p": (_real(1.0), 2.0),
+         "c_const": (_POSITIVE, 10.0), "curvature": (_curvature, "default"),
+         "boxes": (_COUNT, 4), "raster": (_RES, 256, 128),
+         "resolution": (_RES, 257, 129), "n_needles": (_COUNT, 9),
+         "needle_samples": (_RES, 1025)},
         _run_aubry),
     "suite": CommandSpec(
         "the full acceptance matrix, one table row per criterion",
         None,
-        {"mode": "full", "quick": False},
-        _run_suite),
+        {"mode": (_choice("quick", "full"), "full")},
+        None),
 }
 
 
 # ---------------------------------------------------------------------------
-# validation before dispatch
+# checking, running and writing
 # ---------------------------------------------------------------------------
 
 
-_GRID_COMMANDS = {"mollify", "lp-deficit"}
-_GRID_OK_COMMANDS = _GRID_COMMANDS | {"eikonal", "dalembert"}
-_CHECKS = {"distortion": {"all", "closed-forms", "ordering", "defect"},
-           "cd-verify": {"all", "model-density", "delta-formula"},
-           "transport": {"all", "certificates", "q-geodesic"}}
-
-
-def _validate_p_list(p_list) -> None:
-    # reports and plot files are named by f"{p:g}", so two exponents that
-    # print alike would overwrite each other's deficit_p*.csv
-    if not isinstance(p_list, (list, tuple)) or not p_list:
-        raise ConfigError("p_list must be a non-empty list of exponents")
-    for p in p_list:
-        if isinstance(p, bool) or not isinstance(p, numbers.Real) \
-                or not math.isfinite(p) or p <= 0.0:
-            raise ConfigError(f"p_list values must be finite numbers > 0, got {p!r}")
-    if len({f"{p:g}" for p in p_list}) < len(p_list):
-        raise ConfigError(f"p_list values must be distinct, got {p_list}")
-
-
-def _validate(config: ExperimentConfig, resolved: dict) -> None:
-    model = resolved["model"]
-    params = resolved["parameters"]
-    _validate_model(model)
-    cmd = config.command
-    grid = model is not None and _model_kind(model).grid_dims is not None
-    if grid and cmd not in _GRID_OK_COMMANDS:
-        raise ConfigError(f"command {cmd!r} needs a model chart, not a grid")
-    if cmd in _GRID_COMMANDS and not grid:
-        raise ConfigError(f"command {cmd!r} operates on a sampled metric grid")
-    if cmd in _CHECKS and params.get("check") not in _CHECKS[cmd]:
+def _checked(config: ExperimentConfig):
+    """Everything that runs before dispatch: resolve the config, check each
+    parameter (and its quick twin) against its declared type, put the quick
+    twins in place, build the model, and apply the command's cross-field
+    rule. Returns the model and the typed parameters the runner reads."""
+    spec = COMMANDS[config.command]
+    resolved = config.resolved()
+    raw = resolved["parameters"]
+    quick = _choice(False, True)(raw["quick"], "quick")
+    params = {}
+    for name, (kind, _, *twin) in spec.parameters.items():
+        keys = [name] + [f"quick_{name}"] * len(twin)
+        values = [kind(raw[key], key) for key in keys]
+        params[name] = values[-1] if quick else values[0]
+    model = _build_model(resolved["model"])
+    if model is not None and not isinstance(model, spec.models):
         raise ConfigError(
-            f"check must be one of {sorted(_CHECKS[cmd])}, got {params.get('check')!r}")
-    for key in ("q", "q_prime"):
-        if key in params and not 0.0 < float(params[key]) < 1.0:
-            raise ConfigError(f"{key} must lie in (0, 1)")
-    for key in ("t_grid", "t_list"):
-        if key in params and any(not 0.0 <= float(t) <= 1.0 for t in params[key]):
-            raise ConfigError(f"{key} values must lie in [0, 1]")
-    counts = ("instances", "pairs", "tuples", "count", "n_rays", "boxes", "max_pairs")
-    for key in ("resolution", "cells_resolution", "reference_resolution",
-                "raster", "tau_samples", "needle_samples", *counts):
-        least = 1 if key in counts else 17
-        for name in (key, f"quick_{key}"):
-            value = params.get(name, least)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not float(value).is_integer() or value < least):
-                raise ConfigError(f"{name} must be an integer of at least {least}")
-    for key in ("resolutions", "quick_resolutions"):
-        if key in params and any(int(r) < 17 for r in params[key]):
-            raise ConfigError("every resolution must be at least 17")
-    if cmd == "lp-deficit" and float(params["n"]) < _model_kind(model).grid_dims(model):
-        raise ConfigError("lp-deficit needs n at least the grid dimension")
-    if cmd in ("bonnet-myers", "aubry") and float(params["K"]) <= 0.0:
-        raise ConfigError("the diameter bound needs K > 0")
-    if "eps_list" in params:
-        eps = [float(e) for e in params["eps_list"]]
-        if not eps or any(e <= 0.0 for e in eps):
-            raise ConfigError("eps_list must be positive")
-        if cmd == "lp-deficit" and any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ConfigError("eps_list must be strictly decreasing")
-    if "p_list" in params:
-        _validate_p_list(params["p_list"])
-    if params.get("ratio_pairs"):
-        radii = {float(r) for r in params["r_list"]}
-        missing = sorted({float(r) for pair in params["ratio_pairs"] for r in pair}
-                         - radii)
-        if missing:
-            raise ConfigError(f"ratio_pairs name radii missing from r_list: {missing}")
-    if cmd == "suite" and params["mode"] not in ("quick", "full"):
-        raise ConfigError("suite mode must be 'quick' or 'full'")
-
-
-# ---------------------------------------------------------------------------
-# running and writing
-# ---------------------------------------------------------------------------
+            f"command {config.command!r} cannot run on a {type(model).__name__}")
+    if spec.rule is not None:
+        spec.rule(params, model)
+    return model, params
 
 
 def _now() -> str:
@@ -1096,32 +1160,19 @@ def _write_outputs(out_dir: Path, record: RunRecord, reports, plots) -> None:
     (plot_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _execute(config: ExperimentConfig, resolved: dict):
-    """Dispatch to the runner; returns (reports, plots)."""
-    params = resolved["parameters"]
-    rng = np.random.default_rng(config.seed)
-    if config.command == "suite":
-        return _suite_rows(params["mode"], config.seed)
-    model = _build_model(resolved["model"])
-    return COMMANDS[config.command].runner(model, params, rng)
-
-
-def _checked(config: ExperimentConfig) -> dict:
-    """The resolved config, validated: everything that runs before dispatch."""
-    resolved = config.resolved()
-    _validate(config, resolved)
-    return resolved
-
-
 def run(config: ExperimentConfig) -> RunRecord:
-    """Validate, dispatch, and persist one experiment run."""
-    return _dispatch(config, _checked(config))
+    """Check, dispatch, and persist one experiment run."""
+    return _dispatch(config, *_checked(config))
 
 
-def _dispatch(config: ExperimentConfig, resolved: dict) -> RunRecord:
-    """Run a validated config and write its outputs."""
+def _dispatch(config: ExperimentConfig, model, params) -> RunRecord:
+    """Run a checked config and write its outputs."""
     started = _now()
-    reports, plots = _execute(config, resolved)
+    if config.command == "suite":
+        reports, plots = _suite_rows(params["mode"], config.seed)
+    else:
+        reports, plots = COMMANDS[config.command].runner(
+            model, params, np.random.default_rng(config.seed))
     finished = _now()
     record = RunRecord(config.config_hash(), config.command, config.seed,
                        __version__, started, finished,
@@ -1163,12 +1214,10 @@ def _suite_rows(mode: str, seed: int):
     rows = _suite_row_configs(mode)
 
     def one(idx, title, cmd, overrides):
-        spec = COMMANDS[cmd]
-        params = dict(spec.parameters)
-        params.update(overrides)
         rng = np.random.default_rng([seed, idx])
         t0 = time.perf_counter()
-        reports, _ = spec.runner(_build_model(spec.model), params, rng)
+        model, params = _checked(ExperimentConfig(cmd, None, overrides, "", seed))
+        reports, _ = COMMANDS[cmd].runner(model, params, rng)
         elapsed = time.perf_counter() - t0
         passed = all(rep.passed for rep in reports)
         worst = min(rep.worst_margin() for rep in reports)
@@ -1265,16 +1314,13 @@ def main(argv=None) -> int:
             config.command, config.model, params,
             args.out if args.out is not None else config.output_dir,
             args.seed if args.seed is not None else config.seed)
-        resolved = _checked(config)
-    except Exception as exc:        # loading, resolving or validating: exit 2
+        model, params = _checked(config)
+    except Exception as exc:        # anything raised before dispatch: exit 2
         _error_json("invalid-config", str(exc))
         return 2
     try:
-        record = _dispatch(config, resolved)
-    except ConfigError as exc:      # a measure, region or floor spec the runner rejects
-        _error_json("invalid-config", str(exc))
-        return 2
-    except Exception as exc:        # anything else after dispatch: exit 3
+        record = _dispatch(config, model, params)
+    except Exception as exc:        # anything raised after dispatch: exit 3
         _error_json("verifier-error", f"{type(exc).__name__}: {exc}")
         return 3
     for rep in record.payload()["reports"]:

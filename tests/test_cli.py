@@ -4,14 +4,18 @@ import csv
 import dataclasses
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from lorentz_synth import lipschitz_grid as L
 from lorentz_synth.cli import (COMMANDS, MODEL_KINDS, ConfigError, ExperimentConfig,
-                               _build_model, _validate_model, main, run, suite)
+                               _build_model, _checked, main, run, suite)
 from lorentz_synth.comparison import make_report
+from lorentz_synth.models import ModelSpacetime
+from lorentz_synth.transport import DiscreteMeasure
 
 
 def cli(tmp_path, *argv, config=None):
@@ -72,15 +76,11 @@ class TestConfig:
                                     "shape": [33, 33]}}
         assert set(given) <= set(MODEL_KINDS)
         for name, kind in MODEL_KINDS.items():
-            spec = {"kind": name, **given.get(name, {})}
-            _validate_model(spec)
-            built = _build_model(spec)
-            assert isinstance(built, L.MetricGrid) == (kind.grid_dims is not None)
-            if kind.grid_dims is not None:
-                assert kind.grid_dims(spec) == built.dims
+            built = _build_model({"kind": name, **given.get(name, {})})
+            assert isinstance(built, L.MetricGrid) == name.endswith("grid")
             if kind.required:
                 with pytest.raises(ConfigError, match="needs"):
-                    _validate_model({"kind": name})
+                    _build_model({"kind": name})
 
 
 class TestExitCodes:
@@ -218,6 +218,280 @@ class TestExitCodes:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "verifier-error" and "KeyError" in err["detail"]
+
+
+# config hashes of every default run, plain and --quick, and of the perfbench
+# workloads; the declarations must resolve to exactly these maps
+PINNED_HASHES = {
+    "distortion":
+        "3168c04c0007c14980edc69a16ebd2c298b094e282f4026b419d5325bbffaf38",
+    "distortion --quick":
+        "ef309f350f7587b056d73348a062455bdd5158d1136d8a1bf2e7e7a4c4478446",
+    "cd-verify":
+        "c67a3688bab50b185157853c17d7c4bb57dec058956fb57d26a5581b563ba621",
+    "cd-verify --quick":
+        "b97dcdc0ff724867ac90738fa1e7a80f2c0f1f2facd932a4463f821912af6d41",
+    "transport":
+        "1043f6b6d747568467ac4b5aac9793660f08f8ae02f3729c4b25c1897c325daa",
+    "transport --quick":
+        "a2b3dbb59f56daab2e4371fd20f12ab3d38184e3add453ac43549830a3e60960",
+    "tmcp":
+        "71ec5e29ada6370f1964e6f5dbdee17347815aaa152633063c8fc2e0efd65352",
+    "tmcp --quick":
+        "037a335de77bd3cafd58138fcb7c02ad95d6a09a9eeeaae2b613434fb9b4e330",
+    "tcd":
+        "5673b782972c86b8759ce0756e62c5f8187ab6ec0494fe66c971ff530de1ebff",
+    "tcd --quick":
+        "56319a8839e0313c09106c93166e1e317e8735677e70c0613b309e635f4935f2",
+    "brunn-minkowski":
+        "56a84ec83ab833c711ccb786e0ff9aeabfafcfc4f82830910d97599fd0ed2990",
+    "brunn-minkowski --quick":
+        "6e9f2fe97caf8c839deb93d19e13e0ce560e75772bde3f460869f4a494d477cf",
+    "bishop-gromov":
+        "f458450744aa1aa64aafbff8b6389f07afd6c753e156b99072dbcdffd2e0e362",
+    "bishop-gromov --quick":
+        "0ef81b73e3156302e8dff999c64c22dbb6e35d8c808b79688bd3040e5193f4cb",
+    "bonnet-myers":
+        "72452bf235d9bda4ef6618d0b122bfaf223efba28df67053b5a5818245fbe796",
+    "bonnet-myers --quick":
+        "ba352f9b843e11962118dacb001b57ff1c5c98156d2b0dc84e136414923a8a13",
+    "dalembert":
+        "e8bb008129a4ab2e0e71155506b8b44c35c0cc2acc953060075a56f4c5b37a80",
+    "dalembert --quick":
+        "4c8a0131b56f98b4ea9be3383b5154b184e180e9ab0b5490c5d0719f0e93ca0a",
+    "eikonal":
+        "47d8c5148ad7b2584733310b3f72c75a80994f69cce2033eef6450654300cac3",
+    "eikonal --quick":
+        "f20c243033dec41634e3363cb4a9545bb8339d222c91b6556b7a541e1473bd37",
+    "brenier":
+        "e048f286b1e72da3aa337f526fe5906c6e0c51a63ec8438640781e9a22dd0d2e",
+    "brenier --quick":
+        "c3efac4bdbeb1434fd89b8feff4383d401f6bd6fe74cd592f6c270f9e5823491",
+    "needles":
+        "65b3dba17fedee9ea485f348d4526f7384e8a690b35fe6c842fc9cc1965e927a",
+    "needles --quick":
+        "56ed36266669c641c914b749537571753df356ff1d150a65f1b37ae6b48e3c93",
+    "mollify":
+        "ce68338545c3eb4785f3c801a21168aa9811596446b375e447771a55d23d491f",
+    "mollify --quick":
+        "61d486ea01530b17c9445732ace3fc244d238c5acc0faa510aaa6d66c18aa936",
+    "lp-deficit":
+        "1dc5d6757191a728ebabd732a1c3f760546706463520a11940b3a34cf5912f43",
+    "lp-deficit --quick":
+        "fc8214035affff134d95a2e9af745b6c36c10b3a28e31d7b122f94f61eb6e4e8",
+    "aubry":
+        "5a2e9c1ace846c51b00667d9eea36237d4305e4878f1e989db9d03d8b531f977",
+    "aubry --quick":
+        "3dcef1b9891607ba2f2220124ec38984b29e49b9837df8222e59422a446bb3f5",
+    "suite":
+        "4a53cd61291e1229cef1011b80d882da6efc4e1e2d3b5b3a4c6d2cfcd9948066",
+    "suite --quick":
+        "26d02c9e48a0f6c99875260ed1b3570862af9ca2a87ca223145e9947c7088a42",
+    "perfbench lattice-tcd":
+        "ce4a71c65d7f09b41cfad8da583541b3ca42444a48f04e66acbcbbd7826680c4",
+    "perfbench flat-tcd":
+        "c3bdef3e116f59cc596822f2d44afd07f706b2807091e61149122aca8eb6d851",
+    "perfbench grid-deficit":
+        "dd8c31a8c7e96ae1b8af7cf26dbbf008b490a4b3ce6e075ca621e6c629b6a137",
+    "perfbench sine-scan":
+        "aae114632caa1a09311f9bd19689c993621712072f4c784e070fe9a1bce999ba",
+}
+
+
+def invalid_config(capsys, tmp_path):
+    """The one JSON error line of a run that stopped before dispatch."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "invalid-config"
+    assert not (tmp_path / "run").exists()
+    return err
+
+
+# malformed parameter values and model specs; each must stop before dispatch
+REPROS = [
+    ("tmcp", {"parameters": {"variant": "sideways"}}),
+    ("tmcp", {"parameters": {"K": "abc"}}),
+    ("tcd", {"parameters": {"n": 0.5}}),
+    ("tcd", {"parameters": {"tolerance": "x"}}),
+    ("tcd", {"parameters": {"source": {"points": "abc"}}}),
+    ("bonnet-myers", {"parameters": {"window": [1]}}),
+    ("dalembert", {"parameters": {"variant": "nope"}}),
+    ("dalembert", {"parameters": {"bumps": [{"center": [1.2, 0.0]}]}}),
+    ("dalembert", {"parameters": {"variant": "power", "q_prime": 0.5}}),
+    ("eikonal", {"parameters": {"resolutions": []}}),
+    ("eikonal", {"parameters": {"resolutions": [129.5, 257]}}),
+    ("brenier", {"parameters": {"shrink_factor": "x"}}),
+    ("brenier", {"parameters": {"t_range": [1.0]}}),
+    ("needles", {"parameters": {"window": [0.8, -0.8]}}),
+    ("needles", {"parameters": {"r": -1}}),
+    ("aubry", {"parameters": {"p": "x"}}),
+    ("cd-verify", {"parameters": {"n_values": [1.0]}}),
+    ("cd-verify", {"parameters": {"k_values": ["a"]}}),
+    ("distortion", {"parameters": {"kappas": ["a"]}}),
+    ("lp-deficit", {"parameters": {"final_ratio": "x"}}),
+    ("transport", {"parameters": {"origin": [0.0]}}),
+    ("transport", {"parameters": {"gap_tolerance": "x"}}),
+    ("bishop-gromov", {"parameters": {"dr": -1}}),
+    *[(name, {"parameters": {"quick": "no"}}) for name in COMMANDS],
+    ("tmcp", {"model": {"kind": "desitter", "delta": 2.0}}),
+    ("tmcp", {"model": {"kind": "minkowski", "bounds": [[0, 1]]}}),
+    ("lp-deficit", {"model": {"kind": "kinked-grid", "shape": [257, 33, 9]}}),
+    ("lp-deficit", {"model": {"kind": "minkowski-grid", "bounds": [[0, 1], [-1, 1]],
+                              "shape": [33]}}),
+]
+
+# an out-of-range value for each declared parameter that has a range
+OUT_OF_RANGE = {
+    **dict.fromkeys(["pairs", "tuples", "instances", "count", "n_rays", "boxes",
+                     "max_pairs", "n_needles"], 0),
+    **dict.fromkeys(["resolution", "cells_resolution", "raster", "tau_samples",
+                     "needle_samples", "reference_resolution"], 16),
+    **dict.fromkeys(["tolerance", "gap_tolerance", "equality_tolerance",
+                     "box_tolerance", "ratio_tolerance", "order_floor",
+                     "final_ratio"], -1.0),
+    **dict.fromkeys(["dr", "r", "shrink_factor", "c_const"], 0.0),
+    **dict.fromkeys(["check", "variant", "mode", "curvature"], "nope"),
+    **dict.fromkeys(["window", "t_range", "x_range"], [1.0, 0.0]),
+    "q": 1.5, "q_prime": 1.5, "n": 0.5, "equality_n_prime": 1.0, "p": 0.5,
+    "t_grid": [1.5], "t_list": [1.5], "n_values": [1.0], "n_prime_grid": [1.0],
+    "r_list": [-1.0, 0.5], "resolutions": [16, 257], "eps_list": [-0.1],
+    "p_list": [0.0], "ratio_pairs": [[0.5, 2.0]],
+    "bumps": [{"center": [1.2, 0.0], "radius": -0.1}],
+    "box": [[1.1, 0.6], [-0.2, 0.2]],
+}
+
+
+def with_first_number(value, new):
+    """``value`` with its first numeric leaf replaced by ``new`` (None if it
+    has no numeric leaf)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return new
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        replaced = with_first_number(item, new)
+        if replaced is not None:
+            copy = dict(value) if isinstance(value, dict) else list(value)
+            copy[key] = replaced
+            return copy
+    return None
+
+
+def bad_value(command, key, how):
+    default = COMMANDS[command].defaults()[key]
+    if how in ("NaN", "Infinity", "-Infinity"):
+        return with_first_number(default, json.loads(how))
+    if how == "wrong type":
+        return [1.0] if isinstance(default, dict) else {"x": 1}
+    if how == "empty list":
+        # no ratio pairs is a valid request
+        return [] if isinstance(default, list) and key != "ratio_pairs" else None
+    name = key.removeprefix("quick_")
+    if name == "K" and command in ("bonnet-myers", "aubry"):
+        return -1.0     # the diameter bounds need K > 0; elsewhere K is free
+    return OUT_OF_RANGE.get(name)
+
+
+class TestDeclarations:
+    @pytest.mark.parametrize(
+        "command, config", REPROS,
+        ids=[f"{cmd}:{','.join(cfg.get('parameters', cfg.get('model', {})))}"
+             for cmd, cfg in REPROS])
+    def test_malformed_config_exits_two_before_dispatch(self, tmp_path, capsys,
+                                                        command, config):
+        assert cli(tmp_path, command, config=config) == 2
+        invalid_config(capsys, tmp_path)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_declared_parameter_rejects_bad_values(self, tmp_path, capsys, data):
+        command = data.draw(st.sampled_from(sorted(COMMANDS)))
+        key = data.draw(st.sampled_from(sorted(COMMANDS[command].defaults())))
+        how = data.draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "wrong type",
+                                         "empty list", "out of range"]))
+        value = bad_value(command, key, how)
+        assume(value is not None)
+        out = tmp_path / f"{command}-{key}"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"parameters": {key: value}}))
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "invalid-config"
+        assert not out.exists()
+
+    def test_config_hashes_are_pinned(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+        from run import WORKLOADS
+
+        configs = {}
+        for name in COMMANDS:
+            configs[name] = {"command": name}
+            quick = {"quick": True, **({"mode": "quick"} if name == "suite" else {})}
+            configs[f"{name} --quick"] = {"command": name, "parameters": quick}
+        configs.update({f"perfbench {w}": cfg for w, cfg in WORKLOADS.items()})
+        assert {label: ExperimentConfig.from_mapping(cfg).config_hash()
+                for label, cfg in configs.items()} == PINNED_HASHES
+
+    @pytest.mark.parametrize("command, ints", [
+        ("tmcp", {"K": 0, "n": 2}), ("tcd", {"K": 0, "n": 2}),
+        ("bishop-gromov", {"K": 0, "n": 2}), ("bonnet-myers", {"K": 1, "n": 2})])
+    def test_integer_valued_reals_keep_their_json_type(self, tmp_path, capsys,
+                                                       command, ints):
+        # the payload of K = 0 is that of K = 0.0 with the provenance reading 0
+        texts = {}
+        for kind, params in (("int", ints),
+                             ("float", {k: float(v) for k, v in ints.items()})):
+            out = tmp_path / kind
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps({"parameters": params}))
+            assert main([command, "--quick", "--config", str(path),
+                         "--out", str(out)]) == 0
+            record = json.loads((out / "report.json").read_text())
+            texts[kind] = json.dumps(record["reports"])
+            assert (out / "margins.csv").read_bytes() == (
+                (tmp_path / "int" / "margins.csv").read_bytes())
+        expected = texts["float"]
+        for key, label in (("K", "K"), ("n", "N")):
+            expected = expected.replace(f'"{label}": {float(ints[key])!r}',
+                                        f'"{label}": {ints[key]}')
+        assert texts["int"] == expected != texts["float"]
+
+    def test_dalembert_power_variant_runs(self, tmp_path, capsys):
+        code = cli(tmp_path, "dalembert", "--quick",
+                   config={"parameters": {"variant": "power", "q_prime": -1.0}})
+        assert code == 0
+        record = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert record["reports"][0]["provenance"]["variant"] == "power"
+
+    def test_lp_deficit_at_the_grid_dimension_needs_a_constant_weight(self, tmp_path,
+                                                                      capsys):
+        grid = L.minkowski_grid(((0.0, 2.0), (-1.0, 1.0)), (65, 65),
+                                weight=lambda p: 0.1 * p[..., 0])
+        L.save_grid(grid, tmp_path / "grid.bin")
+        model = {"kind": "grid", "path": str(tmp_path / "grid.bin")}
+        assert cli(tmp_path, "lp-deficit",
+                   config={"model": model, "parameters": {"n": 2}}) == 2
+        assert "constant weight" in invalid_config(capsys, tmp_path)["detail"]
+        # above the dimension the weight may vary
+        checked, params = _checked(ExperimentConfig.from_mapping(
+            {"command": "lp-deficit", "model": model, "parameters": {"n": 2.5}}))
+        assert checked.dims == 2 and params["n"] == 2.5
+
+    @pytest.mark.parametrize("floor", [{"constant": 1.0}, {"dip": {"depth": 0.05}}])
+    def test_aubry_curvature_floors_are_functions_of_chart_points(self, tmp_path,
+                                                                  capsys, floor):
+        assert cli(tmp_path, "aubry", "--quick",
+                   config={"parameters": {"curvature": floor}}) == 0
+
+    def test_runners_read_typed_values(self):
+        model, params = _checked(ExperimentConfig.from_mapping(
+            {"command": "tcd", "parameters": {"resolution": 129.0, "quick": True}}))
+        assert params["resolution"] == 129 and type(params["resolution"]) is int
+        assert params["cells_resolution"] == 128            # the quick twin
+        assert isinstance(params["source"], DiscreteMeasure)
+        assert isinstance(model, ModelSpacetime)
 
 
 class TestOutputs:

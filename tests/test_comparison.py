@@ -484,9 +484,10 @@ class TestBrenierMccann:
     def default_run(monkeypatch, check):
         """The default ``brenier`` run (seed 0) with ``check`` as the verifier."""
         monkeypatch.setattr(cli, "brenier_mccann_check", check)
-        spec = cli.COMMANDS["brenier"]
-        reports, _ = spec.runner(cli._build_model(spec.model), dict(spec.parameters),
-                                 np.random.default_rng(0))
+        model, params = cli._checked(cli.ExperimentConfig.from_mapping(
+            {"command": "brenier"}))
+        reports, _ = cli.COMMANDS["brenier"].runner(model, params,
+                                                    np.random.default_rng(0))
         return reports[0]
 
     @staticmethod
