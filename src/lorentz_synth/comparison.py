@@ -12,6 +12,12 @@ comparison, the sharp diameter bound and its deficit-perturbed version,
 eikonal and endpoint-gradient identities for the time separation, the weak
 wave-operator comparison against smooth bumps, and the radial needle
 disintegration of a flat chart.
+
+Constant-curvature distortion coefficients are taken from
+:func:`distortion.const_tau` and :func:`distortion.const_ttilde` over whole
+arrays of separations: one scalar coefficient per distinct separation,
+scattered back, so a separation matrix costs one sine solve per distinct
+entry and every entry is the scalar coefficient bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .distortion import KappaProfile, const_first_zero, const_sine, tau_coeff, ttilde_coeff
+from .distortion import KappaProfile, const_first_zero, const_sine, const_tau, const_ttilde
 from .errors import HypothesisViolatedError, InvalidInputError, UnsupportedModelError
 from .lipschitz_grid import MetricGrid
 from .models import (Event, ModelSpacetime, _node_grid, as_event,
@@ -202,20 +208,6 @@ def _pi_radius(K: float, n_param: float) -> float:
     return const_first_zero(K / (n_param - 1.0))
 
 
-def _tau_const(K: float, n_param: float, t: float, theta: float) -> float:
-    """Distortion coefficient on a constant-curvature profile of length theta."""
-    if theta == 0.0:
-        return float(t)
-    return tau_coeff(KappaProfile.constant(float(K), float(theta)),
-                     n_param, float(t), float(theta))
-
-
-def _ttilde_vec(K: float, n_param: float, thetas: np.ndarray) -> np.ndarray:
-    if K == 0.0:
-        return np.ones_like(thetas)
-    return np.asarray([ttilde_coeff(K, n_param, float(th)) for th in thetas])
-
-
 def _as_model(obj) -> ModelSpacetime:
     """Accept a chart model directly, or lift a diagonal unit-lapse metric
     grid with x-independent coefficients to its warped chart."""
@@ -383,7 +375,7 @@ def check_tmcp(model: ModelSpacetime, o, mu1: DiscreteMeasure, K: float,
         for npr in (float(v) for v in n_prime_grid):
             ent = renyi_entropy(mu_t, cells_t, npr)
             entropies[(t, npr)] = ent
-            taus = np.asarray([_tau_const(K, npr, t, float(th)) for th in seps])
+            taus = const_tau(K, npr, t, seps)
             lhs.append(ent)
             rhs.append(float(-np.sum(taus * rho1 ** (-1.0 / npr) * mu1.weights)))
             labels.append(f"t={t:g},N'={npr:g}")
@@ -429,16 +421,17 @@ def check_tcd_semiconvexity(model: ModelSpacetime, mu0: DiscreteMeasure,
     rho1 = (mu1.weights / m1) ** (-1.0 / n_param)
     value, plan = _optimal_plan(mu0, mu1, L, q)
     dc = dynamical_coupling(model, plan, samples_per_curve)
+    # one tau per distinct separation and t, scattered back onto L
+    distinct, inverse = np.unique(L, return_inverse=True)
+    inverse = inverse.reshape(L.shape)
 
     lhs, rhs, labels = [], [], []
     for t in (float(t) for t in t_grid):
         mu_t = eval_pushforward(dc, t)
         ent = renyi_entropy(mu_t, voronoi_cell_masses(model, mu_t, cells_resolution),
                             n_param)
-        tau0 = np.asarray([[_tau_const(K, n_param, 1.0 - t, float(th)) for th in row]
-                           for row in L])
-        tau1 = np.asarray([[_tau_const(K, n_param, t, float(th)) for th in row]
-                           for row in L])
+        tau0 = const_tau(K, n_param, 1.0 - t, distinct)[inverse]
+        tau1 = const_tau(K, n_param, t, distinct)[inverse]
         bound = -float(np.sum((tau0 * rho0[:, None] + tau1 * rho1[None, :])
                               * plan.matrix))
         lhs.append(ent)
@@ -508,8 +501,8 @@ def brunn_minkowski(model: ModelSpacetime, source, X1: Callable, K: float,
         paths = maximizing_paths(model, [(a, b) for a in src for b in tgt])
         sweep = np.asarray([path.points(np.array([t]))[0] for path in paths])
 
-    inf_tau = min(_tau_const(K, n_param, t, float(th))
-                  for th in np.linspace(float(seps.min()), float(seps.max()), 33))
+    inf_tau = float(np.min(const_tau(
+        K, n_param, t, np.linspace(float(seps.min()), float(seps.max()), 33))))
     lower = inf_tau * m_x1 ** (1.0 / n_param)
 
     ii = np.clip(((sweep[:, 0] - t0) / ht).astype(int), 0, resolution - 1)
@@ -715,7 +708,7 @@ def dalembert_check(model_or_grid, o, phi, K: float, n_param: float,
     l = field[sup]
     pair = gphi[..., 0][sup] * gt[sup] - gphi[..., 1][sup] * gx[sup] / a2g[sup]
     norm = np.sqrt(gsq[sup])
-    tt = _ttilde_vec(K, n_param, l)
+    tt = const_ttilde(K, n_param, l)
     if variant == "power":
         if q_prime >= 0.0:
             raise InvalidInputError("the power variant needs the conjugate q' < 0")

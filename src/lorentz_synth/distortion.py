@@ -92,8 +92,23 @@ class KappaProfile:
         return np.interp(theta, self.params, self.values)
 
     @classmethod
+    def _trusted(cls, length, params: np.ndarray, values: np.ndarray) -> "KappaProfile":
+        """A profile from data its caller has already checked: skips the
+        checks of ``__post_init__``."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "length", length)
+        object.__setattr__(profile, "params", params)
+        object.__setattr__(profile, "values", values)
+        return profile
+
+    @classmethod
     def constant(cls, kappa: float, length: float) -> "KappaProfile":
-        return cls(length, np.array([0.0, length]), np.array([kappa, kappa], dtype=float))
+        if not (length > 0.0 and math.isfinite(length)):
+            raise InvalidInputError("profile length must be finite and positive")
+        values = np.array([kappa, kappa], dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise InvalidInputError("non-finite curvature sample")
+        return cls._trusted(length, np.array([0.0, length]), values)
 
     @classmethod
     def from_samples(cls, samples: Sequence[Sequence[float]], length: float | None = None) -> "KappaProfile":
@@ -103,8 +118,18 @@ class KappaProfile:
         return cls(length, arr[:, 0].copy(), arr[:, 1].copy())
 
     def scaled(self, factor: float) -> "KappaProfile":
-        """Profile with all curvature values multiplied by ``factor``."""
-        return KappaProfile(self.length, self.params.copy(), self.values * factor)
+        """Profile with all curvature values multiplied by ``factor``.
+
+        Length and params come from this checked profile; only the new
+        values are checked (an inf or nan factor, or an overflowing product,
+        gives non-finite samples).
+        """
+        values = self.values * factor
+        if values.shape != self.params.shape:
+            raise InvalidInputError("profile needs matching 1-d params/values, >= 2 samples")
+        if not np.all(np.isfinite(values)):
+            raise InvalidInputError("non-finite curvature sample")
+        return KappaProfile._trusted(self.length, self.params.copy(), values)
 
     def reversed(self) -> "KappaProfile":
         """The time-reversed profile ``theta -> kappa(L - theta)``."""
@@ -274,6 +299,8 @@ def _first_zero_from_samples(thetas, u, du) -> float:
 
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:     # adjacent floats: past ~1e6 their gap exceeds the tolerance
+            break
         if f(mid) * flo > 0.0:
             lo = mid
         else:
@@ -341,6 +368,41 @@ def tau_coeff(profile: KappaProfile, n_param: float, t: float, theta: float) -> 
         raise InvalidInputError("dimension parameter must exceed 1")
     sig = sigma_coeff(profile.scaled(1.0 / (n_param - 1.0)), t, theta)
     return xmul(math.pow(t, 1.0 / n_param), xpow(sig, 1.0 - 1.0 / n_param))
+
+
+def _per_distinct(fn, values) -> np.ndarray:
+    """``fn(v)`` once for every distinct entry ``v`` of ``values``, scattered
+    back to the shape of ``values``; each entry equals the scalar call."""
+    values = np.asarray(values, dtype=float)
+    distinct, inverse = np.unique(values, return_inverse=True)
+    out = np.array([fn(float(v)) for v in distinct], dtype=float)
+    return out[inverse].reshape(values.shape)
+
+
+def const_tau(K: float, n_param: float, t: float, thetas) -> np.ndarray:
+    """tau^{(t)}_{K,N}(theta) for every entry of the array ``thetas``.
+
+    Each distinct theta is evaluated once: t at theta = 0, else
+    :func:`tau_coeff` on the constant profile K of length theta, so every
+    entry is the scalar coefficient bit for bit and there is one sine solve
+    per distinct theta.
+    """
+    K, t = float(K), float(t)
+
+    def tau(theta: float) -> float:
+        if theta == 0.0:
+            return t
+        return tau_coeff(KappaProfile.constant(K, theta), n_param, t, theta)
+
+    return _per_distinct(tau, thetas)
+
+
+def const_ttilde(K: float, n_param: float, thetas) -> np.ndarray:
+    """:func:`ttilde_coeff` for every entry of the array ``thetas``, one
+    scalar call per distinct theta (1 everywhere for K = 0)."""
+    if K == 0.0:
+        return np.ones(np.shape(thetas))
+    return _per_distinct(lambda theta: ttilde_coeff(K, n_param, theta), thetas)
 
 
 def ttilde_coeff(K: float, n_param: float, theta: float) -> float:

@@ -43,6 +43,7 @@ FAN_WIDE_DEN = 8        # coarser density for slopes in (1, 2]
 # bytes one stacked longest-path DP may hold: its S fields of n_t x n_x
 # float64 plus the per-row candidate buffer; more sources run in chunks
 STACK_BUDGET_BYTES = 32 * 2 ** 20
+CHART_TOL = 1e-9        # how far outside its bounds a point still counts as inside
 # 3-point Gauss-Legendre nodes on [0, 1] flanked by the endpoints; the
 # endpoints take part in the causality check only
 _QS = np.array([0.0, 0.5 - 0.5 * math.sqrt(0.6), 0.5, 0.5 + 0.5 * math.sqrt(0.6), 1.0])
@@ -156,7 +157,7 @@ class ModelSpacetime:
                 out = max(out, float(np.max(np.abs(np.diff(arr[:, 1]) / np.diff(arr[:, 0])))))
         return out
 
-    def contains(self, p: Event, tol: float = 1e-9) -> bool:
+    def contains(self, p: Event, tol: float = CHART_TOL) -> bool:
         return all(lo - tol <= c <= hi + tol
                    for c, (lo, hi) in zip(p.coords, self.bounds))
 
@@ -416,6 +417,29 @@ def _richardson(coarse, fine) -> np.ndarray:
     return np.where((coarse > -np.inf) & (fine > -np.inf), ext, np.maximum(coarse, fine))
 
 
+def _chart_points(model: ModelSpacetime, points) -> np.ndarray:
+    """``points`` as an (n, dim) float array, checked as
+    :meth:`ModelSpacetime.require_inside` checks events: the first point of
+    the wrong dimension or outside the chart raises. An (n, dim) array is
+    checked without a Python loop."""
+    if isinstance(points, np.ndarray) and points.ndim == 2:
+        rows = points.astype(float)
+        good = len(rows) if rows.shape[1] == model.dim else 0
+    else:
+        rows = [as_event(p).coords for p in points]
+        good = next((k for k, c in enumerate(rows) if len(c) != model.dim), len(rows))
+    arr = np.array(rows[:good], dtype=float).reshape(good, model.dim)
+    lo, hi = np.asarray(model.bounds, dtype=float).T
+    outside = ~np.all((lo - CHART_TOL <= arr) & (arr <= hi + CHART_TOL), axis=1)
+    if np.any(outside):
+        k = int(np.argmax(outside))
+        coords = rows[k] if isinstance(rows, list) else tuple(float(c) for c in rows[k])
+        raise InvalidInputError(f"event {coords} outside the chart")
+    if good < len(rows):
+        raise InvalidInputError("event dimension mismatch")
+    return arr
+
+
 def time_separations(model: ModelSpacetime, sources, targets, resolution: int = 257,
                      richardson: bool = True) -> np.ndarray:
     """l(x_i, y_j) for every source x_i and target y_j: an (n, m) array with
@@ -432,13 +456,12 @@ def time_separations(model: ModelSpacetime, sources, targets, resolution: int = 
     one DP, S x n_t x n_x float64 per level, in chunks of at most
     ``STACK_BUDGET_BYTES``.
     """
-    srcs = [as_event(p) for p in sources]
-    tgts = [as_event(p) for p in targets]
-    model.require_inside(*srcs, *tgts)
+    x = _chart_points(model, sources)
+    y = _chart_points(model, targets)
     if model.kind == "minkowski":
-        x = np.asarray([p.coords for p in srcs], dtype=float).reshape(len(srcs), model.dim)
-        y = np.asarray([p.coords for p in tgts], dtype=float).reshape(len(tgts), model.dim)
         return _flat_separations(x[:, None, :], y[None, :, :])
+    srcs = [Event(tuple(p)) for p in x.tolist()]
+    tgts = [Event(tuple(p)) for p in y.tolist()]
     out = np.empty((len(srcs), len(tgts)))
     # snap once on the coarse grid; the fine grid nests, so a coarse node
     # (i, j) is the fine node (2i, 2j) and both passes see the same pair

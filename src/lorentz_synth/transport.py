@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 from .errors import InvalidInputError, NoGeodesicError
 from .extreal import NEG_INF, is_neg_inf
@@ -180,10 +180,11 @@ def _optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, L: np.ndarray, q: fl
     nvar = len(idx[0])
     if nvar == 0:
         return NEG_INF, None
-    # rows then columns as equality constraints over the allowed entries
-    a_eq = np.zeros((n + m, nvar))
-    a_eq[idx[0], np.arange(nvar)] = 1.0
-    a_eq[n + idx[1], np.arange(nvar)] = 1.0
+    # rows then columns as equality constraints over the allowed entries:
+    # column k has its two ones in row constraint i and column constraint n + j
+    a_eq = sparse.csc_array(
+        (np.ones(2 * nvar), np.column_stack([idx[0], n + idx[1]]).ravel(),
+         np.arange(0, 2 * nvar + 1, 2)), shape=(n + m, nvar))
     b_eq = np.concatenate([mu.weights, nu.weights])
     res = optimize.linprog(-cost[allowed], A_eq=a_eq, b_eq=b_eq,
                            bounds=(0, None), method="highs")

@@ -146,6 +146,30 @@ def lq_bruteforce_equal_weights(xs, ys, q):
     return best
 
 
+def lq_plan_dense(mu_w, nu_w, L, q):
+    """The transport LP of ``transport._optimal_plan`` with the equality
+    matrix built dense, (n + m) x nvar: (value, plan) or (-inf, None)."""
+    from scipy.optimize import linprog
+
+    allowed = L > -math.inf
+    cost = np.where(allowed, np.clip(L, 0.0, None) ** q, 0.0)
+    n, m = L.shape
+    idx = np.nonzero(allowed)
+    nvar = len(idx[0])
+    if nvar == 0:
+        return -math.inf, None
+    a_eq = np.zeros((n + m, nvar))
+    a_eq[idx[0], np.arange(nvar)] = 1.0
+    a_eq[n + idx[1], np.arange(nvar)] = 1.0
+    res = linprog(-cost[allowed], A_eq=a_eq, b_eq=np.concatenate([mu_w, nu_w]),
+                  bounds=(0, None), method="highs")
+    if not res.success:
+        return -math.inf, None
+    plan = np.zeros((n, m))
+    plan[idx] = res.x
+    return float(np.sum(cost * plan)) ** (1.0 / q), plan
+
+
 # --- warped 1+1 geodesics by shooting ----------------------------------------
 
 def warped_l_shooting(warp, src, dst):

@@ -12,6 +12,8 @@ from lorentz_synth.distortion import (
     KappaProfile,
     const_first_zero,
     const_sine,
+    const_tau,
+    const_ttilde,
     defect_bound,
     defect_constants,
     first_zero,
@@ -75,6 +77,13 @@ def test_first_zero_examples():
     assert abs(first_zero(profile_const(1.0, 10.0)) - math.pi) <= 1e-8
 
 
+def test_first_zero_past_the_bisection_resolution_ends():
+    # near 3e7 adjacent floats are 4e-9 apart, wider than the 1e-10 bisection
+    # width, so the bisection must stop at adjacent floats
+    got = first_zero(profile_const(1e-14, 1e8))
+    assert got == pytest.approx(math.pi * 1e7, rel=1e-9)
+
+
 def test_first_zero_variable_profile_against_adaptive_solver():
     prof = KappaProfile.from_samples([[0.0, 4.0], [1.0, 1.0], [3.0, 2.0]])
     want = oracles.first_zero_ode(prof, 3.0)
@@ -90,6 +99,29 @@ def test_invalid_profiles_rejected():
         KappaProfile(-1.0, np.array([0.0, 1.0]), np.ones(2))
     with pytest.raises(InvalidInputError):
         KappaProfile(1.0, np.array([0.1, 1.0]), np.ones(2))
+
+
+def test_checked_constructors_equal_the_validating_one():
+    assert profile_const(2.0, 1.5) == KappaProfile(1.5, [0.0, 1.5], [2.0, 2.0])
+    prof = KappaProfile.from_samples([[0.0, -1.0], [0.4, 2.0], [2.0, 0.5]])
+    assert prof.scaled(0.5) == KappaProfile(2.0, prof.params, prof.values * 0.5)
+    assert prof.scaled(0.5).params is not prof.params
+
+
+@pytest.mark.parametrize("make", [
+    lambda: profile_const(10.0).scaled(math.inf),
+    lambda: profile_const(10.0).scaled(math.nan),
+    lambda: profile_const(10.0).scaled(1e308),        # 1e309 overflows to inf
+    lambda: profile_const(10.0).scaled(np.ones((3, 1))),
+    lambda: KappaProfile.constant(math.nan, 1.0),
+    lambda: KappaProfile.constant(1.0, 0.0),
+    lambda: KappaProfile.constant(1.0, math.inf),
+], ids=["scaled-inf", "scaled-nan", "scaled-overflow", "scaled-shape",
+        "constant-nan", "constant-zero-length", "constant-inf-length"])
+def test_checked_constructors_reject(make):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInputError):
+            make()
 
 
 def test_profile_json_roundtrip():
@@ -129,6 +161,47 @@ def test_tau_zero_time_convention():
     # 0 * inf = 0: at t = 0 the coefficient vanishes even past the first zero
     assert tau_coeff(profile_const(9.0, 4.0), 2.0, 0.0, 2.0) == 0.0
     assert is_inf(tau_coeff(profile_const(9.0, 4.0), 2.0, 0.5, 2.0))
+
+
+def _scalar_tau(K, n_param, t, theta):
+    """The one-theta rule: t at theta = 0, else tau_coeff on the constant
+    profile of length theta."""
+    if theta == 0.0:
+        return t
+    return tau_coeff(KappaProfile.constant(K, theta), n_param, t, theta)
+
+
+@given(K=st.floats(-4.0, 4.0), n_param=st.floats(1.0, 5.0, exclude_min=True),
+       t=st.floats(0.0, 1.0),
+       fracs=st.lists(st.floats(0.02, 1.6), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_const_tau_is_the_scalar_coefficient_bit_for_bit(K, n_param, t, fracs):
+    # fractions of the conjugate radius of K/(N-1) (of 2 when it is infinite);
+    # those past 1 sit beyond it, where tau is the inf sentinel unless t = 0
+    radius = const_first_zero(K / (n_param - 1.0))
+    scale = radius if math.isfinite(radius) else 2.0
+    vals = [0.0] + [f * scale for f in fracs] + ([1.2 * scale] if math.isfinite(radius) else [])
+    thetas = np.array(vals + vals[::-1]).reshape(2, -1)     # repeats, 2-d
+    got = const_tau(K, n_param, t, thetas)
+    want = np.array([[_scalar_tau(K, n_param, t, float(th)) for th in row] for row in thetas])
+    assert got.shape == thetas.shape
+    assert got.tobytes() == want.tobytes()
+    if math.isfinite(radius) and t > 0.0:
+        assert is_inf(got[0, -1])
+
+
+def test_const_tau_scalar_and_empty_inputs():
+    assert const_tau(1.0, 2.0, 0.5, 1.0).shape == ()
+    assert float(const_tau(1.0, 2.0, 0.5, 1.0)) == tau_coeff(profile_const(1.0, 1.0), 2.0, 0.5, 1.0)
+    assert const_tau(1.0, 2.0, 0.5, np.empty((0, 3))).shape == (0, 3)
+
+
+def test_const_ttilde_is_the_scalar_coefficient_bit_for_bit():
+    thetas = np.array([[0.0, 0.3, 1.1], [1.1, 0.3, 2.5]])
+    for K in (-1.5, 0.0, 1.0):
+        got = const_ttilde(K, 2.5, thetas)
+        want = np.array([[ttilde_coeff(K, 2.5, float(th)) for th in row] for row in thetas])
+        assert got.tobytes() == want.tobytes()
 
 
 affine_profiles = st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),

@@ -304,6 +304,46 @@ class TestOneSeparation:
         assert list(got[0, :3]) == [0.0, 0.0, 0.0]
         assert np.all(got[0, 3:7] == NEG_INF) and np.all(got[0, 7:9] > 0.0)
 
+    @pytest.mark.parametrize("kind", ["flat", "lattice"])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["events", "array"])
+    @pytest.mark.parametrize("case", ["nan-source", "outside-target", "wrong-dim",
+                                      "source-first", "tolerance"])
+    def test_chart_membership_is_checked_on_arrays(self, case, as_array, kind):
+        # the (n, dim) check raises what require_inside raises for the first
+        # offending point, sources before targets
+        model = (M.minkowski(((0.0, 2.0), (-1.0, 1.0))) if kind == "flat"
+                 else M.cosh_warp_model())
+        (t0, t1), (x0, x1) = model.bounds
+        good = [(t0 + 0.1, 0.0), (t0 + 0.2, 0.1)]
+        later = [(t1 - 0.1, 0.0), (t1 - 0.2, -0.1)]
+        sources, targets, message = {
+            "nan-source": (good + [(math.nan, 0.0)], later,
+                           f"event {(math.nan, 0.0)} outside the chart"),
+            "outside-target": (good, later + [(t1, x1 + 0.5), (t1 + 1.0, 0.0)],
+                               f"event {(t1, x1 + 0.5)} outside the chart"),
+            "wrong-dim": (good, later[:1] + [(t1 - 0.1, 0.0, 0.0)],
+                          "event dimension mismatch"),
+            "source-first": (good + [(t0 - 1.0, 0.0)], [(t1, 0.0, 0.0)],
+                             f"event {(t0 - 1.0, 0.0)} outside the chart"),
+            "tolerance": (good, [(t1 + 5e-10, x0 - 5e-10), (t1 + 2e-9, 0.0)],
+                          f"event {(t1 + 2e-9, 0.0)} outside the chart"),
+        }[case]
+        with pytest.raises(InvalidInputError) as old:
+            model.require_inside(*map(M.as_event, sources), *map(M.as_event, targets))
+        assert str(old.value) == message
+        if as_array and case != "wrong-dim":
+            sources, targets = np.array(sources), np.array(targets)
+        with pytest.raises(InvalidInputError) as new:
+            M.time_separations(model, sources, targets, resolution=33)
+        assert str(new.value) == message
+
+    def test_whole_array_of_the_wrong_dimension(self):
+        mk = M.minkowski(((0.0, 2.0), (-1.0, 1.0), (-1.0, 1.0)))
+        with pytest.raises(InvalidInputError, match="event dimension mismatch"):
+            M.time_separations(mk, np.zeros((3, 2)), np.ones((2, 3)))
+        got = M.time_separations(mk, np.zeros((0, 2)), np.ones((2, 3)))
+        assert got.shape == (0, 2)
+
     @pytest.mark.parametrize("resolution", [65, 129])
     @pytest.mark.parametrize("name", ["cosh", "desitter", "double-cone", "kinked"])
     def test_pair_values_read_the_field_at_fine_nodes(self, name, resolution):

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lorentz_synth.errors import InvalidInputError
 from lorentz_synth.extreal import NEG_INF, is_neg_inf
@@ -13,11 +14,12 @@ from lorentz_synth.models import cosh_warp_model, minkowski
 from lorentz_synth.transport import (Coupling, DiscreteMeasure,
                                      DynamicalCoupling, dirac,
                                      dynamical_coupling, eval_pushforward,
-                                     is_timelike_q_dualizable, lq_distance,
+                                     _optimal_plan, is_timelike_q_dualizable,
+                                     lq_distance,
                                      renyi_entropy, separation_matrix,
                                      uniform_on_box, verify_q_geodesic)
 
-from oracles import lq_bruteforce_vertices, minkowski_l
+from oracles import lq_bruteforce_vertices, lq_plan_dense, minkowski_l
 
 # frozen from tests/oracles.py (permutation and spanning-tree enumerations)
 LQ33_EQUAL = 1.929621696174356       # 3x3 equal weights, q = 1/2
@@ -158,6 +160,57 @@ class TestLqDistance:
         assert L[0, 0] > 0.0
 
 
+def random_measures(data, max_points=6):
+    """Two measures on the flat chart whose supports mix chronological and
+    spacelike pairs, with random weights."""
+    seed = data.draw(st.integers(0, 2 ** 31 - 1))
+    n, m = data.draw(st.integers(1, max_points)), data.draw(st.integers(1, max_points))
+    rng = np.random.default_rng(seed)
+    xs = np.column_stack([rng.uniform(-1.2, -0.2, n), rng.uniform(-1.5, 1.5, n)])
+    ys = np.column_stack([rng.uniform(0.2, 1.2, m), rng.uniform(-1.5, 1.5, m)])
+    mu_w, nu_w = rng.random(n) + 0.1, rng.random(m) + 0.1
+    return (measure(list(map(tuple, xs)), mu_w / mu_w.sum()),
+            measure(list(map(tuple, ys)), nu_w / nu_w.sum()))
+
+
+def permuted(mu, order):
+    return DiscreteMeasure(tuple(mu.support[k] for k in order), mu.weights[list(order)])
+
+
+class TestSparseLp:
+    @pytest.mark.parametrize("n, m", [(8, 8), (20, 30), (64, 64), (144, 144), (1, 5)])
+    def test_plan_equals_the_dense_build_bit_for_bit(self, n, m):
+        rng = np.random.default_rng(n * 1000 + m)
+        for drop in (0.0, 0.3, 0.8):
+            L = rng.uniform(0.1, 2.0, (n, m))
+            L[rng.random((n, m)) < drop] = -np.inf
+            mu_w, nu_w = rng.random(n) + 0.1, rng.random(m) + 0.1
+            mu = DiscreteMeasure(tuple((float(i), 0.0) for i in range(n)), mu_w / mu_w.sum())
+            nu = DiscreteMeasure(tuple((float(j), 1.0) for j in range(m)), nu_w / nu_w.sum())
+            val, plan = _optimal_plan(mu, nu, L, 0.5)
+            want_val, want_plan = lq_plan_dense(mu.weights, nu.weights, L, 0.5)
+            assert val == want_val
+            if want_plan is None:
+                assert plan is None
+            else:
+                assert plan.matrix.tobytes() == want_plan.tobytes()
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_lq_distance_is_invariant_under_permuting_either_support(self, data):
+        mu, nu = random_measures(data)
+        q = data.draw(st.floats(0.1, 0.9))
+        val, _ = lq_distance(flat(), mu, nu, q)
+        for side in ("mu", "nu"):
+            order = data.draw(st.permutations(range(len(mu if side == "mu" else nu))))
+            pair = (permuted(mu, order), nu) if side == "mu" else (mu, permuted(nu, order))
+            got, _ = lq_distance(flat(), *pair, q)
+            if is_neg_inf(val):
+                assert is_neg_inf(got)
+            else:
+                assert got == pytest.approx(val, rel=1e-10, abs=1e-12)
+
+
 class TestDualizable:
     def test_chronological_supports(self):
         _, plan = lq_distance(flat(), measure(XS3), measure(YS3), 0.5)
@@ -197,6 +250,19 @@ class TestDynamicalCoupling:
             assert set(got) == {p.coords for p in ref.support}
             for p, w in zip(ref.support, ref.weights):
                 assert abs(got[p.coords] - w) < 1e-9
+
+    @given(data=st.data(), t=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_pushforward_keeps_total_mass(self, data, t):
+        mu, nu = random_measures(data)
+        _, plan = lq_distance(flat(), mu, nu, 0.5)
+        assume(plan is not None and is_timelike_q_dualizable(plan, flat()))
+        dc = dynamical_coupling(flat(), plan)
+        pushed = eval_pushforward(dc, t)
+        assert len(pushed) <= len(dc.curves)
+        assert math.fsum(pushed.weights) == pytest.approx(
+            math.fsum(mass for _, mass in dc.curves), abs=1e-12)
+        assert abs(math.fsum(pushed.weights) - 1.0) <= 1e-12
 
     def test_warped_curves_validate_and_pin_endpoints(self):
         model = cosh_warp_model()
