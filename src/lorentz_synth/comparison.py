@@ -15,9 +15,10 @@ disintegration of a flat chart.
 
 Constant-curvature distortion coefficients are taken from
 :func:`distortion.const_tau` and :func:`distortion.const_ttilde` over whole
-arrays of separations: one scalar coefficient per distinct separation,
-scattered back, so a separation matrix costs one sine solve per distinct
-entry and every entry is the scalar coefficient bit for bit.
+arrays of separations, and for tau over every t of a run at once: one
+scalar coefficient per distinct separation and t, scattered back, so a
+separation matrix costs one sine solve per distinct entry and every entry is
+the scalar coefficient bit for bit.
 """
 
 from __future__ import annotations
@@ -291,6 +292,10 @@ def _reversed_measure(mu: DiscreteMeasure) -> DiscreteMeasure:
 # ---------------------------------------------------------------------------
 
 
+# distances held at once by voronoi_cell_masses (2 MB of float64)
+VORONOI_BLOCK = 2 ** 18
+
+
 def voronoi_cell_masses(model: ModelSpacetime, mu: DiscreteMeasure,
                         resolution: int = 256) -> np.ndarray:
     """Reference-measure masses of the nearest-support cells of ``mu``.
@@ -316,15 +321,30 @@ def voronoi_cell_masses(model: ModelSpacetime, mu: DiscreteMeasure,
     x1 = min(float(pts[:, 1].max()) + pad, bx1)
     tc, ht = cell_centers(t0, t1, resolution)
     xc, hx = cell_centers(x0, x1, resolution)
-    cell_mass = (model.density(tc) * ht * hx)[:, None] * np.ones((1, resolution))
-    grid = _node_grid(tc, xc).reshape(-1, 2)
+    cell_mass = ((model.density(tc) * ht * hx)[:, None] * np.ones((1, resolution))).ravel()
+    # squared distances per axis: cell (i, j) is dt2[i] + dx2[j] from each point
+    dt2 = (tc[:, None] - pts[None, :, 0]) ** 2
+    dx2 = (xc[:, None] - pts[None, :, 1]) ** 2
+    # nearest point of every cell, a block of about VORONOI_BLOCK distances
+    # at a time: whole raster rows, or pieces of one row
+    owner = np.empty(resolution * resolution, dtype=np.intp)
+    block = max(1, VORONOI_BLOCK // n)
+    rows, cols = max(1, block // resolution), min(resolution, block)
+    buf = np.empty(min(rows, resolution) * cols * n)
+    for i in range(0, resolution, rows):
+        r = min(rows, resolution - i)
+        for j in range(0, resolution, cols):
+            c = min(cols, resolution - j)
+            d = buf[:r * c * n].reshape(r, c, n)
+            np.add(dt2[i:i + r, None, :], dx2[None, j:j + c, :], out=d)
+            lo = i * resolution + j
+            np.argmin(d.reshape(r * c, n), axis=1, out=owner[lo:lo + r * c])
+    # cell measures summed per owner in fixed chunks of cells, one bincount
+    # each, so the masses do not depend on the block size
     masses = np.zeros(n)
     chunk = max(1, int(4e6) // n)
-    for lo in range(0, grid.shape[0], chunk):
-        sl = grid[lo:lo + chunk]
-        d = np.sum((sl[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        owner = np.argmin(d, axis=1)
-        masses += np.bincount(owner, weights=cell_mass.ravel()[lo:lo + chunk],
+    for lo in range(0, len(owner), chunk):
+        masses += np.bincount(owner[lo:lo + chunk], weights=cell_mass[lo:lo + chunk],
                               minlength=n)
     return masses
 
@@ -367,29 +387,30 @@ def check_tmcp(model: ModelSpacetime, o, mu1: DiscreteMeasure, K: float,
     value, plan = _optimal_plan(dirac(o), mu1, seps[None, :], q)
     dc = dynamical_coupling(model, plan, samples_per_curve)
 
+    ts = [float(t) for t in t_grid]
+    nprs = [float(v) for v in n_prime_grid]
+    # tau at every t in one call per N'
+    taus = {npr: const_tau(K, npr, ts, seps) for npr in nprs}
     lhs, rhs, labels = [], [], []
     entropies = {}
-    for t in (float(t) for t in t_grid):
+    for k, t in enumerate(ts):
         mu_t = eval_pushforward(dc, t)
         cells_t = voronoi_cell_masses(model, mu_t, cells_resolution)
-        for npr in (float(v) for v in n_prime_grid):
+        for npr in nprs:
             ent = renyi_entropy(mu_t, cells_t, npr)
             entropies[(t, npr)] = ent
-            taus = const_tau(K, npr, t, seps)
             lhs.append(ent)
-            rhs.append(float(-np.sum(taus * rho1 ** (-1.0 / npr) * mu1.weights)))
+            rhs.append(float(-np.sum(taus[npr][k] * rho1 ** (-1.0 / npr) * mu1.weights)))
             labels.append(f"t={t:g},N'={npr:g}")
     if K == 0.0:
-        s1 = {float(npr): renyi_entropy(mu1, m1, float(npr))
-              for npr in n_prime_grid}
-        for t in (float(t) for t in t_grid):
-            for npr in (float(v) for v in n_prime_grid):
+        s1 = {npr: renyi_entropy(mu1, m1, npr) for npr in nprs}
+        for t in ts:
+            for npr in nprs:
                 lhs.append(entropies[(t, npr)])
                 rhs.append(t * s1[npr])
                 labels.append(f"flat:t={t:g},N'={npr:g}")
     provenance = {"K": K, "N": n_param, "q": q, "variant": "past",
-                  "t_grid": [float(t) for t in t_grid],
-                  "n_prime_grid": [float(v) for v in n_prime_grid],
+                  "t_grid": ts, "n_prime_grid": nprs,
                   "lq_value": value, "cells_resolution": cells_resolution,
                   "samples_per_curve": samples_per_curve,
                   "resolution": resolution}
@@ -421,24 +442,23 @@ def check_tcd_semiconvexity(model: ModelSpacetime, mu0: DiscreteMeasure,
     rho1 = (mu1.weights / m1) ** (-1.0 / n_param)
     value, plan = _optimal_plan(mu0, mu1, L, q)
     dc = dynamical_coupling(model, plan, samples_per_curve)
-    # one tau per distinct separation and t, scattered back onto L
-    distinct, inverse = np.unique(L, return_inverse=True)
-    inverse = inverse.reshape(L.shape)
+    # tau^{(1-t)} and tau^{(t)} for every t in one call: one tau per distinct
+    # separation and time, scattered back onto L
+    ts = [float(t) for t in t_grid]
+    taus = const_tau(K, n_param, [1.0 - t for t in ts] + ts, L)
 
     lhs, rhs, labels = [], [], []
-    for t in (float(t) for t in t_grid):
+    for k, t in enumerate(ts):
         mu_t = eval_pushforward(dc, t)
         ent = renyi_entropy(mu_t, voronoi_cell_masses(model, mu_t, cells_resolution),
                             n_param)
-        tau0 = const_tau(K, n_param, 1.0 - t, distinct)[inverse]
-        tau1 = const_tau(K, n_param, t, distinct)[inverse]
+        tau0, tau1 = taus[k], taus[len(ts) + k]
         bound = -float(np.sum((tau0 * rho0[:, None] + tau1 * rho1[None, :])
                               * plan.matrix))
         lhs.append(ent)
         rhs.append(bound)
         labels.append(f"t={t:g}")
-    provenance = {"K": K, "N": n_param, "q": q,
-                  "t_grid": [float(t) for t in t_grid], "lq_value": value,
+    provenance = {"K": K, "N": n_param, "q": q, "t_grid": ts, "lq_value": value,
                   "cells_resolution": cells_resolution,
                   "samples_per_curve": samples_per_curve,
                   "resolution": resolution}

@@ -349,24 +349,35 @@ def _components(tensors: np.ndarray) -> np.ndarray:
 def default_cone_samples(grid: MetricGrid, directions: int = CONE_DIRECTIONS,
                          speed: float = CONE_SPEED):
     """Per-node timelike samples: ``directions`` chart slopes spread across the
-    cone (scaled by the nodal spatial coefficient), each at g-length
-    ``speed``. Returns (*shape, directions, dims), a view of a contiguous
-    sample-major (directions, dims, *shape) array.
+    cone, each at g-length ``speed``. Returns (*shape, directions, dims), a
+    view of a contiguous sample-major (directions, dims, *shape) array.
+
+    Sample n moves along spatial axis a = 1 + (n mod (dims - 1)): v = e_0 +
+    w e_a. In that plane the null slopes are the roots of g00 + 2 g0a w +
+    gaa w^2, centre -g0a/gaa and half-width sqrt(g00 - g0a^2/gaa) /
+    sqrt(-gaa); the slopes sit at fractions s in [-0.9, 0.9] of the
+    half-width about the centre. With g0a = 0 this is s sqrt(g00) / sqrt(-gaa).
 
     One speed per direction is enough: the Ricci quotient of
     ``timelike_lower_bound_fn`` is homogeneous of degree 0, and rescaling a
     sample by a power of two changes no bit of it."""
     d = grid.dims
     g_ij = _components(grid.nodes)
-    root_g00 = np.sqrt(np.clip(g_ij[0, 0], 0.0, None))
-    # spatial scale per node: the slope of the chart null cone along each axis
-    scales = {ax: np.sqrt(np.clip(-g_ij[ax, ax], 1e-300, None)) for ax in range(1, d)}
+    # per spatial axis: the centre of the null slopes, the numerator of their
+    # half-width and its denominator sqrt(-gaa)
+    cones = {}
+    for ax in range(1, d):
+        neg_aa = np.clip(-g_ij[ax, ax], 1e-300, None)
+        g_0a = g_ij[0, ax]
+        root = np.sqrt(np.clip(g_ij[0, 0] + g_0a * g_0a / neg_aa, 0.0, None))
+        cones[ax] = (g_0a / neg_aa, root, np.sqrt(neg_aa))
     vs = np.zeros((directions, d) + grid.shape)
     for n, s in enumerate(np.linspace(-0.9, 0.9, directions)):
         v = vs[n]
         v[0] = 1.0
         ax = 1 + (n % (d - 1))
-        v[ax] = s * root_g00 / scales[ax]
+        centre, root, scale = cones[ax]
+        v[ax] = s * root / scale + centre
         v /= np.sqrt(np.clip(_quadratic_form(v, g_ij), 1e-300, None))
         v *= speed
     return np.moveaxis(vs, (0, 1), (-2, -1))

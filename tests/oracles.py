@@ -170,6 +170,41 @@ def lq_plan_dense(mu_w, nu_w, L, q):
     return float(np.sum(cost * plan)) ** (1.0 / q), plan
 
 
+# --- nearest-support reference cells ------------------------------------------
+
+def voronoi_masses_cube(model, mu, resolution=256):
+    """``comparison.voronoi_cell_masses`` written out with the (chunk, n, 2)
+    difference cube: each chunk of the raster's cells holds its differences to
+    every support point, squares them and sums over the last axis, and the
+    chunk's cell measures go to the nearest point by one ``np.bincount``."""
+    pts = np.asarray([p.coords for p in mu.support], dtype=float)
+    n = len(pts)
+    if n == 1:
+        return np.zeros(1)
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    pad = 0.5 * float(np.median(np.sqrt(np.min(d2, axis=1))))
+    (bt0, bt1), (bx0, bx1) = model.bounds
+    t0 = max(float(pts[:, 0].min()) - pad, bt0)
+    t1 = min(float(pts[:, 0].max()) + pad, bt1)
+    x0 = max(float(pts[:, 1].min()) - pad, bx0)
+    x1 = min(float(pts[:, 1].max()) + pad, bx1)
+    ht, hx = (t1 - t0) / resolution, (x1 - x0) / resolution
+    tc = t0 + ht * (np.arange(resolution) + 0.5)
+    xc = x0 + hx * (np.arange(resolution) + 0.5)
+    cell_mass = (model.density(tc) * ht * hx)[:, None] * np.ones((1, resolution))
+    grid = np.stack(np.meshgrid(tc, xc, indexing="ij"), axis=-1).reshape(-1, 2)
+    masses = np.zeros(n)
+    chunk = max(1, int(4e6) // n)
+    for lo in range(0, grid.shape[0], chunk):
+        sl = grid[lo:lo + chunk]
+        d = np.sum((sl[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        owner = np.argmin(d, axis=1)
+        masses += np.bincount(owner, weights=cell_mass.ravel()[lo:lo + chunk],
+                              minlength=n)
+    return masses
+
+
 # --- warped 1+1 geodesics by shooting ----------------------------------------
 
 def warped_l_shooting(warp, src, dst):
@@ -374,10 +409,13 @@ def ball_volume_rasters(model, o, r, region, dr, resolution):
 def cone_scan_einsum(field, grid, directions=16, speed=0.5):
     """k(x) = min over cone samples of T(v, v) / g(v, v), T the Bakry-Emery
     tensor (else Ricci), NaN off ``field.valid``: the two-speed scan, one
-    ``np.einsum`` per sample. Each of ``directions`` slopes in [-0.9, 0.9]
-    along spatial axis 1 + (m mod (dims - 1)), scaled by the chart null
-    slope, is normalised to g-length 1 and taken at speeds ``speed`` and
-    ``2 speed``, stored as (*shape, 2 directions, dims)."""
+    ``np.einsum`` per sample. Each of ``directions`` fractions s in
+    [-0.9, 0.9] gives the slope along spatial axis a = 1 + (m mod (dims - 1))
+    at s times the half-width about the centre of the two null slopes of the
+    (0, a) plane, the roots w of g00 + 2 g0a w + gaa w^2: centre -g0a / gaa,
+    half-width sqrt(g00 - g0a^2 / gaa) / sqrt(-gaa). Each sample is
+    normalised to g-length 1 and taken at speeds ``speed`` and ``2 speed``,
+    stored as (*shape, 2 directions, dims)."""
     d = grid.dims
     nodes = grid.nodes
     vs = np.zeros(grid.shape + (2 * directions, d))
@@ -385,8 +423,10 @@ def cone_scan_einsum(field, grid, directions=16, speed=0.5):
         v = np.zeros(grid.shape + (d,))
         v[..., 0] = 1.0
         ax = 1 + (m % (d - 1))
-        scale = np.sqrt(np.clip(-nodes[..., ax, ax], 1e-300, None))
-        v[..., ax] = s * np.sqrt(np.clip(nodes[..., 0, 0], 0.0, None)) / scale
+        g00, g0a, gaa = nodes[..., 0, 0], nodes[..., 0, ax], nodes[..., ax, ax]
+        scale = np.sqrt(np.clip(-gaa, 1e-300, None))
+        root = np.sqrt(np.clip(g00 - g0a * g0a / gaa, 0.0, None))
+        v[..., ax] = s * root / scale + (-g0a / gaa)
         norm2 = np.einsum("...i,...ij,...j->...", v, nodes, v)
         unit = v / np.sqrt(np.clip(norm2, 1e-300, None))[..., None]
         vs[..., m, :] = speed * unit

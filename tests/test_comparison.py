@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from lorentz_synth import cli
 from lorentz_synth import comparison as C
 from lorentz_synth import distortion as D
@@ -189,6 +190,42 @@ class TestVoronoiCells:
         assert float(np.sum(masses)) <= 20.0 + 1e-9
 
 
+    @pytest.mark.parametrize("case", ["box", "box-9", "random", "ties", "many-chunks"])
+    def test_masses_equal_the_difference_cube(self, case):
+        # per-axis distance tables against the (chunk, n, 2) cube, bit for bit
+        model = minkowski(((-2.5, 2.5), (-2.0, 2.0)), weight=lambda t: 0.1 * t)
+        rng = np.random.default_rng(7)
+        resolution = 128
+        if case == "box":
+            mu = uniform_on_box(((0.2, 0.6), (-0.2, 0.2)), 8)
+        elif case == "box-9":
+            mu, resolution = uniform_on_box(((-1.0, 1.0), (-1.5, 1.5)), 3), 97
+        elif case == "ties":
+            # a square and its centre: cells on the diagonals and the axes are
+            # equidistant from two or more points
+            pts = ((0.0, -0.5), (0.0, 0.5), (1.0, -0.5), (1.0, 0.5), (0.5, 0.0))
+            mu, resolution = DiscreteMeasure(pts, np.full(5, 0.2)), 64
+        else:
+            n = 17 if case == "random" else 300
+            pts = tuple(map(tuple, rng.uniform((-2.0, -1.5), (2.0, 1.5), (n, 2))))
+            mu = DiscreteMeasure(pts, np.full(n, 1.0 / n))
+        if case == "many-chunks":
+            # the cells span more than one bincount chunk
+            assert resolution ** 2 > int(4e6) // 300
+        got = voronoi_cell_masses(model, mu, resolution)
+        assert got.tobytes() == oracles.voronoi_masses_cube(model, mu, resolution).tobytes()
+
+    # one cell, 50 cells (rows split in pieces), three whole rows per block
+    @pytest.mark.parametrize("block", [64, 64 * 50, 64 * 128 * 3 + 5])
+    def test_masses_do_not_depend_on_the_distance_block(self, monkeypatch, block):
+        model = big_flat()
+        pts = tuple(map(tuple, np.random.default_rng(3).uniform(-1.0, 1.0, (64, 2))))
+        mu = DiscreteMeasure(pts, np.full(64, 1.0 / 64))
+        want = voronoi_cell_masses(model, mu, 128)
+        monkeypatch.setattr(C, "VORONOI_BLOCK", block)
+        assert voronoi_cell_masses(model, mu, 128).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # entropy contraction
 # ---------------------------------------------------------------------------
@@ -250,6 +287,38 @@ class TestTmcp:
         assert fut.provenance["variant"] == "future"
         assert np.max(np.abs(fut.margin - past.margin)) < 1e-12
         assert fut.passed
+
+    @given(curv=st.floats(0.0, 0.5), tilt=st.floats(-0.2, 0.2),
+           slope=st.floats(-1.0, 1.0), t_o=st.floats(0.3, 0.8),
+           t_mu=st.floats(-0.7, -0.3), K=st.sampled_from([-1.0, 0.0, 0.5]))
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    def test_future_variant_is_the_past_run_on_reversed_data(self, curv, tilt, slope,
+                                                             t_o, t_mu, K):
+        # weighted warped chart a(t) = 1 + tilt t + curv t^2, log-density slope t
+        def warp(t):
+            t = np.asarray(t, float)
+            return 1.0 + tilt * t + curv * t * t
+
+        def weight(t):
+            return slope * np.asarray(t, float)
+
+        model = M.warped_product(warp, (-1.0, 1.0), (-1.0, 1.0), weight=weight)
+        mu = uniform_on_box(((t_mu - 0.1, t_mu + 0.1), (-0.1, 0.1)), 2)
+        kw = dict(cells_resolution=64, resolution=65, samples_per_curve=9)
+        args = (K, 2.0, 0.5, (0.25, 0.5), (2.0, 3.0))
+        fut = check_tmcp(model, (t_o, 0.0), mu, *args, variant="future", **kw)
+        past = check_tmcp(C._time_reversed(model), (-t_o, 0.0),
+                          C._reversed_measure(mu), *args, **kw)
+        assert fut.labels == past.labels
+        assert fut.lhs.tobytes() == past.lhs.tobytes()
+        assert fut.rhs.tobytes() == past.rhs.tobytes()
+        assert fut.provenance == {**past.provenance, "variant": "future"}
+        # the mirror chart built from a(-t) and the weight at -t directly
+        mirror = M.warped_product(lambda t: warp(-np.asarray(t, float)), (-1.0, 1.0),
+                                  (-1.0, 1.0), weight=lambda t: weight(-np.asarray(t, float)))
+        direct = check_tmcp(mirror, (-t_o, 0.0), C._reversed_measure(mu), *args, **kw)
+        assert np.allclose(direct.lhs, fut.lhs, rtol=0.0, atol=1e-9)
+        assert np.allclose(direct.rhs, fut.rhs, rtol=0.0, atol=1e-9)
 
     def test_validation(self):
         model = big_flat()

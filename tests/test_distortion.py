@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from lorentz_synth import distortion as D
 from lorentz_synth.distortion import (
     InvalidInputError,
     KappaProfile,
@@ -68,6 +69,38 @@ def test_derivative_samples_track_closed_form():
     s = generalized_sine(profile_const(4.0, 1.5))
     # u' = cos(2 theta) for kappa = 4
     assert np.max(np.abs(s.derivative_values - np.cos(2.0 * s.thetas))) < 1e-9
+
+
+def _general_scan(kappa_half, length):
+    return D._rk4_scan_matrices(kappa_half, length / D.ODE_STEPS, D.ODE_STEPS)
+
+
+def _same_bits(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@given(kappa=st.one_of(st.floats(-50.0, 50.0), st.sampled_from([0.0, -0.0]),
+                       st.floats(1e3, 1e12), st.floats(-1e12, -1e3)),
+       length=st.floats(1e-3, 10.0))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_constant_scan_is_the_general_scan_bit_for_bit(kappa, length):
+    # the O(n) constant-coefficient scan against the doubling scan of the same
+    # coefficient at every half-grid node, overflow to inf and nan included
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _general_scan(np.full(2 * D.ODE_STEPS + 1, kappa), length)
+        got = D._rk4_scan_constant(kappa, length / D.ODE_STEPS, D.ODE_STEPS)
+    assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("kappa", [-0.0, 0.0, 1.0, -2.5])
+def test_sine_solve_scans_the_evaluated_half_grid(kappa):
+    # np.interp gives +0.0 inside a -0.0 profile and -0.0 at its ends, so that
+    # profile is not constant on the half grid and keeps the general scan
+    profile = KappaProfile.constant(kappa, 1.5)
+    half_grid = np.linspace(0.0, 1.5, 2 * D.ODE_STEPS + 1)
+    thetas, *entries = D._rk4_sine_solve(profile)
+    assert thetas.tobytes() == half_grid[::2].tobytes()
+    assert _same_bits(entries, _general_scan(profile(half_grid), 1.5))
 
 
 def test_first_zero_examples():
@@ -194,6 +227,35 @@ def test_const_tau_scalar_and_empty_inputs():
     assert const_tau(1.0, 2.0, 0.5, 1.0).shape == ()
     assert float(const_tau(1.0, 2.0, 0.5, 1.0)) == tau_coeff(profile_const(1.0, 1.0), 2.0, 0.5, 1.0)
     assert const_tau(1.0, 2.0, 0.5, np.empty((0, 3))).shape == (0, 3)
+
+
+@given(K=st.floats(-4.0, 4.0), n_param=st.floats(1.0, 5.0, exclude_min=True),
+       ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       fracs=st.lists(st.floats(0.0, 1.6), min_size=1, max_size=5))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_const_tau_over_an_array_of_t(K, n_param, ts, fracs):
+    # a leading t axis; every entry is the scalar coefficient bit for bit,
+    # t^{1/N} from math.pow included
+    radius = const_first_zero(K / (n_param - 1.0))
+    scale = radius if math.isfinite(radius) else 2.0
+    thetas = np.array([f * scale for f in fracs])
+    got = const_tau(K, n_param, ts, thetas)
+    assert got.shape == (len(ts), len(thetas))
+    want = np.array([[_scalar_tau(K, n_param, t, float(th)) for th in thetas] for t in ts])
+    assert got.tobytes() == want.tobytes()
+    assert got[-1].tobytes() == const_tau(K, n_param, ts[-1], thetas).tobytes()
+
+
+def test_const_tau_solves_each_theta_once_for_every_t():
+    # more distinct thetas than the sine cache holds, each asked at three t:
+    # one solve per theta, where one call per t would miss on every ask
+    thetas = np.linspace(0.05, 1.5, 600)
+    D._generalized_sine_cached.cache_clear()
+    got = const_tau(-1.0, 3.0, [0.25, 0.5, 0.75], np.concatenate([thetas, thetas[::-1]]))
+    assert D._generalized_sine_cached.cache_info().misses == 600
+    assert got.shape == (3, 1200)
+    assert np.array_equal(got[:, :600], got[:, :599:-1])
+    assert const_tau(1.0, 2.0, [0.5, 0.25], np.empty((0, 3))).shape == (2, 0, 3)
 
 
 def test_const_ttilde_is_the_scalar_coefficient_bit_for_bit():

@@ -300,9 +300,9 @@ class TestConeScan:
     @given(dims=st.sampled_from([2, 3]), off=st.floats(0.0, 1.0),
            weight=st.floats(-1.0, 1.0), extra=st.floats(0.5, 4.0))
     def test_scan_equals_the_oracle_on_tilted_charts(self, dims, off, weight, extra):
-        # a time-space g_01 tilts the cone against the samples, so keep it small
+        # a time-space g_01 up to 0.3 in 1+1, where the samples follow the tilted cone
         g = tilted_grid(dims, (17,) + (13,) * (dims - 1),
-                        0.05 * off if dims == 2 else 0.5 * off, weight)
+                        0.3 * off if dims == 2 else 0.5 * off, weight)
         field = L.bakry_emery(g, dims + extra)
         k = L.timelike_lower_bound_fn(field, g)
         assert np.array_equal(k, cone_scan_einsum(field, g), equal_nan=True)
@@ -313,6 +313,45 @@ class TestConeScan:
         assert vs.shape == g.shape + (6, 3)
         gvv = np.einsum("...i,...ij,...j->...", vs, g.nodes[..., None, :, :], vs)
         assert np.allclose(gvv, 0.25, rtol=1e-12)
+
+    @pytest.mark.parametrize("off", [0.0, 0.2, 0.35])
+    def test_samples_spread_between_the_null_slopes(self, off):
+        # 1+1 with g_01 = off sin(2x): the slopes w of v = (1, w) sit at
+        # fractions -0.9 .. 0.9 of the half-width about the centre of the two
+        # roots of g00 + 2 g01 w + g11 w^2
+        g = tilted_grid(2, (17, 13), off, 0.0)
+        vs = L.default_cone_samples(g, directions=5, speed=0.5)
+        g00, g01, g11 = g.nodes[..., 0, 0], g.nodes[..., 0, 1], g.nodes[..., 1, 1]
+        disc = np.sqrt(g01 * g01 - g00 * g11)
+        lo, hi = (-g01 + disc) / g11, (-g01 - disc) / g11
+        w = vs[..., 1] / vs[..., 0]
+        frac = (w - 0.5 * (lo + hi)[..., None]) / (0.5 * (hi - lo))[..., None]
+        assert np.allclose(frac, np.linspace(-0.9, 0.9, 5), atol=1e-12)
+        gvv = np.einsum("...i,...ij,...j->...", vs, g.nodes[..., None, :, :], vs)
+        assert np.allclose(gvv, 0.25, rtol=1e-12)
+
+    def test_sheared_minkowski_chart_has_zero_lower_bound(self):
+        # dt^2 - dx^2 written in (t, y) with x = y - c t: null slopes dy/dt =
+        # c - 1 and c + 1, so slopes spread by g00 and g11 alone (up to
+        # +-0.78) would leave the cone for c = 0.5
+        c = 0.5
+
+        def fn(pts):
+            g = np.zeros(pts.shape[:-1] + (2, 2))
+            g[..., 0, 0] = 1.0 - c * c
+            g[..., 0, 1] = g[..., 1, 0] = c
+            g[..., 1, 1] = -1.0
+            return g
+
+        g = L.metric_grid(fn, ((0.0, 1.0), (0.0, 1.0)), (33, 33))
+        k = L.timelike_lower_bound_fn(L.ricci(g), g)
+        assert np.nanmax(np.abs(k)) < 1e-12
+
+    def test_tilted_grid_runs_the_deficit_curves(self):
+        # g_01 = 0.2 sin(2x) on the tilted chart: every sample is timelike
+        g = tilted_grid(2, (65, 65), 0.2, 0.3)
+        curves = L.lp_deficit_curves(g, 0.0, [1.0, 2.0], [0.25, 0.125], 2.5)
+        assert all(math.isfinite(d) and d >= 0.0 for curve in curves for _, d in curve)
 
     def test_empty_cone_sample_is_invalid(self):
         g = L.minkowski_grid(((0, 1), (0, 1)), (33, 33))
