@@ -311,9 +311,17 @@ def voronoi_cell_masses(model: ModelSpacetime, mu: DiscreteMeasure,
     n = len(pts)
     if n == 1:
         return np.zeros(1)
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    pad = 0.5 * float(np.median(np.sqrt(np.min(d2, axis=1))))
+    # squared nearest-neighbour distance of every point, dt^2 + dx^2 to the
+    # others in blocks of about VORONOI_BLOCK distances
+    near = np.empty(n)
+    per_block = max(1, VORONOI_BLOCK // n)
+    for lo in range(0, n, per_block):
+        blk = pts[lo:lo + per_block]
+        d2 = (blk[:, None, 0] - pts[None, :, 0]) ** 2
+        d2 += (blk[:, None, 1] - pts[None, :, 1]) ** 2
+        d2[np.arange(len(blk)), np.arange(lo, lo + len(blk))] = np.inf
+        np.min(d2, axis=1, out=near[lo:lo + len(blk)])
+    pad = 0.5 * float(np.median(np.sqrt(near)))
     (bt0, bt1), (bx0, bx1) = model.bounds
     t0 = max(float(pts[:, 0].min()) - pad, bt0)
     t1 = min(float(pts[:, 0].max()) + pad, bt1)

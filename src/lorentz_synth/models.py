@@ -272,9 +272,12 @@ _FAN = tuple(_jump_fan())
 _PAD = max(abs(dj) for _, dj in _FAN)      # -inf columns on each side of a DP row
 _FAN_E = np.arange(len(_FAN))
 _FAN_DI = np.array([di for di, _ in _FAN])
+_FAN_DJ = np.array([dj for _, dj in _FAN])
 # offset of each jump's predecessor window in a padded row: node j of row
 # i - di is reached from column j - dj, i.e. window _PAD - dj
-_FAN_WINDOW = np.array([_PAD - dj for _, dj in _FAN])
+_FAN_WINDOW = _PAD - _FAN_DJ
+# the jumps of each distinct time step di, in fan order
+_FAN_STEPS = tuple((di, np.flatnonzero(_FAN_DI == di)) for di in sorted(set(_FAN_DI.tolist())))
 
 
 def _lattice_shape(model: ModelSpacetime, resolution: int):
@@ -300,22 +303,25 @@ def _edge_table(model: ModelSpacetime, shape):
     """Edge weights W[e, i] for a jump of type e leaving time index i.
 
     Weights depend on time only (the warp is a function of t); -inf marks
-    edges that leave the chart or go spacelike at some quadrature node.
+    edges that leave the chart or go spacelike at some quadrature node. The
+    quadrature times depend on the jump's time step only, so the warp is
+    interpolated once per distinct di and every dj of that step is weighed
+    in one broadcast.
     """
     ts, xs = _lattice_axes(model, shape)
     dt = ts[1] - ts[0]
     dx = xs[1] - xs[0]
     n_t = len(ts)
     W = np.full((len(_FAN), n_t), -np.inf)
-    for e, (di, dj) in enumerate(_FAN):
+    for di, es in _FAN_STEPS:
         imax = n_t - di
         if imax <= 0:
             continue
         tmat = ts[:imax, None] + _QS[None, :] * (di * dt)
-        rad = (di * dt) ** 2 - (model.warp(tmat) * (dj * dx)) ** 2
-        ok = np.all(rad >= -1e-15, axis=1)
-        vals = np.sqrt(np.clip(rad[:, 1:4], 0.0, None)) @ _QW
-        W[e, :imax] = np.where(ok, vals, -np.inf)
+        rad = (di * dt) ** 2 - (model.warp(tmat) * (_FAN_DJ[es, None, None] * dx)) ** 2
+        ok = np.all(rad >= -1e-15, axis=2)                  # (jumps, imax)
+        vals = np.sqrt(np.clip(rad[:, :, 1:4], 0.0, None)) @ _QW
+        W[es, :imax] = np.where(ok, vals, -np.inf)
     return ts, xs, W
 
 
@@ -390,10 +396,6 @@ def causally_related(model: ModelSpacetime, x: Event, y: Event) -> bool:
     return abs(y.x - x.x) <= _null_reach(model, x.t, y.t) + 1e-12
 
 
-def _node_event(ts: np.ndarray, xs: np.ndarray, node) -> Event:
-    return Event((float(ts[node[0]]), float(xs[node[1]])))
-
-
 def _flat_separations(x, y) -> np.ndarray:
     """l(x, y) on a flat chart, entrywise over broadcast (..., dim) arrays:
     sqrt(dt^2 - |dx|^2) inside the future cone, 0 on the null cone and at
@@ -448,7 +450,9 @@ def time_separations(model: ModelSpacetime, sources, targets, resolution: int = 
     Pair by pair the rules of :func:`time_separation` hold. Flat charts use
     the closed form. On the lattice kinds each event snaps once to the
     coarse grid, pairs that snap to one node give 0, pairs whose snapped
-    nodes are not causally related give -inf, the rest read the longest-path
+    nodes are not causally related give -inf (the rule of
+    :func:`causally_related`, with one null reach per distinct pair of
+    source and target rows), the rest read the longest-path
     values at the coarse grid and its nested refinement, combined by
     :func:`_richardson` and clamped at 0 (a causal pair no lattice path
     reaches gets 0). Each distinct snapped source gets one longest-path field
@@ -470,12 +474,18 @@ def time_separations(model: ModelSpacetime, sources, targets, resolution: int = 
     snapped_x = [_snap(ts, xs, p) for p in srcs]
     snapped_y = [_snap(ts, xs, p) for p in tgts]
     reads: dict = {}              # snapped source -> pairs read from its field
+    reach: dict = {}              # (source row, target row) -> their null reach
     for i, x in enumerate(srcs):
+        si, sj = snapped_x[i]
         for j, y in enumerate(tgts):
+            ti, tj = snapped_y[j]
             if x.coords == y.coords or snapped_x[i] == snapped_y[j]:
                 out[i, j] = 0.0
-            elif not causally_related(model, _node_event(ts, xs, snapped_x[i]),
-                                      _node_event(ts, xs, snapped_y[j])):
+                continue
+            # causally_related on the two nodes, one null reach per row pair
+            if ti >= si and (si, ti) not in reach:
+                reach[si, ti] = _null_reach(model, float(ts[si]), float(ts[ti]))
+            if ti < si or not abs(float(xs[tj]) - float(xs[sj])) <= reach[si, ti] + 1e-12:
                 out[i, j] = NEG_INF
             else:
                 reads.setdefault(snapped_x[i], []).append((i, j))
@@ -572,29 +582,57 @@ class LatticePath:
         return self.nodes[k] + frac[:, None] * (self.nodes[k + 1] - self.nodes[k])
 
 
-def _backtrack(ts, xs, W, dist, source, target, prefer_last: bool = False):
-    path = [target]
+def _jumps_into(W, dist, source, target):
+    """Every fan jump into a node of rows source[0]..target[0] of ``dist``,
+    one gather per node.
+
+    Returns ``into(i, j)``: the weight of each jump of the fan into node
+    (i, j), in fan order, and its predecessor's value plus that weight. A
+    jump that leaves a row below the source, that leaves the chart, that is
+    spacelike or whose predecessor is unreached carries -inf in the second
+    array, so it never matches a finite value. Two tables serve every node:
+    the jump weights into each row, -inf where the jump starts below the
+    source, and the rows' values with -inf margins of _PAD columns on each
+    side and max(di) rows below.
+    """
+    i0, i1 = source[0], target[0]
+    below = int(_FAN_DI.max())
+    starts = np.arange(i0, i1 + 1)[:, None] - _FAN_DI     # (rows, jumps)
+    w_in = np.where(starts >= i0, W[_FAN_E, np.maximum(starts, 0)], -np.inf)
+    slab = np.full((below + i1 - i0 + 1, dist.shape[1] + 2 * _PAD), -np.inf)
+    slab[below:, _PAD:-_PAD] = dist[i0:i1 + 1]
+    # the predecessor row i - di of a jump sits at slab row i - i0 + below - di
+    row_shift = below - _FAN_DI
+
+    def into(i, j):
+        w = w_in[i - i0]
+        return w, slab[i - i0 + row_shift, j + _FAN_WINDOW] + w
+
+    return into
+
+
+def _backtrack(into, dist, source, target, prefer_last: bool = False):
+    """The maximizer from ``source`` to ``target`` in ``dist``: at each node
+    the first jump in fan order (the last under ``prefer_last``) whose
+    predecessor's value plus its weight gives the node's value to 1e-9
+    relative. ``into`` is :func:`_jumps_into` of the field. Returns the
+    nodes from source to target and the weight of the jump into each node
+    after the first."""
+    path, weights = [target], []
     cur = target
     rel = 1e-9 * max(1.0, abs(float(dist[target])))
     while cur != source:
-        best = None
-        for e, (di, dj) in enumerate(_FAN):
-            ip, jp = cur[0] - di, cur[1] - dj
-            if ip < source[0] or not 0 <= jp < len(xs):
-                continue
-            w = W[e, ip]
-            if w == -np.inf or dist[ip, jp] == -np.inf:
-                continue
-            if abs(dist[ip, jp] + w - dist[cur]) <= rel:
-                best = (ip, jp)
-                if not prefer_last:
-                    break
-        if best is None:
+        w, reach = into(*cur)
+        hit = np.flatnonzero(np.abs(reach - dist[cur]) <= rel)
+        if len(hit) == 0:
             raise NoGeodesicError("backtracking lost the maximizing path")
-        path.append(best)
-        cur = best
+        e = hit[-1] if prefer_last else hit[0]
+        cur = (cur[0] - int(_FAN_DI[e]), cur[1] - int(_FAN_DJ[e]))
+        path.append(cur)
+        weights.append(w[e])
     path.reverse()
-    return path
+    weights.reverse()
+    return path, weights
 
 
 def _lattice_path(ts, xs, W, dist, source, target) -> LatticePath:
@@ -602,29 +640,18 @@ def _lattice_path(ts, xs, W, dist, source, target) -> LatticePath:
     if dist[target] == -np.inf or dist[target] <= 0.0:
         raise NoGeodesicError("endpoints are not chronologically related on the lattice")
 
-    first = _backtrack(ts, xs, W, dist, source, target)
-    second = _backtrack(ts, xs, W, dist, source, target, prefer_last=True)
-    # tie detection at the target: two distinct predecessors within 1e-6
-    ties = []
-    for e, (di, dj) in enumerate(_FAN):
-        ip, jp = target[0] - di, target[1] - dj
-        if ip < source[0] or not 0 <= jp < len(xs):
-            continue
-        w = W[e, ip]
-        if w == -np.inf or dist[ip, jp] == -np.inf:
-            continue
-        if dist[ip, jp] + w >= dist[target] - 1e-6:
-            ties.append((ip, jp))
-    multiple = len(set(ties)) >= 2 and first[:-1] != second[:-1]
+    into = _jumps_into(W, dist, source, target)
+    first, weights = _backtrack(into, dist, source, target)
+    second, _ = _backtrack(into, dist, source, target, prefer_last=True)
+    # tie detection at the target: two predecessors within 1e-6 (distinct
+    # jumps into one node leave distinct nodes)
+    _, reach = into(*target)
+    ties = np.count_nonzero(reach >= dist[target] - 1e-6)
+    multiple = ties >= 2 and first[:-1] != second[:-1]
 
-    nodes = np.array([[ts[i], xs[j]] for i, j in first])
-    seg = np.zeros(len(first))
-    for k in range(1, len(first)):
-        i0, j0 = first[k - 1]
-        i1, j1 = first[k]
-        e = _FAN.index((i1 - i0, j1 - j0))
-        seg[k] = W[e, i0]
-    return LatticePath(nodes, np.cumsum(seg), float(dist[target]), multiple)
+    rows, cols = np.array(first).T
+    nodes = np.column_stack([ts[rows], xs[cols]])
+    return LatticePath(nodes, np.cumsum([0.0] + weights), float(dist[target]), multiple)
 
 
 def maximizing_paths(model: ModelSpacetime, pairs, resolution: int = 513) -> list:

@@ -319,6 +319,95 @@ def dp_longest_loop(W, fan, n_t, n_x, source):
     return dist
 
 
+def edge_table_per_jump(model, shape):
+    """``models._edge_table`` written out jump by jump: one warp
+    interpolation, radicand, causality test and 3-point Gauss sum per jump
+    of the fan, in fan order. The batched table must equal it bit for bit."""
+    from lorentz_synth import models as M
+
+    ts, xs = M._lattice_axes(model, shape)
+    dt = ts[1] - ts[0]
+    dx = xs[1] - xs[0]
+    n_t = len(ts)
+    W = np.full((len(M._FAN), n_t), -np.inf)
+    for e, (di, dj) in enumerate(M._FAN):
+        imax = n_t - di
+        if imax <= 0:
+            continue
+        tmat = ts[:imax, None] + M._QS[None, :] * (di * dt)
+        rad = (di * dt) ** 2 - (model.warp(tmat) * (dj * dx)) ** 2
+        ok = np.all(rad >= -1e-15, axis=1)
+        vals = np.sqrt(np.clip(rad[:, 1:4], 0.0, None)) @ M._QW
+        W[e, :imax] = np.where(ok, vals, -np.inf)
+    return ts, xs, W
+
+
+def backtrack_per_jump(ts, xs, W, dist, source, target, prefer_last=False):
+    """The maximizer from ``source`` to ``target`` in the field ``dist``, one
+    Python step per fan jump at every path node: the first predecessor (in
+    fan order, or the last under ``prefer_last``) whose value plus the jump's
+    weight gives the node's value to 1e-9 relative."""
+    from lorentz_synth import models as M
+    from lorentz_synth.errors import NoGeodesicError
+
+    path = [target]
+    cur = target
+    rel = 1e-9 * max(1.0, abs(float(dist[target])))
+    while cur != source:
+        best = None
+        for e, (di, dj) in enumerate(M._FAN):
+            ip, jp = cur[0] - di, cur[1] - dj
+            if ip < source[0] or not 0 <= jp < len(xs):
+                continue
+            w = W[e, ip]
+            if w == -np.inf or dist[ip, jp] == -np.inf:
+                continue
+            if abs(dist[ip, jp] + w - dist[cur]) <= rel:
+                best = (ip, jp)
+                if not prefer_last:
+                    break
+        if best is None:
+            raise NoGeodesicError("backtracking lost the maximizing path")
+        path.append(best)
+        cur = best
+    path.reverse()
+    return path
+
+
+def lattice_path_per_jump(ts, xs, W, dist, source, target):
+    """``models._lattice_path`` over :func:`backtrack_per_jump`: the 1e-6 tie
+    scan at the target jump by jump, and each segment's weight looked up by
+    its (di, dj) in the fan."""
+    from lorentz_synth import models as M
+    from lorentz_synth.errors import NoGeodesicError
+
+    if dist[target] == -np.inf or dist[target] <= 0.0:
+        raise NoGeodesicError("endpoints are not chronologically related on the lattice")
+
+    first = backtrack_per_jump(ts, xs, W, dist, source, target)
+    second = backtrack_per_jump(ts, xs, W, dist, source, target, prefer_last=True)
+    ties = []
+    for e, (di, dj) in enumerate(M._FAN):
+        ip, jp = target[0] - di, target[1] - dj
+        if ip < source[0] or not 0 <= jp < len(xs):
+            continue
+        w = W[e, ip]
+        if w == -np.inf or dist[ip, jp] == -np.inf:
+            continue
+        if dist[ip, jp] + w >= dist[target] - 1e-6:
+            ties.append((ip, jp))
+    multiple = len(set(ties)) >= 2 and first[:-1] != second[:-1]
+
+    nodes = np.array([[ts[i], xs[j]] for i, j in first])
+    seg = np.zeros(len(first))
+    for k in range(1, len(first)):
+        i0, j0 = first[k - 1]
+        i1, j1 = first[k]
+        e = M._FAN.index((i1 - i0, j1 - j0))
+        seg[k] = W[e, i0]
+    return M.LatticePath(nodes, np.cumsum(seg), float(dist[target]), multiple)
+
+
 def time_separation_pairwise(model, x, y, resolution=257, richardson=True):
     """l(x, y) for one pair on a lattice chart, by the one-pair rules written
     out on their own: both events snap to the coarse grid, one node gives 0,

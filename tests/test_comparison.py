@@ -10,6 +10,7 @@ import io
 import json
 import math
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,33 @@ class TestVoronoiCells:
         want = voronoi_cell_masses(model, mu, 128)
         monkeypatch.setattr(C, "VORONOI_BLOCK", block)
         assert voronoi_cell_masses(model, mu, 128).tobytes() == want.tobytes()
+
+    # one point per padding block, 7 points and a ragged last block, one block
+    @pytest.mark.parametrize("block", [300, 7 * 300 + 5, 2 ** 18])
+    def test_padding_blocks_equal_the_difference_cube(self, monkeypatch, block):
+        # the nearest-neighbour padding taken in row blocks of the support
+        # against the full (n, n, 2) cube, bit for bit
+        model = minkowski(((-2.5, 2.5), (-2.0, 2.0)), weight=lambda t: 0.1 * t)
+        pts = tuple(map(tuple, np.random.default_rng(11).uniform((-2.0, -1.5), (2.0, 1.5),
+                                                                 (300, 2))))
+        mu = DiscreteMeasure(pts, np.full(300, 1.0 / 300))
+        monkeypatch.setattr(C, "VORONOI_BLOCK", block)
+        got = voronoi_cell_masses(model, mu, 64)
+        assert got.tobytes() == oracles.voronoi_masses_cube(model, mu, 64).tobytes()
+
+    def test_memory_stays_within_the_block_for_many_points(self):
+        # the (n, n, 2) cube of 3000 points alone would take 144 MB
+        pts = tuple(map(tuple, np.random.default_rng(5).uniform((0.0, -1.0), (1.0, 1.0),
+                                                                (3000, 2))))
+        mu = DiscreteMeasure(pts, np.full(3000, 1.0 / 3000))
+        tracemalloc.start()
+        try:
+            masses = voronoi_cell_masses(minkowski(((0.0, 1.0), (-1.0, 1.0))), mu, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert float(np.sum(masses)) == pytest.approx(2.0, rel=1e-2)
 
 
 # ---------------------------------------------------------------------------

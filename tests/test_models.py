@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lorentz_synth import models as M
 from lorentz_synth.errors import InvalidInputError, NoGeodesicError
 from lorentz_synth.extreal import NEG_INF, is_neg_inf
 from lorentz_synth.models import _lattice_axes, _lattice_shape
 
-from oracles import (ball_volume_rasters, dp_longest_loop, minkowski_l,
+from oracles import (backtrack_per_jump, ball_volume_rasters, dp_longest_loop,
+                     edge_table_per_jump, lattice_path_per_jump, minkowski_l,
                      time_separation_pairwise, warped_l_shooting)
 
 ARCTANH_06 = 0.6931471805599453  # artanh(0.6), frozen
@@ -262,6 +263,92 @@ class TestStackedFields:
                                       tolerance=1e-2, resolution=129)
         assert rep.passed
         assert passes == [(129, 2), (257, 2), (513, 2)]
+
+
+EDGE_MODELS = {"desitter": M.desitter_like, "cosh": M.cosh_warp_model,
+               "kinked": M.kinked_slab, "double-cone": M.double_cone_kink}
+
+
+def assert_same_path(got, want):
+    assert got.nodes.tobytes() == want.nodes.tobytes()
+    assert got.cumlen.tobytes() == want.cumlen.tobytes()
+    assert got.length == want.length
+    assert got.multiple_maximizers == want.multiple_maximizers
+
+
+class TestBatchedLatticeSteps:
+    """The edge table grouped by time step, the gathered backtrack with its
+    tie scan, and the null reaches shared by row pairs, against the per-jump
+    and per-pair loops in the oracles, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+    @pytest.mark.parametrize("resolution", [65, 129, 257])
+    @pytest.mark.parametrize("fine", [False, True], ids=["coarse", "fine"])
+    def test_edge_table_equals_the_per_jump_loop(self, name, resolution, fine):
+        model = EDGE_MODELS[name]()
+        shape = _lattice_shape(model, resolution)
+        if fine:
+            shape = M._fine_shape(shape)
+        got = M._edge_table(model, shape)
+        want = edge_table_per_jump(model, shape)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_backtracks_equal_the_per_jump_loop(self, data):
+        knots = data.draw(st.lists(st.floats(0.3, 3.0), min_size=2, max_size=6))
+        warp = np.column_stack([np.linspace(-1.0, 1.0, len(knots)), knots])
+        model = M.lipschitz_1p1(warp, (-1.0, 1.0), (-1.0, 1.0))
+        # 5 rows: fewer than the fan's longest time step
+        shape = _lattice_shape(model, data.draw(st.sampled_from([5, 17, 33, 65])))
+        ts, xs, W = M._edge_table(model, shape)
+        assert W.tobytes() == edge_table_per_jump(model, shape)[2].tobytes()
+        source = (data.draw(st.integers(0, shape[0] - 2)),
+                  data.draw(st.integers(0, shape[1] - 1)))
+        _, _, (dist,) = M._dp_longest(model, shape, [source])
+        reached = np.argwhere(dist > 0.0)
+        assume(len(reached) > 0)
+        target = tuple(int(c) for c in reached[data.draw(st.integers(0, len(reached) - 1))])
+        into = M._jumps_into(W, dist, source, target)
+        for last in (False, True):
+            path, weights = M._backtrack(into, dist, source, target, prefer_last=last)
+            assert path == backtrack_per_jump(ts, xs, W, dist, source, target, last)
+            assert len(weights) == len(path) - 1
+        assert_same_path(M._lattice_path(ts, xs, W, dist, source, target),
+                         lattice_path_per_jump(ts, xs, W, dist, source, target))
+
+    @pytest.mark.parametrize("pair, flagged", [
+        (((-1.0, -0.6), (1.0, 0.6)), True),
+        (((-1.0, 0.0), (1.0, 0.0)), False),
+        (((-0.5, 0.1), (0.7, -0.4)), True),
+    ], ids=["mirror-maximizers", "comoving", "oblique"])
+    def test_paths_on_the_focusing_kink_equal_the_per_jump_loop(self, pair, flagged):
+        model = M.double_cone_kink()
+        ts, xs, W = M._edge_table(model, _lattice_shape(model, 257))
+        source, target = (M._snap(ts, xs, M.as_event(p)) for p in pair)
+        _, _, (dist,) = M._dp_longest(model, _lattice_shape(model, 257), [source])
+        got = M.maximizing_path(model, *pair, resolution=257)
+        assert_same_path(got, lattice_path_per_jump(ts, xs, W, dist, source, target))
+        assert got.multiple_maximizers == flagged
+
+    def test_null_reach_once_per_row_pair(self):
+        # 24 pairs on two source rows and three target rows: four row pairs
+        # with the target row at or above the source row
+        model = M.desitter_like()
+        ts, xs = node_grid(model, 33)
+        sources = [(ts[i], xs[j]) for i in (3, 8) for j in (5, 12)]
+        targets = [(ts[i], xs[j]) for i in (2, 8, 20) for j in (2, 14)]
+        calls = []
+        reach = M._null_reach
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(M, "_null_reach",
+                          lambda m, a, b: calls.append((a, b)) or reach(m, a, b))
+            got = M.time_separations(model, sources, targets, resolution=33)
+        assert sorted(calls) == [(ts[a], ts[b]) for a, b in ((3, 8), (3, 20), (8, 8), (8, 20))]
+        want = np.array([[time_separation_pairwise(model, x, y, resolution=33)
+                          for y in targets] for x in sources])
+        assert np.array_equal(got, want)
+        assert np.sum(got == NEG_INF) >= 4 and np.sum(got > 0.0) >= 4
 
 
 class TestOneSeparation:
