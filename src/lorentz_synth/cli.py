@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import numbers
@@ -104,9 +105,14 @@ class ExperimentConfig:
         """Canonical command/model/parameters/seed map with defaults filled.
 
         The output directory is deliberately left out: it never influences
-        the computation, so it must not influence the hash either.
+        the computation, so it must not influence the hash either.  Resolving
+        also imports the command's declared heavy modules
+        (``CommandSpec.imports``), so their import counts as set-up, not as
+        part of the run.
         """
         spec = COMMANDS[self.command]
+        for module in spec.imports:
+            importlib.import_module(module)
         model = self.model if self.model is not None else spec.model
         params = spec.defaults()
         for key, val in self.parameters.items():
@@ -931,7 +937,15 @@ class CommandSpec:
     """Each parameter is declared as name -> (type, default) or (type,
     default, quick default); the quick default resolves as ``quick_<name>``
     and takes the parameter's place when ``quick`` is on. ``models`` lists
-    the model types the command runs on."""
+    the model types the command runs on.
+
+    ``imports`` names the heavy modules the runner needs (scipy's LP and
+    sparse matrices, or its image filters). The package imports none of
+    them at module level, so a command that needs none starts without
+    them; ``ExperimentConfig.resolved`` imports a command's list, so the
+    import is paid while the config is set up rather than inside ``run``.
+    The functions that use a module still import it themselves, so a
+    missing entry costs time, never correctness. It is not a parameter."""
 
     statement: str
     model: dict | None
@@ -939,6 +953,7 @@ class CommandSpec:
     runner: Callable | None
     rule: Callable | None = None
     models: tuple = (ModelSpacetime,)
+    imports: tuple = ()
 
     def defaults(self) -> dict:
         """The default parameter map: every default, quick twins, ``quick``."""
@@ -959,6 +974,8 @@ _BUMPS3 = [{"center": [1.2, 0.0], "radius": 0.35},
 _ORIGIN = (_POINT, [0.0, 0.0])
 _K0, _N2, _Q_HALF = (_REAL, 0.0), (_DIM, 2.0), (_Q, 0.5)
 _EITHER = (ModelSpacetime, MetricGrid)
+_LP = ("scipy.optimize", "scipy.sparse")     # transport._optimal_plan
+_FILTERS = ("scipy.ndimage",)                # lipschitz_grid.mollify, _eroded
 
 COMMANDS = {
     "distortion": CommandSpec(
@@ -988,7 +1005,7 @@ COMMANDS = {
                                "per_axis": 3}),
          "t_grid": (_TIMES, [0.0, 0.25, 0.5, 0.75, 1.0]),
          "gap_tolerance": (_NONNEG, 1e-6)},
-        _run_transport),
+        _run_transport, imports=_LP),
     "tmcp": CommandSpec(
         "the timelike measure-contraction entropy inequality toward a point",
         _BIG_FLAT,
@@ -1001,7 +1018,7 @@ COMMANDS = {
          "equality_n_prime": (_optional(_DIM), 2.0),
          "equality_tolerance": (_NONNEG, 2e-3),
          "cells_resolution": (_RES, 256, 128), "resolution": (_RES, 257)},
-        _run_tmcp),
+        _run_tmcp, imports=_LP),
     "tcd": CommandSpec(
         "displacement semiconvexity of the entropy between two measures "
         "(timelike curvature-dimension)",
@@ -1013,7 +1030,7 @@ COMMANDS = {
          "K": _K0, "n": _N2, "q": _Q_HALF, "t_grid": (_TIMES, [0.25, 0.5, 0.75]),
          "tolerance": (_NONNEG, 5e-3), "cells_resolution": (_RES, 256, 128),
          "resolution": (_RES, 257)},
-        _run_tcd),
+        _run_tcd, imports=_LP),
     "brunn-minkowski": CommandSpec(
         "the timelike Brunn-Minkowski volume-growth inequality",
         _BIG_FLAT,
@@ -1068,7 +1085,7 @@ COMMANDS = {
          "x_range": (_pair(_REAL, increasing=True), [-0.5, 0.5]),
          "resolutions": (_list(_RES), [257, 513], [129, 257]),
          "shrink_factor": (_POSITIVE, 0.75)},
-        _run_brenier),
+        _run_brenier, imports=_LP),
     "needles": CommandSpec(
         "localization of the chart volume into one-dimensional needle "
         "densities over a radial fan",
@@ -1083,7 +1100,7 @@ COMMANDS = {
         "the linear-in-radius error bound for metric mollification",
         _KINKED,
         {"eps_list": (_EPS_LIST, [0.6, 0.3, 0.15])},
-        _run_mollify, None, (MetricGrid,)),
+        _run_mollify, None, (MetricGrid,), imports=_FILTERS),
     "lp-deficit": CommandSpec(
         "decay of the integral curvature deficit under shrinking "
         "mollification radii",
@@ -1091,7 +1108,7 @@ COMMANDS = {
         {"K": _K0, "p_list": (_list(_POSITIVE), [1.0, 2.0]),
          "eps_list": (_EPS_LIST, [0.8, 0.5, 0.3, 0.15]), "n": (_REAL, 2.0),
          "final_ratio": (_NONNEG, 0.1)},
-        _run_lp_deficit, _lp_deficit_rule, (MetricGrid,)),
+        _run_lp_deficit, _lp_deficit_rule, (MetricGrid,), imports=_FILTERS),
     "aubry": CommandSpec(
         "the deficit-perturbed diameter bound and its needle reduction",
         {"kind": "desitter", "delta": 0.02, "x_half": 1.0},
@@ -1101,12 +1118,14 @@ COMMANDS = {
          "resolution": (_RES, 257, 129), "n_needles": (_COUNT, 9),
          "needle_samples": (_RES, 1025)},
         _run_aubry),
-    "suite": CommandSpec(
-        "the full acceptance matrix, one table row per criterion",
-        None,
-        {"mode": (_choice("quick", "full"), "full")},
-        None),
 }
+# the suite replays the other commands, so it needs what any of them needs
+COMMANDS["suite"] = CommandSpec(
+    "the full acceptance matrix, one table row per criterion",
+    None,
+    {"mode": (_choice("quick", "full"), "full")},
+    None,
+    imports=tuple(sorted({m for spec in COMMANDS.values() for m in spec.imports})))
 
 
 # ---------------------------------------------------------------------------

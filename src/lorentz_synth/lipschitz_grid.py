@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateMetricError, InvalidInputError
 
@@ -159,6 +158,10 @@ def mollify(grid: MetricGrid, eps: float) -> MetricGrid:
     """Convolve every coefficient and the weight with a smooth bump of radius
     eps; the boundary band the kernel cannot see is marked invalid. The
     smoothed grid is built as a ``MetricGrid``, which checks its signature."""
+    # imported here, as in _eroded, so that importing the package loads no
+    # scipy (cli.CommandSpec.imports)
+    from scipy import ndimage
+
     if eps < 2.0 * max(grid.spacing):
         raise InvalidInputError("kernel radius below twice the grid spacing")
     nodes = grid.nodes.copy()
@@ -231,6 +234,8 @@ def _scalar_hessian(f: np.ndarray, spacing) -> np.ndarray:
 
 
 def _eroded(valid: np.ndarray, margin: int) -> np.ndarray:
+    from scipy import ndimage
+
     out = valid
     for ax in range(valid.ndim):
         out = ndimage.minimum_filter1d(out.astype(np.uint8), 2 * margin + 1,

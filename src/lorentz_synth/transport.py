@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize, sparse
 
 from .errors import InvalidInputError, NoGeodesicError
 from .extreal import NEG_INF, is_neg_inf
@@ -170,6 +169,11 @@ def lq_distance(model: ModelSpacetime, mu: DiscreteMeasure, nu: DiscreteMeasure,
 def _optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, L: np.ndarray, q: float):
     """:func:`lq_distance` on a given separation matrix ``L`` of the supports;
     the plan keeps ``L`` as its ``separations``."""
+    # imported here, not at module level, so that importing the package loads
+    # no scipy: the import takes longer than most runs that solve no LP
+    # (cli.CommandSpec.imports)
+    from scipy import optimize, sparse
+
     if not 0.0 < q < 1.0:
         raise InvalidInputError("need q in (0, 1)")
     allowed = L > NEG_INF

@@ -455,6 +455,19 @@ class TestBrunnMinkowski:
         assert batched.provenance["pairs"] == 8
         assert batched.to_json() == pairwise.to_json()
 
+    @given(st.integers(1, 12), st.integers(1, 12),
+           st.sampled_from([0.0, 0.05, 0.3, 0.8, 1.0]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_dilation_equals_binary_dilation(self, rows, cols, density, seed):
+        # densities 0 and 1 give the all-False and all-True masks; small
+        # shapes put most set cells on the border
+        from scipy import ndimage
+
+        mask = np.random.default_rng(seed).random((rows, cols)) < density
+        got = C._dilated(mask)
+        assert got.dtype == bool
+        assert np.array_equal(got, ndimage.binary_dilation(mask, np.ones((3, 3), bool)))
+
     def test_validation(self):
         model = big_flat()
         with pytest.raises(InvalidInputError):
