@@ -36,7 +36,7 @@ from .comparison import (BumpFunction, aubry_spacetime_check, bishop_gromov,
                          check_tcd_semiconvexity, check_tmcp, csv_text,
                          dalembert_check, eikonal_check, jsonable, ladder_steps,
                          make_report, needle_decomposition)
-from .distortion import (KappaProfile, const_first_zero, const_sine,
+from .distortion import (KappaProfile, const_first_zero, const_sine, const_tau,
                          defect_bound, first_zero, generalized_sine,
                          sigma_coeff, tau_coeff)
 from .extreal import is_inf
@@ -470,7 +470,7 @@ def _run_distortion(model, params, rng):
             theta = float(rng.uniform(0.1, 0.9)) * theta_max
             t = float(rng.uniform(0.05, 0.95))
             bound = defect_bound(big_k, n_param, p, eta, prof, t, theta)
-            t_model = tau_coeff(KappaProfile.constant(big_k, length), n_param, t, theta)
+            t_model = float(const_tau(big_k, n_param, t, theta))
             t_prof = tau_coeff(prof, n_param, t, theta)
             if is_inf(t_model) or is_inf(t_prof):
                 skipped += 1

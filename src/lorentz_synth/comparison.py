@@ -13,12 +13,11 @@ eikonal and endpoint-gradient identities for the time separation, the weak
 wave-operator comparison against smooth bumps, and the radial needle
 disintegration of a flat chart.
 
-Constant-curvature distortion coefficients are taken from
-:func:`distortion.const_tau` and :func:`distortion.const_ttilde` over whole
-arrays of separations, and for tau over every t of a run at once: one
-scalar coefficient per distinct separation and t, scattered back, so a
-separation matrix costs one sine solve per distinct entry and every entry is
-the scalar coefficient bit for bit.
+Constant-curvature distortion coefficients are taken over whole arrays of
+separations: tau from the closed form :func:`distortion.const_tau`, for
+every t of a run in one pass and with no sine solve, and the wave-operator
+coefficient from :func:`distortion.const_ttilde`, one scalar call per
+distinct separation.
 """
 
 from __future__ import annotations
@@ -449,8 +448,7 @@ def check_tcd_semiconvexity(model: ModelSpacetime, mu0: DiscreteMeasure,
     rho1 = (mu1.weights / m1) ** (-1.0 / n_param)
     value, plan = _optimal_plan(mu0, mu1, L, q)
     dc = dynamical_coupling(model, plan, samples_per_curve)
-    # tau^{(1-t)} and tau^{(t)} for every t in one call: one tau per distinct
-    # separation and time, scattered back onto L
+    # tau^{(1-t)} and tau^{(t)} for every t in one closed-form call over L
     ts = [float(t) for t in t_grid]
     taus = const_tau(K, n_param, [1.0 - t for t in ts] + ts, L)
 

@@ -15,9 +15,8 @@ This module implements the one-dimensional comparison machinery:
 
 Numerical contract (fixed, deterministic):
   - classical RK4 with fixed step ``L / 4096`` for the sine ODE, its step
-    matrices composed by a doubling scan; a profile that is constant on the
-    solver's half grid runs the same scan over its distinct prefix only, in
-    linear work and with the same bits,
+    matrices composed by a doubling scan,
+  - constant-curvature tau in closed form (:func:`const_tau`), with no solve,
   - cubic Hermite interpolation between solver nodes (the solver stores u'),
   - sign-change scan + bisection to 1e-10 for first zeros,
   - composite Simpson on 512 panels for the defect-bound quadratures.
@@ -234,47 +233,19 @@ def _rk4_scan_matrices(kappa_half: np.ndarray, h: float, n_steps: int):
     return p00, p01, p10, p11
 
 
-def _rk4_scan_constant(kappa: float, h: float, n_steps: int):
-    """:func:`_rk4_scan_matrices` for a constant coefficient, same bits.
-
-    Every step matrix is then the same M. Before the round with shift s,
-    entries k < s hold their final products and every entry k >= s holds the
-    window product M^s, bit-equal to P[s - 1]. The round sets P[k] =
-    P[s - 1] P[k - s] for k in [s, 2s); beyond 2s it would store M^s M^s,
-    which P[2s - 1] now holds. So computing [s, 2s) alone in each round, with
-    the same operands in the same order, gives the same bits in O(n) work.
-    """
-    p = np.empty((4, n_steps))          # rows p00, p01, p10, p11
-    p[0, 0], p[2, 0] = _rk4_step(kappa, kappa, kappa, h, 1.0, 0.0)
-    p[1, 0], p[3, 0] = _rk4_step(kappa, kappa, kappa, h, 0.0, 1.0)
-    s = 1
-    while s < n_steps:
-        m = min(s, n_steps - s)
-        a00, a01, a10, a11 = p[:, s - 1]
-        top, bottom = p[0:2, :m], p[2:4, :m]        # (b00, b01), (b10, b11)
-        p[0:2, s:s + m] = a00 * top + a01 * bottom
-        p[2:4, s:s + m] = a10 * top + a11 * bottom
-        s *= 2
-    return p[0], p[1], p[2], p[3]
-
-
 def _rk4_sine_solve(profile: KappaProfile):
     """The RK4 scan of the sine ODE of ``profile`` over ``ODE_STEPS`` steps:
     the solver nodes and the four entry arrays of the prefix transition
-    matrices (see :func:`_rk4_scan_matrices`). A coefficient that is the same
-    float at every half-grid node takes :func:`_rk4_scan_constant`; the check
-    is on bytes, since ``np.interp`` of a -0.0 profile gives +0.0 inside."""
+    matrices (see :func:`_rk4_scan_matrices`), constant profiles included;
+    constant-curvature tau does not come here (see :func:`const_tau`)."""
     half_grid = np.linspace(0.0, profile.length, 2 * ODE_STEPS + 1)
     kappa_half = profile(half_grid)
-    h = profile.length / ODE_STEPS
-    bits = kappa_half.view(np.int64)
-    if np.all(bits == bits[0]):
-        entries = _rk4_scan_constant(float(kappa_half[0]), h, ODE_STEPS)
-    else:
-        entries = _rk4_scan_matrices(kappa_half, h, ODE_STEPS)
-    # the nodes are copied out so a cached sine does not keep the half grid;
-    # copied before the scan instead, the general scan ran about 20% slower
-    # on many distinct profiles (heap layout, not arithmetic)
+    entries = _rk4_scan_matrices(kappa_half, profile.length / ODE_STEPS, ODE_STEPS)
+    # the nodes are copied out so a cached sine does not keep the half grid.
+    # Heap layout, not arithmetic: copied before the scan, the general scan
+    # ran about 20% slower on many distinct profiles; copied once kappa_half
+    # is freed, the copy takes its slot and the peak RSS of 1000 distinct
+    # solves rose by about 8 MB
     return (half_grid[::2].copy(), *entries)
 
 
@@ -408,45 +379,53 @@ def tau_coeff(profile: KappaProfile, n_param: float, t: float, theta: float) -> 
     return xmul(math.pow(t, 1.0 / n_param), xpow(sig, 1.0 - 1.0 / n_param))
 
 
-def _per_distinct(fn, values, k: int = 1) -> np.ndarray:
-    """``fn(v)``, a sequence of ``k`` floats, once for every distinct entry
-    ``v`` of ``values``, scattered back: shape ``(k,) + shape(values)``, each
-    entry the scalar call's."""
-    values = np.asarray(values, dtype=float)
-    distinct, inverse = np.unique(values, return_inverse=True)
-    table = np.array([fn(float(v)) for v in distinct], dtype=float).reshape(-1, k)
-    return table.T[:, inverse].reshape((k,) + values.shape)
-
-
 def const_tau(K: float, n_param: float, t, thetas) -> np.ndarray:
     """tau^{(t)}_{K,N}(theta) for every t of ``t`` (a scalar or a 1-d array)
     and every entry of the array ``thetas``; shape ``shape(t) + shape(thetas)``.
 
-    Each distinct theta is evaluated once for all t together: t at theta = 0,
-    else :func:`tau_coeff` on the constant profile K of length theta for each
-    t in turn. So every entry is the scalar coefficient bit for bit, and the
-    sine of each distinct theta is solved once: its later asks come right
-    after the solve, however many distinct thetas there are.
+    Closed form t^{1/N} (s_k(t theta) / s_k(theta))^{1 - 1/N} with
+    k = K/(N-1), evaluated in one pass with no sine solve: t at theta = 0,
+    and at or past the guarded first zero of s_k the +inf sentinel, or 0 for
+    t = 0 (0 * inf = 0). For k < 0 the sinh ratio enters through its log,
+    -a(1-t)theta + log((1 - e^{-2at theta}) / (1 - e^{-2a theta})) with
+    a = sqrt(-k), which neither overflows where sinh(a theta) would nor
+    underflows before the power 1 - 1/N is taken.
     """
-    K = float(K)
-    ts = [float(v) for v in np.atleast_1d(np.asarray(t, dtype=float))]
-
-    def taus(theta: float) -> list:
-        if theta == 0.0:
-            return ts
-        profile = KappaProfile.constant(K, theta)
-        return [tau_coeff(profile, n_param, tv, theta) for tv in ts]
-
-    out = _per_distinct(taus, thetas, len(ts))
-    return out if np.ndim(t) else out[0]
+    if n_param <= 1.0:
+        raise InvalidInputError("dimension parameter must exceed 1")
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1 or not np.all((ts >= 0.0) & (ts <= 1.0)):
+        raise InvalidInputError(f"t = {t} outside [0, 1]")
+    thetas = np.asarray(thetas, dtype=float)
+    if not np.all((thetas >= 0.0) & (thetas < INF)):
+        raise InvalidInputError("theta must be finite and nonnegative")
+    kappa = K / (n_param - 1.0)
+    tt = np.atleast_1d(ts).reshape((-1,) + (1,) * thetas.ndim)
+    power = 1.0 - 1.0 / n_param
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kappa < 0.0:
+            a = math.sqrt(-kappa)
+            log_sigma = a * (tt * thetas - thetas) + np.log(
+                np.expm1(-2.0 * a * (tt * thetas)) / np.expm1(-2.0 * a * thetas))
+            sigma_power = np.exp(power * log_sigma)
+        else:
+            sigma_power = (const_sine(kappa, tt * thetas) / const_sine(kappa, thetas)) ** power
+        tau = tt ** (1.0 / n_param) * sigma_power
+    conjugate = thetas >= const_first_zero(kappa) * (1.0 - FIRST_ZERO_GUARD)
+    tau = np.where(conjugate, np.where(tt == 0.0, 0.0, INF), tau)
+    out = np.where(thetas == 0.0, tt, tau)
+    return out if ts.ndim else out[0]
 
 
 def const_ttilde(K: float, n_param: float, thetas) -> np.ndarray:
     """:func:`ttilde_coeff` for every entry of the array ``thetas``, one
-    scalar call per distinct theta (1 everywhere for K = 0)."""
+    scalar call per distinct theta, scattered back (1 everywhere for K = 0)."""
     if K == 0.0:
         return np.ones(np.shape(thetas))
-    return _per_distinct(lambda theta: [ttilde_coeff(K, n_param, theta)], thetas)[0]
+    thetas = np.asarray(thetas, dtype=float)
+    distinct, inverse = np.unique(thetas, return_inverse=True)
+    table = np.array([ttilde_coeff(K, n_param, float(v)) for v in distinct], dtype=float)
+    return table[inverse].reshape(thetas.shape)
 
 
 def ttilde_coeff(K: float, n_param: float, theta: float) -> float:

@@ -79,23 +79,11 @@ def _same_bits(a, b):
     return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
-@given(kappa=st.one_of(st.floats(-50.0, 50.0), st.sampled_from([0.0, -0.0]),
-                       st.floats(1e3, 1e12), st.floats(-1e12, -1e3)),
-       length=st.floats(1e-3, 10.0))
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_constant_scan_is_the_general_scan_bit_for_bit(kappa, length):
-    # the O(n) constant-coefficient scan against the doubling scan of the same
-    # coefficient at every half-grid node, overflow to inf and nan included
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = _general_scan(np.full(2 * D.ODE_STEPS + 1, kappa), length)
-        got = D._rk4_scan_constant(kappa, length / D.ODE_STEPS, D.ODE_STEPS)
-    assert _same_bits(got, want)
-
-
 @pytest.mark.parametrize("kappa", [-0.0, 0.0, 1.0, -2.5])
 def test_sine_solve_scans_the_evaluated_half_grid(kappa):
-    # np.interp gives +0.0 inside a -0.0 profile and -0.0 at its ends, so that
-    # profile is not constant on the half grid and keeps the general scan
+    # every profile, constant or not, takes the general scan of the half grid
+    # it evaluates: np.interp of a -0.0 profile gives +0.0 inside and -0.0 at
+    # its ends, and the scan sees those values
     profile = KappaProfile.constant(kappa, 1.5)
     half_grid = np.linspace(0.0, 1.5, 2 * D.ODE_STEPS + 1)
     thetas, *entries = D._rk4_sine_solve(profile)
@@ -196,19 +184,37 @@ def test_tau_zero_time_convention():
     assert is_inf(tau_coeff(profile_const(9.0, 4.0), 2.0, 0.5, 2.0))
 
 
-def _scalar_tau(K, n_param, t, theta):
-    """The one-theta rule: t at theta = 0, else tau_coeff on the constant
-    profile of length theta."""
-    if theta == 0.0:
-        return t
-    return tau_coeff(KappaProfile.constant(K, theta), n_param, t, theta)
+def _oracle_tau(K, n_param, t, theta):
+    """oracles.tau_closed, nan where its math.sinh overflows (N near 1 with
+    K < 0; test_const_tau_where_sinh_overflows covers those)."""
+    try:
+        return oracles.tau_closed(K, n_param, t, theta)
+    except OverflowError:
+        return math.nan
+
+
+def _oracle_taus(K, n_param, ts, thetas):
+    return np.array([[_oracle_tau(K, n_param, t, float(th)) for th in thetas.ravel()]
+                     for t in ts]).reshape((len(ts),) + thetas.shape)
+
+
+def _assert_matches_oracle(got, want, thetas, radius):
+    # no nan anywhere; the same +-inf pattern, and relative 1e-12, wherever
+    # the oracle is defined and theta is outside the guard band just below
+    # the conjugate radius (const_tau's inf starts there, the oracle's at it)
+    assert not np.any(np.isnan(got))
+    band = (thetas >= radius * (1.0 - D.FIRST_ZERO_GUARD)) & (thetas < radius)
+    keep = ~np.isnan(want) & ~band
+    assert np.array_equal(np.isinf(got)[keep], np.isinf(want)[keep])
+    fin = keep & np.isfinite(want)
+    assert np.all(np.abs(got[fin] - want[fin]) <= 1e-12 * np.abs(want[fin]))
 
 
 @given(K=st.floats(-4.0, 4.0), n_param=st.floats(1.0, 5.0, exclude_min=True),
        t=st.floats(0.0, 1.0),
        fracs=st.lists(st.floats(0.02, 1.6), min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_const_tau_is_the_scalar_coefficient_bit_for_bit(K, n_param, t, fracs):
+def test_const_tau_matches_the_closed_form_oracle(K, n_param, t, fracs):
     # fractions of the conjugate radius of K/(N-1) (of 2 when it is infinite);
     # those past 1 sit beyond it, where tau is the inf sentinel unless t = 0
     radius = const_first_zero(K / (n_param - 1.0))
@@ -216,17 +222,32 @@ def test_const_tau_is_the_scalar_coefficient_bit_for_bit(K, n_param, t, fracs):
     vals = [0.0] + [f * scale for f in fracs] + ([1.2 * scale] if math.isfinite(radius) else [])
     thetas = np.array(vals + vals[::-1]).reshape(2, -1)     # repeats, 2-d
     got = const_tau(K, n_param, t, thetas)
-    want = np.array([[_scalar_tau(K, n_param, t, float(th)) for th in row] for row in thetas])
     assert got.shape == thetas.shape
-    assert got.tobytes() == want.tobytes()
-    if math.isfinite(radius) and t > 0.0:
-        assert is_inf(got[0, -1])
+    assert np.all(got[thetas == 0.0] == t)
+    _assert_matches_oracle(got, _oracle_taus(K, n_param, [t], thetas)[0], thetas, radius)
+    if math.isfinite(radius):
+        assert got[0, -1] == (0.0 if t == 0.0 else INF)
+
+
+@pytest.mark.parametrize("n_param", [1.0 + 1e-12, 1.0001, 1.01])
+def test_const_tau_where_sinh_overflows(n_param):
+    # a theta far past the sinh overflow of K/(N-1) < 0: there the ratio is
+    # e^{-a(1-t)theta} to double precision, a = sqrt(-K/(N-1))
+    ts = [0.0, 0.25, 0.5, 0.9, 1.0]
+    thetas = np.array([50.0, 1000.0])
+    a = math.sqrt(1.0 / (n_param - 1.0))
+    got = const_tau(-1.0, n_param, ts, thetas)
+    want = [[t ** (1.0 / n_param) * math.exp(-(1.0 - 1.0 / n_param) * a * (1.0 - t) * th)
+             for th in thetas] for t in ts]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_const_tau_scalar_and_empty_inputs():
     assert const_tau(1.0, 2.0, 0.5, 1.0).shape == ()
-    assert float(const_tau(1.0, 2.0, 0.5, 1.0)) == tau_coeff(profile_const(1.0, 1.0), 2.0, 0.5, 1.0)
+    assert float(const_tau(1.0, 2.0, 0.5, 1.0)) == pytest.approx(
+        oracles.tau_closed(1.0, 2.0, 0.5, 1.0), rel=1e-12)
     assert const_tau(1.0, 2.0, 0.5, np.empty((0, 3))).shape == (0, 3)
+    assert const_tau(1.0, 2.0, [0.5, 0.25], np.empty((0, 3))).shape == (2, 0, 3)
 
 
 @given(K=st.floats(-4.0, 4.0), n_param=st.floats(1.0, 5.0, exclude_min=True),
@@ -234,28 +255,62 @@ def test_const_tau_scalar_and_empty_inputs():
        fracs=st.lists(st.floats(0.0, 1.6), min_size=1, max_size=5))
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_const_tau_over_an_array_of_t(K, n_param, ts, fracs):
-    # a leading t axis; every entry is the scalar coefficient bit for bit,
-    # t^{1/N} from math.pow included
+    # a leading t axis: each row is the oracle at its t, and the last row is
+    # the scalar-t call bit for bit
     radius = const_first_zero(K / (n_param - 1.0))
     scale = radius if math.isfinite(radius) else 2.0
     thetas = np.array([f * scale for f in fracs])
     got = const_tau(K, n_param, ts, thetas)
     assert got.shape == (len(ts), len(thetas))
-    want = np.array([[_scalar_tau(K, n_param, t, float(th)) for th in thetas] for t in ts])
-    assert got.tobytes() == want.tobytes()
+    _assert_matches_oracle(got, _oracle_taus(K, n_param, ts, thetas), thetas, radius)
     assert got[-1].tobytes() == const_tau(K, n_param, ts[-1], thetas).tobytes()
 
 
-def test_const_tau_solves_each_theta_once_for_every_t():
+def test_const_tau_solves_each_theta_once_for_every_t(monkeypatch):
     # more distinct thetas than the sine cache holds, each asked at three t:
-    # one solve per theta, where one call per t would miss on every ask
+    # the closed form solves no sine and calls no tau_coeff at all, and a
+    # repeated theta gives the same value at every t
+    calls = []
+    scalar = D.tau_coeff
+    monkeypatch.setattr(D, "tau_coeff", lambda *a: calls.append(a) or scalar(*a))
     thetas = np.linspace(0.05, 1.5, 600)
     D._generalized_sine_cached.cache_clear()
     got = const_tau(-1.0, 3.0, [0.25, 0.5, 0.75], np.concatenate([thetas, thetas[::-1]]))
-    assert D._generalized_sine_cached.cache_info().misses == 600
+    assert D._generalized_sine_cached.cache_info().misses == 0
+    assert calls == []
     assert got.shape == (3, 1200)
+    assert np.all(np.isfinite(got))
     assert np.array_equal(got[:, :600], got[:, :599:-1])
     assert const_tau(1.0, 2.0, [0.5, 0.25], np.empty((0, 3))).shape == (2, 0, 3)
+
+
+@pytest.mark.parametrize("n_param, t, thetas", [
+    (2.0, 1.5, np.zeros(2)),            # t past 1 where every theta is 0
+    (0.5, 0.5, np.empty(0)),            # N below 1 with no theta at all
+    (1.0, 0.5, np.ones(2)),
+    (2.0, -0.25, np.ones(2)),
+    (2.0, [0.5, math.nan], np.ones(2)),
+    (2.0, [[0.5]], np.ones(2)),
+    (2.0, 0.5, np.array([0.5, -1.0])),
+    (2.0, 0.5, np.array([math.inf])),
+    (2.0, 0.5, np.array([math.nan])),
+], ids=["t-past-1-theta-0", "n-below-1-empty", "n-is-1", "t-negative", "t-nan",
+        "t-2d", "theta-negative", "theta-inf", "theta-nan"])
+def test_const_tau_checks_inputs_before_evaluating(n_param, t, thetas):
+    with pytest.raises(InvalidInputError):
+        const_tau(1.0, n_param, t, thetas)
+
+
+@given(K=st.floats(-4.0, 4.0), n_param=st.floats(1.5, 5.0), t=st.floats(0.0, 1.0),
+       frac=st.floats(0.01, 0.95))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_solved_tau_agrees_with_the_closed_form(K, n_param, t, frac):
+    # the RK4 solve on a constant profile against const_tau: the anchor that
+    # ties the ODE route to the closed form
+    radius = const_first_zero(K / (n_param - 1.0))
+    theta = frac * (radius if math.isfinite(radius) else 2.5)
+    solved = tau_coeff(KappaProfile.constant(K, theta), n_param, t, theta)
+    assert solved == pytest.approx(float(const_tau(K, n_param, t, theta)), rel=1e-8, abs=1e-8)
 
 
 def test_const_ttilde_is_the_scalar_coefficient_bit_for_bit():
