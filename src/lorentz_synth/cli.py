@@ -940,10 +940,10 @@ class CommandSpec:
     the model types the command runs on.
 
     ``imports`` names the heavy modules the runner needs (scipy's LP and
-    sparse matrices, or its image filters). The package imports none of
-    them at module level, so a command that needs none starts without
-    them; ``ExperimentConfig.resolved`` imports a command's list, so the
-    import is paid while the config is set up rather than inside ``run``.
+    sparse matrices). The package imports none of them at module level, so
+    a command that needs none starts without them;
+    ``ExperimentConfig.resolved`` imports a command's list, so the import
+    is paid while the config is set up rather than inside ``run``.
     The functions that use a module still import it themselves, so a
     missing entry costs time, never correctness. It is not a parameter."""
 
@@ -975,7 +975,6 @@ _ORIGIN = (_POINT, [0.0, 0.0])
 _K0, _N2, _Q_HALF = (_REAL, 0.0), (_DIM, 2.0), (_Q, 0.5)
 _EITHER = (ModelSpacetime, MetricGrid)
 _LP = ("scipy.optimize", "scipy.sparse")     # transport._optimal_plan
-_FILTERS = ("scipy.ndimage",)                # lipschitz_grid.mollify, _eroded
 
 COMMANDS = {
     "distortion": CommandSpec(
@@ -1100,7 +1099,7 @@ COMMANDS = {
         "the linear-in-radius error bound for metric mollification",
         _KINKED,
         {"eps_list": (_EPS_LIST, [0.6, 0.3, 0.15])},
-        _run_mollify, None, (MetricGrid,), imports=_FILTERS),
+        _run_mollify, None, (MetricGrid,)),
     "lp-deficit": CommandSpec(
         "decay of the integral curvature deficit under shrinking "
         "mollification radii",
@@ -1108,7 +1107,7 @@ COMMANDS = {
         {"K": _K0, "p_list": (_list(_POSITIVE), [1.0, 2.0]),
          "eps_list": (_EPS_LIST, [0.8, 0.5, 0.3, 0.15]), "n": (_REAL, 2.0),
          "final_ratio": (_NONNEG, 0.1)},
-        _run_lp_deficit, _lp_deficit_rule, (MetricGrid,), imports=_FILTERS),
+        _run_lp_deficit, _lp_deficit_rule, (MetricGrid,)),
     "aubry": CommandSpec(
         "the deficit-perturbed diameter bound and its needle reduction",
         {"kind": "desitter", "delta": 0.02, "x_half": 1.0},

@@ -294,7 +294,10 @@ def _generalized_sine_cached(profile: KappaProfile) -> GeneralizedSine:
 
 
 def _first_zero_from_samples(thetas, u, du) -> float:
-    sign_change = np.nonzero(u[1:-1] * u[2:] <= 0.0)[0]
+    # a zero or a change of sign between neighbours: a sample times the sign
+    # of the next, since the product of two samples underflows to 0 for a
+    # profile shorter than about 1e-159
+    sign_change = np.nonzero(u[1:-1] * np.sign(u[2:]) <= 0.0)[0]
     if len(sign_change) == 0:
         return INF
     i = sign_change[0] + 1
@@ -367,7 +370,17 @@ def sigma_coeff(profile: KappaProfile, t: float, theta: float) -> float:
     sine = generalized_sine(profile)
     if theta >= sine.first_zero * (1.0 - FIRST_ZERO_GUARD):
         return INF
-    return float(sine(t * theta) / sine(theta))
+    num, denom = sine(t * theta), sine(theta)
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        raise _sine_overflow(theta)
+    return float(num / denom)
+
+
+def _sine_overflow(theta: float) -> InvalidInputError:
+    """Never a silent NaN: a sine that overflowed in the RK4 scan would make
+    the ratio inf/inf."""
+    return InvalidInputError(f"the generalized sine overflows on [0, {theta}]: "
+                             "the profile is too negative for the RK4 scan")
 
 
 def tau_coeff(profile: KappaProfile, n_param: float, t: float, theta: float) -> float:
@@ -525,10 +538,12 @@ def _sigma_profile_values(profile: KappaProfile, theta: float, r_nodes: np.ndarr
     sine = generalized_sine(sub)
     if theta >= sine.first_zero * (1.0 - FIRST_ZERO_GUARD):
         return None
-    denom = sine(theta)
+    num, denom = sine(r_nodes * theta), sine(theta)
+    if not (math.isfinite(denom) and np.isfinite(num).all()):
+        raise _sine_overflow(theta)
     if denom <= 0.0:
         return None
-    return sine(r_nodes * theta) / denom
+    return num / denom
 
 
 def defect_bound(K: float, n_param: float, p: float, eta: float,

@@ -5,6 +5,11 @@ a log-density weight, and a validity mask. Rough metrics are smoothed by
 convolution with a compactly supported bump before any curvature is read off:
 
 * ``mollify``      -- tensor-product bump kernel of radius eps, interior-only;
+  each axis pass sums x_i w_r, then (x_{i-j} + x_{i+j}) w_{r-j} for j = r
+  down to 1, edge values repeated past the ends: the summation order of
+  ``scipy.ndimage.convolve1d(mode="nearest")`` for a symmetric kernel, so the
+  smoothed grid has the same bits as with scipy (which the tests use as the
+  reference; the package itself needs only numpy here);
 * ``cone_narrowed`` -- g - c dt (x) dt, shrinking the timelike cones;
 * ``christoffels`` / ``ricci`` / ``bakry_emery`` -- central finite differences
   (4th order, so the truncation error stays far below the mollification-scale
@@ -72,6 +77,8 @@ class MetricGrid:
             raise InvalidInputError("need at least one time and one space axis")
         if self.nodes.shape[:-2] != self.weight_nodes.shape:
             raise InvalidInputError("weight array shape mismatch")
+        if not np.all(np.isfinite(self.nodes)):
+            raise InvalidInputError("metric coefficients must be finite at every node")
         if not np.all(np.isfinite(self.weight_nodes)):
             raise InvalidInputError("weight must be finite at every node")
         if not np.allclose(self.nodes, np.swapaxes(self.nodes, -1, -2),
@@ -154,30 +161,67 @@ def _bump_kernel(radius_nodes: int, h: float, eps: float) -> np.ndarray:
     return k / np.sum(k)
 
 
+def _convolved(a: np.ndarray, kern: np.ndarray, axis: int) -> np.ndarray:
+    """Convolve ``a`` with the odd-length symmetric ``kern`` along ``axis``,
+    edge values repeated past either end. The sum runs in the order of
+    ``scipy.ndimage.convolve1d(mode="nearest")`` for a symmetric kernel, so
+    both give the same bits: x_i w_r, then (x_{i-j} + x_{i+j}) w_{r-j} added
+    for j = r down to 1 (w is the reversed kernel, r its half-width)."""
+    w = kern[::-1]
+    r, n = len(kern) // 2, a.shape[axis]
+    # the padded lines, with ``axis`` first so that each shift is one block
+    x = np.moveaxis(a, axis, 0)[np.clip(np.arange(-r, n + r), 0, n - 1)]
+    out = x[r:r + n] * w[r]
+    tmp = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(x[r - j:r - j + n], x[r + j:r + j + n], out=tmp)
+        tmp *= w[r - j]
+        out += tmp
+    return np.moveaxis(out, 0, axis)
+
+
+def _and_window(valid: np.ndarray, r: int, axis: int) -> np.ndarray:
+    """True where every node within ``r`` steps along ``axis`` is True, nodes
+    past either end counting as False (``scipy.ndimage.minimum_filter1d``
+    with size 2r + 1, ``mode="constant"``, ``cval=0``): no False node in the
+    window, counted from one cumulative sum."""
+    v = np.moveaxis(valid, axis, 0)
+    pad = [(r + 1, r)] + [(0, 0)] * (v.ndim - 1)
+    # window i is padded nodes i + 1 .. i + 2r + 1; node 0 only anchors the
+    # sums, which stay below n + 2r + 2, so int32 counts them exactly
+    falses = np.cumsum(np.pad(~v, pad, constant_values=True), axis=0, dtype=np.int32)
+    return np.moveaxis(falses[2 * r + 1:] == falses[:len(v)], 0, axis)
+
+
+def _smoothed(a: np.ndarray, kern: np.ndarray, axis: int) -> np.ndarray:
+    """``_convolved``, except that an array whose entries all have the same
+    bits (g01 = 0 and g00 = 1 on warped charts, a zero weight) is convolved
+    at one node and broadcast: every node adds the same values in the same
+    order, so each gets those bits. +0.0 and -0.0 count as different."""
+    c = a.flat[0]
+    if (a == c).all() and (np.signbit(a) == np.signbit(c)).all():
+        return np.full(a.shape, _convolved(np.array([c]), kern, 0)[0])
+    return _convolved(a, kern, axis)
+
+
 def mollify(grid: MetricGrid, eps: float) -> MetricGrid:
     """Convolve every coefficient and the weight with a smooth bump of radius
     eps; the boundary band the kernel cannot see is marked invalid. The
     smoothed grid is built as a ``MetricGrid``, which checks its signature."""
-    # imported here, as in _eroded, so that importing the package loads no
-    # scipy (cli.CommandSpec.imports)
-    from scipy import ndimage
-
     if eps < 2.0 * max(grid.spacing):
         raise InvalidInputError("kernel radius below twice the grid spacing")
     nodes = grid.nodes.copy()
-    w = grid.weight_nodes.copy()
-    valid = grid.valid.copy()
+    w, valid = grid.weight_nodes, grid.valid
     for ax, h in enumerate(grid.spacing):
         r = int(math.floor(eps / h))
         kern = _bump_kernel(r, h, eps)
         for i in range(grid.dims):
             for j in range(i, grid.dims):
-                sm = ndimage.convolve1d(nodes[..., i, j], kern, axis=ax, mode="nearest")
+                sm = _smoothed(nodes[..., i, j], kern, ax)
                 nodes[..., i, j] = sm
                 nodes[..., j, i] = sm
-        w = ndimage.convolve1d(w, kern, axis=ax, mode="nearest")
-        valid = ndimage.minimum_filter1d(valid.astype(np.uint8), 2 * r + 1,
-                                         axis=ax, mode="constant", cval=0).astype(bool)
+        w = _smoothed(w, kern, ax)
+        valid = _and_window(valid, r, ax)
     if not np.any(valid):
         raise InvalidInputError("kernel radius leaves no interior nodes")
     sup_err = max(float(np.max(np.abs(nodes - grid.nodes)[valid])),
@@ -234,12 +278,9 @@ def _scalar_hessian(f: np.ndarray, spacing) -> np.ndarray:
 
 
 def _eroded(valid: np.ndarray, margin: int) -> np.ndarray:
-    from scipy import ndimage
-
     out = valid
     for ax in range(valid.ndim):
-        out = ndimage.minimum_filter1d(out.astype(np.uint8), 2 * margin + 1,
-                                       axis=ax, mode="constant", cval=0).astype(bool)
+        out = _and_window(out, margin, ax)
     return out
 
 

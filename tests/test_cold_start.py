@@ -48,8 +48,6 @@ LOADS = {
     "tmcp": {"scipy.optimize", "scipy.sparse"},
     "tcd": {"scipy.optimize", "scipy.sparse"},
     "brenier": {"scipy.optimize", "scipy.sparse"},
-    "mollify": {"scipy.ndimage"},
-    "lp-deficit": {"scipy.ndimage"},
 }
 
 # the --quick config of each command, cut further where its run is long; the

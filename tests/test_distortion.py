@@ -176,6 +176,8 @@ def test_tau_examples_frozen():
     assert tau_coeff(profile_const(2.0), 2.5, 1.0, 0.9) == pytest.approx(1.0, abs=1e-10)
     got = tau_coeff(profile_const(1.0), 2.0, 0.5, 1.0)
     assert got == pytest.approx(TAU_HALF_UNIT, abs=1e-6)
+    # sine samples near 1e-300, whose products underflow to 0
+    assert tau_coeff(profile_const(0.0, 1e-300), 2.0, 0.5, 1e-300) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_tau_zero_time_convention():
@@ -364,6 +366,19 @@ def test_interpolated_sigma_satisfies_ode(base, frac):
     resid = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / delta ** 2 \
         + prof(ts[1:-1] * theta) * theta ** 2 * v[1:-1]
     assert np.max(np.abs(resid)) <= 1e-5
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tau_coeff(profile_const(-1.0, 10.0), 1.0001, 0.5, 10.0),
+    lambda: sigma_coeff(profile_const(-1e4, 10.0), 0.5, 10.0),
+    lambda: defect_bound(0.0, 2.0, 2.0, 0.1, profile_const(-1e4, 10.0), 0.5, 9.0),
+], ids=["tau", "sigma", "defect-bound"])
+def test_an_overflowing_sine_raises_instead_of_returning_nan(call):
+    # the RK4 scan of a strongly negative profile overflows to inf, and the
+    # sine ratio would be inf/inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInputError, match="overflows"):
+            call()
 
 
 def test_sigma_input_validation():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lorentz_synth import lipschitz_grid as L
 from lorentz_synth.errors import DegenerateMetricError, InvalidInputError
@@ -51,6 +52,22 @@ class TestMetricGrid:
         with pytest.raises(InvalidInputError):
             L.minkowski_grid(((0, 1), (0, 1)), (9, 9),
                              weight=lambda p: np.where(p[..., 0] > 0.5, np.nan, 0.0))
+
+    @pytest.mark.parametrize("entry, bad", [
+        ((0, 0), math.inf), ((0, 0), -math.inf), ((0, 0), math.nan),
+        ((0, 1), math.inf), ((1, 1), math.nan)])
+    def test_rejects_nonfinite_coefficients(self, entry, bad):
+        # checked before the symmetry test, so a NaN is not reported as an
+        # asymmetric matrix, and an inf does not pass at all
+        def fn(pts):
+            g = np.zeros(pts.shape[:-1] + (2, 2))
+            g[..., 0, 0] = 1.0
+            g[..., 1, 1] = -1.0
+            g[(3, 4) + entry] = g[(3, 4) + entry[::-1]] = bad
+            return g
+
+        with pytest.raises(InvalidInputError, match="finite at every node"):
+            L.metric_grid(fn, ((0, 1), (0, 1)), (9, 9))
 
     def test_lipschitz_bound_records_the_steepest_quotient(self):
         g = kinked_grid((257, 17))
@@ -138,6 +155,97 @@ class TestMollify:
         g = L.metric_grid(fn, ((0, 2), (0, 1)), (513, 17))
         with pytest.raises(DegenerateMetricError):
             L.mollify(g, 0.3)
+
+
+# values with both zeros, subnormals and mixed signs, small enough that no sum
+# overflows
+_FILTER_VALUES = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]),
+    st.floats(-1e-300, 1e-300))
+
+
+@st.composite
+def _filter_case(draw, dtype, elements):
+    """An array of 1 to 3 axes, sometimes with every entry the same, one of
+    its axes, and a window radius from 1 to past that axis' length."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=7))
+    if draw(st.booleans()):
+        a = draw(hnp.arrays(dtype, shape, elements=elements))
+    else:
+        a = np.full(shape, draw(elements), dtype=dtype)
+    axis = draw(st.integers(0, len(shape) - 1))
+    return a, axis, draw(st.integers(1, shape[axis] + 3))
+
+
+class TestFilterReplicas:
+    """The numpy filters of ``mollify`` against the scipy.ndimage calls they
+    replace, byte for byte; scipy is the reference here only."""
+
+    @given(case=_filter_case(float, _FILTER_VALUES), frac=st.floats(0.0, 0.999))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_convolution_is_scipys_bit_for_bit(self, case, frac):
+        from scipy import ndimage
+
+        a, axis, r = case
+        # radius r nodes as mollify builds it; frac = 0 puts zeros at the ends
+        kern = L._bump_kernel(r, 0.1, (r + frac) * 0.1)
+        # a strided view too, as mollify passes nodes[..., i, j]
+        view = np.stack([a, -a], axis=-1)[..., 0]
+        for x in (a, view):
+            want = ndimage.convolve1d(x, kern, axis=axis, mode="nearest").tobytes()
+            assert L._convolved(x, kern, axis).tobytes() == want
+            assert L._smoothed(x, kern, axis).tobytes() == want
+
+    @given(case=_filter_case(bool, st.booleans()))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_and_window_is_the_minimum_filter(self, case):
+        from scipy import ndimage
+
+        mask, axis, r = case
+        want = ndimage.minimum_filter1d(mask.astype(np.uint8), 2 * r + 1, axis=axis,
+                                        mode="constant", cval=0).astype(bool)
+        got = L._and_window(mask, r, axis)
+        assert got.dtype == bool and np.array_equal(got, want)
+
+    def test_only_constant_planes_are_convolved_at_one_node(self, monkeypatch):
+        from scipy import ndimage
+
+        seen = []
+        conv = L._convolved
+        monkeypatch.setattr(L, "_convolved",
+                            lambda a, kern, axis: seen.append(a.shape) or conv(a, kern, axis))
+        one_subnormal = np.zeros((9, 5))
+        one_subnormal[4, 2] = 5e-324
+        one_negative_zero = np.zeros((9, 5))
+        one_negative_zero[2, 3] = -0.0
+        planes = [np.zeros((9, 5)), np.full((9, 5), -0.0), np.full((9, 5), 0.7),
+                  one_subnormal, one_negative_zero]
+        kern = L._bump_kernel(3, 0.1, 0.3)      # zero weights at both ends
+        for plane in planes:
+            want = ndimage.convolve1d(plane, kern, axis=0, mode="nearest")
+            assert L._smoothed(plane, kern, 0).tobytes() == want.tobytes()
+        assert seen == [(1,), (1,), (1,), (9, 5), (9, 5)]
+        assert np.all(np.signbit(L._smoothed(planes[1], kern, 0)))
+
+    @pytest.mark.parametrize("grid", [
+        kinked_grid((257, 33)),
+        tilted_grid(2, (65, 49), 0.1, 0.4),
+        tilted_grid(3, (17, 21, 19), 0.1, 0.4),
+    ], ids=["kinked", "tilted-1+1", "tilted-2+1"])
+    def test_mollify_is_the_scipy_mollify_bit_for_bit(self, grid, monkeypatch):
+        from scipy import ndimage
+
+        eps = 4.0 * max(grid.spacing)
+        got = L.mollify(grid, eps)
+        # every plane through scipy, constant ones included
+        monkeypatch.setattr(L, "_smoothed", lambda a, kern, axis: ndimage.convolve1d(
+            a, kern, axis=axis, mode="nearest"))
+        monkeypatch.setattr(L, "_and_window", lambda valid, r, axis: ndimage.minimum_filter1d(
+            valid.astype(np.uint8), 2 * r + 1, axis=axis, mode="constant", cval=0).astype(bool))
+        want = L.mollify(grid, eps)
+        assert got == want
+        assert (got.lipschitz_bound, got.sup_error) == (want.lipschitz_bound, want.sup_error)
 
 
 class TestConeNarrowing:
