@@ -1,4 +1,4 @@
-"""Spawn-to-exit seconds of every default run, on two checkouts.
+"""Spawn-to-exit seconds and peak RSS of every default run, on two checkouts.
 
     python3 scripts/cold_runs.py BASE CHANGE [--runs 5] [--only NAME ...]
 
@@ -13,8 +13,9 @@ caches. The environment is the caller's apart from ``PYTHONPATH``; outputs go
 to a temporary directory.
 
 Prints a Markdown table: per run name, the median seconds of each side, their
-ratio, and the exit status of each side (a run whose status differs between
-runs prints all of them).
+ratio, the median peak resident set size of each side (``ru_maxrss`` of the
+child, as ``os.wait4`` reports it, in MB of 2**20 bytes), and the exit status
+of each side (a run whose status differs between runs prints all of them).
 """
 
 from __future__ import annotations
@@ -33,19 +34,21 @@ from payload_digest import runs as default_runs
 
 
 def timed(root: Path, cli: list | None, out: Path) -> tuple:
-    """(seconds from spawn to exit, exit status) of one fresh interpreter that
-    runs the command line ``cli`` into ``out``, or only imports the package
-    when ``cli`` is None."""
+    """(seconds from spawn to exit, peak RSS in MB, exit status) of one fresh
+    interpreter that runs the command line ``cli`` into ``out``, or only
+    imports the package when ``cli`` is None."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     argv = (["-c", "import lorentz_synth.cli"] if cli is None else
             ["-m", "lorentz_synth.cli", *cli, "--seed", "0", "--out", str(out)])
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *argv], env=env, cwd=out.parent,
-                          stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL)
+    proc = subprocess.Popen([sys.executable, *argv], env=env, cwd=out.parent,
+                            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)    # reaped here, not by Popen
     shutil.rmtree(out, ignore_errors=True)
-    return wall, proc.returncode
+    return wall, usage.ru_maxrss / 1024, proc.returncode
 
 
 def main(argv=None) -> int:
@@ -68,6 +71,7 @@ def main(argv=None) -> int:
         plan = [(name, cli) for name, cli in plan if name in args.only]
 
     seconds = {(side, name): [] for side in roots for name, _ in plan}
+    rss = {(side, name): [] for side in roots for name, _ in plan}
     codes = {(side, name): [] for side in roots for name, _ in plan}
     with tempfile.TemporaryDirectory() as tmp:
         for side, root in roots.items():
@@ -77,8 +81,9 @@ def main(argv=None) -> int:
             for name, cli in plan:
                 for side in order:
                     out = Path(tmp) / f"{side}-{name}-{k}"
-                    wall, code = timed(roots[side], cli, out)
+                    wall, peak, code = timed(roots[side], cli, out)
                     seconds[side, name].append(wall)
+                    rss[side, name].append(peak)
                     codes[side, name].append(code)
             print(f"round {k + 1} of {args.runs} done", file=sys.stderr, flush=True)
 
@@ -86,12 +91,15 @@ def main(argv=None) -> int:
         got = sorted(set(codes[side, name]))
         return ",".join(map(str, got))
 
-    print("| run | base s | change s | change/base | exit base | exit change |")
-    print("|---|---:|---:|---:|---:|---:|")
+    print("| run | base s | change s | change/base | base MB | change MB "
+          "| exit base | exit change |")
+    print("|---|---:|---:|---:|---:|---:|---:|---:|")
     for name, _ in plan:
         base = statistics.median(seconds["base", name])
         change = statistics.median(seconds["change", name])
         print(f"| {name} | {base:.2f} | {change:.2f} | {change / base:.2f} "
+              f"| {statistics.median(rss['base', name]):.1f} "
+              f"| {statistics.median(rss['change', name]):.1f} "
               f"| {status('base', name)} | {status('change', name)} |")
     return 0
 

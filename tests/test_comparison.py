@@ -395,12 +395,12 @@ class TestTcd:
         calls = []
         scalar = D.tau_coeff
         monkeypatch.setattr(D, "tau_coeff", lambda *a: calls.append(a) or scalar(*a))
-        D._generalized_sine_cached.cache_clear()
+        D.sine_fundamental.cache_clear()
         rep = check_tcd_semiconvexity(model, mu0, mu1, -1.0, 2.0, 0.5, (0.25, 0.5),
                                       cells_resolution=128)
         assert rep.passed
         assert calls == []
-        assert D._generalized_sine_cached.cache_info().misses == 0
+        assert D.sine_fundamental.cache_info().misses == 0
 
     def test_rejects_non_chronological_supports(self):
         mu = uniform_on_box(((-1.4, -1.0), (-0.2, 0.2)), 2)

@@ -91,6 +91,39 @@ def test_sine_solve_scans_the_evaluated_half_grid(kappa):
     assert _same_bits(entries, _general_scan(profile(half_grid), 1.5))
 
 
+def test_one_cached_solve_per_profile_for_both_entry_points(monkeypatch):
+    # generalized_sine and sine_fundamental read the same RK4 solve, whichever
+    # asks first, and the first zero is bisected once per solve
+    solves, bisections = [], []
+    solve, bisect = D._rk4_sine_solve, D._first_zero_from_samples
+    monkeypatch.setattr(D, "_rk4_sine_solve", lambda p: solves.append(p) or solve(p))
+    monkeypatch.setattr(D, "_first_zero_from_samples",
+                        lambda *a: bisections.append(a) or bisect(*a))
+    D.sine_fundamental.cache_clear()
+    profile = KappaProfile.from_samples([[0.0, 4.0], [1.0, 1.0], [3.0, 2.0]])
+    sine = generalized_sine(profile)
+    fs = D.sine_fundamental(profile)
+    assert generalized_sine(profile) is sine
+    assert first_zero(profile) == sine.first_zero
+    assert len(solves) == 1 and len(bisections) == 1
+    assert sine.values.tobytes() == fs.u.tobytes()
+    assert sine.derivative_values.tobytes() == fs.du.tobytes()
+    assert sine.thetas.tobytes() == fs.thetas.tobytes()
+
+    D.sine_fundamental.cache_clear()
+    fs = D.sine_fundamental(profile.reversed())
+    assert generalized_sine(profile.reversed()).values.tobytes() == fs.u.tobytes()
+    assert len(solves) == 2
+
+    # the cache stays bounded however many distinct profiles pass through it
+    size = D.sine_fundamental.cache_info().maxsize
+    for k in range(size + 5):
+        generalized_sine(KappaProfile.constant(0.01 * k, 1.0))
+    info = D.sine_fundamental.cache_info()
+    assert info.currsize <= size
+    assert len(solves) == 2 + size + 5
+
+
 def test_first_zero_examples():
     assert abs(first_zero(profile_const(4.0)) - math.pi / 2) <= 1e-8
     assert is_inf(first_zero(profile_const(0.0)))
@@ -276,9 +309,9 @@ def test_const_tau_solves_each_theta_once_for_every_t(monkeypatch):
     scalar = D.tau_coeff
     monkeypatch.setattr(D, "tau_coeff", lambda *a: calls.append(a) or scalar(*a))
     thetas = np.linspace(0.05, 1.5, 600)
-    D._generalized_sine_cached.cache_clear()
+    D.sine_fundamental.cache_clear()
     got = const_tau(-1.0, 3.0, [0.25, 0.5, 0.75], np.concatenate([thetas, thetas[::-1]]))
-    assert D._generalized_sine_cached.cache_info().misses == 0
+    assert D.sine_fundamental.cache_info().misses == 0
     assert calls == []
     assert got.shape == (3, 1200)
     assert np.all(np.isfinite(got))
