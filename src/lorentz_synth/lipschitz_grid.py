@@ -13,7 +13,17 @@ convolution with a compactly supported bump before any curvature is read off:
 * ``cone_narrowed`` -- g - c dt (x) dt, shrinking the timelike cones;
 * ``christoffels`` / ``ricci`` / ``bakry_emery`` -- central finite differences
   (4th order, so the truncation error stays far below the mollification-scale
-  features the deficit integrals need to resolve);
+  features the deficit integrals need to resolve). Every index contraction is
+  a loop over the d <= 3 components that adds each rounded product onto
+  zeros as it is formed, the contracted index ascending (for Gamma^k_il
+  Gamma^l_kj, k outer and l inner): the order of numpy's ``einsum`` on
+  C-contiguous operands, so both give the same bits, signed zeros included
+  (the tests hold them to an ``einsum`` oracle), on every platform. (Where
+  both operands hold the contracted index innermost in memory, ``einsum``
+  sums it in SIMD lanes instead; for three terms that moves the last bit and
+  differs between CPUs.) The conditioning check reads the worst
+  max|lambda| / min|lambda| that the signature check of ``MetricGrid``
+  computed from its eigenvalues, so a grid is decomposed once;
 * ``timelike_lower_bound_fn`` -- worst Ricci quotient over sampled cones;
 * ``lp_deficit_curves`` -- integral of |(k - K)_-|^p along a mollification
   schedule for every p in a list, the quantitative track of curvature bounds
@@ -29,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -43,12 +53,21 @@ CONE_DIRECTIONS = 16     # slopes per node, one sample each
 CONE_SPEED = 0.5
 
 
-def _check_signature(nodes: np.ndarray, mask: np.ndarray):
+def _check_signature(nodes: np.ndarray, mask: np.ndarray) -> float:
+    """Raise unless every masked nodal matrix has signature (+, -, ..., -).
+    Returns the worst 2-norm condition number over those nodes: for a
+    symmetric matrix max|lambda| / min|lambda|, the ratio numpy's
+    ``linalg.cond`` takes from an SVD, here from the eigenvalues at hand."""
     if not np.any(mask):
         raise InvalidInputError("no valid nodes left")
     eig = np.linalg.eigvalsh(nodes[mask])
     if np.any(eig[..., :-1] >= 0.0) or np.any(eig[..., -1] <= 0.0):
         raise DegenerateMetricError("nodal matrix without Lorentzian signature")
+    # ascending order: eig[:, 0] is the most negative, eig[:, -2] the negative
+    # one nearest 0, and eig[:, -1] the one positive eigenvalue
+    top = np.maximum(-eig[:, 0], eig[:, -1])
+    low = np.minimum(-eig[:, -2], eig[:, -1])
+    return float(np.max(top / low))
 
 
 def _fd_sup_quotient(arr: np.ndarray, spacing, axes: int) -> float:
@@ -71,6 +90,8 @@ class MetricGrid:
     valid: np.ndarray              # (*shape,) bool
     lipschitz_bound: float
     sup_error: float = 0.0         # recorded mollification error to the parent
+    # worst condition number of a valid nodal matrix, set by the signature check
+    cond_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dims < 2:
@@ -84,7 +105,7 @@ class MetricGrid:
         if not np.allclose(self.nodes, np.swapaxes(self.nodes, -1, -2),
                            atol=1e-12, rtol=0.0):
             raise InvalidInputError("nodal matrices must be symmetric")
-        _check_signature(self.nodes, self.valid)
+        object.__setattr__(self, "cond_max", _check_signature(self.nodes, self.valid))
 
     @property
     def dims(self) -> int:
@@ -253,16 +274,34 @@ def narrowing_constant(grid: MetricGrid) -> float:
 # -- finite-difference curvature --------------------------------------------------
 
 
+def _shifts(f: np.ndarray, axis: int):
+    """f_{i-2}, f_{i-1}, f_{i+1}, f_{i+2} along ``axis``, indices taken modulo
+    its length (the values of four rolls): views of one wrap-padded copy."""
+    n = f.shape[axis]
+    p = np.take(f, np.arange(-2, n + 2) % n, axis=axis)
+    head = (slice(None),) * axis
+    return tuple(p[head + (slice(k, k + n),)] for k in (0, 1, 3, 4))
+
+
 def _d1(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    fp1, fm1 = np.roll(f, -1, axis), np.roll(f, 1, axis)
-    fp2, fm2 = np.roll(f, -2, axis), np.roll(f, 2, axis)
+    fm2, fm1, fp1, fp2 = _shifts(f, axis)
     return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
 
 
 def _d2(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    fp1, fm1 = np.roll(f, -1, axis), np.roll(f, 1, axis)
-    fp2, fm2 = np.roll(f, -2, axis), np.roll(f, 2, axis)
+    fm2, fm1, fp1, fp2 = _shifts(f, axis)
     return (-fp2 + 16.0 * fp1 - 30.0 * f + 16.0 * fm1 - fm2) / (12.0 * h * h)
+
+
+def _sum_of_products(pairs, shape) -> np.ndarray:
+    """0 + a_1 b_1 + a_2 b_2 + ..., each product rounded and added as it is
+    formed, left to right (see the module docstring)."""
+    out = np.zeros(shape)
+    term = np.empty(shape)
+    for a, b in pairs:
+        np.multiply(a, b, out=term)
+        out += term
+    return out
 
 
 def _scalar_hessian(f: np.ndarray, spacing) -> np.ndarray:
@@ -306,11 +345,14 @@ def _christoffel_arrays(nodes: np.ndarray, spacing):
     T = (np.moveaxis(dg, [-3, -2, -1], [-2, -1, -3])
          + np.moveaxis(dg, [-3, -2, -1], [-1, -2, -3])
          - dg)
-    return 0.5 * np.einsum("...kl,...lij->...kij", np.linalg.inv(nodes), T)
+    ginv = np.linalg.inv(nodes)
+    # sum over l of g^kl T[l, i, j]
+    return 0.5 * _sum_of_products(
+        ((ginv[..., :, l, None, None], T[..., None, l, :, :]) for l in range(d)), T.shape)
 
 
 def _check_conditioning(grid: MetricGrid):
-    if np.any(np.linalg.cond(grid.nodes[grid.valid]) > COND_LIMIT):
+    if grid.cond_max > COND_LIMIT:
         raise DegenerateMetricError("nodal matrix close to singular")
 
 
@@ -332,8 +374,12 @@ def _ricci_arrays(nodes: np.ndarray, spacing):
         dgam += _d1(gamma[..., k, :, :], k, spacing[k])
     hess_s = _scalar_hessian(s, spacing)
     ds = np.stack([_d1(s, k, spacing[k]) for k in range(d)], axis=-1)
-    quad1 = np.einsum("...l,...lij->...ij", ds, gamma)
-    quad2 = np.einsum("...kil,...lkj->...ij", gamma, gamma)
+    # sum over l of d_l s Gamma^l_ij; sum over k, then l, of Gamma^k_il Gamma^l_kj
+    quad1 = _sum_of_products(
+        ((ds[..., l, None, None], gamma[..., l, :, :]) for l in range(d)), dgam.shape)
+    quad2 = _sum_of_products(
+        ((gamma[..., k, :, l, None], gamma[..., l, k, None, :])
+         for k in range(d) for l in range(d)), dgam.shape)
     return dgam - hess_s + quad1 - quad2, gamma
 
 
@@ -356,11 +402,14 @@ def bakry_emery(grid: MetricGrid, n_param: float) -> CurvatureField:
     base = ricci(grid)
     f = grid.weight_nodes
     df = np.stack([_d1(f, k, grid.spacing[k]) for k in range(d)], axis=-1)
-    hess = _scalar_hessian(f, grid.spacing) \
-        - np.einsum("...kij,...k->...ij", base.christoffel, df)
+    shape = base.ricci.shape
+    # sum over k of Gamma^k_ij d_k f
+    hess = _scalar_hessian(f, grid.spacing) - _sum_of_products(
+        ((base.christoffel[..., k, :, :], df[..., k, None, None]) for k in range(d)), shape)
     be = base.ricci - hess
     if n_param > d:
-        be = be - np.einsum("...i,...j->...ij", df, df) / (n_param - d)
+        be = be - _sum_of_products([(df[..., :, None], df[..., None, :])], shape) \
+            / (n_param - d)
     return CurvatureField(grid, base.valid, base.christoffel, base.ricci,
                           be, hess, n_param)
 
@@ -374,7 +423,7 @@ def _quadratic_form(v: np.ndarray, m: np.ndarray) -> np.ndarray:
 
     The terms v_i M_ij v_j are multiplied left to right and added one at a
     time onto 0, i outer and j inner: the order of
-    ``np.einsum("...i,...ij,...j->...")``, so both give the same bits.
+    ``einsum("...i,...ij,...j->...")``, so both give the same bits.
     """
     d = len(v)
     out = np.zeros(v.shape[1:])
@@ -483,11 +532,16 @@ def lp_deficit_curves(grid: MetricGrid, K: float, p_list: Sequence[float],
         sm = mollify(grid, eps)
         narrowed = cone_narrowed(sm, narrowing_constant(sm))
         field = bakry_emery(narrowed, n_param)
-        k = timelike_lower_bound_fn(field, narrowed)
         if region is None:
             region = field.valid
-        shortfall = np.clip(K - k[region], 0.0, None)
+        # the weights need the smoothed grid, the cone scan does not: freed
+        # before the scan (the run's memory peak), and this radius' grids and
+        # tensors before the next radius is smoothed
         weights = _measure_weights(sm)[region]
+        del sm
+        k = timelike_lower_bound_fn(field, narrowed)
+        del narrowed, field
+        shortfall = np.clip(K - k[region], 0.0, None)
         for p, curve in zip(p_list, curves):
             curve.append((eps, float(np.sum(shortfall ** p * weights))))
     return curves
@@ -516,15 +570,26 @@ def save_grid(grid: MetricGrid, path):
 
 
 def load_grid(path) -> MetricGrid:
+    """Read a grid written by ``save_grid``. The binary must hold exactly the
+    n (d^2 + 2) float64 values its manifest implies, and the validity block
+    only 0 and 1."""
     path = Path(path)
     manifest = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     shape = tuple(manifest["shape"])
     d = manifest["dims"]
     raw = np.fromfile(path, dtype=np.float64)
     n = int(np.prod(shape))
+    if raw.size != n * (d * d + 2):
+        raise InvalidInputError(f"{path}: expected {n * (d * d + 2)} float64 values "
+                                f"for shape {list(shape)} and dims {d}, found {raw.size}")
+    flags = raw[n * d * d + n:]
+    bad = int(np.count_nonzero((flags != 0.0) & (flags != 1.0)))
+    if bad:
+        raise InvalidInputError(f"{path}: expected {n} validity entries of 0 or 1, "
+                                f"found {bad} other values")
     nodes = raw[: n * d * d].reshape(shape + (d, d))
     w = raw[n * d * d: n * d * d + n].reshape(shape)
-    valid = raw[n * d * d + n:].reshape(shape).astype(bool)
+    valid = flags.reshape(shape).astype(bool)
     return MetricGrid(tuple(manifest["spacing"]), tuple(manifest["origin"]),
                       nodes, w, valid, manifest["lipschitz_bound"],
                       manifest["sup_error"])

@@ -529,3 +529,93 @@ def cone_scan_einsum(field, grid, directions=16, speed=0.5):
         np.minimum(k, quot, out=k)
     k[~field.valid] = np.nan
     return k
+
+
+# --- finite-difference curvature, the roll / einsum / SVD route -------------
+
+def d1_roll(f, axis, h):
+    """4th-order central first difference along ``axis``, periodic."""
+    fp1, fm1 = np.roll(f, -1, axis), np.roll(f, 1, axis)
+    fp2, fm2 = np.roll(f, -2, axis), np.roll(f, 2, axis)
+    return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+
+
+def d2_roll(f, axis, h):
+    """4th-order central second difference along ``axis``, periodic."""
+    fp1, fm1 = np.roll(f, -1, axis), np.roll(f, 1, axis)
+    fp2, fm2 = np.roll(f, -2, axis), np.roll(f, 2, axis)
+    return (-fp2 + 16.0 * fp1 - 30.0 * f + 16.0 * fm1 - fm2) / (12.0 * h * h)
+
+
+def _roll_hessian(f, spacing):
+    d = len(spacing)
+    out = np.empty(f.shape + (d, d))
+    for i in range(d):
+        out[..., i, i] = d2_roll(f, i, spacing[i])
+        for j in range(i + 1, d):
+            mixed = d1_roll(d1_roll(f, i, spacing[i]), j, spacing[j])
+            out[..., i, j] = mixed
+            out[..., j, i] = mixed
+    return out
+
+
+def christoffel_einsum(nodes, spacing, contiguous=True):
+    """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2 from 4th-order
+    central differences taken with ``np.roll`` (periodic, so the band within
+    4 nodes of an edge is garbage), contracted with one ``np.einsum``.
+
+    T is made C-contiguous first unless ``contiguous`` is False. Built as a
+    sum of moved axes it has l innermost in memory, like g^kl; einsum then
+    sums over l in SIMD lanes, not in index order: with two lanes (x86
+    without FMA) it reads (p_0 + p_2) + p_1 for d = 3, with fused
+    multiply-adds on aarch64. On a C-contiguous T it sums l = 0, 1, 2 in
+    turn, one rounded product at a time, on every platform. For d = 2 both
+    give the same bits."""
+    d = nodes.shape[-1]
+    dg = np.empty(nodes.shape[:-2] + (d, d, d))
+    for k in range(d):
+        dg[..., k, :, :] = d1_roll(nodes, k, spacing[k])
+    # T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    T = (np.moveaxis(dg, [-3, -2, -1], [-2, -1, -3])
+         + np.moveaxis(dg, [-3, -2, -1], [-1, -2, -3])
+         - dg)
+    if contiguous:
+        T = np.ascontiguousarray(T)
+    return 0.5 * np.einsum("...kl,...lij->...kij", np.linalg.inv(nodes), T)
+
+
+def ricci_einsum(nodes, spacing):
+    """(Ricci, Gamma): d_k Gamma^k_ij - Hess(s)_ij + d_l s Gamma^l_ij -
+    Gamma^k_il Gamma^l_kj with s = log sqrt|det g|, both quadratic terms one
+    ``np.einsum`` each."""
+    gamma = christoffel_einsum(nodes, spacing)
+    d = nodes.shape[-1]
+    s = 0.5 * np.log(np.abs(np.linalg.det(nodes)))
+    dgam = np.zeros(gamma.shape[:-3] + (d, d))
+    for k in range(d):
+        dgam += d1_roll(gamma[..., k, :, :], k, spacing[k])
+    hess_s = _roll_hessian(s, spacing)
+    ds = np.stack([d1_roll(s, k, spacing[k]) for k in range(d)], axis=-1)
+    quad1 = np.einsum("...l,...lij->...ij", ds, gamma)
+    quad2 = np.einsum("...kil,...lkj->...ij", gamma, gamma)
+    return dgam - hess_s + quad1 - quad2, gamma
+
+
+def bakry_emery_einsum(nodes, weight, spacing, n_param):
+    """(Bakry-Emery, weighted Hessian, Ricci, Gamma) for the log-density
+    ``weight``: Ric - (Hess f - Gamma^k d_k f) - df (x) df / (N - dims), the
+    last term left out for N = dims."""
+    ric, gamma = ricci_einsum(nodes, spacing)
+    d = nodes.shape[-1]
+    df = np.stack([d1_roll(weight, k, spacing[k]) for k in range(d)], axis=-1)
+    hess = _roll_hessian(weight, spacing) - np.einsum("...kij,...k->...ij", gamma, df)
+    be = ric - hess
+    if n_param > d:
+        be = be - np.einsum("...i,...j->...ij", df, df) / (n_param - d)
+    return be, hess, ric, gamma
+
+
+def too_ill_conditioned_svd(nodes, valid, limit):
+    """Whether any valid nodal matrix has a 2-norm condition number (one SVD
+    per node) above ``limit``."""
+    return bool(np.any(np.linalg.cond(nodes[valid]) > limit))

@@ -113,6 +113,20 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
 
+    @pytest.mark.parametrize("edit", [lambda raw: raw[:-1], lambda raw: np.append(raw, 1.0),
+                                      lambda raw: np.where(raw == 1.0, 0.5, raw)],
+                             ids=["short", "long", "half-valid"])
+    def test_grid_file_unlike_its_manifest_is_an_invalid_config(self, tmp_path, capsys,
+                                                                edit):
+        path = tmp_path / "grid.bin"
+        L.save_grid(L.minkowski_grid(((0.0, 1.0), (-1.0, 1.0)), (65, 33)), path)
+        edit(np.fromfile(path, dtype=np.float64)).tofile(path)
+        code = cli(tmp_path, "mollify",
+                   config={"command": "mollify", "model": {"kind": "grid", "path": str(path)}})
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-config" and str(path) in err["detail"]
+
     def test_verifier_rejection_exits_three(self, tmp_path, capsys):
         # radius below twice the spacing is only caught inside the library
         code = cli(tmp_path, "mollify",

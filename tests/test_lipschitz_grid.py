@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lorentz_synth import lipschitz_grid as L
 from lorentz_synth.errors import DegenerateMetricError, InvalidInputError
 from lorentz_synth.lipschitz_grid import _ricci_arrays
 
-from oracles import cone_scan_einsum
+from oracles import (bakry_emery_einsum, christoffel_einsum, cone_scan_einsum, d1_roll,
+                     d2_roll, ricci_einsum, too_ill_conditioned_svd)
 
 
 def kinked_grid(shape=(1025, 129)):
@@ -35,6 +36,27 @@ def tilted_grid(dims, shape, off, weight):
 
     bounds = ((-0.5, 0.5),) + ((0.0, 1.0),) * (dims - 1)
     return L.metric_grid(fn, bounds, shape, weight=lambda p: weight * p[..., 0] * p[..., 1])
+
+
+def general_grid(dims, shape):
+    """A smooth chart on which every coefficient varies and no off-diagonal
+    entry vanishes, so each index contraction of the curvature sums d
+    nonzero terms; the log-density is 0.4 t x."""
+    def fn(pts):
+        t, x = pts[..., 0], pts[..., 1]
+        g = np.zeros(pts.shape[:-1] + (dims, dims))
+        g[..., 0, 0] = 1.0 + 0.2 * np.sin(t + x)
+        g[..., 1, 1] = -(1.0 + 0.3 * t ** 2)
+        g[..., 0, 1] = g[..., 1, 0] = 0.1 * np.sin(2.0 * x + t)
+        if dims == 3:
+            y = pts[..., 2]
+            g[..., 2, 2] = -(1.0 + 0.2 * np.cos(y))
+            g[..., 0, 2] = g[..., 2, 0] = 0.05 * np.cos(x + y)
+            g[..., 1, 2] = g[..., 2, 1] = 0.1 * np.sin(x + y)
+        return g
+
+    bounds = ((-1.0, 1.0),) + ((0.0, 1.0),) * (dims - 1)
+    return L.metric_grid(fn, bounds, shape, weight=lambda p: 0.4 * p[..., 0] * p[..., 1])
 
 
 class TestMetricGrid:
@@ -79,6 +101,22 @@ class TestMetricGrid:
                           weight=lambda t: 0.3 * t)
         L.save_grid(g, tmp_path / "g.bin")
         assert L.load_grid(tmp_path / "g.bin") == g
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[:-1], "expected 12870 float64 values .* found 12869"),
+        (lambda raw: np.append(raw, 0.0), "expected 12870 float64 values .* found 12871"),
+        (lambda raw: np.where(np.arange(raw.size) == raw.size - 7, 0.5, raw),
+         "expected 2145 validity entries of 0 or 1, found 1 other values"),
+    ], ids=["short", "long", "half-valid"])
+    def test_load_rejects_a_file_that_disagrees_with_its_manifest(self, tmp_path,
+                                                                  edit, message):
+        # 65 x 33 nodes of a 1+1 grid: 2145 nodes, 6 float64 values each
+        path = tmp_path / "g.bin"
+        L.save_grid(L.minkowski_grid(((0, 1), (0, 1)), (65, 33)), path)
+        edit(np.fromfile(path, dtype=np.float64)).tofile(path)
+        with pytest.raises(InvalidInputError, match=message) as err:
+            L.load_grid(path)
+        assert str(path) in str(err.value)
 
 
 class TestMollify:
@@ -246,6 +284,156 @@ class TestFilterReplicas:
         want = L.mollify(grid, eps)
         assert got == want
         assert (got.lipschitz_bound, got.sup_error) == (want.lipschitz_bound, want.sup_error)
+
+
+# entries for an off-diagonal coefficient plane and the weight: both zeros,
+# subnormals, and magnitudes from 1e-300 up to 1e-2, small enough that every
+# nodal matrix keeps its signature
+_CURVATURE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-1e-2, 1e-2))
+
+
+@st.composite
+def _curvature_case(draw):
+    """A small kinked, tilted 1+1 or general 2+1 grid, one off-diagonal
+    plane replaced by drawn values or left as it is, the weight replaced by
+    drawn values or by one drawn constant or left as it is, the metric
+    scaled by a drawn magnitude; and N."""
+    chart = draw(st.sampled_from(["kinked", "tilted-1+1", "general-2+1"]))
+    grid = {"kinked": lambda: kinked_grid((21, 11)),
+            "tilted-1+1": lambda: tilted_grid(2, (13, 11), 0.1, 0.4),
+            "general-2+1": lambda: general_grid(3, (13, 11, 11))}[chart]()
+    d = grid.dims
+    nodes, weight = grid.nodes.copy(), grid.weight_nodes.copy()
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from([(i, j) for i in range(d) for j in range(i + 1, d)]))
+        nodes[..., a, b] = nodes[..., b, a] = draw(
+            hnp.arrays(float, grid.shape, elements=_CURVATURE_VALUES))
+    nodes *= draw(st.sampled_from([1.0, 1e-3, 7.0, 2.0 ** 40, 3e-20]))
+    how = draw(st.sampled_from(["chart", "drawn", "constant"]))
+    if how == "drawn":
+        weight = draw(hnp.arrays(float, grid.shape, elements=_CURVATURE_VALUES))
+    elif how == "constant":
+        weight = np.full(grid.shape, draw(_CURVATURE_VALUES))
+    n_param = d + draw(st.sampled_from([0.5, 2.0] + [0.0] * (how == "constant")))
+    return L.MetricGrid(grid.spacing, grid.origin, nodes, weight, grid.valid,
+                        grid.lipschitz_bound), n_param
+
+
+def _assert_curvature_is_the_einsum_curvature(grid, n_param):
+    be, hess, ric, gamma = bakry_emery_einsum(grid.nodes, grid.weight_nodes,
+                                              grid.spacing, n_param)
+    field = L.bakry_emery(grid, n_param)
+    assert field.christoffel.tobytes() == gamma.tobytes()
+    assert field.ricci.tobytes() == ric.tobytes()
+    assert field.hessian_weight.tobytes() == hess.tobytes()
+    assert field.bakry_emery.tobytes() == be.tobytes()
+    assert L.christoffels(grid).christoffel.tobytes() == \
+        christoffel_einsum(grid.nodes, grid.spacing).tobytes()
+    assert L.ricci(grid).ricci.tobytes() == ricci_einsum(grid.nodes, grid.spacing)[0].tobytes()
+
+
+@st.composite
+def _lorentzian_matrices(draw):
+    """A symmetric (d, d) matrix, d = 2 or 3, with one positive eigenvalue:
+    a random rotation of eigenvalues whose magnitudes span a ratio drawn from
+    [1e10, 1e14]."""
+    d = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    ratio = 10.0 ** draw(st.floats(10.0, 14.0))
+    top = 10.0 ** draw(st.floats(-3.0, 3.0))
+    mags = np.concatenate([[top, top / ratio], top / ratio ** rng.uniform(0, 1, d - 2)])
+    rng.shuffle(mags)
+    lam = -mags
+    lam[0] = mags[0]
+    m = (q * lam) @ q.T
+    return 0.5 * (m + m.T)
+
+
+class TestCurvatureOracles:
+    """``christoffels``, ``ricci`` and ``bakry_emery`` against the einsum /
+    roll route they replace (``oracles``), byte for byte, wrapped band
+    included."""
+
+    @given(case=_curvature_case())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_curvature_is_the_einsum_curvature(self, case):
+        _assert_curvature_is_the_einsum_curvature(*case)
+
+    @pytest.mark.parametrize("grid", [
+        kinked_grid((257, 33)),
+        tilted_grid(2, (65, 49), 0.1, 0.4),
+        general_grid(2, (65, 49)),
+        general_grid(3, (17, 21, 19)),
+    ], ids=["kinked", "tilted-1+1", "general-1+1", "general-2+1"])
+    def test_mollified_narrowed_curvature_is_the_einsum_curvature(self, grid):
+        sm = L.mollify(grid, 4.0 * max(grid.spacing))
+        nr = L.cone_narrowed(sm, L.narrowing_constant(sm))
+        _assert_curvature_is_the_einsum_curvature(nr, grid.dims + 0.5)
+
+    @pytest.mark.parametrize("grid", [general_grid(2, (65, 49)), general_grid(3, (33, 17, 17))],
+                             ids=["general-1+1", "general-2+1"])
+    def test_lane_order_einsum_is_within_rounding(self, grid):
+        # with l innermost in T's memory, as the library once called it,
+        # einsum sums its d terms in SIMD lanes: the same bits for d = 2; for
+        # d = 3 two orders of three rounded products differ by at most
+        # 3 eps sum_l |g^kl T_lij|, halved with Gamma
+        lanes = christoffel_einsum(grid.nodes, grid.spacing, contiguous=False)
+        got = L.christoffels(grid).christoffel
+        if grid.dims == 2:
+            assert got.tobytes() == lanes.tobytes()
+        dg = np.stack([d1_roll(grid.nodes, k, h) for k, h in enumerate(grid.spacing)], axis=-3)
+        T = (np.moveaxis(dg, [-3, -2, -1], [-2, -1, -3])
+             + np.moveaxis(dg, [-3, -2, -1], [-1, -2, -3]) - dg)
+        size = np.einsum("...kl,...lij->...kij", np.abs(np.linalg.inv(grid.nodes)), np.abs(T))
+        assert np.all(np.abs(got - lanes) <= 1.5 * np.finfo(float).eps * size)
+
+    @given(a=hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1,
+                                                max_side=7), elements=_FILTER_VALUES),
+           data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_differences_are_the_rolled_differences(self, a, data):
+        # every axis length from 1 up, where the wrap-around repeats nodes
+        axis = data.draw(st.integers(0, a.ndim - 1))
+        h = data.draw(st.sampled_from([0.1, 1.0 / 3.0, 2.0 ** -10]))
+        assert L._d1(a, axis, h).tobytes() == d1_roll(a, axis, h).tobytes()
+        assert L._d2(a, axis, h).tobytes() == d2_roll(a, axis, h).tobytes()
+
+    @given(m=_lorentzian_matrices(), nodes_shape=st.sampled_from([(1,), (3,)]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_condition_verdict_is_the_svd_verdict(self, m, nodes_shape):
+        d = m.shape[0]
+        shape = nodes_shape + (1,) * (d - 1)
+        nodes = np.broadcast_to(m, shape + (d, d)).copy()
+        # two routes to max|lambda| / min|lambda| agree to about d eps cond,
+        # some 6e-4 of it at 1e12 (measured on 40k such matrices); closer
+        # to the limit the verdict is rounding, not geometry
+        cond = np.linalg.cond(m)
+        assume(abs(cond / L.COND_LIMIT - 1.0) > 1e-2)
+        grid = L.MetricGrid((0.1,) * d, (0.0,) * d, nodes, np.zeros(shape),
+                            np.ones(shape, dtype=bool), 0.0)
+        rejected = too_ill_conditioned_svd(grid.nodes, grid.valid, L.COND_LIMIT)
+        assert rejected == (cond > L.COND_LIMIT)
+        for check in (L.christoffels, L.ricci):
+            if rejected:
+                with pytest.raises(DegenerateMetricError, match="close to singular"):
+                    check(grid)
+            else:
+                check(grid)
+
+    def test_the_deficit_curves_call_no_einsum_roll_or_cond(self, monkeypatch):
+        calls = []
+        for owner, name in ((np, "einsum"), (np, "roll"), (np.linalg, "cond")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **k:
+                                calls.append(_name) or _real(*a, **k))
+        g = kinked_grid((257, 33))
+        curves = L.lp_deficit_curves(g, 0.0, [1.0, 2.0], [0.5, 0.25], 2.0)
+        assert all(d > 0.0 for curve in curves for _, d in curve)
+        assert calls == []
 
 
 class TestConeNarrowing:
