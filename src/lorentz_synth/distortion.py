@@ -16,6 +16,9 @@ This module implements the one-dimensional comparison machinery:
 Numerical contract (fixed, deterministic):
   - classical RK4 with fixed step ``L / 4096`` for the sine ODE, its step
     matrices composed by a doubling scan,
+  - sigma/tau scan only the first ``int(theta / (1 - 1e-9) / h) + 4`` steps,
+    uncached, with the bits of the cached full solve, which they read when
+    that count reaches 4096 (see :func:`_prefix_sine`),
   - constant-curvature tau in closed form (:func:`const_tau`), with no solve,
   - cubic Hermite interpolation between solver nodes (the solver stores u'),
   - sign-change scan + bisection to 1e-10 for first zeros,
@@ -233,14 +236,21 @@ def _rk4_scan_matrices(kappa_half: np.ndarray, h: float, n_steps: int):
     return p00, p01, p10, p11
 
 
-def _rk4_sine_solve(profile: KappaProfile):
-    """The RK4 scan of the sine ODE of ``profile`` over ``ODE_STEPS`` steps:
-    the solver nodes and the four entry arrays of the prefix transition
-    matrices (see :func:`_rk4_scan_matrices`), constant profiles included;
-    constant-curvature tau does not come here (see :func:`const_tau`)."""
-    half_grid = np.linspace(0.0, profile.length, 2 * ODE_STEPS + 1)
+def _rk4_sine_solve(profile: KappaProfile, n_steps: int = ODE_STEPS):
+    """The RK4 scan of the sine ODE of ``profile`` over its first ``n_steps``
+    steps of ``L / ODE_STEPS``: the solver nodes and the four entry arrays of
+    the prefix transition matrices (see :func:`_rk4_scan_matrices`), constant
+    profiles included; constant-curvature tau does not come here (see
+    :func:`const_tau`).
+
+    A scan of n steps is the first n entries of the full scan, byte for byte:
+    round s of the doubling scan updates only the indices k >= s, and P_k
+    reads only M_0 ... M_k. The half grid is a slice of the full
+    ``linspace`` (a shorter one would move the nodes' bits), and np.interp
+    evaluates it element by element."""
+    half_grid = np.linspace(0.0, profile.length, 2 * ODE_STEPS + 1)[:2 * n_steps + 1]
     kappa_half = profile(half_grid)
-    entries = _rk4_scan_matrices(kappa_half, profile.length / ODE_STEPS, ODE_STEPS)
+    entries = _rk4_scan_matrices(kappa_half, profile.length / ODE_STEPS, n_steps)
     # the nodes are a view, so a cached solve keeps the half grid (66 KB):
     # copied out after the scan they measured no faster, and copied before it
     # the sine-scan run took 57k minor page faults instead of 1.1k
@@ -277,9 +287,11 @@ class FundamentalSystem:
 
 # Measured reuse, every lookup logged: in each default run and in
 # `suite --quick` a profile asked for again is the one asked for just before
-# it (1001 hits in the 7006 lookups of `distortion`, 266 in 1483 of the
-# suite); in the tier-1 tests every fundamental-system hit comes within 14
-# distinct profiles, and 16 entries keep 2329 of the 2355 hits that 512 would.
+# it (1001 hits in the 2006 lookups of `distortion`, 266 in 483 of the suite;
+# sigma and tau solve their prefix outside the cache); in the tier-1 tests,
+# measured while sigma still read every solve here, every fundamental-system
+# hit came within 14 distinct profiles, and 16 entries kept 2329 of the 2355
+# hits that 512 would.
 # An entry holds four arrays of 4097 floats and the 8193-node half grid, 197 KB.
 SINE_CACHE_SIZE = 16
 
@@ -369,13 +381,32 @@ def sigma_coeff(profile: KappaProfile, t: float, theta: float) -> float:
         raise InvalidInputError(f"theta = {theta} outside [0, {profile.length}]")
     if theta == 0.0:
         return float(t)
-    sine = generalized_sine(profile)
+    # int(theta / (1 - guard) / h) + 4 RK4 steps give sigma the bits of the
+    # full solve (see _prefix_sine); h underflows to 0 only for L < 2e-320
+    reach, h = theta / (1.0 - FIRST_ZERO_GUARD), profile.length / ODE_STEPS
+    n_steps = int(reach / h) + 4 if reach < (ODE_STEPS - 4) * h else ODE_STEPS
+    sine = _prefix_sine(profile, n_steps) if n_steps < ODE_STEPS else generalized_sine(profile)
     if theta >= sine.first_zero * (1.0 - FIRST_ZERO_GUARD):
         return INF
     num, denom = sine(t * theta), sine(theta)
     if not (math.isfinite(num) and math.isfinite(denom)):
         raise _sine_overflow(theta)
     return float(num / denom)
+
+
+def _prefix_sine(profile: KappaProfile, n_steps: int) -> GeneralizedSine:
+    """The sine of ``profile`` on its first ``n_steps`` RK4 steps, uncached,
+    for :func:`sigma_coeff` at theta < (n_steps - 3) h (1 - FIRST_ZERO_GUARD).
+
+    There it gives sigma the bits of the full solve: u(t theta) and
+    u(theta) are Hermite lookups whose clip at len - 2 never binds, and a
+    first zero inside the prefix is the full solve's first zero. With none
+    inside, the full one lies past (n_steps - 1) h > theta / (1 - guard), so
+    the guard is false on both sides; ``first_zero`` then reads +inf where
+    the full solve's is finite, which is why this sine stays private."""
+    thetas, _, p01, _, p11 = _rk4_sine_solve(profile, n_steps)
+    u, du = np.concatenate(([0.0], p01)), np.concatenate(([1.0], p11))
+    return GeneralizedSine(profile, thetas, u, du, _first_zero_from_samples(thetas, u, du))
 
 
 def _sine_overflow(theta: float) -> InvalidInputError:

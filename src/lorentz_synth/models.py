@@ -242,9 +242,11 @@ def kinked_slab(slope: float = 0.25) -> ModelSpacetime:
 def double_cone_kink() -> ModelSpacetime:
     """A Lipschitz warp with an expensive spatial band around t = 0.
 
-    Crossing in x is cheap near the slab ends and dear in the middle, so a
-    symmetric chronological pair with spatial offset has two mirror-image
-    maximizers: a witness for the multiple-maximizer flag.
+    Crossing in x is cheap near the slab ends and dear in the middle. The
+    maximizer between a point-symmetric chronological pair with spatial
+    offset is still unique (the length integrand is strictly concave in
+    dx/dt) and passes through the centre, but lattice paths tie near it: a
+    witness for the multiple-maximizer flag, which marks a lattice tie.
     """
     return lipschitz_1p1(lambda t: 1.0 + 1.5 * np.clip(1.0 - np.abs(t) / 0.3, 0.0, None),
                          (-1.0, 1.0), (-1.0, 1.0))

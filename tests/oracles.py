@@ -121,6 +121,40 @@ def tau_ode(kappa_fn, n_param, t, theta):
     return t ** (1 / n_param) * sig ** (1 - 1 / n_param)
 
 
+# --- sigma and tau read off the full RK4 solve ------------------------------
+
+def sigma_full_solve(profile, t, theta):
+    """sigma^{(t)}(theta) from the cached RK4 solve of ``profile`` over all of
+    [0, L], with the checks, guard and overflow error of ``sigma_coeff``:
+    the route whose bits the prefix scan of ``sigma_coeff`` must keep."""
+    from lorentz_synth import distortion as D
+
+    if not 0.0 <= t <= 1.0:
+        raise D.InvalidInputError(f"t = {t} outside [0, 1]")
+    if not 0.0 <= theta <= profile.length + 1e-12:
+        raise D.InvalidInputError(f"theta = {theta} outside [0, {profile.length}]")
+    if theta == 0.0:
+        return float(t)
+    sine = D.generalized_sine(profile)
+    if theta >= sine.first_zero * (1.0 - D.FIRST_ZERO_GUARD):
+        return D.INF
+    num, denom = sine(t * theta), sine(theta)
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        raise D._sine_overflow(theta)
+    return float(num / denom)
+
+
+def tau_full_solve(profile, n_param, t, theta):
+    """``tau_coeff`` with its sigma from :func:`sigma_full_solve`."""
+    from lorentz_synth import distortion as D
+    from lorentz_synth.extreal import xmul, xpow
+
+    if n_param <= 1.0:
+        raise D.InvalidInputError("dimension parameter must exceed 1")
+    sig = sigma_full_solve(profile.scaled(1.0 / (n_param - 1.0)), t, theta)
+    return xmul(math.pow(t, 1.0 / n_param), xpow(sig, 1.0 - 1.0 / n_param))
+
+
 # --- flat-space transport helpers -------------------------------------------
 
 def minkowski_l(x, y):

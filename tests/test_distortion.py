@@ -423,6 +423,132 @@ def test_sigma_input_validation():
         tau_coeff(profile_const(1.0), 1.0, 0.5, 0.5)
 
 
+# --- sigma's prefix scan against the full solve ------------------------------
+
+def _outcome(fn, *args):
+    """The bytes of ``fn(*args)``, or the type and message of what it raised."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return np.float64(fn(*args)).tobytes()
+        except InvalidInputError as exc:
+            return ("raised", type(exc), str(exc))
+
+
+def _assert_prefix_keeps_the_full_solve(profile, t, theta, n_param):
+    assert _outcome(sigma_coeff, profile, t, theta) == \
+        _outcome(oracles.sigma_full_solve, profile, t, theta)
+    assert _outcome(tau_coeff, profile, n_param, t, theta) == \
+        _outcome(oracles.tau_full_solve, profile, n_param, t, theta)
+
+
+def _nodes(length):
+    return np.linspace(0.0, length, 2 * D.ODE_STEPS + 1)[::2]
+
+
+@st.composite
+def sampled_profiles(draw):
+    """Two-sample and multi-sample profiles, curvatures in [-30, 30]."""
+    length = draw(st.floats(0.2, 3.0))
+    inner = draw(st.lists(st.floats(0.01, 0.99), max_size=6, unique=True))
+    params = np.concatenate(([0.0], np.sort(inner) * length, [length]))
+    assume(np.all(np.diff(params) > 0.0))
+    values = draw(st.lists(st.floats(-30.0, 30.0), min_size=len(params),
+                           max_size=len(params)))
+    return KappaProfile(length, params, np.array(values))
+
+
+@st.composite
+def thetas_for(draw, profile):
+    """theta anywhere on [0, L], on a solver node, at L and just past it."""
+    length = profile.length
+    kind = draw(st.sampled_from(["any", "node", "end"]))
+    if kind == "any":
+        return draw(st.floats(0.0, length))
+    if kind == "node":
+        return float(_nodes(length)[draw(st.integers(1, D.ODE_STEPS))])
+    return draw(st.sampled_from([length, length + 5e-13]))
+
+
+@given(data=st.data(), t=st.floats(0.0, 1.0), n_param=st.sampled_from([1.5, 2.0, 4.0]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_sigma_and_tau_keep_the_bits_of_the_full_solve(data, t, n_param):
+    profile = data.draw(sampled_profiles())
+    theta = data.draw(thetas_for(profile))
+    _assert_prefix_keeps_the_full_solve(profile, t, theta, n_param)
+
+
+@given(data=st.data(), sign=st.sampled_from([0.0, -0.0]), length=st.floats(0.2, 3.0),
+       t=st.floats(0.0, 1.0))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_signed_zero_profiles_keep_the_bits_of_the_full_solve(data, sign, length, t):
+    profile = KappaProfile.constant(sign, length)
+    _assert_prefix_keeps_the_full_solve(profile, t, data.draw(thetas_for(profile)), 2.0)
+
+
+@pytest.mark.parametrize("length, theta", [(1e-321, 1e-321), (1e-321, 5e-13),
+                                           (1e-300, 1e-300), (1e-300, 3e-301)])
+def test_lengths_whose_step_underflows_keep_the_bits(length, theta):
+    # L / 4096 is 0.0 below about 2e-320: sigma then reads the full solve
+    _assert_prefix_keeps_the_full_solve(KappaProfile.constant(1.0, length), 0.5, theta, 2.0)
+
+
+@given(kappa=st.floats(-1e5, -1e3), length=st.floats(5.0, 20.0), frac=st.floats(0.0, 1.0),
+       t=st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_overflowing_sines_keep_the_outcome_of_the_full_solve(kappa, length, frac, t):
+    # the full scan overflows to inf (and inf - inf to NaN) far before L; the
+    # prefix must raise where it raised and return its value where it did not
+    profile = KappaProfile.from_samples([[0.0, kappa], [length, 0.5 * kappa]])
+    _assert_prefix_keeps_the_full_solve(profile, t, frac * length, 1.5)
+
+
+@given(kappa=st.floats(2.0, 30.0), slope=st.floats(-1.0, 1.0), side=st.sampled_from([-1, 1]),
+       t=st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_theta_at_the_guarded_first_zero_keeps_the_bits(kappa, slope, side, t):
+    # theta = fz (1 - guard) (1 +- 1e-12): either side of the conjugate cut
+    profile = KappaProfile.from_samples([[0.0, kappa], [3.0, kappa + slope]])
+    fz = first_zero(profile)
+    assume(fz < 3.0)
+    theta = fz * (1.0 - D.FIRST_ZERO_GUARD) * (1.0 + side * 1e-12)
+    _assert_prefix_keeps_the_full_solve(profile, t, theta, 2.0)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 1000, 2049, 4095])
+def test_a_short_scan_is_the_head_of_the_full_scan(n_steps):
+    profile = KappaProfile.from_samples([[0.0, 3.0], [0.7, -8.0], [1.9, 12.0], [2.5, 0.4]])
+    h = profile.length / D.ODE_STEPS
+    kappa_half = profile(np.linspace(0.0, profile.length, 2 * D.ODE_STEPS + 1))
+    full = D._rk4_scan_matrices(kappa_half, h, D.ODE_STEPS)
+    head = D._rk4_scan_matrices(kappa_half[:2 * n_steps + 1], h, n_steps)
+    assert _same_bits(head, [entry[:n_steps] for entry in full])
+    thetas, *entries = D._rk4_sine_solve(profile, n_steps)
+    assert thetas.tobytes() == _nodes(profile.length)[:n_steps + 1].tobytes()
+    assert _same_bits(entries, head)
+
+
+def test_sigma_scans_only_the_steps_up_to_theta(monkeypatch):
+    # below the last four steps sigma solves a prefix, uncached; at the end of
+    # the profile it reads the one cached full solve
+    scans = []
+    scan = D._rk4_scan_matrices
+    monkeypatch.setattr(D, "_rk4_scan_matrices",
+                        lambda k, h, n: scans.append(n) or scan(k, h, n))
+    profile = KappaProfile.from_samples([[0.0, 4.0], [1.0, 1.0], [3.0, 2.0]])
+    h = profile.length / D.ODE_STEPS
+    D.sine_fundamental.cache_clear()
+    for theta in (1e-9, 0.01, 0.5, 1.3, float(_nodes(3.0)[2000]), 2.99):
+        sigma_coeff(profile, 0.5, theta)
+        assert scans[-1] <= int(theta / (1.0 - D.FIRST_ZERO_GUARD) / h) + 4
+        tau_coeff(profile, 3.0, 0.5, theta)
+        assert scans[-1] <= int(theta / (1.0 - D.FIRST_ZERO_GUARD) / h) + 4
+    assert D.sine_fundamental.cache_info().misses == 0
+    for theta in (3.0, 3.0 + 5e-13):
+        sigma_coeff(profile, 0.5, theta)
+    assert scans[-1] == D.ODE_STEPS
+    assert D.sine_fundamental.cache_info().misses == 1
+
+
 # --- defect constants and bound ----------------------------------------------
 
 def test_defect_constants_frozen():
