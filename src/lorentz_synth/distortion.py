@@ -16,9 +16,10 @@ This module implements the one-dimensional comparison machinery:
 Numerical contract (fixed, deterministic):
   - classical RK4 with fixed step ``L / 4096`` for the sine ODE, its step
     matrices composed by a doubling scan,
-  - sigma/tau scan only the first ``int(theta / (1 - 1e-9) / h) + 4`` steps,
-    uncached, with the bits of the cached full solve, which they read when
-    that count reaches 4096 (see :func:`_prefix_sine`),
+  - sigma/tau scan only the first ``int(theta / (1 - 1e-9) / h) + 4`` steps
+    (all 4096 near the end of the profile, or when ``L / 8192`` is
+    subnormal), uncached, with the bits of the full solve (see
+    :func:`_prefix_sine`),
   - constant-curvature tau in closed form (:func:`const_tau`), with no solve,
   - cubic Hermite interpolation between solver nodes (the solver stores u'),
   - sign-change scan + bisection to 1e-10 for first zeros,
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -288,7 +290,7 @@ class FundamentalSystem:
 # Measured reuse, every lookup logged: in each default run and in
 # `suite --quick` a profile asked for again is the one asked for just before
 # it (1001 hits in the 2006 lookups of `distortion`, 266 in 483 of the suite;
-# sigma and tau solve their prefix outside the cache); in the tier-1 tests,
+# sigma and tau scan outside the cache); in the tier-1 tests,
 # measured while sigma still read every solve here, every fundamental-system
 # hit came within 14 distinct profiles, and 16 entries kept 2329 of the 2355
 # hits that 512 would.
@@ -382,10 +384,14 @@ def sigma_coeff(profile: KappaProfile, t: float, theta: float) -> float:
     if theta == 0.0:
         return float(t)
     # int(theta / (1 - guard) / h) + 4 RK4 steps give sigma the bits of the
-    # full solve (see _prefix_sine); h underflows to 0 only for L < 2e-320
+    # full solve (see _prefix_sine). That count assumes the nodes are h apart:
+    # for L below about 1.8e-304 the half-grid step L / 8192 is subnormal, its
+    # double is not h, and the whole profile is scanned
     reach, h = theta / (1.0 - FIRST_ZERO_GUARD), profile.length / ODE_STEPS
-    n_steps = int(reach / h) + 4 if reach < (ODE_STEPS - 4) * h else ODE_STEPS
-    sine = _prefix_sine(profile, n_steps) if n_steps < ODE_STEPS else generalized_sine(profile)
+    n_steps = ODE_STEPS
+    if reach < (ODE_STEPS - 4) * h and profile.length / (2 * ODE_STEPS) >= sys.float_info.min:
+        n_steps = int(reach / h) + 4
+    sine = _prefix_sine(profile, n_steps)
     if theta >= sine.first_zero * (1.0 - FIRST_ZERO_GUARD):
         return INF
     num, denom = sine(t * theta), sine(theta)
@@ -396,7 +402,9 @@ def sigma_coeff(profile: KappaProfile, t: float, theta: float) -> float:
 
 def _prefix_sine(profile: KappaProfile, n_steps: int) -> GeneralizedSine:
     """The sine of ``profile`` on its first ``n_steps`` RK4 steps, uncached,
-    for :func:`sigma_coeff` at theta < (n_steps - 3) h (1 - FIRST_ZERO_GUARD).
+    for :func:`sigma_coeff` at theta < (n_steps - 3) h (1 - FIRST_ZERO_GUARD),
+    or at any theta when ``n_steps`` is ODE_STEPS (the full solve's bits,
+    first zero and overflow included).
 
     There it gives sigma the bits of the full solve: u(t theta) and
     u(theta) are Hermite lookups whose clip at len - 2 never binds, and a

@@ -1,6 +1,7 @@
 """Tests for generalized sines, distortion coefficients, and the defect bound."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -485,10 +486,21 @@ def test_signed_zero_profiles_keep_the_bits_of_the_full_solve(data, sign, length
     _assert_prefix_keeps_the_full_solve(profile, t, data.draw(thetas_for(profile)), 2.0)
 
 
-@pytest.mark.parametrize("length, theta", [(1e-321, 1e-321), (1e-321, 5e-13),
-                                           (1e-300, 1e-300), (1e-300, 3e-301)])
+# L / 8192 subnormal: 0.0 (1e-321); 24.3 subnormal units, so the nodes are 48
+# units apart where h is 49 (199066 units); h normal with an odd last bit, so
+# L / 8192 rounds (4096 min(1 + eps)); and a normal step (1e-300)
+_SUBNORMAL_STEP = 199066 * 5e-324
+_ODD_MIN_STEP = D.ODE_STEPS * float(np.nextafter(sys.float_info.min, 1.0))
+
+
+@pytest.mark.parametrize("length, theta", [
+    (1e-321, 1e-321), (1e-321, 5e-13),
+    (_SUBNORMAL_STEP, 0.98 * _SUBNORMAL_STEP), (_SUBNORMAL_STEP, 0.5 * _SUBNORMAL_STEP),
+    (_ODD_MIN_STEP, 0.98 * _ODD_MIN_STEP), (_ODD_MIN_STEP, _ODD_MIN_STEP),
+    (1e-300, 1e-300), (1e-300, 3e-301)])
 def test_lengths_whose_step_underflows_keep_the_bits(length, theta):
-    # L / 4096 is 0.0 below about 2e-320: sigma then reads the full solve
+    # where L / 8192 is subnormal the nodes are not h apart: sigma scans the
+    # whole profile there
     _assert_prefix_keeps_the_full_solve(KappaProfile.constant(1.0, length), 0.5, theta, 2.0)
 
 
@@ -528,8 +540,8 @@ def test_a_short_scan_is_the_head_of_the_full_scan(n_steps):
 
 
 def test_sigma_scans_only_the_steps_up_to_theta(monkeypatch):
-    # below the last four steps sigma solves a prefix, uncached; at the end of
-    # the profile it reads the one cached full solve
+    # below the last four steps sigma solves a prefix, at the end of the
+    # profile all of it; never through the cache
     scans = []
     scan = D._rk4_scan_matrices
     monkeypatch.setattr(D, "_rk4_scan_matrices",
@@ -545,8 +557,8 @@ def test_sigma_scans_only_the_steps_up_to_theta(monkeypatch):
     assert D.sine_fundamental.cache_info().misses == 0
     for theta in (3.0, 3.0 + 5e-13):
         sigma_coeff(profile, 0.5, theta)
-    assert scans[-1] == D.ODE_STEPS
-    assert D.sine_fundamental.cache_info().misses == 1
+        assert scans[-1] == D.ODE_STEPS
+    assert D.sine_fundamental.cache_info().misses == 0
 
 
 # --- defect constants and bound ----------------------------------------------
