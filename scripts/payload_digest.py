@@ -8,14 +8,19 @@ each, into a temporary directory, and prints one sha256 per output:
 * ``margins.csv``;
 * each plot CSV and ``plots/manifest.json``;
 
-plus each run's exit status. Two source trees whose outputs agree byte for
-byte print the same lines, so a refactor is checked with
+plus each run's exit status, and one ``sigma-tau-probe`` line: the sha256 of
+sigma, tau and the sine solves of fixed curvature ramps (see
+:func:`sigma_tau_probe`), whose bits no output shows. Two source trees whose
+outputs agree byte for byte print the same lines, so a refactor is checked
+with
 
     python3 scripts/payload_digest.py > before.txt    # on the old tree
     python3 scripts/payload_digest.py > after.txt     # on the new tree
     diff before.txt after.txt
 
-The package is imported from the ``src`` directory next to this script.
+The package is imported from the ``src`` directory next to this script, so a
+copy of this script placed in another checkout's ``scripts`` directory
+digests that checkout with the same lines.
 """
 
 from __future__ import annotations
@@ -60,6 +65,34 @@ def digests(out: Path):
         yield f"plots/{path.name}", sha256(path.read_bytes())
 
 
+def sigma_tau_probe() -> str:
+    """sha256 of sigma, tau (N = 3), the sine's values and first zero and the
+    fundamental solution w over 40 two-sample ramps with curvatures in
+    [-8, 8], theta on the prefix scan (0.05, 0.37, 0.81 L) and on the full
+    scan (0.9995 L, L). The runs' sigma and tau margins are max(0, .) of
+    comparisons that never turn positive, so no output file moves with
+    their bits; this line does."""
+    sys.path.insert(0, str(SRC))
+    import numpy as np
+    from lorentz_synth.distortion import (KappaProfile, generalized_sine, sigma_coeff,
+                                          sine_fundamental, tau_coeff)
+    digest = hashlib.sha256()
+    for k0 in (-8.0, -3.0, 0.0, 2.5, 8.0):
+        for k1 in (-8.0, -0.5, 4.0, 8.0):
+            for length in (0.7, 2.9):
+                profile = KappaProfile.from_samples([[0.0, k0], [length, k1]])
+                sine = generalized_sine(profile)
+                values = [sine.first_zero]
+                for frac in (0.05, 0.37, 0.81, 0.9995, 1.0):
+                    for t in (0.0, 0.3, 0.75, 1.0):
+                        values += [sigma_coeff(profile, t, frac * length),
+                                   tau_coeff(profile, 3.0, t, frac * length)]
+                digest.update(np.array(values).tobytes())
+                digest.update(sine.values.tobytes())
+                digest.update(sine_fundamental(profile).w.tobytes())
+    return digest.hexdigest()
+
+
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -76,6 +109,7 @@ def main() -> int:
                 continue
             for file, digest in digests(out):
                 print(f"{digest}  {name}/{file}", flush=True)
+    print(f"{sigma_tau_probe()}  sigma-tau-probe", flush=True)
     return 0
 
 

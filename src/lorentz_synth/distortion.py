@@ -15,7 +15,9 @@ This module implements the one-dimensional comparison machinery:
 
 Numerical contract (fixed, deterministic):
   - classical RK4 with fixed step ``L / 4096`` for the sine ODE, its step
-    matrices composed by a doubling scan,
+    matrices composed by a doubling scan whose rounds allocate nothing (they
+    swap two buffer sets) and keep the bits of a scan that allocates every
+    round (see :func:`_rk4_scan_matrices`),
   - sigma/tau scan only the first ``int(theta / (1 - 1e-9) / h) + 4`` steps
     (all 4096 near the end of the profile, or when ``L / 8192`` is
     subnormal), uncached, with the bits of the full solve (see
@@ -221,19 +223,40 @@ def _rk4_scan_matrices(kappa_half: np.ndarray, h: float, n_steps: int):
     applied to the basis states; those are computed vectorized over all steps
     and composed with a doubling scan instead of a Python-level time loop.
     Returns the four entry arrays of P_k = M_k ... M_0 (length n_steps).
+
+    No round allocates or copies a result back: round s writes entries [s:]
+    into a second set of the four arrays, each entry's second product going
+    through a scratch array, copies across the head [:s] it leaves as it is,
+    and swaps the two sets. Each entry is still fl(fl(a b) + fl(c d)) of the
+    same operands as in a scan that allocates its products every round (the
+    test oracle ``rk4_scan_allocating``), so every bit is that scan's. The
+    result lies in either set: a caller copies what it keeps.
+
+    The five arrays are allocated apart, at most 32 KB each, which the
+    allocator serves from its heap: as one 5 x n block (160 KB at 4096
+    steps) they crossed glibc's 128 KB mmap threshold, and a ``distortion``
+    run of 150 pairs and tuples took 6k to 13k minor page faults, not 2k.
     """
     c0 = kappa_half[0:-1:2]
     ch = kappa_half[1::2]
     c1 = kappa_half[2::2]
     p00, p10 = _rk4_step(c0, ch, c1, h, 1.0, 0.0)
     p01, p11 = _rk4_step(c0, ch, c1, h, 0.0, 1.0)
+    q00, q01, q10, q11, product = (np.empty(n_steps) for _ in range(5))
     s = 1
     while s < n_steps:
-        q00 = p00[s:] * p00[:-s] + p01[s:] * p10[:-s]
-        q01 = p00[s:] * p01[:-s] + p01[s:] * p11[:-s]
-        q10 = p10[s:] * p00[:-s] + p11[s:] * p10[:-s]
-        q11 = p10[s:] * p01[:-s] + p11[s:] * p11[:-s]
-        p00[s:], p01[s:], p10[s:], p11[s:] = q00, q01, q10, q11
+        # for k >= s, the product of the s steps ending at k (at [s:]) times
+        # that of the s steps ending at k - s (at [:-s]), cut at M_0
+        a00, a01, a10, a11 = p00[s:], p01[s:], p10[s:], p11[s:]
+        b00, b01, b10, b11 = p00[:-s], p01[:-s], p10[:-s], p11[:-s]
+        second = product[s:]
+        for out, x, y, z, w in ((q00[s:], a00, b00, a01, b10), (q01[s:], a00, b01, a01, b11),
+                                (q10[s:], a10, b00, a11, b10), (q11[s:], a10, b01, a11, b11)):
+            np.multiply(x, y, out=out)
+            np.multiply(z, w, out=second)
+            np.add(out, second, out=out)
+        q00[:s], q01[:s], q10[:s], q11[:s] = p00[:s], p01[:s], p10[:s], p11[:s]
+        p00, p01, p10, p11, q00, q01, q10, q11 = q00, q01, q10, q11, p00, p01, p10, p11
         s *= 2
     return p00, p01, p10, p11
 
@@ -394,10 +417,11 @@ def sigma_coeff(profile: KappaProfile, t: float, theta: float) -> float:
     sine = _prefix_sine(profile, n_steps)
     if theta >= sine.first_zero * (1.0 - FIRST_ZERO_GUARD):
         return INF
-    num, denom = sine(t * theta), sine(theta)
+    # one lookup of both points: elementwise, so each has its scalar bits
+    num, denom = sine(np.array([t * theta, theta])).tolist()
     if not (math.isfinite(num) and math.isfinite(denom)):
         raise _sine_overflow(theta)
-    return float(num / denom)
+    return num / denom
 
 
 def _prefix_sine(profile: KappaProfile, n_steps: int) -> GeneralizedSine:

@@ -155,6 +155,30 @@ def tau_full_solve(profile, n_param, t, theta):
     return xmul(math.pow(t, 1.0 / n_param), xpow(sig, 1.0 - 1.0 / n_param))
 
 
+# --- the RK4 doubling scan, allocating every round --------------------------
+
+def rk4_scan_allocating(kappa_half, h, n_steps):
+    """The doubling scan of ``distortion._rk4_scan_matrices`` as it was
+    when each round allocated its products and sums and copied them back:
+    the reference whose bits the buffer-swapping scan must keep."""
+    from lorentz_synth.distortion import _rk4_step
+
+    c0 = kappa_half[0:-1:2]
+    ch = kappa_half[1::2]
+    c1 = kappa_half[2::2]
+    p00, p10 = _rk4_step(c0, ch, c1, h, 1.0, 0.0)
+    p01, p11 = _rk4_step(c0, ch, c1, h, 0.0, 1.0)
+    s = 1
+    while s < n_steps:
+        q00 = p00[s:] * p00[:-s] + p01[s:] * p10[:-s]
+        q01 = p00[s:] * p01[:-s] + p01[s:] * p11[:-s]
+        q10 = p10[s:] * p00[:-s] + p11[s:] * p10[:-s]
+        q11 = p10[s:] * p01[:-s] + p11[s:] * p11[:-s]
+        p00[s:], p01[s:], p10[s:], p11[s:] = q00, q01, q10, q11
+        s *= 2
+    return p00, p01, p10, p11
+
+
 # --- flat-space transport helpers -------------------------------------------
 
 def minkowski_l(x, y):

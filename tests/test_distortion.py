@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from lorentz_synth import distortion as D
@@ -537,6 +537,57 @@ def test_a_short_scan_is_the_head_of_the_full_scan(n_steps):
     thetas, *entries = D._rk4_sine_solve(profile, n_steps)
     assert thetas.tobytes() == _nodes(profile.length)[:n_steps + 1].tobytes()
     assert _same_bits(entries, head)
+
+
+@st.composite
+def scan_profiles(draw):
+    """Multi-sample profiles in [-30, 30], constant profiles of +-0.0, and
+    steep negative ramps whose scan overflows to inf (and inf - inf to NaN)."""
+    kind = draw(st.sampled_from(["sampled", "signed zero", "overflowing"]))
+    if kind == "sampled":
+        return draw(sampled_profiles())
+    if kind == "signed zero":
+        return KappaProfile.constant(draw(st.sampled_from([0.0, -0.0])), draw(st.floats(0.2, 3.0)))
+    kappa = draw(st.floats(-1e5, -1e3))
+    return KappaProfile.from_samples([[0.0, kappa], [draw(st.floats(5.0, 20.0)), 0.5 * kappa]])
+
+
+_OVERFLOWING = KappaProfile.from_samples([[0.0, -1e5], [20.0, -5e4]])
+
+
+@given(profile=scan_profiles(),
+       n_steps=st.sampled_from([1, 2, 3, 4, 5, 2047, 2048, 2049, 4095, 4096]))
+@example(profile=_OVERFLOWING, n_steps=2048)
+@example(profile=_OVERFLOWING, n_steps=4096)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_the_scan_keeps_the_bits_of_the_allocating_scan(profile, n_steps):
+    # the round count changes at powers of two, and with it the buffer set
+    # that holds the result
+    h = profile.length / D.ODE_STEPS
+    kappa_half = profile(np.linspace(0.0, profile.length, 2 * D.ODE_STEPS + 1))
+    kappa_half = kappa_half[:2 * n_steps + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = D._rk4_scan_matrices(kappa_half, h, n_steps)
+        want = oracles.rk4_scan_allocating(kappa_half, h, n_steps)
+    assert all(len(entry) == n_steps for entry in got)
+    assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("n_steps", [2048, 2049, D.ODE_STEPS])
+def test_kept_solves_own_their_memory(n_steps):
+    # a cache entry and a prefix sine keep copies of the scan's entries, never
+    # its buffers (it returns its second set after an odd number of rounds,
+    # as for 2048 steps), so an entry stays at 197 KB
+    profile = KappaProfile.from_samples([[0.0, 4.0], [1.0, -3.0], [3.0, 2.0]])
+    D.sine_fundamental.cache_clear()
+    fs = D.sine_fundamental(profile)
+    assert all(a.base is None for a in (fs.u, fs.du, fs.w, fs.dw))
+    # the nodes are a view of the 8193-node half grid alone
+    assert fs.thetas.base.shape == (2 * D.ODE_STEPS + 1,)
+    assert sum(a.nbytes for a in (fs.u, fs.du, fs.w, fs.dw, fs.thetas.base)) == 196648
+    sine = D._prefix_sine(profile, n_steps)
+    assert sine.values.base is None and sine.derivative_values.base is None
+    assert sine.thetas.base.shape == (2 * D.ODE_STEPS + 1,)
 
 
 def test_sigma_scans_only_the_steps_up_to_theta(monkeypatch):
