@@ -190,7 +190,8 @@ class GeneralizedSine:
 def _hermite_eval(xs: np.ndarray, ys: np.ndarray, dys: np.ndarray, x):
     x = np.asarray(x, dtype=float)
     h = xs[1] - xs[0]
-    idx = np.clip(((x - xs[0]) / h).astype(int), 0, len(xs) - 2)
+    # np.minimum(np.maximum(...)) is np.clip without its Python wrapper
+    idx = np.minimum(np.maximum(((x - xs[0]) / h).astype(int), 0), len(xs) - 2)
     s = (x - xs[idx]) / h
     y0, y1 = ys[idx], ys[idx + 1]
     d0, d1 = dys[idx] * h, dys[idx + 1] * h
@@ -261,6 +262,12 @@ def _rk4_scan_matrices(kappa_half: np.ndarray, h: float, n_steps: int):
     return p00, p01, p10, p11
 
 
+def _half_grid(profile: KappaProfile, n_steps: int) -> np.ndarray:
+    """The nodes and midpoints of the first ``n_steps`` RK4 steps of
+    ``L / ODE_STEPS``, where the scan reads the curvature."""
+    return np.linspace(0.0, profile.length, 2 * ODE_STEPS + 1)[:2 * n_steps + 1]
+
+
 def _rk4_sine_solve(profile: KappaProfile, n_steps: int = ODE_STEPS):
     """The RK4 scan of the sine ODE of ``profile`` over its first ``n_steps``
     steps of ``L / ODE_STEPS``: the solver nodes and the four entry arrays of
@@ -273,7 +280,7 @@ def _rk4_sine_solve(profile: KappaProfile, n_steps: int = ODE_STEPS):
     reads only M_0 ... M_k. The half grid is a slice of the full
     ``linspace`` (a shorter one would move the nodes' bits), and np.interp
     evaluates it element by element."""
-    half_grid = np.linspace(0.0, profile.length, 2 * ODE_STEPS + 1)[:2 * n_steps + 1]
+    half_grid = _half_grid(profile, n_steps)
     kappa_half = profile(half_grid)
     entries = _rk4_scan_matrices(kappa_half, profile.length / ODE_STEPS, n_steps)
     # the nodes are a view, so a cached solve keeps the half grid (66 KB):
@@ -420,7 +427,7 @@ def sigma_coeff(profile: KappaProfile, t: float, theta: float) -> float:
     # one lookup of both points: elementwise, so each has its scalar bits
     num, denom = sine(np.array([t * theta, theta])).tolist()
     if not (math.isfinite(num) and math.isfinite(denom)):
-        raise _sine_overflow(theta)
+        raise _sine_overflow(sine, theta)
     return num / denom
 
 
@@ -441,9 +448,20 @@ def _prefix_sine(profile: KappaProfile, n_steps: int) -> GeneralizedSine:
     return GeneralizedSine(profile, thetas, u, du, _first_zero_from_samples(thetas, u, du))
 
 
-def _sine_overflow(theta: float) -> InvalidInputError:
+def _sine_overflow(sine: GeneralizedSine, theta: float) -> InvalidInputError:
     """Never a silent NaN: a sine that overflowed in the RK4 scan would make
-    the ratio inf/inf."""
+    the ratio inf/inf. Only this error path reads the curvature again, on
+    the half grid of the steps up to theta (one past the last node at or
+    below it, which a lookup at theta may read; so the prefix and the full
+    scan name the same cause): where it is not finite, the interpolated
+    slope between two samples overflowed, and the profile is too steep
+    rather than too negative."""
+    thetas = sine.thetas
+    steps = min(int(np.searchsorted(thetas, theta, side="right")) + 1, len(thetas) - 1)
+    kappa = sine.profile(_half_grid(sine.profile, steps))
+    if not np.isfinite(kappa).all():
+        return InvalidInputError(f"the curvature is not finite on the RK4 grid of [0, {theta}]: "
+                                 "the profile's slope between two samples overflows")
     return InvalidInputError(f"the generalized sine overflows on [0, {theta}]: "
                              "the profile is too negative for the RK4 scan")
 
@@ -605,7 +623,7 @@ def _sigma_profile_values(profile: KappaProfile, theta: float, r_nodes: np.ndarr
         return None
     num, denom = sine(r_nodes * theta), sine(theta)
     if not (math.isfinite(denom) and np.isfinite(num).all()):
-        raise _sine_overflow(theta)
+        raise _sine_overflow(sine, theta)
     if denom <= 0.0:
         return None
     return num / denom

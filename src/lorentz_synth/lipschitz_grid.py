@@ -23,8 +23,10 @@ convolution with a compactly supported bump before any curvature is read off:
   sums it in SIMD lanes instead; for three terms that moves the last bit and
   differs between CPUs.) The conditioning check reads the worst
   max|lambda| / min|lambda| that the signature check of ``MetricGrid``
-  computed from its eigenvalues, so a grid is decomposed once;
-* ``timelike_lower_bound_fn`` -- worst Ricci quotient over sampled cones;
+  computed from its eigenvalues, so a grid is decomposed once: in closed
+  form on 1+1 grids, by LAPACK's ``eigvalsh`` on 2+1 grids;
+* ``timelike_lower_bound_fn`` -- worst Ricci quotient over sampled cones,
+  built one direction at a time unless the caller passes them;
 * ``lp_deficit_curves`` -- integral of |(k - K)_-|^p along a mollification
   schedule for every p in a list, the quantitative track of curvature bounds
   surviving smoothing; k is scanned once per radius and read by every p
@@ -53,20 +55,48 @@ CONE_DIRECTIONS = 16     # slopes per node, one sample each
 CONE_SPEED = 0.5
 
 
+def _eigvalsh_2x2(a: np.ndarray, b: np.ndarray, d: np.ndarray):
+    """Both eigenvalues of every [[a, b], [b, d]], lower then upper, in closed
+    form. Each matrix is first scaled by a power of two (exact) so that its
+    largest entry lies in [0.5, 1), where no square below over- or
+    underflows. The eigenvalue of larger magnitude is mid +- r, mid = (a +
+    d) / 2 and r = sqrt(((a - d) / 2)^2 + b^2), with the sign of mid, where
+    no cancellation occurs; the other is det / (that one), so an exactly
+    singular matrix gives an exact 0. The zero matrix gives NaN."""
+    e = -np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(d)))[1]
+    a, b, d = np.ldexp(a, e), np.ldexp(b, e), np.ldexp(d, e)
+    mid = 0.5 * (a + d)
+    half = 0.5 * (a - d)
+    r = np.sqrt(half * half + b * b)
+    big = np.where(mid < 0.0, mid - r, mid + r)
+    with np.errstate(invalid="ignore"):
+        small = (a * d - b * b) / big
+    return np.minimum(big, small), np.maximum(big, small)
+
+
 def _check_signature(nodes: np.ndarray, mask: np.ndarray) -> float:
     """Raise unless every masked nodal matrix has signature (+, -, ..., -).
     Returns the worst 2-norm condition number over those nodes: for a
     symmetric matrix max|lambda| / min|lambda|, the ratio numpy's
-    ``linalg.cond`` takes from an SVD, here from the eigenvalues at hand."""
+    ``linalg.cond`` takes from an SVD, here from the eigenvalues at hand:
+    in closed form for d = 2 (``_eigvalsh_2x2``), from ``eigvalsh`` for
+    d = 3."""
     if not np.any(mask):
         raise InvalidInputError("no valid nodes left")
-    eig = np.linalg.eigvalsh(nodes[mask])
-    if np.any(eig[..., :-1] >= 0.0) or np.any(eig[..., -1] <= 0.0):
+    if nodes.shape[-1] == 2:
+        a, b, d = (nodes[..., i, j][mask] for i, j in ((0, 0), (0, 1), (1, 1)))
+        lowest, upper = _eigvalsh_2x2(a, b, d)
+        nearest = lowest
+    else:
+        # ascending order: eig[:, 0] is the most negative, eig[:, -2] the
+        # negative one nearest 0, and eig[:, -1] the one positive eigenvalue
+        eig = np.linalg.eigvalsh(nodes[mask])
+        lowest, nearest, upper = eig[:, 0], eig[:, -2], eig[:, -1]
+    # written so that a NaN eigenvalue fails it
+    if not (np.all(nearest < 0.0) and np.all(upper > 0.0)):
         raise DegenerateMetricError("nodal matrix without Lorentzian signature")
-    # ascending order: eig[:, 0] is the most negative, eig[:, -2] the negative
-    # one nearest 0, and eig[:, -1] the one positive eigenvalue
-    top = np.maximum(-eig[:, 0], eig[:, -1])
-    low = np.minimum(-eig[:, -2], eig[:, -1])
+    top = np.maximum(-lowest, upper)
+    low = np.minimum(-nearest, upper)
     return float(np.max(top / low))
 
 
@@ -102,8 +132,9 @@ class MetricGrid:
             raise InvalidInputError("metric coefficients must be finite at every node")
         if not np.all(np.isfinite(self.weight_nodes)):
             raise InvalidInputError("weight must be finite at every node")
-        if not np.allclose(self.nodes, np.swapaxes(self.nodes, -1, -2),
-                           atol=1e-12, rtol=0.0):
+        # the pairs i < j alone: a diagonal entry always equals itself
+        if any(np.any(np.abs(self.nodes[..., i, j] - self.nodes[..., j, i]) > 1e-12)
+               for i in range(self.dims) for j in range(i + 1, self.dims)):
             raise InvalidInputError("nodal matrices must be symmetric")
         object.__setattr__(self, "cond_max", _check_signature(self.nodes, self.valid))
 
@@ -441,6 +472,31 @@ def _components(tensors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(tensors, (-2, -1), (0, 1)))
 
 
+def _cone_samples(g_ij: np.ndarray, directions: int, speed: float):
+    """Yield the samples of ``default_cone_samples`` one direction at a time,
+    each written into one (dims, *shape) array that the next overwrites;
+    ``g_ij`` is the metric as ``_components`` gives it."""
+    d = len(g_ij)
+    # per spatial axis: the centre of the null slopes, the numerator of their
+    # half-width and its denominator sqrt(-gaa)
+    cones = {}
+    for ax in range(1, d):
+        neg_aa = np.clip(-g_ij[ax, ax], 1e-300, None)
+        g_0a = g_ij[0, ax]
+        root = np.sqrt(np.clip(g_ij[0, 0] + g_0a * g_0a / neg_aa, 0.0, None))
+        cones[ax] = (g_0a / neg_aa, root, np.sqrt(neg_aa))
+    v = np.empty(g_ij.shape[1:])
+    for n, s in enumerate(np.linspace(-0.9, 0.9, directions)):
+        v.fill(0.0)
+        v[0] = 1.0
+        ax = 1 + (n % (d - 1))
+        centre, root, scale = cones[ax]
+        v[ax] = s * root / scale + centre
+        v /= np.sqrt(np.clip(_quadratic_form(v, g_ij), 1e-300, None))
+        v *= speed
+        yield v
+
+
 def default_cone_samples(grid: MetricGrid, directions: int = CONE_DIRECTIONS,
                          speed: float = CONE_SPEED):
     """Per-node timelike samples: ``directions`` chart slopes spread across the
@@ -455,26 +511,12 @@ def default_cone_samples(grid: MetricGrid, directions: int = CONE_DIRECTIONS,
 
     One speed per direction is enough: the Ricci quotient of
     ``timelike_lower_bound_fn`` is homogeneous of degree 0, and rescaling a
-    sample by a power of two changes no bit of it."""
-    d = grid.dims
-    g_ij = _components(grid.nodes)
-    # per spatial axis: the centre of the null slopes, the numerator of their
-    # half-width and its denominator sqrt(-gaa)
-    cones = {}
-    for ax in range(1, d):
-        neg_aa = np.clip(-g_ij[ax, ax], 1e-300, None)
-        g_0a = g_ij[0, ax]
-        root = np.sqrt(np.clip(g_ij[0, 0] + g_0a * g_0a / neg_aa, 0.0, None))
-        cones[ax] = (g_0a / neg_aa, root, np.sqrt(neg_aa))
-    vs = np.zeros((directions, d) + grid.shape)
-    for n, s in enumerate(np.linspace(-0.9, 0.9, directions)):
-        v = vs[n]
-        v[0] = 1.0
-        ax = 1 + (n % (d - 1))
-        centre, root, scale = cones[ax]
-        v[ax] = s * root / scale + centre
-        v /= np.sqrt(np.clip(_quadratic_form(v, g_ij), 1e-300, None))
-        v *= speed
+    sample by a power of two changes no bit of it. That scan, given no
+    samples, builds the same ones a direction at a time (``_cone_samples``)
+    and never holds them all."""
+    vs = np.empty((directions, grid.dims) + grid.shape)
+    for n, v in enumerate(_cone_samples(_components(grid.nodes), directions, speed)):
+        vs[n] = v
     return np.moveaxis(vs, (0, 1), (-2, -1))
 
 
@@ -482,18 +524,20 @@ def timelike_lower_bound_fn(field: CurvatureField, grid: MetricGrid,
                             cone_samples: np.ndarray | None = None) -> np.ndarray:
     """k(x) = min over sampled timelike v of BakryEmery(v, v) / g(v, v).
 
-    ``cone_samples`` is (*shape, samples, dims). Entries outside
-    ``field.valid`` are NaN.
+    ``cone_samples`` is (*shape, samples, dims); without it the samples of
+    ``default_cone_samples`` are built one direction at a time, just before
+    the scan reads each. Entries outside ``field.valid`` are NaN.
     """
     tensor = field.bakry_emery if field.bakry_emery is not None else field.ricci
     if tensor is None:
         raise InvalidInputError("field carries no Ricci-type tensor")
-    if cone_samples is None:
-        cone_samples = default_cone_samples(grid)
-    if cone_samples.shape[-2] == 0:
-        raise InvalidInputError("empty cone sample")
-    samples = np.ascontiguousarray(np.moveaxis(cone_samples, (-2, -1), (0, 1)))
     g_ij, t_ij = _components(grid.nodes), _components(tensor)
+    if cone_samples is None:
+        samples = _cone_samples(g_ij, CONE_DIRECTIONS, CONE_SPEED)
+    elif cone_samples.shape[-2] == 0:
+        raise InvalidInputError("empty cone sample")
+    else:
+        samples = np.ascontiguousarray(np.moveaxis(cone_samples, (-2, -1), (0, 1)))
     k = np.full(grid.shape, np.inf)
     for v in samples:
         gvv = _quadratic_form(v, g_ij)

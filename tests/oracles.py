@@ -140,7 +140,7 @@ def sigma_full_solve(profile, t, theta):
         return D.INF
     num, denom = sine(t * theta), sine(theta)
     if not (math.isfinite(num) and math.isfinite(denom)):
-        raise D._sine_overflow(theta)
+        raise D._sine_overflow(sine, theta)
     return float(num / denom)
 
 
@@ -677,3 +677,16 @@ def too_ill_conditioned_svd(nodes, valid, limit):
     """Whether any valid nodal matrix has a 2-norm condition number (one SVD
     per node) above ``limit``."""
     return bool(np.any(np.linalg.cond(nodes[valid]) > limit))
+
+
+def signature_eigvalsh(nodes, mask):
+    """The signature check by one ``np.linalg.eigvalsh`` per masked node, as
+    ``lipschitz_grid`` made it for every dimension before its 2 x 2 closed
+    form: None where some masked nodal matrix lacks signature (+, -, ..., -),
+    else the worst max|lambda| / min|lambda|."""
+    eig = np.linalg.eigvalsh(nodes[mask])
+    if np.any(eig[..., :-1] >= 0.0) or np.any(eig[..., -1] <= 0.0):
+        return None
+    top = np.maximum(-eig[:, 0], eig[:, -1])
+    low = np.minimum(-eig[:, -2], eig[:, -1])
+    return float(np.max(top / low))

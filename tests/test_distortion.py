@@ -415,6 +415,24 @@ def test_an_overflowing_sine_raises_instead_of_returning_nan(call):
             call()
 
 
+@pytest.mark.parametrize("coeff", ["sigma", "tau"])
+@pytest.mark.parametrize("samples, theta, cause", [
+    # np.interp's slope 1e10 / 1e-300 overflows: the half grid is +inf past 0
+    ([[0.0, 0.0], [1e-300, 1e10]], 5e-301, "curvature is not finite"),
+    ([[0.0, 0.0], [1.0, -1e8]], 0.5, "profile is too negative"),
+], ids=["steep-positive", "too-negative"])
+def test_an_overflowing_sine_names_its_cause(coeff, samples, theta, cause):
+    profile = KappaProfile.from_samples(samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInputError, match=cause):
+            if coeff == "sigma":
+                sigma_coeff(profile, 0.5, theta)
+            else:
+                tau_coeff(profile, 3.0, 0.5, theta)
+    # the prefix scan and the full solve raise the same message
+    _assert_prefix_keeps_the_full_solve(profile, 0.5, theta, 3.0)
+
+
 def test_sigma_input_validation():
     with pytest.raises(InvalidInputError):
         sigma_coeff(profile_const(1.0), -0.1, 0.5)

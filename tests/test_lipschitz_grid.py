@@ -1,5 +1,6 @@
 """Gridded metrics: mollification, FD curvature, cone scans, deficit curves."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from lorentz_synth.errors import DegenerateMetricError, InvalidInputError
 from lorentz_synth.lipschitz_grid import _ricci_arrays
 
 from oracles import (bakry_emery_einsum, christoffel_einsum, cone_scan_einsum, d1_roll,
-                     d2_roll, ricci_einsum, too_ill_conditioned_svd)
+                     d2_roll, ricci_einsum, signature_eigvalsh, too_ill_conditioned_svd)
 
 
 def kinked_grid(shape=(1025, 129)):
@@ -90,6 +91,23 @@ class TestMetricGrid:
 
         with pytest.raises(InvalidInputError, match="finite at every node"):
             L.metric_grid(fn, ((0, 1), (0, 1)), (9, 9))
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("gap", [0.0, 5e-13, 1e-12, 1.0000000000000002e-12, 2e-12, 1.0])
+    def test_symmetry_verdict_is_the_allclose_verdict(self, dims, gap):
+        # each pair i < j, either side of it moved, against the whole-tensor
+        # np.allclose the check compares the off-diagonal pairs instead of
+        for i in range(dims):
+            for j in range(i + 1, dims):
+                for a, b in ((i, j), (j, i)):
+                    g = L.minkowski_grid(((0, 1),) * dims, (5,) * dims)
+                    nodes = g.nodes.copy()
+                    nodes[(2,) * dims + (a, b)] += gap
+                    symmetric = np.allclose(nodes, np.swapaxes(nodes, -1, -2),
+                                            atol=1e-12, rtol=0.0)
+                    with (contextlib.nullcontext() if symmetric else
+                          pytest.raises(InvalidInputError, match="symmetric")):
+                        L.MetricGrid(g.spacing, g.origin, nodes, g.weight_nodes, g.valid, 0.0)
 
     def test_lipschitz_bound_records_the_steepest_quotient(self):
         g = kinked_grid((257, 17))
@@ -353,6 +371,37 @@ def _lorentzian_matrices(draw):
     return 0.5 * (m + m.T)
 
 
+@st.composite
+def _two_by_two_matrices(draw):
+    """(kind, m): a symmetric 2 x 2 matrix that is Lorentzian or definite (a
+    random rotation of eigenvalues whose magnitudes span a ratio drawn from
+    [1, 1e14]), has an exactly zero eigenvalue (diagonal, or the rank-one
+    s [[p^2, pq], [pq, q^2]] with small integers p, q and every entry exact),
+    or is zero; scaled by the magnitudes ``_curvature_case`` draws, or by
+    1e200 or 1e-200, where det = ad - b^2 over- or underflows unscaled."""
+    kind = draw(st.sampled_from(["lorentzian", "definite", "diagonal zero", "rank one", "zero"]))
+    scale = draw(st.sampled_from([1.0, 1e-3, 7.0, 2.0 ** 40, 3e-20, 1e200, 1e-200]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if kind == "zero":
+        return kind, np.zeros((2, 2))
+    if kind == "diagonal zero":
+        lam = draw(st.floats(0.1, 10.0))
+        return kind, np.diag(draw(st.permutations([sign * lam * scale, 0.0])))
+    if kind == "rank one":
+        p, q = draw(st.integers(-15, 15)), draw(st.integers(1, 15))
+        m, e = math.frexp(scale)
+        s = sign * math.ldexp(round(math.ldexp(m, 40)), e - 40)    # 40 significant bits
+        return kind, s * np.array([[p * p, p * q], [p * q, q * q]], dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    top = draw(st.floats(0.1, 10.0))
+    lam = np.array([top, top / 10.0 ** draw(st.floats(0.0, 14.0))])
+    rng.shuffle(lam)
+    lam *= sign * np.array([1.0, -1.0 if kind == "lorentzian" else 1.0])
+    m = (q * lam) @ q.T
+    return kind, scale * 0.5 * (m + m.T)
+
+
 class TestCurvatureOracles:
     """``christoffels``, ``ricci`` and ``bakry_emery`` against the einsum /
     roll route they replace (``oracles``), byte for byte, wrapped band
@@ -424,9 +473,47 @@ class TestCurvatureOracles:
             else:
                 check(grid)
 
-    def test_the_deficit_curves_call_no_einsum_roll_or_cond(self, monkeypatch):
+    @given(case=_two_by_two_matrices(), nodes_shape=st.sampled_from([(1,), (3,)]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_closed_form_signature_is_the_eigvalsh_signature(self, case, nodes_shape):
+        kind, m = case
+        nodes = np.broadcast_to(m, nodes_shape + (2, 2)).copy()
+        mask = np.ones(nodes_shape, dtype=bool)
+        want = signature_eigvalsh(nodes, mask)
+        try:
+            got = L._check_signature(nodes, mask)
+        except DegenerateMetricError:
+            got = None
+        if kind == "rank one":
+            # det is exactly 0 and the closed form says so; eigvalsh may leave
+            # a rounding-sized eigenvalue of either sign, and where it makes
+            # the matrix Lorentzian the conditioning check rejects it
+            assert got is None
+            assert want is None or want > L.COND_LIMIT
+            return
+        assert (got is None) == (want is None)
+        if kind == "lorentzian":
+            assert got is not None
+            # the smaller eigenvalue of both routes is accurate to some eps
+            # times the larger one
+            assert abs(got - want) <= 4.0 * np.finfo(float).eps * want * want
+        else:
+            assert got is None
+
+    def test_two_plus_one_grids_take_eigvalsh(self, monkeypatch):
         calls = []
-        for owner, name in ((np, "einsum"), (np, "roll"), (np.linalg, "cond")):
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+        grid = general_grid(3, (9, 7, 5))
+        L.cone_narrowed(grid, 0.01)
+        general_grid(2, (9, 7))
+        assert calls == [(9 * 7 * 5, 3, 3)] * 2
+
+    def test_the_deficit_curves_call_no_einsum_roll_or_cond(self, monkeypatch):
+        # nor eigvalsh: the signature of a 1+1 grid is checked in closed form
+        calls = []
+        for owner, name in ((np, "einsum"), (np, "roll"), (np.linalg, "cond"),
+                            (np.linalg, "eigvalsh")):
             real = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **k:
                                 calls.append(_name) or _real(*a, **k))
@@ -602,6 +689,16 @@ class TestConeScan:
         field = L.bakry_emery(g, dims + extra)
         k = L.timelike_lower_bound_fn(field, g)
         assert np.array_equal(k, cone_scan_einsum(field, g), equal_nan=True)
+
+    @pytest.mark.parametrize("grid", [tilted_grid(2, (33, 25), 0.3, 0.4),
+                                      general_grid(3, (13, 11, 9))],
+                             ids=["tilted-1+1", "general-2+1"])
+    def test_generated_samples_are_the_default_samples(self, grid):
+        # built a direction at a time inside the scan, or all at once
+        field = L.bakry_emery(grid, grid.dims + 0.5)
+        k = L.timelike_lower_bound_fn(field, grid)
+        given = L.timelike_lower_bound_fn(field, grid, L.default_cone_samples(grid))
+        assert k.tobytes() == given.tobytes()
 
     def test_default_samples_are_one_speed_per_direction(self):
         g = tilted_grid(3, (9, 9, 9), 0.3, 0.0)
