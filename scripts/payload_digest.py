@@ -8,9 +8,11 @@ each, into a temporary directory, and prints one sha256 per output:
 * ``margins.csv``;
 * each plot CSV and ``plots/manifest.json``;
 
-plus each run's exit status, and one ``sigma-tau-probe`` line: the sha256 of
+plus each run's exit status, one ``sigma-tau-probe`` line: the sha256 of
 sigma, tau and the sine solves of fixed curvature ramps (see
-:func:`sigma_tau_probe`), whose bits no output shows. Two source trees whose
+:func:`sigma_tau_probe`), and one ``defect-bound-probe`` line: the sha256 of
+the defect bound over fixed tuples (see :func:`defect_bound_probe`), whose
+bits no output shows either. Two source trees whose
 outputs agree byte for byte print the same lines, so a refactor is checked
 with
 
@@ -93,6 +95,32 @@ def sigma_tau_probe() -> str:
     return digest.hexdigest()
 
 
+def defect_bound_probe() -> str:
+    """sha256 of the defect bound over 72 fixed tuples: K in (0.5, 1.5), N in
+    (2, 3) with p = N / 2 + 0.7, eta a fifth of the conjugate radius of
+    K / (N - 1), three ramps K + offsets on [0, 2], t in (0.2, 0.7) and theta
+    at (0.1, 0.5, 0.9) of its range. The `distortion` run reports the worst
+    excess of tau's gap over the bound, max(0, .) of comparisons that never
+    turn positive, so no output file moves with the bound's bits; this line
+    does."""
+    sys.path.insert(0, str(SRC))
+    import numpy as np
+    from lorentz_synth.distortion import KappaProfile, const_first_zero, defect_bound
+    values = []
+    for big_k in (0.5, 1.5):
+        for n_param in (2.0, 3.0):
+            radius = const_first_zero(big_k / (n_param - 1.0))
+            eta = 0.2 * radius
+            theta_max = min(2.0, radius - eta)
+            for off0, off1 in ((-1.5, 0.5), (-0.6, -0.2), (0.3, -1.2)):
+                profile = KappaProfile.from_samples([[0.0, big_k + off0], [2.0, big_k + off1]])
+                for t in (0.2, 0.7):
+                    for frac in (0.1, 0.5, 0.9):
+                        values.append(defect_bound(big_k, n_param, n_param / 2.0 + 0.7, eta,
+                                                   profile, t, frac * theta_max))
+    return hashlib.sha256(np.array(values).tobytes()).hexdigest()
+
+
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -110,6 +138,7 @@ def main() -> int:
             for file, digest in digests(out):
                 print(f"{digest}  {name}/{file}", flush=True)
     print(f"{sigma_tau_probe()}  sigma-tau-probe", flush=True)
+    print(f"{defect_bound_probe()}  defect-bound-probe", flush=True)
     return 0
 
 

@@ -92,11 +92,6 @@ class InequalityReport:
             "provenance": jsonable(self.provenance),
         })
 
-    def to_csv(self) -> str:
-        """Flat plot-ready table: one row per margin entry."""
-        return csv_text(("label", "lhs", "rhs", "margin"),
-                        zip(self.labels, self.lhs, self.rhs, self.margin))
-
 
 def csv_text(header, rows) -> str:
     """CSV text of a header and rows, each line ending in a bare newline.

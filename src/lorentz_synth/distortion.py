@@ -18,10 +18,10 @@ Numerical contract (fixed, deterministic):
     matrices composed by a doubling scan whose rounds allocate nothing (they
     swap two buffer sets) and keep the bits of a scan that allocates every
     round (see :func:`_rk4_scan_matrices`),
-  - sigma/tau scan only the first ``int(theta / (1 - 1e-9) / h) + 4`` steps
-    (all 4096 near the end of the profile, or when ``L / 8192`` is
-    subnormal), uncached, with the bits of the full solve (see
-    :func:`_prefix_sine`),
+  - sigma, tau and the defect bound scan only the first
+    ``int(theta / (1 - 1e-9) / h) + 4`` steps (all 4096 near L, or when
+    ``L / 8192`` is subnormal), uncached, with the bits of the full solve,
+    one scan per sigma or per bound by one route (see :func:`_sine_to`),
   - constant-curvature tau in closed form (:func:`const_tau`), with no solve,
   - cubic Hermite interpolation between solver nodes (the solver stores u'),
   - sign-change scan + bisection to 1e-10 for first zeros,
@@ -144,14 +144,6 @@ class KappaProfile:
         """The time-reversed profile ``theta -> kappa(L - theta)``."""
         return KappaProfile(self.length, (self.length - self.params)[::-1].copy(),
                             self.values[::-1].copy())
-
-    def restricted(self, x0: float, x1: float) -> "KappaProfile":
-        """Restriction to ``[x0, x1]`` reparametrized to start at 0."""
-        if not (0.0 - 1e-12 <= x0 < x1 <= self.length + 1e-12):
-            raise InvalidInputError("restriction endpoints out of range")
-        inside = self.params[(self.params > x0) & (self.params < x1)]
-        xs = np.concatenate(([x0], inside, [x1]))
-        return KappaProfile(x1 - x0, xs - x0, self(xs))
 
     def to_json(self) -> str:
         return json.dumps({"L": self.length,
@@ -319,8 +311,9 @@ class FundamentalSystem:
 
 # Measured reuse, every lookup logged: in each default run and in
 # `suite --quick` a profile asked for again is the one asked for just before
-# it (1001 hits in the 2006 lookups of `distortion`, 266 in 483 of the suite;
-# sigma and tau scan outside the cache); in the tier-1 tests,
+# it (1 hit in the 6 lookups of `distortion`, 63 in 64 of `needles`, 66 in 83
+# of the suite; sigma, tau and the defect bound scan outside the cache, and
+# no other default run asks); in the tier-1 tests,
 # measured while sigma still read every solve here, every fundamental-system
 # hit came within 14 distinct profiles, and 16 entries kept 2329 of the 2355
 # hits that 512 would.
@@ -413,16 +406,8 @@ def sigma_coeff(profile: KappaProfile, t: float, theta: float) -> float:
         raise InvalidInputError(f"theta = {theta} outside [0, {profile.length}]")
     if theta == 0.0:
         return float(t)
-    # int(theta / (1 - guard) / h) + 4 RK4 steps give sigma the bits of the
-    # full solve (see _prefix_sine). That count assumes the nodes are h apart:
-    # for L below about 1.8e-304 the half-grid step L / 8192 is subnormal, its
-    # double is not h, and the whole profile is scanned
-    reach, h = theta / (1.0 - FIRST_ZERO_GUARD), profile.length / ODE_STEPS
-    n_steps = ODE_STEPS
-    if reach < (ODE_STEPS - 4) * h and profile.length / (2 * ODE_STEPS) >= sys.float_info.min:
-        n_steps = int(reach / h) + 4
-    sine = _prefix_sine(profile, n_steps)
-    if theta >= sine.first_zero * (1.0 - FIRST_ZERO_GUARD):
+    sine = _sine_to(profile, theta)
+    if sine is None:
         return INF
     # one lookup of both points: elementwise, so each has its scalar bits
     num, denom = sine(np.array([t * theta, theta])).tolist()
@@ -431,9 +416,22 @@ def sigma_coeff(profile: KappaProfile, t: float, theta: float) -> float:
     return num / denom
 
 
+def _sine_to(profile: KappaProfile, theta: float) -> GeneralizedSine | None:
+    """The sine every sigma^{(r)}(theta) reads, 0 < theta <= L + 1e-12: the
+    first int(theta / (1 - guard) / h) + 4 RK4 steps (see :func:`_prefix_sine`),
+    all of them near L or when L / 8192 is subnormal (L below about 1.8e-304,
+    where the nodes are not h apart); None at or past the guarded first zero."""
+    reach, h = theta / (1.0 - FIRST_ZERO_GUARD), profile.length / ODE_STEPS
+    n_steps = ODE_STEPS
+    if reach < (ODE_STEPS - 4) * h and profile.length / (2 * ODE_STEPS) >= sys.float_info.min:
+        n_steps = int(reach / h) + 4
+    sine = _prefix_sine(profile, n_steps)
+    return None if theta >= sine.first_zero * (1.0 - FIRST_ZERO_GUARD) else sine
+
+
 def _prefix_sine(profile: KappaProfile, n_steps: int) -> GeneralizedSine:
     """The sine of ``profile`` on its first ``n_steps`` RK4 steps, uncached,
-    for :func:`sigma_coeff` at theta < (n_steps - 3) h (1 - FIRST_ZERO_GUARD),
+    for sigma at theta < (n_steps - 3) h (1 - FIRST_ZERO_GUARD),
     or at any theta when ``n_steps`` is ODE_STEPS (the full solve's bits,
     first zero and overflow included).
 
@@ -506,6 +504,11 @@ def const_tau(K: float, n_param: float, t, thetas) -> np.ndarray:
             sigma_power = np.exp(power * log_sigma)
         else:
             sigma_power = (const_sine(kappa, tt * thetas) / const_sine(kappa, thetas)) ** power
+        # both sine ratios are t to double precision for x = sqrt(|k|) theta
+        # below 2^-27, also where x underflows and the formulas read 0 / 0
+        if kappa != 0.0:
+            sigma_power = np.where(math.sqrt(abs(kappa)) * thetas < 2.0 ** -27,
+                                   tt ** power, sigma_power)
         tau = tt ** (1.0 / n_param) * sigma_power
     conjugate = thetas >= const_first_zero(kappa) * (1.0 - FIRST_ZERO_GUARD)
     tau = np.where(conjugate, np.where(tt == 0.0, 0.0, INF), tau)
@@ -612,14 +615,11 @@ def simpson_uniform(y: np.ndarray, a: float, b: float) -> float:
 
 
 def _sigma_profile_values(profile: KappaProfile, theta: float, r_nodes: np.ndarray):
-    """sigma^{(r)}(theta) for all r in r_nodes from one sine solve on [0, theta].
-
-    Returns None when theta reaches the profile's conjugate radius (the
-    coefficient is the +inf sentinel there).
-    """
-    sub = profile.restricted(0.0, theta) if theta < profile.length else profile
-    sine = generalized_sine(sub)
-    if theta >= sine.first_zero * (1.0 - FIRST_ZERO_GUARD):
+    """sigma^{(r)}(theta) for all r in r_nodes, with the bits of
+    :func:`sigma_coeff`; None at the conjugate radius (sigma is the +inf
+    sentinel there) or where the sine at theta is not positive."""
+    sine = _sine_to(profile, theta)
+    if sine is None:
         return None
     num, denom = sine(r_nodes * theta), sine(theta)
     if not (math.isfinite(denom) and np.isfinite(num).all()):
@@ -649,15 +649,16 @@ def defect_bound(K: float, n_param: float, p: float, eta: float,
     if not 0.0 < theta < theta_max:
         raise InvalidInputError(f"theta must lie strictly inside (0, {theta_max})")
 
-    scaled = profile.scaled(1.0 / (N - 1.0))
+    # sigma at the nodes of both quadratures, from one prefix scan
     r_full = np.linspace(0.0, 1.0, 2 * SIMPSON_PANELS + 1)
-    sig = _sigma_profile_values(scaled, theta, r_full)
+    r_tail = np.linspace(t, 1.0, SIMPSON_PANELS + 1)
+    sig = _sigma_profile_values(profile.scaled(1.0 / (N - 1.0)), theta,
+                                np.concatenate((r_full, r_tail)))
     if sig is None:
         return INF
+    sig, sig_tail = sig[:len(r_full)], sig[len(r_full):]
 
     # \int_t^1 tau^{(r)}(theta)^N dr  with  tau^N = r sigma^{N-1}
-    r_tail = np.linspace(t, 1.0, SIMPSON_PANELS + 1)
-    sig_tail = _sigma_profile_values(scaled, theta, r_tail)
     tau_pow_n = r_tail * sig_tail ** (N - 1.0)
     int_tau = simpson_uniform(tau_pow_n, t, 1.0)
 

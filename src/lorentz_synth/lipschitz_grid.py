@@ -80,20 +80,23 @@ def _check_signature(nodes: np.ndarray, mask: np.ndarray) -> float:
     symmetric matrix max|lambda| / min|lambda|, the ratio numpy's
     ``linalg.cond`` takes from an SVD, here from the eigenvalues at hand:
     in closed form for d = 2 (``_eigvalsh_2x2``), from ``eigvalsh`` for
-    d = 3."""
+    d = 3, where an eigenvalue within numpy's ``matrix_rank`` tolerance
+    d eps max|lambda| of 0 is the rounding of an exact 0 and fails too."""
     if not np.any(mask):
         raise InvalidInputError("no valid nodes left")
     if nodes.shape[-1] == 2:
         a, b, d = (nodes[..., i, j][mask] for i, j in ((0, 0), (0, 1), (1, 1)))
         lowest, upper = _eigvalsh_2x2(a, b, d)
-        nearest = lowest
+        nearest, singular = lowest, False
     else:
         # ascending order: eig[:, 0] is the most negative, eig[:, -2] the
         # negative one nearest 0, and eig[:, -1] the one positive eigenvalue
         eig = np.linalg.eigvalsh(nodes[mask])
         lowest, nearest, upper = eig[:, 0], eig[:, -2], eig[:, -1]
+        size = np.abs(eig)
+        singular = np.any(size.min(axis=1) <= eig.shape[1] * np.finfo(float).eps * size.max(axis=1))
     # written so that a NaN eigenvalue fails it
-    if not (np.all(nearest < 0.0) and np.all(upper > 0.0)):
+    if singular or not (np.all(nearest < 0.0) and np.all(upper > 0.0)):
         raise DegenerateMetricError("nodal matrix without Lorentzian signature")
     top = np.maximum(-lowest, upper)
     low = np.minimum(-nearest, upper)

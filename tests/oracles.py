@@ -14,12 +14,20 @@ from scipy.integrate import quad, solve_ivp
 
 # --- constant-curvature closed forms ---------------------------------------
 
+def _sine_over_theta(kappa, theta):
+    """sine_closed(kappa, theta) / theta as sin(x) / x or sinh(x) / x with
+    x = sqrt(|kappa|) theta, and its limit 1 at x = 0: no sine that
+    underflows is divided by."""
+    x = math.sqrt(abs(kappa)) * theta
+    if x == 0:
+        return 1.0
+    return (math.sin(x) if kappa > 0 else math.sinh(x)) / x
+
+
 def sine_closed(kappa, theta):
     if kappa > 0:
         return math.sin(math.sqrt(kappa) * theta) / math.sqrt(kappa)
-    if kappa == 0:
-        return theta
-    return math.sinh(math.sqrt(-kappa) * theta) / math.sqrt(-kappa)
+    return theta * _sine_over_theta(kappa, theta)
 
 
 def pi_closed(kappa):
@@ -31,7 +39,9 @@ def sigma_closed(kappa, t, theta):
         return t
     if theta >= pi_closed(kappa):
         return math.inf
-    return sine_closed(kappa, t * theta) / sine_closed(kappa, theta)
+    # t s(t theta) / s(theta) with s = sine / theta, which is sine(t theta) /
+    # sine(theta) also where the product t theta underflows
+    return t * _sine_over_theta(kappa, t * theta) / _sine_over_theta(kappa, theta)
 
 
 def tau_closed(kappa, n_param, t, theta):

@@ -25,7 +25,7 @@ from lorentz_synth import transport as TR
 from lorentz_synth.comparison import (BumpFunction, aubry_spacetime_check,
                                       bishop_gromov, bonnet_myers,
                                       brenier_mccann_check, brunn_minkowski,
-                                      check_tcd_semiconvexity, check_tmcp,
+                                      check_tcd_semiconvexity, check_tmcp, csv_text,
                                       dalembert_check, eikonal_check, ladder_steps,
                                       make_report, needle_decomposition,
                                       voronoi_cell_masses)
@@ -69,16 +69,19 @@ class TestReportPlumbing:
         # a label with a comma and embedded quotes must come back whole
         quoted = make_report("quoted", [0.5, -1.0], [1.0, math.inf], 0.0,
                              ['say "hi", then', 'plain'], {})
+        # the rows of margins.csv, written by csv_text
         for rep in (tmcp, quoted):
-            text = rep.to_csv()
+            text = csv_text(("report", "label", "lhs", "rhs", "margin"),
+                            ((rep.name, *row) for row in
+                             zip(rep.labels, rep.lhs, rep.rhs, rep.margin)))
             assert "np.float64" not in text
             rows = list(csv.reader(io.StringIO(text)))
-            assert rows[0] == ["label", "lhs", "rhs", "margin"]
+            assert rows[0] == ["report", "label", "lhs", "rhs", "margin"]
             assert len(rows) == 1 + len(rep.labels)
             for row, lab, m in zip(rows[1:], rep.labels, rep.margin):
-                assert len(row) == 4
-                assert row[0] == lab
-                assert float(row[3]) == pytest.approx(float(m), abs=0.0)
+                assert len(row) == 5
+                assert row[:2] == [rep.name, lab]
+                assert float(row[4]) == pytest.approx(float(m), abs=0.0)
 
     def test_worst_margin(self):
         rep = bonnet_myers(desitter_like(), 1.0, 2.0, resolution=65)

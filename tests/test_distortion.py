@@ -289,6 +289,8 @@ def test_const_tau_scalar_and_empty_inputs():
 @given(K=st.floats(-4.0, 4.0), n_param=st.floats(1.0, 5.0, exclude_min=True),
        ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
        fracs=st.lists(st.floats(0.0, 1.6), min_size=1, max_size=5))
+# sqrt(-K) theta underflows to 0, where the log of the sinh ratio read 0 / 0
+@example(K=-3.6216817146878017e-146, n_param=2.0, ts=[0.0], fracs=[1e-300])
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_const_tau_over_an_array_of_t(K, n_param, ts, fracs):
     # a leading t axis: each row is the oracle at its t, and the last row is
@@ -628,6 +630,60 @@ def test_sigma_scans_only_the_steps_up_to_theta(monkeypatch):
         sigma_coeff(profile, 0.5, theta)
         assert scans[-1] == D.ODE_STEPS
     assert D.sine_fundamental.cache_info().misses == 0
+
+
+# --- the defect bound's sigma: sigma_coeff's route ---------------------------
+
+@st.composite
+def ramps_and_thetas(draw):
+    """A two-sample ramp in [-30, 30] on [0, L], L in [0.2, 3], or level on a
+    length whose L / 8192 is subnormal (a ramp's slope would overflow there),
+    and theta anywhere in (0, L], within four steps of L, or at it."""
+    length = draw(st.one_of(st.floats(0.2, 3.0), st.sampled_from([1e-321, _SUBNORMAL_STEP])))
+    k0 = draw(st.floats(-30.0, 30.0))
+    k1 = draw(st.floats(-30.0, 30.0)) if length > 1.0e-300 else k0
+    profile = KappaProfile.from_samples([[0.0, k0], [length, k1]])
+    kind = draw(st.sampled_from(["any", "near end", "end"]))
+    if kind == "any":
+        theta = draw(st.floats(0.0, length, exclude_min=True))
+    elif kind == "near end":
+        theta = length * (1.0 - draw(st.floats(0.0, 4.0)) / D.ODE_STEPS)
+    else:
+        theta = length
+    assume(theta > 0.0)
+    return profile, theta
+
+
+@given(case=ramps_and_thetas(), n_param=st.sampled_from([2.0, 2.5, 3.0]),
+       rs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_the_defect_bound_reads_the_bits_of_sigma_coeff(case, n_param, rs):
+    # every node's sigma is sigma_coeff's, bit for bit, and where the bound
+    # reads none (None) sigma_coeff is the +inf sentinel at every r
+    profile, theta = case
+    scaled = profile.scaled(1.0 / (n_param - 1.0))
+    rs = np.array([0.0, 1.0] + rs)
+    got = D._sigma_profile_values(scaled, theta, rs)
+    want = [sigma_coeff(scaled, float(r), theta) for r in rs]
+    if got is None:
+        assert all(w == INF for w in want)
+    else:
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_the_defect_bound_takes_one_prefix_scan_and_no_cached_solve(monkeypatch):
+    scans = []
+    scan = D._rk4_scan_matrices
+    monkeypatch.setattr(D, "_rk4_scan_matrices",
+                        lambda k, h, n: scans.append(n) or scan(k, h, n))
+    profile = KappaProfile.from_samples([[0.0, 0.2], [2.0, 1.4]])
+    D.sine_fundamental.cache_clear()
+    for theta in (0.3, 1.2, 1.9):
+        assert 0.0 < defect_bound(1.0, 2.5, 2.5, 0.4, profile, 0.4, theta) < INF
+    info = D.sine_fundamental.cache_info()
+    assert info.hits + info.misses == 0
+    h = profile.length / D.ODE_STEPS
+    assert scans == [int(theta / (1.0 - D.FIRST_ZERO_GUARD) / h) + 4 for theta in (0.3, 1.2, 1.9)]
 
 
 # --- defect constants and bound ----------------------------------------------

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lorentz_synth import lipschitz_grid as L
@@ -499,6 +499,21 @@ class TestCurvatureOracles:
             assert abs(got - want) <= 4.0 * np.finfo(float).eps * want * want
         else:
             assert got is None
+
+    @given(p=st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+           q=st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+           nodes_shape=st.sampled_from([(1,), (3,)]))
+    @example(p=[-1, 0, 5], q=[9, -9, -7], nodes_shape=(1,))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_exactly_singular_three_by_three_nodes_fail(self, p, q, nodes_shape):
+        # p p^T - q q^T has rank at most two, every entry exact; eigvalsh
+        # leaves a rounding-sized third eigenvalue (-5.9e-15 of (-202.5, .,
+        # 17.5) at the example), whose sign alone passed about half of them
+        p, q = np.array(p, dtype=float), np.array(q, dtype=float)
+        m = np.outer(p, p) - np.outer(q, q)
+        nodes = np.broadcast_to(m, nodes_shape + (3, 3)).copy()
+        with pytest.raises(DegenerateMetricError, match="without Lorentzian signature"):
+            L._check_signature(nodes, np.ones(nodes_shape, dtype=bool))
 
     def test_two_plus_one_grids_take_eigvalsh(self, monkeypatch):
         calls = []
