@@ -10,9 +10,11 @@ each, into a temporary directory, and prints one sha256 per output:
 
 plus each run's exit status, one ``sigma-tau-probe`` line: the sha256 of
 sigma, tau and the sine solves of fixed curvature ramps (see
-:func:`sigma_tau_probe`), and one ``defect-bound-probe`` line: the sha256 of
-the defect bound over fixed tuples (see :func:`defect_bound_probe`), whose
-bits no output shows either. Two source trees whose
+:func:`sigma_tau_probe`), one ``defect-bound-probe`` line: the sha256 of
+the defect bound over fixed tuples (see :func:`defect_bound_probe`), and
+one ``lattice-probe`` line: the sha256 of lattice separation matrices and
+lattice geodesics (see :func:`lattice_probe`), whose bits no output shows
+either. Two source trees whose
 outputs agree byte for byte print the same lines, so a refactor is checked
 with
 
@@ -121,6 +123,34 @@ def defect_bound_probe() -> str:
     return hashlib.sha256(np.array(values).tobytes()).hexdigest()
 
 
+def lattice_probe() -> str:
+    """sha256 of the lattice time separations of 3 fixed sources to 5 fixed
+    targets (coincident, non-causal and chronological pairs) and of the
+    nodes, cumulative lengths and length of the maximizing paths of 3 fixed
+    chronological pairs, the mirror pair (-1, -0.6) -> (1, 0.6) among them,
+    on ``cosh_warp_model``, ``desitter_like`` and ``double_cone_kink`` at
+    resolutions 65 and 129. The default runs compute no lattice geodesic and
+    no lattice separation matrix (only the diameter runs on a lattice
+    chart), so no output file moves with their bits; this line does."""
+    sys.path.insert(0, str(SRC))
+    import numpy as np
+    from lorentz_synth.models import (cosh_warp_model, desitter_like, double_cone_kink,
+                                      maximizing_paths, time_separations)
+    sources = [(-0.9, -0.3), (-0.5, 0.2), (0.0, 0.0)]
+    targets = [(0.9, 0.4), (0.6, -0.2), (0.0, 0.0), (0.05, 0.9), (-0.95, 0.5)]
+    pairs = [((-1.0, -0.6), (1.0, 0.6)), ((-0.9, -0.3), (0.9, 0.4)),
+             ((-0.5, 0.1), (0.7, -0.4))]
+    digest = hashlib.sha256()
+    for model in (cosh_warp_model(), desitter_like(), double_cone_kink()):
+        for resolution in (65, 129):
+            digest.update(time_separations(model, sources, targets, resolution).tobytes())
+            for path in maximizing_paths(model, pairs, resolution):
+                digest.update(path.nodes.tobytes())
+                digest.update(path.cumlen.tobytes())
+                digest.update(np.float64(path.length).tobytes())
+    return digest.hexdigest()
+
+
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -139,6 +169,7 @@ def main() -> int:
                 print(f"{digest}  {name}/{file}", flush=True)
     print(f"{sigma_tau_probe()}  sigma-tau-probe", flush=True)
     print(f"{defect_bound_probe()}  defect-bound-probe", flush=True)
+    print(f"{lattice_probe()}  lattice-probe", flush=True)
     return 0
 
 

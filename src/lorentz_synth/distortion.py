@@ -18,10 +18,13 @@ Numerical contract (fixed, deterministic):
     matrices composed by a doubling scan whose rounds allocate nothing (they
     swap two buffer sets) and keep the bits of a scan that allocates every
     round (see :func:`_rk4_scan_matrices`),
+  - profile lengths whose half step ``L / 8192`` is a normal float (L from
+    about 1.82e-304), so that the solver nodes are h apart; shorter profiles
+    are rejected,
   - sigma, tau and the defect bound scan only the first
-    ``int(theta / (1 - 1e-9) / h) + 4`` steps (all 4096 near L, or when
-    ``L / 8192`` is subnormal), uncached, with the bits of the full solve,
-    one scan per sigma or per bound by one route (see :func:`_sine_to`),
+    ``int(theta / (1 - 1e-9) / h) + 4`` steps (all 4096 near L), uncached,
+    with the bits of the full solve, one scan per sigma or per bound by one
+    route (see :func:`_sine_to`),
   - constant-curvature tau in closed form (:func:`const_tau`), with no solve,
   - cubic Hermite interpolation between solver nodes (the solver stores u'),
   - sign-change scan + bisection to 1e-10 for first zeros,
@@ -57,6 +60,17 @@ FIRST_ZERO_GUARD = 1e-9
 # ---------------------------------------------------------------------------
 
 
+def _check_length(length: float) -> None:
+    """A profile length must be finite, positive, and long enough that the
+    RK4 half step L / (2 ODE_STEPS) is a normal float (L above about
+    1.82e-304): below that the solver nodes are not h apart."""
+    if not (length > 0.0 and math.isfinite(length)):
+        raise InvalidInputError("profile length must be finite and positive")
+    if length / (2 * ODE_STEPS) < sys.float_info.min:
+        raise InvalidInputError(f"profile length {length} below "
+                                f"{2 * ODE_STEPS * sys.float_info.min}: the RK4 step is subnormal")
+
+
 @dataclass(frozen=True, eq=False)
 class KappaProfile:
     """Piecewise-linear curvature profile ``kappa: [0, L] -> R``.
@@ -75,8 +89,7 @@ class KappaProfile:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "values", values)
-        if not (self.length > 0.0 and math.isfinite(self.length)):
-            raise InvalidInputError("profile length must be finite and positive")
+        _check_length(self.length)
         if params.ndim != 1 or params.shape != values.shape or len(params) < 2:
             raise InvalidInputError("profile needs matching 1-d params/values, >= 2 samples")
         if not np.all(np.isfinite(values)):
@@ -112,8 +125,7 @@ class KappaProfile:
 
     @classmethod
     def constant(cls, kappa: float, length: float) -> "KappaProfile":
-        if not (length > 0.0 and math.isfinite(length)):
-            raise InvalidInputError("profile length must be finite and positive")
+        _check_length(length)
         values = np.array([kappa, kappa], dtype=float)
         if not np.all(np.isfinite(values)):
             raise InvalidInputError("non-finite curvature sample")
@@ -419,11 +431,10 @@ def sigma_coeff(profile: KappaProfile, t: float, theta: float) -> float:
 def _sine_to(profile: KappaProfile, theta: float) -> GeneralizedSine | None:
     """The sine every sigma^{(r)}(theta) reads, 0 < theta <= L + 1e-12: the
     first int(theta / (1 - guard) / h) + 4 RK4 steps (see :func:`_prefix_sine`),
-    all of them near L or when L / 8192 is subnormal (L below about 1.8e-304,
-    where the nodes are not h apart); None at or past the guarded first zero."""
+    all of them near L; None at or past the guarded first zero."""
     reach, h = theta / (1.0 - FIRST_ZERO_GUARD), profile.length / ODE_STEPS
     n_steps = ODE_STEPS
-    if reach < (ODE_STEPS - 4) * h and profile.length / (2 * ODE_STEPS) >= sys.float_info.min:
+    if reach < (ODE_STEPS - 4) * h:
         n_steps = int(reach / h) + 4
     sine = _prefix_sine(profile, n_steps)
     return None if theta >= sine.first_zero * (1.0 - FIRST_ZERO_GUARD) else sine

@@ -26,7 +26,7 @@ convolution with a compactly supported bump before any curvature is read off:
   computed from its eigenvalues, so a grid is decomposed once: in closed
   form on 1+1 grids, by LAPACK's ``eigvalsh`` on 2+1 grids;
 * ``timelike_lower_bound_fn`` -- worst Ricci quotient over sampled cones,
-  built one direction at a time unless the caller passes them;
+  built one direction at a time;
 * ``lp_deficit_curves`` -- integral of |(k - K)_-|^p along a mollification
   schedule for every p in a list, the quantitative track of curvature bounds
   surviving smoothing; k is scanned once per radius and read by every p
@@ -476,9 +476,20 @@ def _components(tensors: np.ndarray) -> np.ndarray:
 
 
 def _cone_samples(g_ij: np.ndarray, directions: int, speed: float):
-    """Yield the samples of ``default_cone_samples`` one direction at a time,
+    """Yield per-node timelike samples: ``directions`` chart slopes spread
+    across the cone, each at g-length ``speed``, one direction at a time,
     each written into one (dims, *shape) array that the next overwrites;
-    ``g_ij`` is the metric as ``_components`` gives it."""
+    ``g_ij`` is the metric as ``_components`` gives it.
+
+    Sample n moves along spatial axis a = 1 + (n mod (dims - 1)): v = e_0 +
+    w e_a. In that plane the null slopes are the roots of g00 + 2 g0a w +
+    gaa w^2, centre -g0a/gaa and half-width sqrt(g00 - g0a^2/gaa) /
+    sqrt(-gaa); the slopes sit at fractions s in [-0.9, 0.9] of the
+    half-width about the centre. With g0a = 0 this is s sqrt(g00) / sqrt(-gaa).
+
+    One speed per direction is enough: the Ricci quotient of
+    ``timelike_lower_bound_fn`` is homogeneous of degree 0, and rescaling a
+    sample by a power of two changes no bit of it."""
     d = len(g_ij)
     # per spatial axis: the centre of the null slopes, the numerator of their
     # half-width and its denominator sqrt(-gaa)
@@ -500,49 +511,19 @@ def _cone_samples(g_ij: np.ndarray, directions: int, speed: float):
         yield v
 
 
-def default_cone_samples(grid: MetricGrid, directions: int = CONE_DIRECTIONS,
-                         speed: float = CONE_SPEED):
-    """Per-node timelike samples: ``directions`` chart slopes spread across the
-    cone, each at g-length ``speed``. Returns (*shape, directions, dims), a
-    view of a contiguous sample-major (directions, dims, *shape) array.
-
-    Sample n moves along spatial axis a = 1 + (n mod (dims - 1)): v = e_0 +
-    w e_a. In that plane the null slopes are the roots of g00 + 2 g0a w +
-    gaa w^2, centre -g0a/gaa and half-width sqrt(g00 - g0a^2/gaa) /
-    sqrt(-gaa); the slopes sit at fractions s in [-0.9, 0.9] of the
-    half-width about the centre. With g0a = 0 this is s sqrt(g00) / sqrt(-gaa).
-
-    One speed per direction is enough: the Ricci quotient of
-    ``timelike_lower_bound_fn`` is homogeneous of degree 0, and rescaling a
-    sample by a power of two changes no bit of it. That scan, given no
-    samples, builds the same ones a direction at a time (``_cone_samples``)
-    and never holds them all."""
-    vs = np.empty((directions, grid.dims) + grid.shape)
-    for n, v in enumerate(_cone_samples(_components(grid.nodes), directions, speed)):
-        vs[n] = v
-    return np.moveaxis(vs, (0, 1), (-2, -1))
-
-
-def timelike_lower_bound_fn(field: CurvatureField, grid: MetricGrid,
-                            cone_samples: np.ndarray | None = None) -> np.ndarray:
+def timelike_lower_bound_fn(field: CurvatureField, grid: MetricGrid) -> np.ndarray:
     """k(x) = min over sampled timelike v of BakryEmery(v, v) / g(v, v).
 
-    ``cone_samples`` is (*shape, samples, dims); without it the samples of
-    ``default_cone_samples`` are built one direction at a time, just before
-    the scan reads each. Entries outside ``field.valid`` are NaN.
+    The samples of ``_cone_samples`` are built one direction at a time, just
+    before the scan reads each, and never held all at once. Entries outside
+    ``field.valid`` are NaN.
     """
     tensor = field.bakry_emery if field.bakry_emery is not None else field.ricci
     if tensor is None:
         raise InvalidInputError("field carries no Ricci-type tensor")
     g_ij, t_ij = _components(grid.nodes), _components(tensor)
-    if cone_samples is None:
-        samples = _cone_samples(g_ij, CONE_DIRECTIONS, CONE_SPEED)
-    elif cone_samples.shape[-2] == 0:
-        raise InvalidInputError("empty cone sample")
-    else:
-        samples = np.ascontiguousarray(np.moveaxis(cone_samples, (-2, -1), (0, 1)))
     k = np.full(grid.shape, np.inf)
-    for v in samples:
+    for v in _cone_samples(g_ij, CONE_DIRECTIONS, CONE_SPEED):
         gvv = _quadratic_form(v, g_ij)
         if np.any(gvv[field.valid] <= 0.0):
             raise InvalidInputError("cone sample is not timelike at a valid node")

@@ -245,8 +245,7 @@ def double_cone_kink() -> ModelSpacetime:
     Crossing in x is cheap near the slab ends and dear in the middle. The
     maximizer between a point-symmetric chronological pair with spatial
     offset is still unique (the length integrand is strictly concave in
-    dx/dt) and passes through the centre, but lattice paths tie near it: a
-    witness for the multiple-maximizer flag, which marks a lattice tie.
+    dx/dt) and passes through the centre, though lattice paths tie near it.
     """
     return lipschitz_1p1(lambda t: 1.0 + 1.5 * np.clip(1.0 - np.abs(t) / 0.3, 0.0, None),
                          (-1.0, 1.0), (-1.0, 1.0))
@@ -444,8 +443,8 @@ def _chart_points(model: ModelSpacetime, points) -> np.ndarray:
     return arr
 
 
-def time_separations(model: ModelSpacetime, sources, targets, resolution: int = 257,
-                     richardson: bool = True) -> np.ndarray:
+def time_separations(model: ModelSpacetime, sources, targets,
+                     resolution: int = 257) -> np.ndarray:
     """l(x_i, y_j) for every source x_i and target y_j: an (n, m) array with
     -inf sentinels where y_j is not in J^+(x_i).
 
@@ -491,30 +490,28 @@ def time_separations(model: ModelSpacetime, sources, targets, resolution: int = 
                 out[i, j] = NEG_INF
             else:
                 reads.setdefault(snapped_x[i], []).append((i, j))
-    shapes = [shape, _fine_shape(shape)] if richardson else [shape]
-    lattice = np.full((len(shapes), len(srcs), len(tgts)), -np.inf)
-    for k, sh in enumerate(shapes):
+    lattice = np.full((2, len(srcs), len(tgts)), -np.inf)
+    for k, sh in enumerate((shape, _fine_shape(shape))):
         m = 2 ** k
         for chunk in _source_chunks(sh, list(reads)):
             _, _, dist = _dp_longest(model, sh, [(i * m, j * m) for i, j in chunk])
             for node, field in zip(chunk, dist):
                 for i, j in reads[node]:
                     lattice[k, i, j] = field[snapped_y[j][0] * m, snapped_y[j][1] * m]
-    vals = np.maximum(_richardson(*lattice) if richardson else lattice[0], 0.0)
+    vals = np.maximum(_richardson(*lattice), 0.0)
     for pairs in reads.values():
         for i, j in pairs:
             out[i, j] = vals[i, j]
     return out
 
 
-def time_separation(model: ModelSpacetime, x, y, resolution: int = 257,
-                    richardson: bool = True) -> float:
+def time_separation(model: ModelSpacetime, x, y, resolution: int = 257) -> float:
     """Time separation l(x, y); -inf sentinel when y is not in J^+(x).
 
     The 1 x 1 case of :func:`time_separations`: on the lattice kinds one
     longest-path field of n_t x n_x float64 per lattice level for x.
     """
-    return float(time_separations(model, (x,), (y,), resolution, richardson)[0, 0])
+    return float(time_separations(model, (x,), (y,), resolution)[0, 0])
 
 
 def lorentz_distance(model: ModelSpacetime, o) -> Callable[[Event], float]:
@@ -570,7 +567,6 @@ class LatticePath:
     nodes: np.ndarray          # (k, 2) events along the path
     cumlen: np.ndarray         # (k,) cumulative length from the start
     length: float
-    multiple_maximizers: bool
 
     def points(self, fractions: np.ndarray) -> np.ndarray:
         """Chart points at the given fractions of the path length, linear in
@@ -613,13 +609,12 @@ def _jumps_into(W, dist, source, target):
     return into
 
 
-def _backtrack(into, dist, source, target, prefer_last: bool = False):
+def _backtrack(into, dist, source, target):
     """The maximizer from ``source`` to ``target`` in ``dist``: at each node
-    the first jump in fan order (the last under ``prefer_last``) whose
-    predecessor's value plus its weight gives the node's value to 1e-9
-    relative. ``into`` is :func:`_jumps_into` of the field. Returns the
-    nodes from source to target and the weight of the jump into each node
-    after the first."""
+    the first jump in fan order whose predecessor's value plus its weight
+    gives the node's value to 1e-9 relative. ``into`` is :func:`_jumps_into`
+    of the field. Returns the nodes from source to target and the weight of
+    the jump into each node after the first."""
     path, weights = [target], []
     cur = target
     rel = 1e-9 * max(1.0, abs(float(dist[target])))
@@ -628,7 +623,7 @@ def _backtrack(into, dist, source, target, prefer_last: bool = False):
         hit = np.flatnonzero(np.abs(reach - dist[cur]) <= rel)
         if len(hit) == 0:
             raise NoGeodesicError("backtracking lost the maximizing path")
-        e = hit[-1] if prefer_last else hit[0]
+        e = hit[0]
         cur = (cur[0] - int(_FAN_DI[e]), cur[1] - int(_FAN_DJ[e]))
         path.append(cur)
         weights.append(w[e])
@@ -642,18 +637,10 @@ def _lattice_path(ts, xs, W, dist, source, target) -> LatticePath:
     if dist[target] == -np.inf or dist[target] <= 0.0:
         raise NoGeodesicError("endpoints are not chronologically related on the lattice")
 
-    into = _jumps_into(W, dist, source, target)
-    first, weights = _backtrack(into, dist, source, target)
-    second, _ = _backtrack(into, dist, source, target, prefer_last=True)
-    # tie detection at the target: two predecessors within 1e-6 (distinct
-    # jumps into one node leave distinct nodes)
-    _, reach = into(*target)
-    ties = np.count_nonzero(reach >= dist[target] - 1e-6)
-    multiple = ties >= 2 and first[:-1] != second[:-1]
-
-    rows, cols = np.array(first).T
+    path, weights = _backtrack(_jumps_into(W, dist, source, target), dist, source, target)
+    rows, cols = np.array(path).T
     nodes = np.column_stack([ts[rows], xs[cols]])
-    return LatticePath(nodes, np.cumsum([0.0] + weights), float(dist[target]), multiple)
+    return LatticePath(nodes, np.cumsum([0.0] + weights), float(dist[target]))
 
 
 def maximizing_paths(model: ModelSpacetime, pairs, resolution: int = 513) -> list:
@@ -682,9 +669,8 @@ def maximizing_paths(model: ModelSpacetime, pairs, resolution: int = 513) -> lis
 
 
 def maximizing_path(model: ModelSpacetime, x, y, resolution: int = 513) -> LatticePath:
-    """Longest lattice path between the snapped endpoints, with a conservative
-    multiple-maximizer flag: raised when two tied-within-1e-6 incoming edges at
-    the target backtrack to paths that differ in their interior nodes."""
+    """Longest lattice path between the snapped endpoints; where lattice
+    paths tie, the backtrack takes the first jump in fan order."""
     return maximizing_paths(model, [(x, y)], resolution)[0]
 
 

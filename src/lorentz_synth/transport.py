@@ -35,7 +35,6 @@ class DiscreteMeasure:
 
     support: tuple                      # tuple of Events
     weights: np.ndarray
-    reference_density: np.ndarray | None = None   # d mu / d m at the support
 
     def __post_init__(self):
         object.__setattr__(self, "support",
@@ -50,9 +49,6 @@ class DiscreteMeasure:
             raise InvalidInputError("weights must sum to 1")
         if len({p.coords for p in self.support}) != len(self.support):
             raise InvalidInputError("support points must be distinct")
-        if self.reference_density is not None:
-            object.__setattr__(self, "reference_density",
-                               np.asarray(self.reference_density, dtype=float))
 
     def __len__(self):
         return len(self.support)
@@ -61,19 +57,14 @@ class DiscreteMeasure:
         return np.array([p.coords for p in self.support])
 
     def to_json(self) -> str:
-        data = {"support": [list(p.coords) for p in self.support],
-                "weights": self.weights.tolist()}
-        if self.reference_density is not None:
-            data["reference_density"] = self.reference_density.tolist()
-        return json.dumps(data)
+        return json.dumps({"support": [list(p.coords) for p in self.support],
+                           "weights": self.weights.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteMeasure":
         d = json.loads(text)
-        ref = d.get("reference_density")
         return cls(tuple(tuple(p) for p in d["support"]),
-                   np.asarray(d["weights"], dtype=float),
-                   None if ref is None else np.asarray(ref, dtype=float))
+                   np.asarray(d["weights"], dtype=float))
 
 
 def dirac(point) -> DiscreteMeasure:

@@ -410,11 +410,11 @@ def edge_table_per_jump(model, shape):
     return ts, xs, W
 
 
-def backtrack_per_jump(ts, xs, W, dist, source, target, prefer_last=False):
+def backtrack_per_jump(ts, xs, W, dist, source, target):
     """The maximizer from ``source`` to ``target`` in the field ``dist``, one
-    Python step per fan jump at every path node: the first predecessor (in
-    fan order, or the last under ``prefer_last``) whose value plus the jump's
-    weight gives the node's value to 1e-9 relative."""
+    Python step per fan jump at every path node: the first predecessor in
+    fan order whose value plus the jump's weight gives the node's value to
+    1e-9 relative."""
     from lorentz_synth import models as M
     from lorentz_synth.errors import NoGeodesicError
 
@@ -432,8 +432,7 @@ def backtrack_per_jump(ts, xs, W, dist, source, target, prefer_last=False):
                 continue
             if abs(dist[ip, jp] + w - dist[cur]) <= rel:
                 best = (ip, jp)
-                if not prefer_last:
-                    break
+                break
         if best is None:
             raise NoGeodesicError("backtracking lost the maximizing path")
         path.append(best)
@@ -443,9 +442,8 @@ def backtrack_per_jump(ts, xs, W, dist, source, target, prefer_last=False):
 
 
 def lattice_path_per_jump(ts, xs, W, dist, source, target):
-    """``models._lattice_path`` over :func:`backtrack_per_jump`: the 1e-6 tie
-    scan at the target jump by jump, and each segment's weight looked up by
-    its (di, dj) in the fan."""
+    """``models._lattice_path`` over :func:`backtrack_per_jump`, each
+    segment's weight looked up by its (di, dj) in the fan."""
     from lorentz_synth import models as M
     from lorentz_synth.errors import NoGeodesicError
 
@@ -453,19 +451,6 @@ def lattice_path_per_jump(ts, xs, W, dist, source, target):
         raise NoGeodesicError("endpoints are not chronologically related on the lattice")
 
     first = backtrack_per_jump(ts, xs, W, dist, source, target)
-    second = backtrack_per_jump(ts, xs, W, dist, source, target, prefer_last=True)
-    ties = []
-    for e, (di, dj) in enumerate(M._FAN):
-        ip, jp = target[0] - di, target[1] - dj
-        if ip < source[0] or not 0 <= jp < len(xs):
-            continue
-        w = W[e, ip]
-        if w == -np.inf or dist[ip, jp] == -np.inf:
-            continue
-        if dist[ip, jp] + w >= dist[target] - 1e-6:
-            ties.append((ip, jp))
-    multiple = len(set(ties)) >= 2 and first[:-1] != second[:-1]
-
     nodes = np.array([[ts[i], xs[j]] for i, j in first])
     seg = np.zeros(len(first))
     for k in range(1, len(first)):
@@ -473,10 +458,10 @@ def lattice_path_per_jump(ts, xs, W, dist, source, target):
         i1, j1 = first[k]
         e = M._FAN.index((i1 - i0, j1 - j0))
         seg[k] = W[e, i0]
-    return M.LatticePath(nodes, np.cumsum(seg), float(dist[target]), multiple)
+    return M.LatticePath(nodes, np.cumsum(seg), float(dist[target]))
 
 
-def time_separation_pairwise(model, x, y, resolution=257, richardson=True):
+def time_separation_pairwise(model, x, y, resolution=257):
     """l(x, y) for one pair on a lattice chart, by the one-pair rules written
     out on their own: both events snap to the coarse grid, one node gives 0,
     snapped nodes that are not causally related give -inf, otherwise one
@@ -500,8 +485,7 @@ def time_separation_pairwise(model, x, y, resolution=257, richardson=True):
     if not M.causally_related(model, sx, sy):
         return -math.inf
     vals = []
-    shapes = [shape, M._fine_shape(shape)] if richardson else [shape]
-    for k, sh in enumerate(shapes):
+    for k, sh in enumerate((shape, M._fine_shape(shape))):
         m = 2 ** k
         _, _, W = M._edge_table(model, sh)
         dist = dp_longest_loop(W, M._FAN, *sh, (src[0] * m, src[1] * m))

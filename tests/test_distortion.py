@@ -506,22 +506,45 @@ def test_signed_zero_profiles_keep_the_bits_of_the_full_solve(data, sign, length
     _assert_prefix_keeps_the_full_solve(profile, t, data.draw(thetas_for(profile)), 2.0)
 
 
-# L / 8192 subnormal: 0.0 (1e-321); 24.3 subnormal units, so the nodes are 48
-# units apart where h is 49 (199066 units); h normal with an odd last bit, so
-# L / 8192 rounds (4096 min(1 + eps)); and a normal step (1e-300)
+# L / 8192 subnormal: 0.0 (1e-321); 24.3 subnormal units (199066 units of
+# L, whose nodes would be 48 units apart where h is 49); h normal with an odd
+# last bit, so L / 8192 rounds below the smallest normal (4096 min(1 + eps));
+# and two ulps below the floor 8192 min (one ulp below, L / 8192 rounds up to
+# min, so that length is the shortest accepted)
 _SUBNORMAL_STEP = 199066 * 5e-324
 _ODD_MIN_STEP = D.ODE_STEPS * float(np.nextafter(sys.float_info.min, 1.0))
+_MIN_LENGTH = 2 * D.ODE_STEPS * sys.float_info.min
+_BELOW_MIN_LENGTH = float(np.nextafter(_MIN_LENGTH, 0.0))
+
+
+@pytest.mark.parametrize("length", [1e-321, 1e-319, _SUBNORMAL_STEP, 1e-310, _ODD_MIN_STEP,
+                                    float(np.nextafter(_BELOW_MIN_LENGTH, 0.0))])
+def test_lengths_whose_half_step_is_subnormal_are_rejected(length):
+    with pytest.raises(InvalidInputError, match="subnormal"):
+        KappaProfile.constant(0.0, length)
+    with pytest.raises(InvalidInputError, match="subnormal"):
+        KappaProfile.from_samples([[0.0, 0.0], [length, 1.0]])
 
 
 @pytest.mark.parametrize("length, theta", [
-    (1e-321, 1e-321), (1e-321, 5e-13),
-    (_SUBNORMAL_STEP, 0.98 * _SUBNORMAL_STEP), (_SUBNORMAL_STEP, 0.5 * _SUBNORMAL_STEP),
-    (_ODD_MIN_STEP, 0.98 * _ODD_MIN_STEP), (_ODD_MIN_STEP, _ODD_MIN_STEP),
+    (_MIN_LENGTH, 0.98 * _MIN_LENGTH), (_MIN_LENGTH, _MIN_LENGTH),
     (1e-300, 1e-300), (1e-300, 3e-301)])
 def test_lengths_whose_step_underflows_keep_the_bits(length, theta):
-    # where L / 8192 is subnormal the nodes are not h apart: sigma scans the
-    # whole profile there
+    # h^2 and the other products of the RK4 step underflow to 0 here
     _assert_prefix_keeps_the_full_solve(KappaProfile.constant(1.0, length), 0.5, theta, 2.0)
+
+
+@pytest.mark.parametrize("length", [_BELOW_MIN_LENGTH, _MIN_LENGTH,
+                                    float(np.nextafter(_MIN_LENGTH, 1.0)),
+                                    3e-304, 1e-300, 1e-290, 1e-270, 1e-250])
+def test_sigma_of_short_constant_profiles_is_t(length):
+    # sin_kappa(x) = x to double precision this close to 0: sigma is t up to
+    # the rounding of the RK4 steps and the Hermite lookups
+    for kappa in (0.0, 1.0, -1.0, 1e6, -1e6):
+        profile = KappaProfile.constant(kappa, length)
+        for t in (0.1, 0.25, 0.5):
+            for frac in (0.01, 0.37, 0.98, 1.0):
+                assert abs(sigma_coeff(profile, t, frac * length) - t) <= 4.5e-16 * t
 
 
 @given(kappa=st.floats(-1e5, -1e3), length=st.floats(5.0, 20.0), frac=st.floats(0.0, 1.0),
@@ -636,10 +659,10 @@ def test_sigma_scans_only_the_steps_up_to_theta(monkeypatch):
 
 @st.composite
 def ramps_and_thetas(draw):
-    """A two-sample ramp in [-30, 30] on [0, L], L in [0.2, 3], or level on a
-    length whose L / 8192 is subnormal (a ramp's slope would overflow there),
-    and theta anywhere in (0, L], within four steps of L, or at it."""
-    length = draw(st.one_of(st.floats(0.2, 3.0), st.sampled_from([1e-321, _SUBNORMAL_STEP])))
+    """A two-sample ramp in [-30, 30] on [0, L], L in [0.2, 3], or level on
+    the shortest accepted length or on 1e-300 (a ramp's slope would overflow
+    there), and theta anywhere in (0, L], within four steps of L, or at it."""
+    length = draw(st.one_of(st.floats(0.2, 3.0), st.sampled_from([_MIN_LENGTH, 1e-300])))
     k0 = draw(st.floats(-30.0, 30.0))
     k1 = draw(st.floats(-30.0, 30.0)) if length > 1.0e-300 else k0
     profile = KappaProfile.from_samples([[0.0, k0], [length, k1]])

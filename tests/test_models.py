@@ -113,24 +113,27 @@ class TestLatticeSeparation:
         # path from x to z, so the raw single-grid values obey the inequality
         # up to float accumulation only
         cw = M.cosh_warp_model()
-        ts, xs = node_grid(cw)
+        shape = _lattice_shape(cw, 257)
         rng = np.random.default_rng(5)
         for _ in range(6):
             i = np.sort(rng.choice(np.arange(0, 257, 8), 3, replace=False))
             j = rng.integers(96, 160, 3)
-            x, y, z = ((ts[a], xs[b]) for a, b in zip(i, j))
-            lxy = M.time_separation(cw, x, y, richardson=False)
-            lyz = M.time_separation(cw, y, z, richardson=False)
-            lxz = M.time_separation(cw, x, z, richardson=False)
+            x, y, z = ((int(a), int(b)) for a, b in zip(i, j))
+            _, _, (from_x, from_y) = M._dp_longest(cw, shape, [x, y])
+            lxy, lyz, lxz = from_x[y], from_y[z], from_x[z]
             if lxy > 0.0 and lyz > 0.0:
                 assert lxz >= lxy + lyz - 1e-9
 
     def test_refinement_is_monotone_and_cauchy(self):
+        # the raw longest-path values of one pair on three nested lattices
         cw = M.cosh_warp_model()
         ts, xs = node_grid(cw, 129)
-        pair = ((ts[8], xs[40]), (ts[120], xs[80]))
-        vals = [M.time_separation(cw, *pair, resolution=n, richardson=False)
-                for n in (129, 257, 513)]
+        pair = [M.event(ts[8], xs[40]), M.event(ts[120], xs[80])]
+        vals = []
+        for n in (129, 257, 513):
+            shape = _lattice_shape(cw, n)
+            source, target = (M._snap(*_lattice_axes(cw, shape), p) for p in pair)
+            vals.append(M._dp_longest(cw, shape, [source])[2][0][target])
         assert vals[0] <= vals[1] + 1e-12
         assert vals[1] <= vals[2] + 1e-12
         assert abs(vals[2] - vals[1]) <= 1e-3
@@ -158,13 +161,12 @@ class TestGeodesics:
             assert M.time_separation(cw, x, g.coords) == pytest.approx(
                 t * l, abs=2e-2)
 
-    def test_multiple_maximizers_flagged_on_the_focusing_kink(self):
+    def test_focusing_kink_maximizer_passes_through_the_centre(self):
         # the continuum maximizer is unique (the length integrand is strictly
-        # concave in dx/dt) and, by point symmetry, passes through (0, 0): the
-        # flag marks a tie between lattice paths, not two maximizers
+        # concave in dx/dt) and, by point symmetry, passes through (0, 0);
+        # lattice paths tie near it
         dc = M.double_cone_kink()
         path = M.maximizing_path(dc, (-1.0, -0.6), (1.0, 0.6), resolution=257)
-        assert path.multiple_maximizers
         assert np.max(np.abs(path.nodes[1:-1, 1])) < 0.6
         assert np.any(np.all(path.nodes == 0.0, axis=1))
         ws = dc.warp_samples
@@ -175,7 +177,7 @@ class TestGeodesics:
     def test_comoving_pair_has_a_unique_maximizer(self):
         dc = M.double_cone_kink()
         path = M.maximizing_path(dc, (-1.0, 0.0), (1.0, 0.0), resolution=257)
-        assert not path.multiple_maximizers
+        assert np.all(path.nodes[:, 1] == 0.0)
         assert path.length == pytest.approx(2.0, abs=1e-9)
 
     def test_lattice_rejects_non_chronological_pairs(self):
@@ -279,13 +281,12 @@ def assert_same_path(got, want):
     assert got.nodes.tobytes() == want.nodes.tobytes()
     assert got.cumlen.tobytes() == want.cumlen.tobytes()
     assert got.length == want.length
-    assert got.multiple_maximizers == want.multiple_maximizers
 
 
 class TestBatchedLatticeSteps:
-    """The edge table grouped by time step, the gathered backtrack with its
-    tie scan, and the null reaches shared by row pairs, against the per-jump
-    and per-pair loops in the oracles, bit for bit."""
+    """The edge table grouped by time step, the gathered backtrack and the
+    null reaches shared by row pairs, against the per-jump and per-pair
+    loops in the oracles, bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
     @pytest.mark.parametrize("resolution", [65, 129, 257])
@@ -316,26 +317,24 @@ class TestBatchedLatticeSteps:
         assume(len(reached) > 0)
         target = tuple(int(c) for c in reached[data.draw(st.integers(0, len(reached) - 1))])
         into = M._jumps_into(W, dist, source, target)
-        for last in (False, True):
-            path, weights = M._backtrack(into, dist, source, target, prefer_last=last)
-            assert path == backtrack_per_jump(ts, xs, W, dist, source, target, last)
-            assert len(weights) == len(path) - 1
+        path, weights = M._backtrack(into, dist, source, target)
+        assert path == backtrack_per_jump(ts, xs, W, dist, source, target)
+        assert len(weights) == len(path) - 1
         assert_same_path(M._lattice_path(ts, xs, W, dist, source, target),
                          lattice_path_per_jump(ts, xs, W, dist, source, target))
 
-    @pytest.mark.parametrize("pair, flagged", [
-        (((-1.0, -0.6), (1.0, 0.6)), True),
-        (((-1.0, 0.0), (1.0, 0.0)), False),
-        (((-0.5, 0.1), (0.7, -0.4)), True),
+    @pytest.mark.parametrize("pair", [
+        ((-1.0, -0.6), (1.0, 0.6)),
+        ((-1.0, 0.0), (1.0, 0.0)),
+        ((-0.5, 0.1), (0.7, -0.4)),
     ], ids=["mirror-maximizers", "comoving", "oblique"])
-    def test_paths_on_the_focusing_kink_equal_the_per_jump_loop(self, pair, flagged):
+    def test_paths_on_the_focusing_kink_equal_the_per_jump_loop(self, pair):
         model = M.double_cone_kink()
         ts, xs, W = M._edge_table(model, _lattice_shape(model, 257))
         source, target = (M._snap(ts, xs, M.as_event(p)) for p in pair)
         _, _, (dist,) = M._dp_longest(model, _lattice_shape(model, 257), [source])
         got = M.maximizing_path(model, *pair, resolution=257)
         assert_same_path(got, lattice_path_per_jump(ts, xs, W, dist, source, target))
-        assert got.multiple_maximizers == flagged
 
     def test_null_reach_once_per_row_pair(self):
         # 24 pairs on two source rows and three target rows: four row pairs
