@@ -13,7 +13,9 @@ sigma, tau and the sine solves of fixed curvature ramps (see
 :func:`sigma_tau_probe`), one ``defect-bound-probe`` line: the sha256 of
 the defect bound over fixed tuples (see :func:`defect_bound_probe`), and
 one ``lattice-probe`` line: the sha256 of lattice separation matrices and
-lattice geodesics (see :func:`lattice_probe`), whose bits no output shows
+lattice geodesics (see :func:`lattice_probe`), and ``grid-probe-1+1`` and
+``grid-probe-2+1`` lines: the sha256 of the curvature of a tilted 1+1 and a
+general 2+1 grid (see :func:`grid_probe`), whose bits no output shows
 either. Two source trees whose
 outputs agree byte for byte print the same lines, so a refactor is checked
 with
@@ -151,6 +153,46 @@ def lattice_probe() -> str:
     return digest.hexdigest()
 
 
+def grid_probe(dims: int) -> str:
+    """sha256 of the Christoffel symbols, the Ricci and Bakry-Emery tensors
+    (N = dims + 0.5) and the cone-scan lower bound k of a smooth chart,
+    mollified at 4 grid steps and cone-narrowed: on 65 x 49 nodes of
+    [-1, 1] x [0, 1] for dims = 2, with g_01 = 0.1 sin(2x + t); on 17 x 21 x
+    19 nodes of [-1, 1] x [0, 1]^2 for dims = 3, where every coefficient
+    varies and no off-diagonal entry vanishes; log-density 0.4 t x. The
+    default runs have only warped 1+1 grids (g_01 = 0), so no output file
+    moves with the bits of a tilted 1+1 grid or of a 2+1 grid; this line
+    does."""
+    sys.path.insert(0, str(SRC))
+    import numpy as np
+    from lorentz_synth import lipschitz_grid as L
+
+    def fn(pts):
+        t, x = pts[..., 0], pts[..., 1]
+        g = np.zeros(pts.shape[:-1] + (dims, dims))
+        g[..., 0, 0] = 1.0 + 0.2 * np.sin(t + x)
+        g[..., 1, 1] = -(1.0 + 0.3 * t ** 2)
+        g[..., 0, 1] = g[..., 1, 0] = 0.1 * np.sin(2.0 * x + t)
+        if dims == 3:
+            y = pts[..., 2]
+            g[..., 2, 2] = -(1.0 + 0.2 * np.cos(y))
+            g[..., 0, 2] = g[..., 2, 0] = 0.05 * np.cos(x + y)
+            g[..., 1, 2] = g[..., 2, 1] = 0.1 * np.sin(x + y)
+        return g
+
+    shape = (65, 49) if dims == 2 else (17, 21, 19)
+    grid = L.metric_grid(fn, ((-1.0, 1.0),) + ((0.0, 1.0),) * (dims - 1), shape,
+                         weight=lambda p: 0.4 * p[..., 0] * p[..., 1])
+    smooth = L.mollify(grid, 4.0 * max(grid.spacing))
+    narrowed = L.cone_narrowed(smooth, L.narrowing_constant(smooth))
+    field = L.bakry_emery(narrowed, dims + 0.5)
+    digest = hashlib.sha256()
+    for values in (field.christoffel, field.ricci, field.bakry_emery,
+                   L.timelike_lower_bound_fn(field, narrowed)):
+        digest.update(np.ascontiguousarray(values).tobytes())
+    return digest.hexdigest()
+
+
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -170,6 +212,8 @@ def main() -> int:
     print(f"{sigma_tau_probe()}  sigma-tau-probe", flush=True)
     print(f"{defect_bound_probe()}  defect-bound-probe", flush=True)
     print(f"{lattice_probe()}  lattice-probe", flush=True)
+    for dims in (2, 3):
+        print(f"{grid_probe(dims)}  grid-probe-{dims - 1}+1", flush=True)
     return 0
 
 

@@ -917,6 +917,18 @@ def _dalembert_rule(params, model):
                           "in (0, 1) for the distance variant")
 
 
+def _tmcp_rule(params, model):
+    # check_tmcp reads n only into its provenance: each entropy exponent N'
+    # below n would check a stronger statement than TMCP(K, n)
+    n = params["n"]
+    low = [v for v in params["n_prime_grid"] if v < n]
+    if low:
+        raise ConfigError(f"n_prime_grid entries must be at least n = {n:g}, got {low}")
+    eq = params["equality_n_prime"]
+    if eq is not None and eq < n:
+        raise ConfigError(f"equality_n_prime must be at least n = {n:g}, got {eq:g}")
+
+
 def _lp_deficit_rule(params, grid):
     eps, p_list, n = params["eps_list"], params["p_list"], params["n"]
     if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -1017,7 +1029,7 @@ COMMANDS = {
          "equality_n_prime": (_optional(_DIM), 2.0),
          "equality_tolerance": (_NONNEG, 2e-3),
          "cells_resolution": (_RES, 256, 128), "resolution": (_RES, 257)},
-        _run_tmcp, imports=_LP),
+        _run_tmcp, _tmcp_rule, imports=_LP),
     "tcd": CommandSpec(
         "displacement semiconvexity of the entropy between two measures "
         "(timelike curvature-dimension)",

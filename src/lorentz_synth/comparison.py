@@ -447,14 +447,20 @@ def check_tcd_semiconvexity(model: ModelSpacetime, mu0: DiscreteMeasure,
     ts = [float(t) for t in t_grid]
     taus = const_tau(K, n_param, [1.0 - t for t in ts] + ts, L)
 
+    # the bound sums over carried pairs only (extreal's 0 * inf = 0): a pair
+    # of zero plan mass past the conjugate radius, where tau is +inf, adds 0,
+    # and a carried one makes the bound -inf
+    carried = plan.matrix != 0.0
+    mass = plan.matrix[carried]
     lhs, rhs, labels = [], [], []
     for k, t in enumerate(ts):
         mu_t = eval_pushforward(dc, t)
         ent = renyi_entropy(mu_t, voronoi_cell_masses(model, mu_t, cells_resolution),
                             n_param)
         tau0, tau1 = taus[k], taus[len(ts) + k]
-        bound = -float(np.sum((tau0 * rho0[:, None] + tau1 * rho1[None, :])
-                              * plan.matrix))
+        terms = np.zeros_like(plan.matrix)
+        terms[carried] = (tau0 * rho0[:, None] + tau1 * rho1[None, :])[carried] * mass
+        bound = -float(np.sum(terms))
         lhs.append(ent)
         rhs.append(bound)
         labels.append(f"t={t:g}")

@@ -21,16 +21,25 @@ convolution with a compactly supported bump before any curvature is read off:
   (the tests hold them to an ``einsum`` oracle), on every platform. (Where
   both operands hold the contracted index innermost in memory, ``einsum``
   sums it in SIMD lanes instead; for three terms that moves the last bit and
-  differs between CPUs.) The conditioning check reads the worst
-  max|lambda| / min|lambda| that the signature check of ``MetricGrid``
-  computed from its eigenvalues, so a grid is decomposed once: in closed
-  form on 1+1 grids, by LAPACK's ``eigvalsh`` on 2+1 grids;
+  differs between CPUs.) The derivatives of g, the Christoffel symbols,
+  the Hessians and the Ricci-type tensors are held component-major, as
+  contiguous (d, d[, d], *shape) planes, so each product is one multiply
+  over the grid; ``CurvatureField`` shows them indexed (*shape, k, i, j)
+  as views. The conditioning check reads the worst max|lambda| /
+  min|lambda| that the signature check of ``MetricGrid`` computed from its
+  eigenvalues, so a grid is decomposed once. On 1+1 grids the
+  eigenvalues, the inverse and the determinant are taken in closed form
+  from each 2 x 2 matrix scaled by a power of two, with no LAPACK call:
+  the inverse has LAPACK's bits wherever g_01 = 0, and ad - bc is
+  correctly rounded there. 2+1 grids take LAPACK's ``eigvalsh``, ``inv``
+  and ``det``;
 * ``timelike_lower_bound_fn`` -- worst Ricci quotient over sampled cones,
   built one direction at a time;
 * ``lp_deficit_curves`` -- integral of |(k - K)_-|^p along a mollification
   schedule for every p in a list, the quantitative track of curvature bounds
   surviving smoothing; k is scanned once per radius and read by every p
-  (``lp_deficit_curve`` is the one-p case).
+  (``lp_deficit_curve`` is the one-p case). A schedule whose largest
+  radius leaves no node to integrate over is rejected.
 
 Derivatives at a node use neighbors up to 4 steps away; every operation
 records which nodes remain trustworthy in the ``valid`` mask instead of
@@ -55,16 +64,26 @@ CONE_DIRECTIONS = 16     # slopes per node, one sample each
 CONE_SPEED = 0.5
 
 
+def _pow2_scaled(*entries: np.ndarray):
+    """(e, scaled entries): the entries of every nodal matrix multiplied by
+    one power of two 2^e per node (exact), e chosen so that the largest
+    magnitude lies in [0.5, 1), where no product of two entries over- or
+    underflows. A zero matrix gets e = 0."""
+    top = np.abs(entries[0])
+    for x in entries[1:]:
+        top = np.maximum(top, np.abs(x))
+    e = -np.frexp(top)[1]
+    return e, [np.ldexp(x, e) for x in entries]
+
+
 def _eigvalsh_2x2(a: np.ndarray, b: np.ndarray, d: np.ndarray):
     """Both eigenvalues of every [[a, b], [b, d]], lower then upper, in closed
-    form. Each matrix is first scaled by a power of two (exact) so that its
-    largest entry lies in [0.5, 1), where no square below over- or
-    underflows. The eigenvalue of larger magnitude is mid +- r, mid = (a +
-    d) / 2 and r = sqrt(((a - d) / 2)^2 + b^2), with the sign of mid, where
-    no cancellation occurs; the other is det / (that one), so an exactly
-    singular matrix gives an exact 0. The zero matrix gives NaN."""
-    e = -np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(d)))[1]
-    a, b, d = np.ldexp(a, e), np.ldexp(b, e), np.ldexp(d, e)
+    form, of the matrix scaled by ``_pow2_scaled``. The eigenvalue of larger
+    magnitude is mid +- r, mid = (a + d) / 2 and r = sqrt(((a - d) / 2)^2 +
+    b^2), with the sign of mid, where no cancellation occurs; the other is
+    det / (that one), so an exactly singular matrix gives an exact 0. The
+    zero matrix gives NaN."""
+    _, (a, b, d) = _pow2_scaled(a, b, d)
     mid = 0.5 * (a + d)
     half = 0.5 * (a - d)
     r = np.sqrt(half * half + b * b)
@@ -329,7 +348,9 @@ def _d2(f: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 def _sum_of_products(pairs, shape) -> np.ndarray:
     """0 + a_1 b_1 + a_2 b_2 + ..., each product rounded and added as it is
-    formed, left to right (see the module docstring)."""
+    formed, left to right (see the module docstring). The operands are
+    component-major planes, so each product is one multiply over the grid,
+    broadcast in the component axes only."""
     out = np.zeros(shape)
     term = np.empty(shape)
     for a, b in pairs:
@@ -338,16 +359,81 @@ def _sum_of_products(pairs, shape) -> np.ndarray:
     return out
 
 
+def _node_major(planes: np.ndarray, comps: int) -> np.ndarray:
+    """The (dims, ..., dims, *shape) planes with ``comps`` component axes as
+    a (*shape, dims, ..., dims) view."""
+    return np.moveaxis(planes, tuple(range(comps)), tuple(range(-comps, 0)))
+
+
+def _planes(tensors: np.ndarray, comps: int) -> np.ndarray:
+    """The (*shape, dims, ..., dims) tensors with ``comps`` component axes as
+    a (dims, ..., dims, *shape) view, the inverse of ``_node_major``."""
+    return np.moveaxis(tensors, tuple(range(-comps, 0)), tuple(range(comps)))
+
+
+def _components(tensors: np.ndarray) -> np.ndarray:
+    """(*shape, dims, dims) -> contiguous (dims, dims, *shape); no copy when
+    ``tensors`` is already a view of such planes (``_node_major``)."""
+    return np.ascontiguousarray(_planes(tensors, 2))
+
+
+def _entries_2x2(nodes: np.ndarray):
+    """e and the entries a, b, c, d of every [[a, b], [c, d]] nodal matrix,
+    scaled by 2^e (``_pow2_scaled``)."""
+    return _pow2_scaled(nodes[..., 0, 0], nodes[..., 0, 1], nodes[..., 1, 0], nodes[..., 1, 1])
+
+
+def _det(nodes: np.ndarray) -> np.ndarray:
+    """det g at every node. For d = 2, ad - bc of the scaled entries, scaled
+    back: correctly rounded wherever b = 0, and exact in scale wherever the
+    result is a normal float. For d = 3, LAPACK's ``det``."""
+    if nodes.shape[-1] != 2:
+        return np.linalg.det(nodes)
+    e, (a, b, c, d) = _entries_2x2(nodes)
+    return np.ldexp(a * d - b * c, -2 * e)
+
+
+def _inverse(nodes: np.ndarray) -> np.ndarray:
+    """g^kl as contiguous (d, d, *shape) planes. For d = 2 in closed form on
+    the scaled entries, scaled back: g^00 = 1 / (a - bc / d), g^11 = 1 / (d -
+    bc / a), g^01 = -b / (ad - bc) and g^10 = -c / (ad - bc), except that a
+    zero b or c gives the zero LAPACK's elimination leaves, (0 - 0) / a in
+    g^01 and (0 - 0) / d in g^10. So wherever b = c = 0 (warped, kinked and
+    Minkowski grids) every entry has LAPACK's bits, signed zeros included.
+    Singular matrices, which only invalid nodes may hold, give infinities
+    or NaN there. For d = 3, LAPACK's ``inv``."""
+    if nodes.shape[-1] != 2:
+        return _components(np.linalg.inv(nodes))
+    e, (a, b, c, d) = _entries_2x2(nodes)
+    bc = b * c
+    det = a * d - bc
+    inv = np.empty((2, 2) + det.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(1.0, a - bc / d, out=inv[0, 0])
+        np.divide(-b, det, out=inv[0, 1])
+        np.divide(0.0, a, out=inv[0, 1], where=b == 0.0)
+        np.divide(-c, det, out=inv[1, 0])
+        np.divide(0.0, d, out=inv[1, 0], where=c == 0.0)
+        np.divide(1.0, d - bc / a, out=inv[1, 1])
+    return np.ldexp(inv, e, out=inv)
+
+
 def _scalar_hessian(f: np.ndarray, spacing) -> np.ndarray:
+    """The (d, d, *shape) planes of the finite-difference Hessian of f."""
     d = len(spacing)
-    out = np.empty(f.shape + (d, d))
+    out = np.empty((d, d) + f.shape)
     for i in range(d):
-        out[..., i, i] = _d2(f, i, spacing[i])
+        out[i, i] = _d2(f, i, spacing[i])
         for j in range(i + 1, d):
             mixed = _d1(_d1(f, i, spacing[i]), j, spacing[j])
-            out[..., i, j] = mixed
-            out[..., j, i] = mixed
+            out[i, j] = mixed
+            out[j, i] = mixed
     return out
+
+
+def _gradient(f: np.ndarray, spacing) -> np.ndarray:
+    """The (d, *shape) planes of the finite-difference gradient of f."""
+    return np.stack([_d1(f, k, h) for k, h in enumerate(spacing)])
 
 
 def _eroded(valid: np.ndarray, margin: int) -> np.ndarray:
@@ -359,7 +445,10 @@ def _eroded(valid: np.ndarray, margin: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurvatureField:
-    """Per-node curvature tensors; entries outside ``valid`` are garbage."""
+    """Per-node curvature tensors; entries outside ``valid`` are garbage.
+
+    Each tensor is indexed (*shape, k, i, j) or (*shape, i, j), as a view of
+    the contiguous component-major planes the curvature path computes."""
 
     grid: MetricGrid
     valid: np.ndarray
@@ -370,19 +459,32 @@ class CurvatureField:
     n_param: float | None = None
 
 
-def _christoffel_arrays(nodes: np.ndarray, spacing):
-    d = nodes.shape[-1]
-    dg = np.empty(nodes.shape[:-2] + (d, d, d))
+def _field(grid: MetricGrid, gamma: np.ndarray, ric: np.ndarray | None = None):
+    """A ``CurvatureField`` of component-major planes, shown node-major."""
+    return CurvatureField(grid, _eroded(grid.valid, CURV_MARGIN), _node_major(gamma, 3),
+                          None if ric is None else _node_major(ric, 2))
+
+
+def _christoffel_arrays(nodes: np.ndarray, spacing) -> np.ndarray:
+    """Gamma^k_ij as (d, d, d, *shape) planes, indexed [k, i, j]."""
+    # the inverse first: taken after d_k g_ij is freed, it left the heap
+    # fragmented, and the default lp-deficit run peaked at 94 MB resident
+    # against 87 MB (the Python-tracked peak is the same either way)
+    ginv = _inverse(nodes)
+    g = _components(nodes)
+    d = len(g)
+    dg = np.empty((d,) + g.shape)
     for k in range(d):
-        dg[..., k, :, :] = _d1(nodes, k, spacing[k])
-    # T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    T = (np.moveaxis(dg, [-3, -2, -1], [-2, -1, -3])
-         + np.moveaxis(dg, [-3, -2, -1], [-1, -2, -3])
-         - dg)
-    ginv = np.linalg.inv(nodes)
+        dg[k] = _d1(g, 2 + k, spacing[k])
+    del g
+    # T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij; d_k g_ij is freed before the
+    # contraction, which would otherwise set the memory peak of bakry_emery
+    T = np.moveaxis(dg, (0, 1, 2), (1, 2, 0)) + np.moveaxis(dg, (0, 1, 2), (2, 1, 0)) - dg
+    del dg
     # sum over l of g^kl T[l, i, j]
-    return 0.5 * _sum_of_products(
-        ((ginv[..., :, l, None, None], T[..., None, l, :, :]) for l in range(d)), T.shape)
+    gamma = _sum_of_products(((ginv[:, l, None, None], T[None, l]) for l in range(d)), T.shape)
+    gamma *= 0.5
+    return gamma
 
 
 def _check_conditioning(grid: MetricGrid):
@@ -393,34 +495,32 @@ def _check_conditioning(grid: MetricGrid):
 def christoffels(grid: MetricGrid) -> CurvatureField:
     """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
     _check_conditioning(grid)
-    gamma = _christoffel_arrays(grid.nodes, grid.spacing)
-    return CurvatureField(grid, _eroded(grid.valid, CURV_MARGIN), gamma)
+    return _field(grid, _christoffel_arrays(grid.nodes, grid.spacing))
 
 
 def _ricci_arrays(nodes: np.ndarray, spacing):
-    """Ricci tensor from nodal matrices; symmetric by construction because the
-    contracted Christoffel is taken as the gradient of log sqrt|det g|."""
+    """(Ricci, Gamma) from nodal matrices, as (d, d, *shape) and (d, d, d,
+    *shape) planes; symmetric by construction because the contracted
+    Christoffel is taken as the gradient of log sqrt|det g|."""
     gamma = _christoffel_arrays(nodes, spacing)
-    d = nodes.shape[-1]
-    s = 0.5 * np.log(np.abs(np.linalg.det(nodes)))
-    dgam = np.zeros(gamma.shape[:-3] + (d, d))
+    d = len(gamma)
+    s = 0.5 * np.log(np.abs(_det(nodes)))
+    ric = np.zeros(gamma.shape[1:])
     for k in range(d):
-        dgam += _d1(gamma[..., k, :, :], k, spacing[k])
-    hess_s = _scalar_hessian(s, spacing)
-    ds = np.stack([_d1(s, k, spacing[k]) for k in range(d)], axis=-1)
+        ric += _d1(gamma[k], 2 + k, spacing[k])
+    ric -= _scalar_hessian(s, spacing)
+    ds = _gradient(s, spacing)
     # sum over l of d_l s Gamma^l_ij; sum over k, then l, of Gamma^k_il Gamma^l_kj
-    quad1 = _sum_of_products(
-        ((ds[..., l, None, None], gamma[..., l, :, :]) for l in range(d)), dgam.shape)
-    quad2 = _sum_of_products(
-        ((gamma[..., k, :, l, None], gamma[..., l, k, None, :])
-         for k in range(d) for l in range(d)), dgam.shape)
-    return dgam - hess_s + quad1 - quad2, gamma
+    ric += _sum_of_products(((ds[l], gamma[l]) for l in range(d)), ric.shape)
+    ric -= _sum_of_products(((gamma[k, :, l, None], gamma[l, k, None, :])
+                             for k in range(d) for l in range(d)), ric.shape)
+    return ric, gamma
 
 
 def ricci(grid: MetricGrid) -> CurvatureField:
     _check_conditioning(grid)
     ric, gamma = _ricci_arrays(grid.nodes, grid.spacing)
-    return CurvatureField(grid, _eroded(grid.valid, CURV_MARGIN), gamma, ric)
+    return _field(grid, gamma, ric)
 
 
 def bakry_emery(grid: MetricGrid, n_param: float) -> CurvatureField:
@@ -434,18 +534,19 @@ def bakry_emery(grid: MetricGrid, n_param: float) -> CurvatureField:
     if n_param < d or (n_param == d and w_span > 1e-12):
         raise InvalidInputError("need N > dims, or N = dims with constant weight")
     base = ricci(grid)
+    gamma, ric = _planes(base.christoffel, 3), _planes(base.ricci, 2)
     f = grid.weight_nodes
-    df = np.stack([_d1(f, k, grid.spacing[k]) for k in range(d)], axis=-1)
-    shape = base.ricci.shape
+    df = _gradient(f, grid.spacing)
     # sum over k of Gamma^k_ij d_k f
-    hess = _scalar_hessian(f, grid.spacing) - _sum_of_products(
-        ((base.christoffel[..., k, :, :], df[..., k, None, None]) for k in range(d)), shape)
-    be = base.ricci - hess
+    hess = _scalar_hessian(f, grid.spacing)
+    hess -= _sum_of_products(((gamma[k], df[k]) for k in range(d)), ric.shape)
+    be = ric - hess
     if n_param > d:
-        be = be - _sum_of_products([(df[..., :, None], df[..., None, :])], shape) \
-            / (n_param - d)
-    return CurvatureField(grid, base.valid, base.christoffel, base.ricci,
-                          be, hess, n_param)
+        corr = _sum_of_products([(df[:, None], df[None, :])], ric.shape)
+        corr /= n_param - d
+        be -= corr
+    return replace(base, bakry_emery=_node_major(be, 2), hessian_weight=_node_major(hess, 2),
+                   n_param=n_param)
 
 
 # -- cone scans and deficit curves -------------------------------------------------
@@ -468,11 +569,6 @@ def _quadratic_form(v: np.ndarray, m: np.ndarray) -> np.ndarray:
             term *= v[j]
             out += term
     return out
-
-
-def _components(tensors: np.ndarray) -> np.ndarray:
-    """(*shape, dims, dims) -> contiguous (dims, dims, *shape)."""
-    return np.ascontiguousarray(np.moveaxis(tensors, (-2, -1), (0, 1)))
 
 
 def _cone_samples(g_ij: np.ndarray, directions: int, speed: float):
@@ -535,7 +631,7 @@ def timelike_lower_bound_fn(field: CurvatureField, grid: MetricGrid) -> np.ndarr
 
 
 def _measure_weights(grid: MetricGrid) -> np.ndarray:
-    dens = np.sqrt(np.abs(np.linalg.det(grid.nodes))) * np.exp(-grid.weight_nodes)
+    dens = np.sqrt(np.abs(_det(grid.nodes))) * np.exp(-grid.weight_nodes)
     return dens * np.prod(grid.spacing)
 
 
@@ -543,7 +639,8 @@ def lp_deficit_curves(grid: MetricGrid, K: float, p_list: Sequence[float],
                       eps_list: Sequence[float], n_param: float):
     """For each mollification radius: smooth, narrow cones, rebuild the
     curvature, scan k once, and integrate |(k - K)_-|^p for every p over one
-    fixed interior region (the validity region of the largest radius).
+    fixed interior region (the validity region of the largest radius), which
+    must hold a node.
 
     Returns one curve per p, in the order of ``p_list``: a list of
     (eps, deficit) pairs."""
@@ -562,6 +659,9 @@ def lp_deficit_curves(grid: MetricGrid, K: float, p_list: Sequence[float],
         field = bakry_emery(narrowed, n_param)
         if region is None:
             region = field.valid
+            if not np.any(region):
+                raise InvalidInputError("the curvature stencils leave no interior nodes "
+                                        "at the largest kernel radius")
         # the weights need the smoothed grid, the cone scan does not: freed
         # before the scan (the run's memory peak), and this radius' grids and
         # tensors before the next radius is smoothed

@@ -611,10 +611,14 @@ def _roll_hessian(f, spacing):
     return out
 
 
-def christoffel_einsum(nodes, spacing, contiguous=True):
+def christoffel_einsum(nodes, spacing, contiguous=True, ginv=None):
     """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2 from 4th-order
     central differences taken with ``np.roll`` (periodic, so the band within
-    4 nodes of an edge is garbage), contracted with one ``np.einsum``.
+    4 nodes of an edge is garbage), contracted with one ``np.einsum``. The
+    inverse g^kl, as (*shape, d, d), is ``ginv`` if given, else LAPACK's
+    ``np.linalg.inv``: the contraction order is held to the library's bits
+    with its own inverse, whose closed form on 1+1 grids moves last bits
+    where g_01 != 0.
 
     T is made C-contiguous first unless ``contiguous`` is False. Built as a
     sum of moved axes it has l innermost in memory, like g^kl; einsum then
@@ -633,16 +637,21 @@ def christoffel_einsum(nodes, spacing, contiguous=True):
          - dg)
     if contiguous:
         T = np.ascontiguousarray(T)
-    return 0.5 * np.einsum("...kl,...lij->...kij", np.linalg.inv(nodes), T)
+    if ginv is None:
+        ginv = np.linalg.inv(nodes)
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, T)
 
 
-def ricci_einsum(nodes, spacing):
+def ricci_einsum(nodes, spacing, ginv=None, det=None):
     """(Ricci, Gamma): d_k Gamma^k_ij - Hess(s)_ij + d_l s Gamma^l_ij -
     Gamma^k_il Gamma^l_kj with s = log sqrt|det g|, both quadratic terms one
-    ``np.einsum`` each."""
-    gamma = christoffel_einsum(nodes, spacing)
+    ``np.einsum`` each; ``ginv`` and ``det`` default to LAPACK's, as in
+    ``christoffel_einsum``."""
+    gamma = christoffel_einsum(nodes, spacing, ginv=ginv)
     d = nodes.shape[-1]
-    s = 0.5 * np.log(np.abs(np.linalg.det(nodes)))
+    if det is None:
+        det = np.linalg.det(nodes)
+    s = 0.5 * np.log(np.abs(det))
     dgam = np.zeros(gamma.shape[:-3] + (d, d))
     for k in range(d):
         dgam += d1_roll(gamma[..., k, :, :], k, spacing[k])
@@ -653,11 +662,12 @@ def ricci_einsum(nodes, spacing):
     return dgam - hess_s + quad1 - quad2, gamma
 
 
-def bakry_emery_einsum(nodes, weight, spacing, n_param):
+def bakry_emery_einsum(nodes, weight, spacing, n_param, ginv=None, det=None):
     """(Bakry-Emery, weighted Hessian, Ricci, Gamma) for the log-density
     ``weight``: Ric - (Hess f - Gamma^k d_k f) - df (x) df / (N - dims), the
-    last term left out for N = dims."""
-    ric, gamma = ricci_einsum(nodes, spacing)
+    last term left out for N = dims; ``ginv`` and ``det`` as in
+    ``ricci_einsum``."""
+    ric, gamma = ricci_einsum(nodes, spacing, ginv, det)
     d = nodes.shape[-1]
     df = np.stack([d1_roll(weight, k, spacing[k]) for k in range(d)], axis=-1)
     hess = _roll_hessian(weight, spacing) - np.einsum("...kij,...k->...ij", gamma, df)

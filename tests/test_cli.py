@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from lorentz_synth import lipschitz_grid as L
 from lorentz_synth.cli import (COMMANDS, MODEL_KINDS, ConfigError, ExperimentConfig,
-                               _build_model, _checked, main, run, suite)
+                               _build_model, _checked, _suite_row_configs, main, run, suite)
 from lorentz_synth.comparison import make_report
 from lorentz_synth.models import ModelSpacetime
 from lorentz_synth.transport import DiscreteMeasure
@@ -492,6 +492,29 @@ class TestDeclarations:
         checked, params = _checked(ExperimentConfig.from_mapping(
             {"command": "lp-deficit", "model": model, "parameters": {"n": 2.5}}))
         assert checked.dims == 2 and params["n"] == 2.5
+
+    @pytest.mark.parametrize("parameters, key", [
+        ({"n": 4.0, "n_prime_grid": [2.0]}, "n_prime_grid"),
+        ({"n": 3.0, "n_prime_grid": [4.0, 2.5, 3.0]}, "n_prime_grid"),
+        ({"n": 3.0, "n_prime_grid": [3.0, 4.0], "equality_n_prime": 2.0}, "equality_n_prime"),
+        ({"n": 2.5, "quick": True}, "n_prime_grid")])
+    def test_tmcp_entropy_exponents_below_n_are_rejected(self, tmp_path, capsys,
+                                                         parameters, key):
+        assert cli(tmp_path, "tmcp", config={"parameters": parameters}) == 2
+        assert key in invalid_config(capsys, tmp_path)["detail"]
+        # at n itself and above, or with no equality check, they pass
+        _, params = _checked(ExperimentConfig.from_mapping(
+            {"command": "tmcp", "parameters": {"n": 3.0, "n_prime_grid": [3.0, 4.0],
+                                               "equality_n_prime": None}}))
+        assert params["n_prime_grid"] == [3.0, 4.0]
+
+    def test_every_default_and_suite_config_passes_its_rule(self):
+        for command in COMMANDS:
+            for quick in (False, True):
+                _checked(ExperimentConfig.from_mapping(
+                    {"command": command, "parameters": {"quick": quick}}))
+        for _, command, overrides in _suite_row_configs("full") + _suite_row_configs("quick"):
+            _checked(ExperimentConfig(command, None, overrides, "", 0))
 
     @pytest.mark.parametrize("floor", [{"constant": 1.0}, {"dip": {"depth": 0.05}}])
     def test_aubry_curvature_floors_are_functions_of_chart_points(self, tmp_path,

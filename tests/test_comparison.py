@@ -11,6 +11,7 @@ import json
 import math
 import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -384,6 +385,24 @@ class TestTcd:
                                       T_GRID, tolerance=1e-2)
         assert rep.passed
         assert abs(rep.worst_margin()) < 1e-2
+
+    @pytest.mark.parametrize("K", [1.6, 2.0])
+    def test_pairs_past_the_conjugate_radius(self, K):
+        # the plan carries the four pairs at separation 2.399; pi / sqrt(K)
+        # is 2.484 at K = 1.6, below the separations 2.49 of four pairs the
+        # plan leaves empty, where tau is +inf: they add nothing (0 * inf =
+        # 0) and the bound stays finite. At K = 2 (2.221) the carried pairs
+        # are past it too, and every margin is -inf, as in check_tmcp
+        mu0 = uniform_on_box(((-1.3, -1.1), (-0.15, 0.15)), 2)
+        mu1 = uniform_on_box(((1.1, 1.3), (-0.15, 0.15)), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_tcd_semiconvexity(desitter_like(), mu0, mu1, K, 2.0, 0.5, T_GRID)
+        if K < 2.0:
+            assert np.all(np.isfinite(rep.margin))
+        else:
+            assert np.all(rep.margin == -np.inf)
+            assert not rep.passed
 
     def test_one_sine_solve_per_distinct_separation(self, monkeypatch):
         # at most one sine solve per distinct separation, and in fact none:

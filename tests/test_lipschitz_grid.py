@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -340,17 +341,27 @@ def _curvature_case(draw):
                         grid.lipschitz_bound), n_param
 
 
+def library_planes(nodes):
+    """The library's inverse, as (*shape, d, d), and determinant of every
+    nodal matrix, fed to the einsum oracles so that they check the
+    contraction order; the closed-form 2 x 2 inverse and determinant are
+    held to LAPACK's on their own (``test_closed_form_inverse_and_det``)."""
+    return {"ginv": L._node_major(L._inverse(nodes), 2), "det": L._det(nodes)}
+
+
 def _assert_curvature_is_the_einsum_curvature(grid, n_param):
+    planes = library_planes(grid.nodes)
     be, hess, ric, gamma = bakry_emery_einsum(grid.nodes, grid.weight_nodes,
-                                              grid.spacing, n_param)
+                                              grid.spacing, n_param, **planes)
     field = L.bakry_emery(grid, n_param)
     assert field.christoffel.tobytes() == gamma.tobytes()
     assert field.ricci.tobytes() == ric.tobytes()
     assert field.hessian_weight.tobytes() == hess.tobytes()
     assert field.bakry_emery.tobytes() == be.tobytes()
     assert L.christoffels(grid).christoffel.tobytes() == \
-        christoffel_einsum(grid.nodes, grid.spacing).tobytes()
-    assert L.ricci(grid).ricci.tobytes() == ricci_einsum(grid.nodes, grid.spacing)[0].tobytes()
+        christoffel_einsum(grid.nodes, grid.spacing, ginv=planes["ginv"]).tobytes()
+    assert L.ricci(grid).ricci.tobytes() == \
+        ricci_einsum(grid.nodes, grid.spacing, **planes)[0].tobytes()
 
 
 @st.composite
@@ -402,6 +413,25 @@ def _two_by_two_matrices(draw):
     return kind, scale * 0.5 * (m + m.T)
 
 
+@st.composite
+def _rotated_lorentzian_2x2(draw):
+    """(diagonal, m): a symmetric 2 x 2 matrix with eigenvalues top and
+    -top / ratio, in either order, ratio drawn from [1, 1e12], turned by a
+    random rotation unless ``diagonal``, and scaled by 1, 7, 2^40, 1e200 or
+    1e-200."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    top = draw(st.floats(0.1, 10.0))
+    lam = np.array([top, -top / 10.0 ** draw(st.floats(0.0, 12.0))])
+    rng.shuffle(lam)
+    scale = draw(st.sampled_from([1.0, 7.0, 2.0 ** 40, 1e200, 1e-200]))
+    diagonal = draw(st.booleans())
+    if diagonal:
+        return diagonal, scale * np.diag(lam)
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    m = (q * lam) @ q.T
+    return diagonal, scale * 0.5 * (m + m.T)
+
+
 class TestCurvatureOracles:
     """``christoffels``, ``ricci`` and ``bakry_emery`` against the einsum /
     roll route they replace (``oracles``), byte for byte, wrapped band
@@ -429,16 +459,27 @@ class TestCurvatureOracles:
         # with l innermost in T's memory, as the library once called it,
         # einsum sums its d terms in SIMD lanes: the same bits for d = 2; for
         # d = 3 two orders of three rounded products differ by at most
-        # 3 eps sum_l |g^kl T_lij|, halved with Gamma
+        # 3 eps sum_l |g^kl T_lij|, halved with Gamma. The oracle takes
+        # LAPACK's inverse; on 1+1 grids the library's closed form is a
+        # further 4 eps cond |g^-1|_2 from it in each entry
+        # (``test_closed_form_inverse_and_det``), halved with Gamma
+        eps = np.finfo(float).eps
         lanes = christoffel_einsum(grid.nodes, grid.spacing, contiguous=False)
         got = L.christoffels(grid).christoffel
-        if grid.dims == 2:
-            assert got.tobytes() == lanes.tobytes()
         dg = np.stack([d1_roll(grid.nodes, k, h) for k, h in enumerate(grid.spacing)], axis=-3)
         T = (np.moveaxis(dg, [-3, -2, -1], [-2, -1, -3])
              + np.moveaxis(dg, [-3, -2, -1], [-1, -2, -3]) - dg)
         size = np.einsum("...kl,...lij->...kij", np.abs(np.linalg.inv(grid.nodes)), np.abs(T))
-        assert np.all(np.abs(got - lanes) <= 1.5 * np.finfo(float).eps * size)
+        bound = 1.5 * eps * size
+        if grid.dims == 2:
+            own = christoffel_einsum(grid.nodes, grid.spacing, contiguous=False,
+                                     ginv=library_planes(grid.nodes)["ginv"])
+            assert got.tobytes() == own.tobytes()
+            lam = np.abs(np.linalg.eigvalsh(grid.nodes))
+            inverse_gap = 4.0 * eps * lam.max(axis=-1) / lam.min(axis=-1) ** 2
+            bound = bound + 0.5 * inverse_gap[..., None, None, None] \
+                * np.abs(T).sum(axis=-3)[..., None, :, :]
+        assert np.all(np.abs(got - lanes) <= bound)
 
     @given(a=hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1,
                                                 max_side=7), elements=_FILTER_VALUES),
@@ -515,6 +556,40 @@ class TestCurvatureOracles:
         with pytest.raises(DegenerateMetricError, match="without Lorentzian signature"):
             L._check_signature(nodes, np.ones(nodes_shape, dtype=bool))
 
+    @given(case=_rotated_lorentzian_2x2(), nodes_shape=st.sampled_from([(1,), (3,)]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_closed_form_inverse_and_det(self, case, nodes_shape):
+        diagonal, m = case
+        nodes = np.broadcast_to(m, nodes_shape + (2, 2)).copy()
+        inv, want_inv = L._node_major(L._inverse(nodes), 2), np.linalg.inv(nodes)
+        with np.errstate(over="ignore"):
+            det, want_det = L._det(nodes), np.linalg.det(nodes)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        lam = np.abs(np.linalg.eigvalsh(m))
+        cond = lam.max() / lam.min()
+        if diagonal:
+            # LAPACK's bits, signed zeros included; and det is the correctly
+            # rounded ad, where LAPACK's exp of a sum of logs is not
+            assert inv.tobytes() == want_inv.tobytes()
+            with np.errstate(over="ignore", under="ignore"):
+                ad = m[0, 0] * m[1, 1]
+            assert det.tobytes() == np.full(nodes_shape, ad).tobytes()
+        # the two inverses are within 4 eps cond |g^-1|_2 of each other
+        # (1.24 at most over 40k draws)
+        assert np.all(np.linalg.norm(inv - want_inv, 2, axis=(-2, -1))
+                      <= 4.0 * eps * cond / lam.min())
+        if tiny <= abs(want_det[0]) < np.inf:
+            # ad - bc is within eps cond of the exact determinant, relative
+            # (0.68 at most over 20k draws); LAPACK's exp of a sum of logs
+            # adds |log|det|| eps, below 56 eps at these scales
+            exact = (Fraction(m[0, 0]) * Fraction(m[1, 1])
+                     - Fraction(m[0, 1]) * Fraction(m[1, 0]))
+            assert abs(Fraction(float(det[0])) - exact) <= 2.0 * eps * cond * abs(exact)
+            assert np.all(np.abs(det - want_det) <= 64.0 * eps * cond * np.abs(want_det))
+        else:
+            # at 1e200 and 1e-200 both routes overflow to -inf or underflow to 0
+            assert np.all(det == want_det)
+
     def test_two_plus_one_grids_take_eigvalsh(self, monkeypatch):
         calls = []
         real = np.linalg.eigvalsh
@@ -525,10 +600,11 @@ class TestCurvatureOracles:
         assert calls == [(9 * 7 * 5, 3, 3)] * 2
 
     def test_the_deficit_curves_call_no_einsum_roll_or_cond(self, monkeypatch):
-        # nor eigvalsh: the signature of a 1+1 grid is checked in closed form
+        # nor eigvalsh, inv or det on 1+1 grids: their signature, inverse and
+        # determinant are taken in closed form; 2+1 grids call LAPACK
         calls = []
         for owner, name in ((np, "einsum"), (np, "roll"), (np.linalg, "cond"),
-                            (np.linalg, "eigvalsh")):
+                            (np.linalg, "eigvalsh"), (np.linalg, "inv"), (np.linalg, "det")):
             real = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **k:
                                 calls.append(_name) or _real(*a, **k))
@@ -536,6 +612,10 @@ class TestCurvatureOracles:
         curves = L.lp_deficit_curves(g, 0.0, [1.0, 2.0], [0.5, 0.25], 2.0)
         assert all(d > 0.0 for curve in curves for _, d in curve)
         assert calls == []
+        g = general_grid(3, (17, 21, 19))
+        curves = L.lp_deficit_curves(g, 0.0, [1.0], [0.3, 0.25], 3.5)
+        assert all(math.isfinite(d) for curve in curves for _, d in curve)
+        assert set(calls) == {"eigvalsh", "inv", "det"}
 
 
 class TestConeNarrowing:
@@ -627,7 +707,7 @@ class TestCurvature:
         h = (ts[1] - ts[0], 0.125)
         ric_a, _ = _ricci_arrays(nodes, h)
         ric_b, _ = _ricci_arrays(flipped, h)
-        assert np.allclose(ric_a[16, 4, 0, 0], ric_b[16, 4, 0, 0], atol=1e-12)
+        assert np.allclose(ric_a[0, 0, 16, 4], ric_b[0, 0, 16, 4], atol=1e-12)
 
 
 class TestBakryEmery:
@@ -801,7 +881,7 @@ class TestDeficitCurve:
                 field = L.bakry_emery(nr, 2.0)
                 region = field.valid if region is None else region
                 k = cone_scan_einsum(field, nr)
-                dens = np.sqrt(np.abs(np.linalg.det(sm.nodes))) \
+                dens = np.sqrt(np.abs(library_planes(sm.nodes)["det"])) \
                     * np.exp(-sm.weight_nodes) * np.prod(sm.spacing)
                 out.append((e, float(np.sum(np.clip(K - k[region], 0.0, None) ** p
                                             * dens[region]))))
@@ -814,6 +894,19 @@ class TestDeficitCurve:
             assert all(d > 0.0 for curve in curves for _, d in curve)
         with pytest.raises(InvalidInputError):
             L.lp_deficit_curves(g, 0.0, [], [0.5, 0.25], 2.0)
+
+    def test_an_empty_region_is_rejected(self):
+        # a convex kink on x-spacing 1/64: the radius-0.2 kernel keeps the
+        # middle column of 25 and the curvature stencils none, which read as
+        # a deficit of 0 at every radius; 41 columns keep 9
+        def kink(columns):
+            return L.warped_grid(lambda t: 1.0 + 0.25 * np.abs(t), (-2.0, 2.0),
+                                 (0.0, (columns - 1) / 64.0), (257, columns))
+
+        with pytest.raises(InvalidInputError, match="no interior nodes"):
+            L.lp_deficit_curves(kink(25), 0.0, [1.0, 2.0], [0.2, 0.1], 2.0)
+        curves = L.lp_deficit_curves(kink(41), 0.0, [1.0, 2.0], [0.2, 0.1], 2.0)
+        assert all(d > 0.0 for curve in curves for _, d in curve)
 
     def test_schedule_validation(self):
         g = L.minkowski_grid(((0, 1), (0, 1)), (65, 65))
