@@ -9,7 +9,9 @@ directory). For each, the script times ``import lorentz_synth.cli`` alone,
 fresh interpreter, from spawn to exit, ``--runs`` times. The two checkouts
 alternate run by run, in turn going first, so that drift of the host's speed
 hits both alike. One untimed import per checkout first writes its bytecode
-caches. The environment is the caller's apart from ``PYTHONPATH``; outputs go
+caches. The environment is the caller's apart from ``PYTHONPATH`` and
+``PYTHONDONTWRITEBYTECODE``, which is dropped: with it, that import would
+write nothing and every timed run would compile the package again. Outputs go
 to a temporary directory.
 
 Prints a Markdown table: per run name, the median seconds of each side, their
@@ -38,6 +40,7 @@ def timed(root: Path, cli: list | None, out: Path) -> tuple:
     interpreter that runs the command line ``cli`` into ``out``, or only
     imports the package when ``cli`` is None."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     argv = (["-c", "import lorentz_synth.cli"] if cli is None else
             ["-m", "lorentz_synth.cli", *cli, "--seed", "0", "--out", str(out)])
     start = time.perf_counter()

@@ -9,7 +9,7 @@ each, into a temporary directory, and prints one sha256 per output:
 * each plot CSV and ``plots/manifest.json``;
 
 plus each run's exit status, one ``sigma-tau-probe`` line: the sha256 of
-sigma, tau and the sine solves of fixed curvature ramps (see
+sigma, tau and the sines of fixed curvature ramps (see
 :func:`sigma_tau_probe`), one ``defect-bound-probe`` line: the sha256 of
 the defect bound over fixed tuples (see :func:`defect_bound_probe`), and
 one ``lattice-probe`` line: the sha256 of lattice separation matrices and
@@ -72,10 +72,10 @@ def digests(out: Path):
 
 
 def sigma_tau_probe() -> str:
-    """sha256 of sigma, tau (N = 3), the sine's values and first zero and the
-    fundamental solution w over 40 two-sample ramps with curvatures in
-    [-8, 8], theta on the prefix scan (0.05, 0.37, 0.81 L) and on the full
-    scan (0.9995 L, L). The runs' sigma and tau margins are max(0, .) of
+    """sha256 of sigma, tau (N = 3), the sine's first zero, and the sine u
+    and the fundamental solution w on 257 points of [0, L] over 40
+    two-sample ramps with curvatures in [-8, 8], theta at 0.05, 0.37, 0.81,
+    0.9995 and 1 times L. The runs' sigma and tau margins are max(0, .) of
     comparisons that never turn positive, so no output file moves with
     their bits; this line does."""
     sys.path.insert(0, str(SRC))
@@ -94,8 +94,10 @@ def sigma_tau_probe() -> str:
                         values += [sigma_coeff(profile, t, frac * length),
                                    tau_coeff(profile, 3.0, t, frac * length)]
                 digest.update(np.array(values).tobytes())
-                digest.update(sine.values.tobytes())
-                digest.update(sine_fundamental(profile).w.tobytes())
+                grid = np.linspace(0.0, length, 257)
+                fundamental = sine_fundamental(profile)
+                for lookup in (sine, fundamental.eval_u, fundamental.eval_w):
+                    digest.update(np.asarray(lookup(grid), dtype=float).tobytes())
     return digest.hexdigest()
 
 

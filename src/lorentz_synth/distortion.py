@@ -14,20 +14,17 @@ This module implements the one-dimensional comparison machinery:
   lower bound ``K``.
 
 Numerical contract (fixed, deterministic):
-  - classical RK4 with fixed step ``L / 4096`` for the sine ODE, its step
-    matrices composed by a doubling scan whose rounds allocate nothing (they
-    swap two buffer sets) and keep the bits of a scan that allocates every
-    round (see :func:`_rk4_scan_matrices`),
-  - profile lengths whose half step ``L / 8192`` is a normal float (L from
-    about 1.82e-304), so that the solver nodes are h apart; shorter profiles
-    are rejected,
-  - sigma, tau and the defect bound scan only the first
-    ``int(theta / (1 - 1e-9) / h) + 4`` steps (all 4096 near L), uncached,
-    with the bits of the full solve, one scan per sigma or per bound by one
-    route (see :func:`_sine_to`),
+  - the sine ODE solved exactly on the linear pieces of the profile, cut at
+    its samples and into pieces with |kappa| h^2 <= 1 (at most MAX_PIECES):
+    each piece's transfer a TERMS-term Taylor polynomial in the offset whose
+    dropped terms sum below 1e-17 (see :func:`_piece_transfer`), the pieces'
+    matrices composed by a doubling scan (see :func:`_product_scan`),
+  - profile lengths whose L / 8192 is a normal float (L from about
+    1.82e-304); shorter profiles are rejected,
+  - sigma, tau and the defect bound solve only the pieces up to theta, with
+    the whole profile's bits, by one route (see :func:`_sine_to`),
   - constant-curvature tau in closed form (:func:`const_tau`), with no solve,
-  - cubic Hermite interpolation between solver nodes (the solver stores u'),
-  - sign-change scan + bisection to 1e-10 for first zeros,
+  - sign change between piece ends + bisection to 1e-10 for first zeros,
   - composite Simpson on 512 panels for the defect-bound quadratures.
 
 Infinities are explicit sentinels with the conventions of
@@ -40,7 +37,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +44,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .extreal import INF, xmul, xpow
 
-ODE_STEPS = 4096
+TERMS = 30
+MAX_PIECES = 2 ** 14
 SIMPSON_PANELS = 512
 BISECT_TOL = 1e-10
 # theta this close (relatively) to the computed first zero counts as conjugate
@@ -61,14 +58,14 @@ FIRST_ZERO_GUARD = 1e-9
 
 
 def _check_length(length: float) -> None:
-    """A profile length must be finite, positive, and long enough that the
-    RK4 half step L / (2 ODE_STEPS) is a normal float (L above about
-    1.82e-304): below that the solver nodes are not h apart."""
+    """A profile length must be finite, positive, and at least 8192 times the
+    smallest normal float (about 1.82e-304): lengths whose L / 8192 is
+    subnormal are rejected."""
     if not (length > 0.0 and math.isfinite(length)):
         raise InvalidInputError("profile length must be finite and positive")
-    if length / (2 * ODE_STEPS) < sys.float_info.min:
+    if length / 8192 < sys.float_info.min:
         raise InvalidInputError(f"profile length {length} below "
-                                f"{2 * ODE_STEPS * sys.float_info.min}: the RK4 step is subnormal")
+                                f"{8192 * sys.float_info.min}: L / 8192 is subnormal")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +96,7 @@ class KappaProfile:
         if abs(params[0]) > 1e-12 or abs(params[-1] - self.length) > 1e-12:
             raise InvalidInputError("samples must span exactly [0, length]")
 
-    # profiles are value-objects: identity for caching is the sample data
+    # profiles are value-objects: equality and hash read the sample data
     def _key(self) -> tuple:
         return (float(self.length), self.params.tobytes(), self.values.tobytes())
 
@@ -172,86 +169,80 @@ class KappaProfile:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneralizedSine:
-    """Sampled solution of ``u'' + kappa u = 0``, ``u(0)=0``, ``u'(0)=1``.
-
-    ``first_zero`` is the first positive zero of u on (0, L], or the +inf
-    sentinel if u stays positive on the whole domain.
-    """
-
-    profile: KappaProfile
-    thetas: np.ndarray
-    values: np.ndarray
-    derivative_values: np.ndarray
-    first_zero: float
-
-    def __call__(self, theta):
-        """Cubic Hermite evaluation between solver nodes (O(h^4) accurate)."""
-        return _hermite_eval(self.thetas, self.values, self.derivative_values, theta)
-
-
-def _hermite_eval(xs: np.ndarray, ys: np.ndarray, dys: np.ndarray, x):
-    x = np.asarray(x, dtype=float)
-    h = xs[1] - xs[0]
-    # np.minimum(np.maximum(...)) is np.clip without its Python wrapper
-    idx = np.minimum(np.maximum(((x - xs[0]) / h).astype(int), 0), len(xs) - 2)
-    s = (x - xs[idx]) / h
-    y0, y1 = ys[idx], ys[idx + 1]
-    d0, d1 = dys[idx] * h, dys[idx + 1] * h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    out = h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
-    return out if out.shape else float(out)
+def _pieces(profile: KappaProfile):
+    """The profile cut at its samples, and each sample interval into equal
+    pieces with max |kappa| h^2 <= 1 on it (more than MAX_PIECES raise): the
+    n + 1 piece ends, and per piece kappa at its start, its slope and its
+    width h."""
+    params, values = profile.params, profile.values
+    dp, dv = params[1:] - params[:-1], values[1:] - values[:-1]
+    size = np.abs(values)
+    counts = np.maximum(np.ceil(dp * np.sqrt(np.maximum(size[:-1], size[1:]))), 1.0)
+    if not counts.sum() <= MAX_PIECES:
+        raise InvalidInputError(f"the profile needs {counts.sum():g} pieces with |kappa| h^2 "
+                                f"<= 1, more than {MAX_PIECES}: sqrt(|kappa|) L is too large")
+    counts = counts.astype(int)
+    interval = np.arange(len(dp)).repeat(counts)
+    index = np.arange(len(interval)) - (counts.cumsum() - counts).repeat(counts)
+    widths = (dp / counts)[interval]
+    kappa = values[interval] + dv[interval] * (index / counts[interval])
+    nodes = np.concatenate((params[interval] + index * widths, params[-1:]))
+    return nodes, kappa, (dv / dp)[interval], widths
 
 
-def _rk4_step(c0, ch, c1, h, u, d):
-    """One classical RK4 step for u'' = -c u from state (u, u'); elementwise."""
-    k1u = d
-    k1d = -c0 * u
-    k2u = d + 0.5 * h * k1d
-    k2d = -ch * (u + 0.5 * h * k1u)
-    k3u = d + 0.5 * h * k2d
-    k3d = -ch * (u + 0.5 * h * k2u)
-    k4u = d + h * k3d
-    k4d = -c1 * (u + h * k3u)
-    return (u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u),
-            d + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d))
+def _piece_transfer(alpha, beta, h):
+    """The transfer of u'' + kappa u = 0 across the pieces kappa(s + x) =
+    alpha + beta x, 0 <= x <= h (arrays), as polynomials in y = x / h: c of
+    shape (TERMS, 2, *shape) with w(s + y h) = sum_n c[n, 0] y^n and
+    u(s + y h) = h sum_n c[n, 1] y^n for (w, w')(s) = (1, 0) and
+    (u, u')(s) = (0, 1), so w' = sum_n n c[n, 0] y^(n-1) / h and
+    u' = sum_n n c[n, 1] y^(n-1). y = 1 gives a whole piece's matrix, y < 1
+    a partial one's. The c[n] are the Taylor coefficients a_n h^n of
+    a_{n+2} = -(alpha a_n + beta a_{n-1}) / ((n + 2)(n + 1)): with
+    A = alpha h^2 and B = beta h^3, c[n + 2] = -(A c[n] + B c[n - 1]) /
+    ((n + 2)(n + 1)), each factor taken once with the rounded reciprocal.
+
+    Truncation: on the pieces of :func:`_pieces`, |A| <= 1 and |B| <= 2, so
+    r_{n+2} = (r_n + 2 r_{n-1}) / ((n + 2)(n + 1)), r_0 = r_1 = 1, bounds
+    every |c[n]|, and for 0 <= y <= 1 the terms n >= TERMS sum to below
+    3e-19 in the values and 1e-17 in the derivatives (u', and h w')."""
+    shape = (2,) + np.shape(alpha)
+    steps = -1.0 / (np.arange(2.0, TERMS) * np.arange(1.0, TERMS - 1))
+    # the factors in the shape of a row of c: broadcasting in the loop would
+    # double the time of each small product
+    a, b = alpha * h * h, beta * h * h * h
+    a_rows, b_rows = list(np.multiply.outer(steps, [a, a])), list(np.multiply.outer(steps, [b, b]))
+    c = np.zeros((TERMS,) + shape)
+    c[0, 0] = c[1, 1] = 1.0
+    rows, scratch = list(c), np.empty(shape)
+    for n in range(TERMS - 2):
+        np.multiply(a_rows[n], rows[n], out=rows[n + 2])
+        if n:
+            np.add(rows[n + 2], np.multiply(b_rows[n], rows[n - 1], out=scratch), out=rows[n + 2])
+    return c
 
 
-def _rk4_scan_matrices(kappa_half: np.ndarray, h: float, n_steps: int):
-    """Prefix products of the per-step RK4 transition matrices.
-
-    The step map is linear in (u, u'), so its matrix columns are the step
-    applied to the basis states; those are computed vectorized over all steps
-    and composed with a doubling scan instead of a Python-level time loop.
-    Returns the four entry arrays of P_k = M_k ... M_0 (length n_steps).
+def _product_scan(p00, p01, p10, p11):
+    """Prefix products P_k = M_k ... M_0 of 2 x 2 matrices by a doubling
+    scan, from and to the four entry arrays; it writes into those passed in.
 
     No round allocates or copies a result back: round s writes entries [s:]
-    into a second set of the four arrays, each entry's second product going
-    through a scratch array, copies across the head [:s] it leaves as it is,
-    and swaps the two sets. Each entry is still fl(fl(a b) + fl(c d)) of the
-    same operands as in a scan that allocates its products every round (the
-    test oracle ``rk4_scan_allocating``), so every bit is that scan's. The
-    result lies in either set: a caller copies what it keeps.
-
-    The five arrays are allocated apart, at most 32 KB each, which the
-    allocator serves from its heap: as one 5 x n block (160 KB at 4096
-    steps) they crossed glibc's 128 KB mmap threshold, and a ``distortion``
-    run of 150 pairs and tuples took 6k to 13k minor page faults, not 2k.
+    into a second set of the four arrays (each entry's second product going
+    through a scratch array), copies across the head [:s] and swaps the two
+    sets. Each entry is fl(fl(a b) + fl(c d)) of the same operands as in a
+    scan that allocates every round (the test oracle ``scan_allocating``),
+    so every bit is that scan's. Round s updates only the k >= s, and P_k
+    reads only M_0 ... M_k, so the scan of the first m matrices is the head
+    of the scan of all, bit for bit. The result lies in either set: a caller
+    copies what it keeps. The five arrays are allocated apart: one 5 x n
+    block would cross glibc's 128 KB mmap threshold at a fifth of the length.
     """
-    c0 = kappa_half[0:-1:2]
-    ch = kappa_half[1::2]
-    c1 = kappa_half[2::2]
-    p00, p10 = _rk4_step(c0, ch, c1, h, 1.0, 0.0)
-    p01, p11 = _rk4_step(c0, ch, c1, h, 0.0, 1.0)
-    q00, q01, q10, q11, product = (np.empty(n_steps) for _ in range(5))
+    n = len(p00)
+    q00, q01, q10, q11, product = (np.empty(n) for _ in range(5))
     s = 1
-    while s < n_steps:
-        # for k >= s, the product of the s steps ending at k (at [s:]) times
-        # that of the s steps ending at k - s (at [:-s]), cut at M_0
+    while s < n:
+        # for k >= s, the product of the s matrices ending at k (at [s:])
+        # times that of the s ending at k - s (at [:-s]), cut at M_0
         a00, a01, a10, a11 = p00[s:], p01[s:], p10[s:], p11[s:]
         b00, b01, b10, b11 = p00[:-s], p01[:-s], p10[:-s], p11[:-s]
         second = product[s:]
@@ -266,105 +257,128 @@ def _rk4_scan_matrices(kappa_half: np.ndarray, h: float, n_steps: int):
     return p00, p01, p10, p11
 
 
-def _half_grid(profile: KappaProfile, n_steps: int) -> np.ndarray:
-    """The nodes and midpoints of the first ``n_steps`` RK4 steps of
-    ``L / ODE_STEPS``, where the scan reads the curvature."""
-    return np.linspace(0.0, profile.length, 2 * ODE_STEPS + 1)[:2 * n_steps + 1]
+@dataclass(frozen=True)
+class FundamentalSystem:
+    """Both fundamental solutions of u'' + kappa u = 0 on the pieces of a
+    profile (see :func:`_pieces`): u with (u, u')(0) = (0, 1) and w with
+    (w, w')(0) = (1, 0). Their Wronskian is identically 1, which lets
+    segment-restricted sines be recombined as w(x0) u(x) - u(x0) w(x) without
+    re-solving per segment.
 
+    ``nodes`` are the n + 1 piece ends, ``widths`` the piece widths,
+    ``node_u`` u at the nodes (the prefix products of the pieces' matrices);
+    the rows of ``u_series`` and ``w_series`` are the coefficients of u and w
+    on each piece in y = (x - start) / h: its transfer polynomials (see
+    :func:`_piece_transfer`) applied to the state at its start."""
 
-def _rk4_sine_solve(profile: KappaProfile, n_steps: int = ODE_STEPS):
-    """The RK4 scan of the sine ODE of ``profile`` over its first ``n_steps``
-    steps of ``L / ODE_STEPS``: the solver nodes and the four entry arrays of
-    the prefix transition matrices (see :func:`_rk4_scan_matrices`), constant
-    profiles included; constant-curvature tau does not come here (see
-    :func:`const_tau`).
+    profile: KappaProfile
+    nodes: np.ndarray
+    widths: np.ndarray
+    node_u: np.ndarray
+    u_series: np.ndarray
+    w_series: np.ndarray
 
-    A scan of n steps is the first n entries of the full scan, byte for byte:
-    round s of the doubling scan updates only the indices k >= s, and P_k
-    reads only M_0 ... M_k. The half grid is a slice of the full
-    ``linspace`` (a shorter one would move the nodes' bits), and np.interp
-    evaluates it element by element."""
-    half_grid = _half_grid(profile, n_steps)
-    kappa_half = profile(half_grid)
-    entries = _rk4_scan_matrices(kappa_half, profile.length / ODE_STEPS, n_steps)
-    # the nodes are a view, so a cached solve keeps the half grid (66 KB):
-    # copied out after the scan they measured no faster, and copied before it
-    # the sine-scan run took 57k minor page faults instead of 1.1k
-    return (half_grid[::2], *entries)
+    def _eval(self, series, x):
+        """sum_n series[n, k] y^n at each point x, k its piece and y its
+        offset there, by Horner's rule: acc * y + c, two roundings per term,
+        in two buffers of the size of x, or in Python floats at one point."""
+        if np.ndim(x) == 0:
+            k = min(max(int(np.searchsorted(self.nodes, x, side="right")) - 1, 0),
+                    len(self.widths) - 1)
+            y = (float(x) - float(self.nodes[k])) / float(self.widths[k])
+            acc, *rest = series[::-1, k].tolist()
+            for c in rest:
+                acc = acc * y + c
+            return acc
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1)
+        # np.minimum(np.maximum(...)) is np.clip without its Python wrapper
+        k = np.minimum(np.maximum(np.searchsorted(self.nodes, flat, side="right") - 1, 0),
+                       len(self.widths) - 1)
+        y = (flat - self.nodes[k]) / self.widths[k]
+        acc = series[-1].take(k)
+        term = np.empty_like(acc)
+        for row in series[-2::-1]:
+            np.multiply(acc, y, out=acc)
+            np.add(acc, row.take(k, out=term), out=acc)
+        return acc.reshape(x.shape)
+
+    def eval_u(self, x):
+        return self._eval(self.u_series, x)
+
+    def eval_w(self, x):
+        return self._eval(self.w_series, x)
+
+    @property
+    def sine(self) -> GeneralizedSine:
+        """u as a :class:`GeneralizedSine`, its first zero bisected anew on
+        each access (kept on the system, it would form a reference cycle that
+        only the garbage collector frees)."""
+        return GeneralizedSine(self, _first_zero(self))
 
 
 @dataclass(frozen=True)
-class FundamentalSystem:
-    """Both fundamental solutions of u'' + kappa u = 0 on [0, L], sampled:
-    u with (u, u')(0) = (0, 1) and w with (w, w')(0) = (1, 0). Their Wronskian
-    is identically 1, which lets segment-restricted sines be recombined as
-    w(x0) u(x) - u(x0) w(x) without re-solving per segment."""
+class GeneralizedSine:
+    """The solution of ``u'' + kappa u = 0``, ``u(0)=0``, ``u'(0)=1``, of a
+    :class:`FundamentalSystem`; ``first_zero`` is its first positive zero on
+    the system's pieces, or the +inf sentinel if it stays positive there."""
 
-    profile: KappaProfile
-    thetas: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
-    w: np.ndarray
-    dw: np.ndarray
+    system: FundamentalSystem
+    first_zero: float
 
-    def eval_u(self, x):
-        return _hermite_eval(self.thetas, self.u, self.du, x)
-
-    def eval_w(self, x):
-        return _hermite_eval(self.thetas, self.w, self.dw, x)
-
-    @cached_property
-    def sine(self) -> GeneralizedSine:
-        """u as a :class:`GeneralizedSine`; its first zero is bisected on the
-        first access only."""
-        return GeneralizedSine(self.profile, self.thetas, self.u, self.du,
-                               _first_zero_from_samples(self.thetas, self.u, self.du))
+    def __call__(self, theta):
+        return self.system.eval_u(theta)
 
 
-# Measured reuse, every lookup logged: in each default run and in
-# `suite --quick` a profile asked for again is the one asked for just before
-# it (1 hit in the 6 lookups of `distortion`, 63 in 64 of `needles`, 66 in 83
-# of the suite; sigma, tau and the defect bound scan outside the cache, and
-# no other default run asks); in the tier-1 tests,
-# measured while sigma still read every solve here, every fundamental-system
-# hit came within 14 distinct profiles, and 16 entries kept 2329 of the 2355
-# hits that 512 would.
-# An entry holds four arrays of 4097 floats and the 8193-node half grid, 197 KB.
-SINE_CACHE_SIZE = 16
+def _solve(profile: KappaProfile, reach: float) -> FundamentalSystem:
+    """The fundamental system of ``profile`` on its pieces that start below
+    ``reach`` (at least one): the head of the whole profile's system, bit for
+    bit, since a piece's polynomials read that piece alone and the prefix
+    products only the pieces before them."""
+    nodes, kappa, slope, widths = _pieces(profile)
+    n = max(int(np.searchsorted(nodes[:-1], reach)), 1)
+    nodes, widths = nodes[:n + 1], widths[:n]
+    c = _piece_transfer(kappa[:n], slope[:n], widths)
+    # the whole pieces, y = 1: the values and derivatives summed row by row
+    values = np.add.reduce(c, axis=0)
+    derivs = np.add.reduce(c * np.arange(TERMS)[:, None, None], axis=0)
+    w, u, dw, du = _product_scan(values[0], widths * values[1], derivs[0] / widths, derivs[1])
+    w0, u0, dw0, du0 = (np.concatenate(([init], entry[:-1])) for init, entry in
+                        ((1.0, w), (0.0, u), (0.0, dw), (1.0, du)))
+    u_series = c[:, 0] * u0 + c[:, 1] * (widths * du0)
+    w_series = c[:, 0] * w0 + c[:, 1] * (widths * dw0)
+    # rows past the last nonzero one add exactly 0 (a flat profile has two)
+    rows = 1 + max(np.nonzero(u_series.any(axis=1) | w_series.any(axis=1))[0], default=0)
+    return FundamentalSystem(profile, nodes, widths, np.concatenate(([0.0], u)),
+                             u_series[:rows], w_series[:rows])
 
 
-@lru_cache(maxsize=SINE_CACHE_SIZE)
 def sine_fundamental(profile: KappaProfile) -> FundamentalSystem:
-    """Fundamental system for the sine ODE of ``profile``: the one cached RK4
-    solve of the profile, which :func:`generalized_sine` reads too."""
-    thetas, p00, p01, p10, p11 = _rk4_sine_solve(profile)
-    return FundamentalSystem(
-        profile, thetas,
-        np.concatenate(([0.0], p01)), np.concatenate(([1.0], p11)),
-        np.concatenate(([1.0], p00)), np.concatenate(([0.0], p10)))
+    """Fundamental system for the sine ODE of ``profile`` on all of [0, L]."""
+    return _solve(profile, INF)
 
 
-def _first_zero_from_samples(thetas, u, du) -> float:
-    # a zero or a change of sign between neighbours: a sample times the sign
-    # of the next, since the product of two samples underflows to 0 for a
+def _first_zero(system: FundamentalSystem) -> float:
+    """The first sign change of u between the nodes, bisected to BISECT_TOL
+    on u: a piece holds at most one zero (zeros lie pi / sqrt(max kappa) > h
+    apart), and the first piece none."""
+    u, nodes = system.node_u, system.nodes
+    # a zero or a change of sign between neighbours: a value times the sign
+    # of the next, since the product of two values underflows to 0 for a
     # profile shorter than about 1e-159
     sign_change = np.nonzero(u[1:-1] * np.sign(u[2:]) <= 0.0)[0]
     if len(sign_change) == 0:
         return INF
     i = sign_change[0] + 1
     if u[i + 1] == 0.0 and u[i] > 0.0:
-        return float(thetas[i + 1])
-    lo, hi = thetas[i], thetas[i + 1]
+        return float(nodes[i + 1])
+    lo, hi = float(nodes[i]), float(nodes[i + 1])
     flo = u[i]
-
-    def f(x):
-        return _hermite_eval(thetas, u, du, x)
-
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:     # adjacent floats: past ~1e6 their gap exceeds the tolerance
             break
-        if f(mid) * flo > 0.0:
+        if system.eval_u(mid) * flo > 0.0:
             lo = mid
         else:
             hi = mid
@@ -372,7 +386,7 @@ def _first_zero_from_samples(thetas, u, du) -> float:
 
 
 def generalized_sine(profile: KappaProfile) -> GeneralizedSine:
-    """Solve the generalized sine ODE for ``profile`` (cached, deterministic)."""
+    """Solve the generalized sine ODE for ``profile`` (deterministic)."""
     return sine_fundamental(profile).sine
 
 
@@ -421,58 +435,36 @@ def sigma_coeff(profile: KappaProfile, t: float, theta: float) -> float:
     sine = _sine_to(profile, theta)
     if sine is None:
         return INF
-    # one lookup of both points: elementwise, so each has its scalar bits
-    num, denom = sine(np.array([t * theta, theta])).tolist()
+    num, denom = sine(t * theta), sine(theta)
     if not (math.isfinite(num) and math.isfinite(denom)):
-        raise _sine_overflow(sine, theta)
+        raise _sine_overflow(profile, theta)
     return num / denom
 
 
 def _sine_to(profile: KappaProfile, theta: float) -> GeneralizedSine | None:
-    """The sine every sigma^{(r)}(theta) reads, 0 < theta <= L + 1e-12: the
-    first int(theta / (1 - guard) / h) + 4 RK4 steps (see :func:`_prefix_sine`),
-    all of them near L; None at or past the guarded first zero."""
-    reach, h = theta / (1.0 - FIRST_ZERO_GUARD), profile.length / ODE_STEPS
-    n_steps = ODE_STEPS
-    if reach < (ODE_STEPS - 4) * h:
-        n_steps = int(reach / h) + 4
-    sine = _prefix_sine(profile, n_steps)
+    """The sine every sigma^{(r)}(theta) reads, 0 < theta <= L + 1e-12: that
+    of the pieces that start below theta / (1 - guard), with the whole
+    profile's bits (see :func:`_solve`); None at or past the guarded first
+    zero. Its ``first_zero`` is +inf where the whole profile's lies past
+    those pieces, so past theta / (1 - guard): it stays private."""
+    sine = _solve(profile, theta / (1.0 - FIRST_ZERO_GUARD)).sine
     return None if theta >= sine.first_zero * (1.0 - FIRST_ZERO_GUARD) else sine
 
 
-def _prefix_sine(profile: KappaProfile, n_steps: int) -> GeneralizedSine:
-    """The sine of ``profile`` on its first ``n_steps`` RK4 steps, uncached,
-    for sigma at theta < (n_steps - 3) h (1 - FIRST_ZERO_GUARD),
-    or at any theta when ``n_steps`` is ODE_STEPS (the full solve's bits,
-    first zero and overflow included).
-
-    There it gives sigma the bits of the full solve: u(t theta) and
-    u(theta) are Hermite lookups whose clip at len - 2 never binds, and a
-    first zero inside the prefix is the full solve's first zero. With none
-    inside, the full one lies past (n_steps - 1) h > theta / (1 - guard), so
-    the guard is false on both sides; ``first_zero`` then reads +inf where
-    the full solve's is finite, which is why this sine stays private."""
-    thetas, _, p01, _, p11 = _rk4_sine_solve(profile, n_steps)
-    u, du = np.concatenate(([0.0], p01)), np.concatenate(([1.0], p11))
-    return GeneralizedSine(profile, thetas, u, du, _first_zero_from_samples(thetas, u, du))
-
-
-def _sine_overflow(sine: GeneralizedSine, theta: float) -> InvalidInputError:
-    """Never a silent NaN: a sine that overflowed in the RK4 scan would make
-    the ratio inf/inf. Only this error path reads the curvature again, on
-    the half grid of the steps up to theta (one past the last node at or
-    below it, which a lookup at theta may read; so the prefix and the full
-    scan name the same cause): where it is not finite, the interpolated
-    slope between two samples overflowed, and the profile is too steep
-    rather than too negative."""
-    thetas = sine.thetas
-    steps = min(int(np.searchsorted(thetas, theta, side="right")) + 1, len(thetas) - 1)
-    kappa = sine.profile(_half_grid(sine.profile, steps))
-    if not np.isfinite(kappa).all():
-        return InvalidInputError(f"the curvature is not finite on the RK4 grid of [0, {theta}]: "
+def _sine_overflow(profile: KappaProfile, theta: float) -> InvalidInputError:
+    """Never a silent NaN: a sine that overflowed would make the ratio
+    inf/inf. Only this error path reads the samples again: where the slope
+    of a sample interval that starts at or below theta (those a lookup at
+    theta reads) is not finite, the profile is too steep rather than too
+    negative."""
+    end = int(np.searchsorted(profile.params, theta, side="right")) + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.diff(profile.values[:end]) / np.diff(profile.params[:end])
+    if not np.isfinite(slopes).all():
+        return InvalidInputError(f"the curvature is not finite on the pieces of [0, {theta}]: "
                                  "the profile's slope between two samples overflows")
     return InvalidInputError(f"the generalized sine overflows on [0, {theta}]: "
-                             "the profile is too negative for the RK4 scan")
+                             "the profile is too negative")
 
 
 def tau_coeff(profile: KappaProfile, n_param: float, t: float, theta: float) -> float:
@@ -634,7 +626,7 @@ def _sigma_profile_values(profile: KappaProfile, theta: float, r_nodes: np.ndarr
         return None
     num, denom = sine(r_nodes * theta), sine(theta)
     if not (math.isfinite(denom) and np.isfinite(num).all()):
-        raise _sine_overflow(sine, theta)
+        raise _sine_overflow(profile, theta)
     if denom <= 0.0:
         return None
     return num / denom

@@ -65,6 +65,22 @@ def sine_ode(kappa_fn, theta_max, rtol=1e-11, atol=1e-13):
     return lambda x: float(np.atleast_2d(sol.sol(x))[0, 0]) if np.isscalar(x) else sol.sol(x)[0]
 
 
+def sine_ode_samples(profile, rtol=3e-14):
+    """u at the samples of a piecewise-linear ``profile``, integrated one
+    sample interval at a time (DOP853 restarted at each kink, where a solve
+    across the kinks loses digits)."""
+    state, out = [0.0, 1.0], [0.0]
+    for a, b, ka, kb in zip(profile.params[:-1], profile.params[1:],
+                            profile.values[:-1], profile.values[1:]):
+        slope = (kb - ka) / (b - a)
+        sol = solve_ivp(lambda x, y: [y[1], -(ka + slope * (x - a)) * y[0]], (a, b), state,
+                        method="DOP853", rtol=rtol, atol=1e-20)
+        assert sol.success
+        state = sol.y[:, -1]
+        out.append(state[0])
+    return np.array(out)
+
+
 def sigma_ode(kappa_fn, t, theta, rtol=1e-11):
     u = sine_ode(kappa_fn, theta, rtol=rtol)
     return u(t * theta) / u(theta)
@@ -75,7 +91,7 @@ def first_zero_ode(kappa_fn, L):
     from scipy.optimize import brentq
     u = sine_ode(kappa_fn, L)
     xs = np.linspace(1e-9, L, 20001)
-    vals = np.array([u(x) for x in xs])
+    vals = u(xs)
     idx = np.nonzero(vals[:-1] * vals[1:] <= 0)[0]
     if len(idx) == 0:
         return math.inf
@@ -131,55 +147,41 @@ def tau_ode(kappa_fn, n_param, t, theta):
     return t ** (1 / n_param) * sig ** (1 - 1 / n_param)
 
 
-# --- sigma and tau read off the full RK4 solve ------------------------------
+# --- the classical RK4 route: a reference at its own error -------------------
 
-def sigma_full_solve(profile, t, theta):
-    """sigma^{(t)}(theta) from the cached RK4 solve of ``profile`` over all of
-    [0, L], with the checks, guard and overflow error of ``sigma_coeff``:
-    the route whose bits the prefix scan of ``sigma_coeff`` must keep."""
-    from lorentz_synth import distortion as D
-
-    if not 0.0 <= t <= 1.0:
-        raise D.InvalidInputError(f"t = {t} outside [0, 1]")
-    if not 0.0 <= theta <= profile.length + 1e-12:
-        raise D.InvalidInputError(f"theta = {theta} outside [0, {profile.length}]")
-    if theta == 0.0:
-        return float(t)
-    sine = D.generalized_sine(profile)
-    if theta >= sine.first_zero * (1.0 - D.FIRST_ZERO_GUARD):
-        return D.INF
-    num, denom = sine(t * theta), sine(theta)
-    if not (math.isfinite(num) and math.isfinite(denom)):
-        raise D._sine_overflow(sine, theta)
-    return float(num / denom)
+RK4_STEPS = 4096
 
 
-def tau_full_solve(profile, n_param, t, theta):
-    """``tau_coeff`` with its sigma from :func:`sigma_full_solve`."""
-    from lorentz_synth import distortion as D
-    from lorentz_synth.extreal import xmul, xpow
+def rk4_step(c0, ch, c1, h, u, d):
+    """One classical RK4 step for u'' = -c u from state (u, u'); elementwise."""
+    k1u = d
+    k1d = -c0 * u
+    k2u = d + 0.5 * h * k1d
+    k2d = -ch * (u + 0.5 * h * k1u)
+    k3u = d + 0.5 * h * k2d
+    k3d = -ch * (u + 0.5 * h * k2u)
+    k4u = d + h * k3d
+    k4d = -c1 * (u + h * k3u)
+    return (u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u),
+            d + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d))
 
-    if n_param <= 1.0:
-        raise D.InvalidInputError("dimension parameter must exceed 1")
-    sig = sigma_full_solve(profile.scaled(1.0 / (n_param - 1.0)), t, theta)
-    return xmul(math.pow(t, 1.0 / n_param), xpow(sig, 1.0 - 1.0 / n_param))
+
+def rk4_matrices(kappa_half, h):
+    """The four entry arrays of each RK4 step's transition matrix, from the
+    curvature at the nodes and midpoints of the steps (2 n + 1 values)."""
+    c0, ch, c1 = kappa_half[0:-1:2], kappa_half[1::2], kappa_half[2::2]
+    p00, p10 = rk4_step(c0, ch, c1, h, 1.0, 0.0)
+    p01, p11 = rk4_step(c0, ch, c1, h, 0.0, 1.0)
+    return p00, p01, p10, p11
 
 
-# --- the RK4 doubling scan, allocating every round --------------------------
-
-def rk4_scan_allocating(kappa_half, h, n_steps):
-    """The doubling scan of ``distortion._rk4_scan_matrices`` as it was
-    when each round allocated its products and sums and copied them back:
-    the reference whose bits the buffer-swapping scan must keep."""
-    from lorentz_synth.distortion import _rk4_step
-
-    c0 = kappa_half[0:-1:2]
-    ch = kappa_half[1::2]
-    c1 = kappa_half[2::2]
-    p00, p10 = _rk4_step(c0, ch, c1, h, 1.0, 0.0)
-    p01, p11 = _rk4_step(c0, ch, c1, h, 0.0, 1.0)
-    s = 1
-    while s < n_steps:
+def scan_allocating(p00, p01, p10, p11):
+    """Prefix products M_k ... M_0 of 2 x 2 matrices by a doubling scan that
+    allocates its products and sums every round and copies them back: the
+    reference whose bits the buffer-swapping ``distortion._product_scan``
+    must keep. Writes into the arrays passed in."""
+    s, n = 1, len(p00)
+    while s < n:
         q00 = p00[s:] * p00[:-s] + p01[s:] * p10[:-s]
         q01 = p00[s:] * p01[:-s] + p01[s:] * p11[:-s]
         q10 = p10[s:] * p00[:-s] + p11[s:] * p10[:-s]
@@ -187,6 +189,57 @@ def rk4_scan_allocating(kappa_half, h, n_steps):
         p00[s:], p01[s:], p10[s:], p11[s:] = q00, q01, q10, q11
         s *= 2
     return p00, p01, p10, p11
+
+
+def _hermite(xs, ys, dys, x):
+    """Cubic Hermite interpolation between the nodes xs (h apart)."""
+    x = np.asarray(x, dtype=float)
+    h = xs[1] - xs[0]
+    idx = np.clip(((x - xs[0]) / h).astype(int), 0, len(xs) - 2)
+    s = (x - xs[idx]) / h
+    out = ((1 + 2 * s) * (1 - s) ** 2 * ys[idx] + s * (1 - s) ** 2 * dys[idx] * h
+           + s * s * (3 - 2 * s) * ys[idx + 1] + s * s * (s - 1) * dys[idx + 1] * h)
+    return out if out.shape else float(out)
+
+
+def rk4_sine(profile):
+    """The generalized sine of ``profile`` by classical RK4 with the fixed
+    step L / 4096 and cubic Hermite lookups between the nodes: (sine, first
+    zero), the first zero bisected to 1e-10 on the lookups after the first
+    sign change between nodes (+inf if none)."""
+    half = np.linspace(0.0, profile.length, 2 * RK4_STEPS + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, p01, _, p11 = scan_allocating(*rk4_matrices(profile(half), profile.length / RK4_STEPS))
+    xs, u, du = half[::2], np.concatenate(([0.0], p01)), np.concatenate(([1.0], p11))
+
+    def sine(x):
+        return _hermite(xs, u, du, x)
+
+    change = np.nonzero(u[1:-1] * np.sign(u[2:]) <= 0.0)[0]
+    if len(change) == 0:
+        return sine, math.inf
+    i = change[0] + 1
+    lo, hi = xs[i], xs[i + 1]
+    while hi - lo > 1e-10 and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if sine(mid) * u[i] > 0.0 else (lo, mid)
+    return sine, 0.5 * (lo + hi)
+
+
+def sigma_full_solve(profile, t, theta):
+    """sigma^{(t)}(theta) from the RK4 sine of ``profile`` over all of
+    [0, L], with the conjugate guard of ``sigma_coeff`` (+inf at or past
+    (1 - 1e-9) times the first zero), or None where the RK4 sine is not
+    finite at t theta or theta."""
+    if theta == 0.0:
+        return float(t)
+    sine, zero = rk4_sine(profile)
+    if theta >= zero * (1.0 - 1e-9):
+        return math.inf
+    num, denom = sine(t * theta), sine(theta)
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        return None
+    return float(num / denom)
 
 
 # --- flat-space transport helpers -------------------------------------------

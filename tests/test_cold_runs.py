@@ -1,6 +1,7 @@
 """scripts/cold_runs.py times each default run and reads its peak RSS."""
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -31,3 +32,13 @@ def test_table_has_a_peak_rss_column_per_side(capsys):
     assert len(cells) == len(head.strip("|").split("|"))
     assert float(cells[4]) > 10.0 and float(cells[5]) > 10.0
     assert cells[6:] == ["0", "0"]
+
+
+def test_the_children_write_bytecode_whatever_the_caller_asks(tmp_path, monkeypatch):
+    # a checkout without __pycache__ gets its bytecode from the first child,
+    # so the timed runs do not compile the package each time
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    _, _, code = cold_runs.timed(tmp_path, None, tmp_path / "import")
+    assert code == 0
+    assert (tmp_path / "src" / "lorentz_synth" / "__pycache__").is_dir()

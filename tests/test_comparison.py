@@ -414,15 +414,15 @@ class TestTcd:
         mu1 = uniform_on_box(((1.6, 2.0), (-0.2, 0.2)), 8)
         distinct = len(np.unique(TR.separation_matrix(model, mu0, mu1)))
         assert 1 < distinct < 64 * 64
-        calls = []
-        scalar = D.tau_coeff
+        calls, solves = [], []
+        scalar, solve = D.tau_coeff, D._solve
         monkeypatch.setattr(D, "tau_coeff", lambda *a: calls.append(a) or scalar(*a))
-        D.sine_fundamental.cache_clear()
+        monkeypatch.setattr(D, "_solve", lambda *a: solves.append(a) or solve(*a))
         rep = check_tcd_semiconvexity(model, mu0, mu1, -1.0, 2.0, 0.5, (0.25, 0.5),
                                       cells_resolution=128)
         assert rep.passed
         assert calls == []
-        assert D.sine_fundamental.cache_info().misses == 0
+        assert solves == []
 
     def test_rejects_non_chronological_supports(self):
         mu = uniform_on_box(((-1.4, -1.0), (-0.2, 0.2)), 2)

@@ -25,7 +25,7 @@ from lorentz_synth.distortion import (
     tau_coeff,
     ttilde_coeff,
 )
-from lorentz_synth.extreal import INF, is_inf
+from lorentz_synth.extreal import INF, is_inf, xmul, xpow
 
 # values frozen from tests/oracles.py closed forms
 SINH_ONE = 1.1752011936438014          # oracles.sine_closed(-1, 1)
@@ -67,13 +67,12 @@ def test_constant_kappa_matches_closed_form(kappa):
 
 
 def test_derivative_samples_track_closed_form():
-    s = generalized_sine(profile_const(4.0, 1.5))
-    # u' = cos(2 theta) for kappa = 4
-    assert np.max(np.abs(s.derivative_values - np.cos(2.0 * s.thetas))) < 1e-9
-
-
-def _general_scan(kappa_half, length):
-    return D._rk4_scan_matrices(kappa_half, length / D.ODE_STEPS, D.ODE_STEPS)
+    # u' at each piece start is the slope coefficient of u's polynomial in
+    # y = (x - start) / h, over h; u' = cos(2 theta) for kappa = 4
+    fs = D.sine_fundamental(profile_const(4.0, 1.5))
+    assert len(fs.widths) == 3
+    slopes = fs.u_series[1] / fs.widths
+    assert np.max(np.abs(slopes - np.cos(2.0 * fs.nodes[:-1]))) < 1e-14
 
 
 def _same_bits(a, b):
@@ -81,48 +80,19 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("kappa", [-0.0, 0.0, 1.0, -2.5])
-def test_sine_solve_scans_the_evaluated_half_grid(kappa):
-    # every profile, constant or not, takes the general scan of the half grid
-    # it evaluates: np.interp of a -0.0 profile gives +0.0 inside and -0.0 at
-    # its ends, and the scan sees those values
-    profile = KappaProfile.constant(kappa, 1.5)
-    half_grid = np.linspace(0.0, 1.5, 2 * D.ODE_STEPS + 1)
-    thetas, *entries = D._rk4_sine_solve(profile)
-    assert thetas.tobytes() == half_grid[::2].tobytes()
-    assert _same_bits(entries, _general_scan(profile(half_grid), 1.5))
-
-
-def test_one_cached_solve_per_profile_for_both_entry_points(monkeypatch):
-    # generalized_sine and sine_fundamental read the same RK4 solve, whichever
-    # asks first, and the first zero is bisected once per solve
-    solves, bisections = [], []
-    solve, bisect = D._rk4_sine_solve, D._first_zero_from_samples
-    monkeypatch.setattr(D, "_rk4_sine_solve", lambda p: solves.append(p) or solve(p))
-    monkeypatch.setattr(D, "_first_zero_from_samples",
-                        lambda *a: bisections.append(a) or bisect(*a))
-    D.sine_fundamental.cache_clear()
-    profile = KappaProfile.from_samples([[0.0, 4.0], [1.0, 1.0], [3.0, 2.0]])
-    sine = generalized_sine(profile)
+def test_constant_profiles_take_the_piece_route(kappa):
+    # a constant profile, signed zeros too, takes the route of every
+    # profile: ceil(L sqrt|kappa|) pieces (at least one), whose product
+    # gives the closed form at the nodes; -0.0 gives the bits of +0.0
+    profile = KappaProfile.constant(kappa, 7.5)
     fs = D.sine_fundamental(profile)
-    assert generalized_sine(profile) is sine
-    assert first_zero(profile) == sine.first_zero
-    assert len(solves) == 1 and len(bisections) == 1
-    assert sine.values.tobytes() == fs.u.tobytes()
-    assert sine.derivative_values.tobytes() == fs.du.tobytes()
-    assert sine.thetas.tobytes() == fs.thetas.tobytes()
-
-    D.sine_fundamental.cache_clear()
-    fs = D.sine_fundamental(profile.reversed())
-    assert generalized_sine(profile.reversed()).values.tobytes() == fs.u.tobytes()
-    assert len(solves) == 2
-
-    # the cache stays bounded however many distinct profiles pass through it
-    size = D.sine_fundamental.cache_info().maxsize
-    for k in range(size + 5):
-        generalized_sine(KappaProfile.constant(0.01 * k, 1.0))
-    info = D.sine_fundamental.cache_info()
-    assert info.currsize <= size
-    assert len(solves) == 2 + size + 5
+    assert len(fs.widths) == max(1, math.ceil(7.5 * math.sqrt(abs(kappa))))
+    want = np.array([oracles.sine_closed(kappa, x) for x in fs.nodes])
+    assert np.max(np.abs(fs.node_u - want)) <= 1e-14 * np.max(np.abs(want))
+    if kappa == 0.0:
+        flat = D.sine_fundamental(KappaProfile.constant(0.0, 7.5))
+        for name in ("nodes", "widths", "node_u", "u_series", "w_series"):
+            assert getattr(fs, name).tobytes() == getattr(flat, name).tobytes()
 
 
 def test_first_zero_examples():
@@ -143,6 +113,105 @@ def test_first_zero_variable_profile_against_adaptive_solver():
     prof = KappaProfile.from_samples([[0.0, 4.0], [1.0, 1.0], [3.0, 2.0]])
     want = oracles.first_zero_ode(prof, 3.0)
     assert abs(first_zero(prof) - want) < 1e-9
+
+
+@st.composite
+def ramps(draw, bound=30.0):
+    """A two-sample ramp with curvatures in [-bound, bound] on [0, L], L in
+    [0.2, 3]."""
+    k0, k1 = draw(st.floats(-bound, bound)), draw(st.floats(-bound, bound))
+    return KappaProfile.from_samples([[0.0, k0], [draw(st.floats(0.2, 3.0)), k1]])
+
+
+def _assert_exact_sine(profile, rel=1e-12):
+    # against the adaptive solve at points short of the first zero, where
+    # the sine is positive (DOP853 at rtol 3e-14 errs by up to about 5e-13)
+    fz = first_zero(profile)
+    xs = np.linspace(0.0, min(profile.length, 0.95 * fz), 41)[1:]
+    want = oracles.sine_ode(profile, profile.length, rtol=3e-14, atol=1e-20)(xs)
+    got = generalized_sine(profile)(xs)
+    assert np.all(np.abs(got - want) <= rel * np.abs(want))
+
+
+@given(profile=ramps())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_sine_matches_the_adaptive_solve_on_ramps(profile):
+    _assert_exact_sine(profile)
+
+
+@pytest.mark.parametrize("d", [1e-2, 1e-6, 1e-10])
+def test_sine_matches_the_adaptive_solve_on_nearly_constant_ramps(d):
+    # 4 -> 4 + d on [0, 3]: a series in alpha and beta, with no cancellation
+    # where beta is small (Airy functions lose digits there)
+    _assert_exact_sine(KappaProfile.from_samples([[0.0, 4.0], [3.0, 4.0 + d]]))
+    _assert_exact_sine(KappaProfile.from_samples([[0.0, -4.0], [3.0, -4.0 - d]]))
+
+
+@given(k0=st.floats(2.0, 30.0), k1=st.floats(2.0, 30.0))
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_first_zero_matches_the_adaptive_solve(k0, k1):
+    profile = KappaProfile.from_samples([[0.0, k0], [3.0, k1]])
+    assert abs(first_zero(profile) - oracles.first_zero_ode(profile, 3.0)) < 1e-9
+
+
+@given(kappa=st.one_of(st.floats(-400.0, -1.0), st.floats(1.0, 400.0)),
+       length=st.floats(0.5, 3.0), inner=st.lists(st.floats(0.05, 0.95), max_size=4))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_sine_matches_the_closed_form_across_many_pieces(kappa, length, inner):
+    # constant curvature on samples cut anywhere: up to 60 pieces, each
+    # interval into ceil(h sqrt|kappa|); sine and first zero of the closed form
+    params = np.unique(np.concatenate(([0.0], np.array(inner) * length, [length])))
+    profile = KappaProfile(length, params, np.full(len(params), kappa))
+    fs = D.sine_fundamental(profile)
+    dp = np.diff(params)
+    assert len(fs.widths) == int(np.sum(np.maximum(np.ceil(dp * math.sqrt(abs(kappa))), 1)))
+    xs = np.linspace(0.0, min(length, 0.95 * oracles.pi_closed(kappa)), 101)[1:]
+    want = np.array([oracles.sine_closed(kappa, x) for x in xs])
+    assert np.all(np.abs(fs.eval_u(xs) - want) <= 1e-13 * np.abs(want))
+    if oracles.pi_closed(kappa) < length:
+        assert abs(first_zero(profile) - oracles.pi_closed(kappa)) < 1e-9
+
+
+def test_sine_of_a_1025_sample_profile():
+    # one piece per sample interval (|kappa| h^2 <= 30 / 512^2), against the
+    # adaptive solve restarted at every sample
+    grid = np.linspace(0.0, 2.0, 1025)
+    profile = KappaProfile(2.0, grid, 30.0 * np.sin(7.0 * grid))
+    fs = D.sine_fundamental(profile)
+    assert len(fs.widths) == 1024
+    fz = first_zero(profile)
+    want = oracles.sine_ode_samples(profile)
+    inside = (grid > 0.0) & (grid < 0.95 * fz)
+    assert np.all(np.abs(fs.eval_u(grid) - want)[inside] <= 1e-12 * np.abs(want[inside]))
+    assert fs.eval_u(grid).tobytes() == np.concatenate(([0.0], fs.node_u[1:-1], [fs.eval_u(2.0)])).tobytes()
+
+
+@given(profile=ramps(8.0), t=st.floats(0.0, 1.0), frac=st.floats(0.05, 1.0))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_sigma_matches_the_rk4_reference_at_its_error(profile, t, frac):
+    # classical RK4 with step L / 4096 and Hermite lookups errs by about
+    # 2e-13 on ramps in [-8, 8]
+    theta = frac * profile.length
+    got = sigma_coeff(profile, t, theta)
+    want = oracles.sigma_full_solve(profile, t, theta)
+    if is_inf(got) or is_inf(want):
+        # the two first zeros agree to about 1e-10: only a theta within
+        # that of the guarded zero may fall on different sides
+        zero = first_zero(profile) * (1.0 - D.FIRST_ZERO_GUARD)
+        assert is_inf(got) == is_inf(want) or abs(theta - zero) < 1e-9
+    else:
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-15)
+
+
+def test_profiles_that_need_too_many_pieces_are_rejected():
+    # sqrt(kappa) L = MAX_PIECES pieces is the most a solve takes
+    most = KappaProfile.constant(float(D.MAX_PIECES) ** 2, 1.0)
+    assert len(D.sine_fundamental(most).widths) == D.MAX_PIECES
+    for profile in (most.scaled(1.001), KappaProfile.constant(-1e300, 2.0)):
+        for call in (generalized_sine, lambda p: sigma_coeff(p, 0.5, 1.0),
+                     lambda p: tau_coeff(p, 2.0, 0.5, 1e-3)):
+            with pytest.raises(InvalidInputError, match="pieces"):
+                call(profile)
 
 
 def test_invalid_profiles_rejected():
@@ -305,16 +374,16 @@ def test_const_tau_over_an_array_of_t(K, n_param, ts, fracs):
 
 
 def test_const_tau_solves_each_theta_once_for_every_t(monkeypatch):
-    # more distinct thetas than the sine cache holds, each asked at three t:
-    # the closed form solves no sine and calls no tau_coeff at all, and a
-    # repeated theta gives the same value at every t
-    calls = []
-    scalar = D.tau_coeff
+    # 600 distinct thetas, each asked at three t: the closed form solves no
+    # sine and calls no tau_coeff at all, and a repeated theta gives the
+    # same value at every t
+    calls, solves = [], []
+    scalar, solve = D.tau_coeff, D._solve
     monkeypatch.setattr(D, "tau_coeff", lambda *a: calls.append(a) or scalar(*a))
+    monkeypatch.setattr(D, "_solve", lambda *a: solves.append(a) or solve(*a))
     thetas = np.linspace(0.05, 1.5, 600)
-    D.sine_fundamental.cache_clear()
     got = const_tau(-1.0, 3.0, [0.25, 0.5, 0.75], np.concatenate([thetas, thetas[::-1]]))
-    assert D.sine_fundamental.cache_info().misses == 0
+    assert solves == []
     assert calls == []
     assert got.shape == (3, 1200)
     assert np.all(np.isfinite(got))
@@ -343,8 +412,8 @@ def test_const_tau_checks_inputs_before_evaluating(n_param, t, thetas):
        frac=st.floats(0.01, 0.95))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_solved_tau_agrees_with_the_closed_form(K, n_param, t, frac):
-    # the RK4 solve on a constant profile against const_tau: the anchor that
-    # ties the ODE route to the closed form
+    # the piece solve on a constant profile against const_tau: the anchor
+    # that ties the ODE route to the closed form
     radius = const_first_zero(K / (n_param - 1.0))
     theta = frac * (radius if math.isfinite(radius) else 2.5)
     solved = tau_coeff(KappaProfile.constant(K, theta), n_param, t, theta)
@@ -410,7 +479,7 @@ def test_interpolated_sigma_satisfies_ode(base, frac):
     lambda: defect_bound(0.0, 2.0, 2.0, 0.1, profile_const(-1e4, 10.0), 0.5, 9.0),
 ], ids=["tau", "sigma", "defect-bound"])
 def test_an_overflowing_sine_raises_instead_of_returning_nan(call):
-    # the RK4 scan of a strongly negative profile overflows to inf, and the
+    # the product of a strongly negative profile's pieces overflows to inf, and the
     # sine ratio would be inf/inf
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InvalidInputError, match="overflows"):
@@ -419,7 +488,7 @@ def test_an_overflowing_sine_raises_instead_of_returning_nan(call):
 
 @pytest.mark.parametrize("coeff", ["sigma", "tau"])
 @pytest.mark.parametrize("samples, theta, cause", [
-    # np.interp's slope 1e10 / 1e-300 overflows: the half grid is +inf past 0
+    # np.interp's slope 1e10 / 1e-300 overflows, and with it the piece's B
     ([[0.0, 0.0], [1e-300, 1e10]], 5e-301, "curvature is not finite"),
     ([[0.0, 0.0], [1.0, -1e8]], 0.5, "profile is too negative"),
 ], ids=["steep-positive", "too-negative"])
@@ -431,7 +500,7 @@ def test_an_overflowing_sine_names_its_cause(coeff, samples, theta, cause):
                 sigma_coeff(profile, 0.5, theta)
             else:
                 tau_coeff(profile, 3.0, 0.5, theta)
-    # the prefix scan and the full solve raise the same message
+    # the pieces up to theta and the whole profile raise the same message
     _assert_prefix_keeps_the_full_solve(profile, 0.5, theta, 3.0)
 
 
@@ -444,7 +513,7 @@ def test_sigma_input_validation():
         tau_coeff(profile_const(1.0), 1.0, 0.5, 0.5)
 
 
-# --- sigma's prefix scan against the full solve ------------------------------
+# --- sigma on the pieces up to theta against the whole profile's sine --------
 
 def _outcome(fn, *args):
     """The bytes of ``fn(*args)``, or the type and message of what it raised."""
@@ -455,15 +524,33 @@ def _outcome(fn, *args):
             return ("raised", type(exc), str(exc))
 
 
+def _sigma_whole(profile, t, theta):
+    """``sigma_coeff`` read off the sine of the whole profile, with its
+    checks, guard and overflow error."""
+    if not 0.0 <= t <= 1.0:
+        raise InvalidInputError(f"t = {t} outside [0, 1]")
+    if not 0.0 <= theta <= profile.length + 1e-12:
+        raise InvalidInputError(f"theta = {theta} outside [0, {profile.length}]")
+    if theta == 0.0:
+        return float(t)
+    sine = generalized_sine(profile)
+    if theta >= sine.first_zero * (1.0 - D.FIRST_ZERO_GUARD):
+        return INF
+    num, denom = sine(t * theta), sine(theta)
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        raise D._sine_overflow(profile, theta)
+    return num / denom
+
+
+def _tau_whole(profile, n_param, t, theta):
+    sig = _sigma_whole(profile.scaled(1.0 / (n_param - 1.0)), t, theta)
+    return xmul(math.pow(t, 1.0 / n_param), xpow(sig, 1.0 - 1.0 / n_param))
+
+
 def _assert_prefix_keeps_the_full_solve(profile, t, theta, n_param):
-    assert _outcome(sigma_coeff, profile, t, theta) == \
-        _outcome(oracles.sigma_full_solve, profile, t, theta)
+    assert _outcome(sigma_coeff, profile, t, theta) == _outcome(_sigma_whole, profile, t, theta)
     assert _outcome(tau_coeff, profile, n_param, t, theta) == \
-        _outcome(oracles.tau_full_solve, profile, n_param, t, theta)
-
-
-def _nodes(length):
-    return np.linspace(0.0, length, 2 * D.ODE_STEPS + 1)[::2]
+        _outcome(_tau_whole, profile, n_param, t, theta)
 
 
 @st.composite
@@ -480,13 +567,14 @@ def sampled_profiles(draw):
 
 @st.composite
 def thetas_for(draw, profile):
-    """theta anywhere on [0, L], on a solver node, at L and just past it."""
+    """theta anywhere on [0, L], on a piece end, at L and just past it."""
     length = profile.length
     kind = draw(st.sampled_from(["any", "node", "end"]))
     if kind == "any":
         return draw(st.floats(0.0, length))
     if kind == "node":
-        return float(_nodes(length)[draw(st.integers(1, D.ODE_STEPS))])
+        nodes = D.sine_fundamental(profile).nodes
+        return float(nodes[draw(st.integers(1, len(nodes) - 1))])
     return draw(st.sampled_from([length, length + 5e-13]))
 
 
@@ -506,14 +594,14 @@ def test_signed_zero_profiles_keep_the_bits_of_the_full_solve(data, sign, length
     _assert_prefix_keeps_the_full_solve(profile, t, data.draw(thetas_for(profile)), 2.0)
 
 
-# L / 8192 subnormal: 0.0 (1e-321); 24.3 subnormal units (199066 units of
-# L, whose nodes would be 48 units apart where h is 49); h normal with an odd
-# last bit, so L / 8192 rounds below the smallest normal (4096 min(1 + eps));
-# and two ulps below the floor 8192 min (one ulp below, L / 8192 rounds up to
-# min, so that length is the shortest accepted)
+# the length floor: L / 8192 subnormal: 0.0 (1e-321); 24.3 subnormal units
+# (199066 units of L); L / 4096 normal with an odd last bit, so L / 8192
+# rounds below the smallest normal (4096 min(1 + eps)); and two ulps below
+# the floor 8192 min (one ulp below, L / 8192 rounds up to min, so that
+# length is the shortest accepted)
 _SUBNORMAL_STEP = 199066 * 5e-324
-_ODD_MIN_STEP = D.ODE_STEPS * float(np.nextafter(sys.float_info.min, 1.0))
-_MIN_LENGTH = 2 * D.ODE_STEPS * sys.float_info.min
+_ODD_MIN_STEP = 4096 * float(np.nextafter(sys.float_info.min, 1.0))
+_MIN_LENGTH = 8192 * sys.float_info.min
 _BELOW_MIN_LENGTH = float(np.nextafter(_MIN_LENGTH, 0.0))
 
 
@@ -530,7 +618,7 @@ def test_lengths_whose_half_step_is_subnormal_are_rejected(length):
     (_MIN_LENGTH, 0.98 * _MIN_LENGTH), (_MIN_LENGTH, _MIN_LENGTH),
     (1e-300, 1e-300), (1e-300, 3e-301)])
 def test_lengths_whose_step_underflows_keep_the_bits(length, theta):
-    # h^2 and the other products of the RK4 step underflow to 0 here
+    # h^2, and with it the recurrence's A and B, underflow to 0 here
     _assert_prefix_keeps_the_full_solve(KappaProfile.constant(1.0, length), 0.5, theta, 2.0)
 
 
@@ -539,7 +627,7 @@ def test_lengths_whose_step_underflows_keep_the_bits(length, theta):
                                     3e-304, 1e-300, 1e-290, 1e-270, 1e-250])
 def test_sigma_of_short_constant_profiles_is_t(length):
     # sin_kappa(x) = x to double precision this close to 0: sigma is t up to
-    # the rounding of the RK4 steps and the Hermite lookups
+    # the rounding of the offsets and the Horner sums
     for kappa in (0.0, 1.0, -1.0, 1e6, -1e6):
         profile = KappaProfile.constant(kappa, length)
         for t in (0.1, 0.25, 0.5):
@@ -551,8 +639,9 @@ def test_sigma_of_short_constant_profiles_is_t(length):
        t=st.floats(0.0, 1.0))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_overflowing_sines_keep_the_outcome_of_the_full_solve(kappa, length, frac, t):
-    # the full scan overflows to inf (and inf - inf to NaN) far before L; the
-    # prefix must raise where it raised and return its value where it did not
+    # the whole profile's sine overflows to inf (and inf - inf to NaN) far
+    # before L; the pieces up to theta must raise where it raised and return
+    # its value where it did not
     profile = KappaProfile.from_samples([[0.0, kappa], [length, 0.5 * kappa]])
     _assert_prefix_keeps_the_full_solve(profile, t, frac * length, 1.5)
 
@@ -569,17 +658,30 @@ def test_theta_at_the_guarded_first_zero_keeps_the_bits(kappa, slope, side, t):
     _assert_prefix_keeps_the_full_solve(profile, t, theta, 2.0)
 
 
+# 4096 sample intervals of 1 / 4096, one piece each
+_MANY_PIECES = KappaProfile(1.0, np.linspace(0.0, 1.0, 4097),
+                            30.0 * np.sin(np.linspace(0.0, 40.0, 4097)))
+
+
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 1000, 2049, 4095])
 def test_a_short_scan_is_the_head_of_the_full_scan(n_steps):
-    profile = KappaProfile.from_samples([[0.0, 3.0], [0.7, -8.0], [1.9, 12.0], [2.5, 0.4]])
-    h = profile.length / D.ODE_STEPS
-    kappa_half = profile(np.linspace(0.0, profile.length, 2 * D.ODE_STEPS + 1))
-    full = D._rk4_scan_matrices(kappa_half, h, D.ODE_STEPS)
-    head = D._rk4_scan_matrices(kappa_half[:2 * n_steps + 1], h, n_steps)
-    assert _same_bits(head, [entry[:n_steps] for entry in full])
-    thetas, *entries = D._rk4_sine_solve(profile, n_steps)
-    assert thetas.tobytes() == _nodes(profile.length)[:n_steps + 1].tobytes()
-    assert _same_bits(entries, head)
+    # the pieces that start below a reach: the head of the whole profile's
+    # system, bit for bit, from a scan of that many matrices
+    full = D.sine_fundamental(_MANY_PIECES)
+    assert len(full.widths) == 4096
+    head = D._solve(_MANY_PIECES, float(full.nodes[n_steps]))
+    assert len(head.widths) == n_steps
+    for name in ("nodes", "widths", "node_u"):
+        assert getattr(head, name).tobytes() == getattr(full, name)[:len(getattr(head, name))].tobytes()
+    # the head may keep fewer rows: those past its last nonzero one add 0
+    rows = len(head.u_series)
+    for got, want in ((head.u_series, full.u_series), (head.w_series, full.w_series)):
+        assert got.tobytes() == np.ascontiguousarray(want[:rows, :n_steps]).tobytes()
+        assert not want[rows:, :n_steps].any()
+    matrices = oracles.rk4_matrices(_MANY_PIECES(np.linspace(0.0, 1.0, 8193)), 1.0 / 4096)
+    whole = D._product_scan(*(m.copy() for m in matrices))
+    short = D._product_scan(*(m[:n_steps].copy() for m in matrices))
+    assert _same_bits(short, [entry[:n_steps] for entry in whole])
 
 
 @st.composite
@@ -604,55 +706,61 @@ _OVERFLOWING = KappaProfile.from_samples([[0.0, -1e5], [20.0, -5e4]])
 @example(profile=_OVERFLOWING, n_steps=4096)
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_the_scan_keeps_the_bits_of_the_allocating_scan(profile, n_steps):
-    # the round count changes at powers of two, and with it the buffer set
-    # that holds the result
-    h = profile.length / D.ODE_STEPS
-    kappa_half = profile(np.linspace(0.0, profile.length, 2 * D.ODE_STEPS + 1))
-    kappa_half = kappa_half[:2 * n_steps + 1]
+    # the matrices of RK4 steps of L / 4096 (the reference route's), whose
+    # products overflow on the steep ramps; the round count changes at powers
+    # of two, and with it the buffer set that holds the result
+    h = profile.length / 4096
+    kappa_half = profile(np.linspace(0.0, profile.length, 8193))[:2 * n_steps + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        got = D._rk4_scan_matrices(kappa_half, h, n_steps)
-        want = oracles.rk4_scan_allocating(kappa_half, h, n_steps)
+        matrices = oracles.rk4_matrices(kappa_half, h)
+        got = D._product_scan(*(m.copy() for m in matrices))
+        want = oracles.scan_allocating(*(m.copy() for m in matrices))
     assert all(len(entry) == n_steps for entry in got)
     assert _same_bits(got, want)
 
 
-@pytest.mark.parametrize("n_steps", [2048, 2049, D.ODE_STEPS])
+@pytest.mark.parametrize("n_steps", [2048, 2049, 4096])
 def test_kept_solves_own_their_memory(n_steps):
-    # a cache entry and a prefix sine keep copies of the scan's entries, never
-    # its buffers (it returns its second set after an odd number of rounds,
-    # as for 2048 steps), so an entry stays at 197 KB
-    profile = KappaProfile.from_samples([[0.0, 4.0], [1.0, -3.0], [3.0, 2.0]])
-    D.sine_fundamental.cache_clear()
-    fs = D.sine_fundamental(profile)
-    assert all(a.base is None for a in (fs.u, fs.du, fs.w, fs.dw))
-    # the nodes are a view of the 8193-node half grid alone
-    assert fs.thetas.base.shape == (2 * D.ODE_STEPS + 1,)
-    assert sum(a.nbytes for a in (fs.u, fs.du, fs.w, fs.dw, fs.thetas.base)) == 196648
-    sine = D._prefix_sine(profile, n_steps)
-    assert sine.values.base is None and sine.derivative_values.base is None
-    assert sine.thetas.base.shape == (2 * D.ODE_STEPS + 1,)
+    # a system keeps no buffer of the scan (it returns its second set after
+    # an odd number of rounds, as for 2048 pieces), only arrays it made
+    buffers = []
+    scan = D._product_scan
+
+    def spy(*entries):
+        out = scan(*entries)
+        buffers.extend(entries + out)
+        return out
+
+    profile = KappaProfile(1.0, _MANY_PIECES.params[:n_steps + 1] * (4096 / n_steps),
+                           _MANY_PIECES.values[:n_steps + 1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(D, "_product_scan", spy)
+        fs = D.sine_fundamental(profile)
+    assert len(fs.widths) == n_steps
+    kept = (fs.nodes, fs.widths, fs.node_u, fs.u_series, fs.w_series)
+    assert not any(np.shares_memory(a, b) for a in kept for b in buffers)
 
 
 def test_sigma_scans_only_the_steps_up_to_theta(monkeypatch):
-    # below the last four steps sigma solves a prefix, at the end of the
-    # profile all of it; never through the cache
-    scans = []
-    scan = D._rk4_scan_matrices
-    monkeypatch.setattr(D, "_rk4_scan_matrices",
-                        lambda k, h, n: scans.append(n) or scan(k, h, n))
-    profile = KappaProfile.from_samples([[0.0, 4.0], [1.0, 1.0], [3.0, 2.0]])
-    h = profile.length / D.ODE_STEPS
-    D.sine_fundamental.cache_clear()
-    for theta in (1e-9, 0.01, 0.5, 1.3, float(_nodes(3.0)[2000]), 2.99):
-        sigma_coeff(profile, 0.5, theta)
-        assert scans[-1] <= int(theta / (1.0 - D.FIRST_ZERO_GUARD) / h) + 4
-        tau_coeff(profile, 3.0, 0.5, theta)
-        assert scans[-1] <= int(theta / (1.0 - D.FIRST_ZERO_GUARD) / h) + 4
-    assert D.sine_fundamental.cache_info().misses == 0
-    for theta in (3.0, 3.0 + 5e-13):
-        sigma_coeff(profile, 0.5, theta)
-        assert scans[-1] == D.ODE_STEPS
-    assert D.sine_fundamental.cache_info().misses == 0
+    # sigma and tau (N = 2: the same profile) solve the pieces that start
+    # below theta / (1 - guard), at the end of the profile all of them, one
+    # solve per call
+    solved = []
+    transfer = D._piece_transfer
+    monkeypatch.setattr(D, "_piece_transfer",
+                        lambda a, b, h: solved.append(len(h)) or transfer(a, b, h))
+    profile = KappaProfile.from_samples([[0.0, 40.0], [1.0, 1.0], [3.0, 50.0]])
+    nodes = D.sine_fundamental(profile).nodes
+    assert len(nodes) == 1 + 7 + 15       # ceil(sqrt(40)) and ceil(2 sqrt(50)) pieces
+    for theta in (1e-9, 0.01, 0.5, 1.3, float(nodes[20]), 2.99, 3.0, 3.0 + 5e-13):
+        for call in (lambda: sigma_coeff(profile, 0.5, theta),
+                     lambda: tau_coeff(profile, 2.0, 0.5, theta)):
+            solved.clear()
+            call()
+            reach = theta / (1.0 - D.FIRST_ZERO_GUARD)
+            assert solved == [max(1, int(np.searchsorted(nodes[:-1], reach)))]
+    sigma_coeff(profile, 0.5, 3.0)
+    assert solved[-1] == len(nodes) - 1
 
 
 # --- the defect bound's sigma: sigma_coeff's route ---------------------------
@@ -661,7 +769,7 @@ def test_sigma_scans_only_the_steps_up_to_theta(monkeypatch):
 def ramps_and_thetas(draw):
     """A two-sample ramp in [-30, 30] on [0, L], L in [0.2, 3], or level on
     the shortest accepted length or on 1e-300 (a ramp's slope would overflow
-    there), and theta anywhere in (0, L], within four steps of L, or at it."""
+    there), and theta anywhere in (0, L], just below L, or at it."""
     length = draw(st.one_of(st.floats(0.2, 3.0), st.sampled_from([_MIN_LENGTH, 1e-300])))
     k0 = draw(st.floats(-30.0, 30.0))
     k1 = draw(st.floats(-30.0, 30.0)) if length > 1.0e-300 else k0
@@ -670,7 +778,7 @@ def ramps_and_thetas(draw):
     if kind == "any":
         theta = draw(st.floats(0.0, length, exclude_min=True))
     elif kind == "near end":
-        theta = length * (1.0 - draw(st.floats(0.0, 4.0)) / D.ODE_STEPS)
+        theta = length * (1.0 - draw(st.floats(0.0, 4.0)) / 4096)
     else:
         theta = length
     assume(theta > 0.0)
@@ -695,18 +803,23 @@ def test_the_defect_bound_reads_the_bits_of_sigma_coeff(case, n_param, rs):
 
 
 def test_the_defect_bound_takes_one_prefix_scan_and_no_cached_solve(monkeypatch):
-    scans = []
-    scan = D._rk4_scan_matrices
-    monkeypatch.setattr(D, "_rk4_scan_matrices",
-                        lambda k, h, n: scans.append(n) or scan(k, h, n))
-    profile = KappaProfile.from_samples([[0.0, 0.2], [2.0, 1.4]])
-    D.sine_fundamental.cache_clear()
+    # one solve per bound, of the pieces up to theta, and no solve of the
+    # whole profile
+    solved, whole = [], []
+    transfer, fundamental = D._piece_transfer, D.sine_fundamental
+    monkeypatch.setattr(D, "_piece_transfer",
+                        lambda a, b, h: solved.append(len(h)) or transfer(a, b, h))
+    monkeypatch.setattr(D, "sine_fundamental", lambda p: whole.append(p) or fundamental(p))
+    profile = KappaProfile.from_samples([[0.0, 0.2], [2.0, 3.0]])
+    nodes = fundamental(profile).nodes
+    solved.clear()
     for theta in (0.3, 1.2, 1.9):
         assert 0.0 < defect_bound(1.0, 2.5, 2.5, 0.4, profile, 0.4, theta) < INF
-    info = D.sine_fundamental.cache_info()
-    assert info.hits + info.misses == 0
-    h = profile.length / D.ODE_STEPS
-    assert scans == [int(theta / (1.0 - D.FIRST_ZERO_GUARD) / h) + 4 for theta in (0.3, 1.2, 1.9)]
+    assert whole == []
+    scaled = D._pieces(profile.scaled(1.0 / 1.5))[0]
+    assert solved == [int(np.searchsorted(scaled[:-1], theta / (1.0 - D.FIRST_ZERO_GUARD)))
+                      for theta in (0.3, 1.2, 1.9)]
+    assert len(nodes) > solved[0]
 
 
 # --- defect constants and bound ----------------------------------------------
