@@ -1,5 +1,6 @@
 """Console entry point: configs, determinism, exit codes, output layout."""
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -659,18 +660,29 @@ class TestRunners:
 
 
 class TestSuite:
-    def test_quick_matrix_is_reproducible(self, tmp_path, capsys):
-        # every row passes on the first run, and a second run gives the same
-        # payload and margins.csv
-        a = suite(mode="quick", seed=0, output_dir=str(tmp_path / "a"))
-        assert a.passed
-        rows = a.reports[0]["provenance"]["rows"]
+    # one quick suite run, shared by both tests, so tier-1 runs the matrix
+    # twice rather than three times
+    @pytest.fixture(scope="class")
+    def first_run(self, tmp_path_factory):
+        out_dir = tmp_path_factory.mktemp("suite-a")
+        table = io.StringIO()
+        with contextlib.redirect_stdout(table):
+            record = suite(mode="quick", seed=0, output_dir=str(out_dir))
+        return record, table.getvalue(), out_dir
+
+    def test_quick_matrix_runs_all_rows(self, first_run):
+        record, table, _ = first_run
+        assert record.passed
+        rows = record.reports[0]["provenance"]["rows"]
         assert len(rows) == 15
         assert all(row["passed"] for row in rows)
-        assert capsys.readouterr().out.count("PASS") == 15
+        assert table.count("PASS") == 15
+
+    def test_quick_matrix_is_reproducible(self, first_run, tmp_path):
+        a, _, a_dir = first_run
         b = suite(mode="quick", seed=0, output_dir=str(tmp_path / "b"))
         assert a.payload() == b.payload()
-        assert ((tmp_path / "a" / "margins.csv").read_bytes()
+        assert ((a_dir / "margins.csv").read_bytes()
                 == (tmp_path / "b" / "margins.csv").read_bytes())
 
 
