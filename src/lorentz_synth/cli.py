@@ -37,8 +37,8 @@ from .comparison import (BumpFunction, aubry_spacetime_check, bishop_gromov,
                          dalembert_check, eikonal_check, jsonable, ladder_steps,
                          make_report, needle_decomposition)
 from .distortion import (KappaProfile, const_first_zero, const_sine, const_tau,
-                         defect_bound, first_zero, generalized_sine,
-                         sigma_coeff, tau_coeff)
+                         defect_bounds, first_zero, generalized_sine,
+                         sigma_coeffs, tau_coeffs)
 from .extreal import is_inf
 from .lipschitz_grid import (MetricGrid, load_grid, lp_deficit_curves,
                              minkowski_grid, mollify, warped_grid)
@@ -399,6 +399,13 @@ def _plot(file, x, y, rows, title):
 # ---------------------------------------------------------------------------
 
 
+# the most pairs, or loop passes, the distortion checks draw before they
+# evaluate them in one batch: a round's profiles and requests are alive at
+# once. On 150 pairs and tuples, one batch of all pairs peaked about 250 KB
+# above rounds of 32, which still fill their solves' chunks
+_DISTORTION_ROUND = 32
+
+
 def _run_distortion(model, params, rng):
     check = params["check"]
     reports, plots = [], []
@@ -426,25 +433,31 @@ def _run_distortion(model, params, rng):
     if check in ("ordering", "all"):
         n = params["pairs"]
         worst_sigma = worst_tau = worst_dom = 0.0
-        for _ in range(n):
-            a, b = rng.uniform(-4.0, 4.0, 2)
-            d0, d1 = rng.uniform(0.0, 3.0, 2)
-            length = float(rng.uniform(1.0, 2.5))
-            n_param = float(rng.choice((2.0, 3.0, 4.5)))
-            t = float(rng.uniform(0.0, 1.0))
-            theta = float(rng.uniform(0.05, 0.95)) * length
-            upper = KappaProfile.from_samples([[0.0, a], [length, b]])
-            lower = KappaProfile.from_samples([[0.0, a - d0], [length, b - d1]])
-            s_up = sigma_coeff(upper.scaled(1.0 / n_param), t, theta)
-            s_lo = sigma_coeff(lower.scaled(1.0 / n_param), t, theta)
-            if not is_inf(s_up):
-                worst_sigma = max(worst_sigma, s_lo - s_up)
-            t_up = tau_coeff(upper, n_param, t, theta)
-            t_lo = tau_coeff(lower, n_param, t, theta)
-            if not is_inf(t_up):
-                worst_tau = max(worst_tau, t_lo - t_up)
+        # no draw reads a result: the pairs are drawn a round at a time, and
+        # a round's are evaluated in one batch of sigma and one of tau
+        for start in range(0, n, _DISTORTION_ROUND):
+            draws = []
+            for _ in range(min(_DISTORTION_ROUND, n - start)):
+                a, b = rng.uniform(-4.0, 4.0, 2)
+                d0, d1 = rng.uniform(0.0, 3.0, 2)
+                length = float(rng.uniform(1.0, 2.5))
+                n_param = float(rng.choice((2.0, 3.0, 4.5)))
+                t = float(rng.uniform(0.0, 1.0))
+                theta = float(rng.uniform(0.05, 0.95)) * length
+                upper = KappaProfile.from_samples([[0.0, a], [length, b]])
+                lower = KappaProfile.from_samples([[0.0, a - d0], [length, b - d1]])
+                draws.append((upper, lower, n_param, t, theta))
+            sigmas = sigma_coeffs([(profile.scaled(1.0 / n_param), t, theta)
+                                   for *pair, n_param, t, theta in draws for profile in pair])
+            taus = tau_coeffs([(profile, n_param, t, theta)
+                               for *pair, n_param, t, theta in draws for profile in pair])
+            for s_up, s_lo, t_up, t_lo in zip(sigmas[::2], sigmas[1::2], taus[::2], taus[1::2]):
                 if not is_inf(s_up):
-                    worst_dom = max(worst_dom, s_up - t_up)
+                    worst_sigma = max(worst_sigma, s_lo - s_up)
+                if not is_inf(t_up):
+                    worst_tau = max(worst_tau, t_lo - t_up)
+                    if not is_inf(s_up):
+                        worst_dom = max(worst_dom, s_up - t_up)
         reports.append(make_report(
             "distortion-ordering", [worst_sigma, worst_tau, worst_dom], [1e-10] * 3,
             0.0, ["sigma-monotone", "tau-monotone", "tau-dominates-sigma"],
@@ -454,29 +467,36 @@ def _run_distortion(model, params, rng):
         worst = 0.0
         used = skipped = 0
         while used < n and skipped < 20 * n:
-            big_k = float(rng.uniform(0.5, 2.0))
-            n_param = float(rng.choice((2.0, 2.5, 3.0)))
-            p = float(rng.uniform(max(2.0, n_param / 2.0 + 0.3), 3.5))
-            fz = const_first_zero(big_k / (n_param - 1.0))
-            eta = float(rng.uniform(0.05, 0.45)) * fz
-            length = 2.0
-            offs = rng.uniform(-1.5, 0.5, 2)
-            prof = KappaProfile.from_samples(
-                [[0.0, big_k + offs[0]], [length, big_k + offs[1]]])
-            theta_max = min(length, fz - eta)
-            if theta_max <= 1e-2:
-                skipped += 1
-                continue
-            theta = float(rng.uniform(0.1, 0.9)) * theta_max
-            t = float(rng.uniform(0.05, 0.95))
-            bound = defect_bound(big_k, n_param, p, eta, prof, t, theta)
-            t_model = float(const_tau(big_k, n_param, t, theta))
-            t_prof = tau_coeff(prof, n_param, t, theta)
-            if is_inf(t_model) or is_inf(t_prof):
-                skipped += 1
-                continue
-            worst = max(worst, (t_model - t_prof) - bound)
-            used += 1
+            # a round of draws the loop is sure to take one at a time: each
+            # adds one to used or to skipped, so none of them would end it
+            drawn = []
+            for _ in range(min(n - used, 20 * n - skipped, _DISTORTION_ROUND)):
+                big_k = float(rng.uniform(0.5, 2.0))
+                n_param = float(rng.choice((2.0, 2.5, 3.0)))
+                p = float(rng.uniform(max(2.0, n_param / 2.0 + 0.3), 3.5))
+                fz = const_first_zero(big_k / (n_param - 1.0))
+                eta = float(rng.uniform(0.05, 0.45)) * fz
+                length = 2.0
+                offs = rng.uniform(-1.5, 0.5, 2)
+                prof = KappaProfile.from_samples(
+                    [[0.0, big_k + offs[0]], [length, big_k + offs[1]]])
+                theta_max = min(length, fz - eta)
+                if theta_max <= 1e-2:
+                    skipped += 1
+                    continue
+                theta = float(rng.uniform(0.1, 0.9)) * theta_max
+                t = float(rng.uniform(0.05, 0.95))
+                drawn.append((big_k, n_param, p, eta, prof, t, theta))
+            bounds = defect_bounds(drawn)
+            t_profs = tau_coeffs([(prof, n_param, t, theta)
+                                  for _, n_param, _, _, prof, t, theta in drawn])
+            for (big_k, n_param, _, _, _, t, theta), bound, t_prof in zip(drawn, bounds, t_profs):
+                t_model = float(const_tau(big_k, n_param, t, theta))
+                if is_inf(t_model) or is_inf(t_prof):
+                    skipped += 1
+                    continue
+                worst = max(worst, (t_model - t_prof) - bound)
+                used += 1
         reports.append(make_report("defect-bound", [worst], [1e-8], 0.0,
                                    ["defect-dominated"],
                                    {"tuples": used, "skipped": skipped}))

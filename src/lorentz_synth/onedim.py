@@ -160,8 +160,7 @@ def verify_cd_density(density: CDDensity, line_samples: int = 64,
 
     scaled = density.kappa.scaled(1.0 / (density.n_param - 1.0))
     fs = sine_fundamental(scaled)
-    un = fs.eval_u(xs - density.a)
-    wn = fs.eval_w(xs - density.a)
+    un, wn = fs.eval_uw(xs - density.a)
 
     # segment sine from x_i evaluated at the nodes: V[i, k] = w_i u_k - u_i w_k
     V = np.outer(wn, un) - np.outer(un, wn)
@@ -178,8 +177,7 @@ def verify_cd_density(density: CDDensity, line_samples: int = 64,
 
     theta = xs[jj] - xs[ii]
     gam = xs[ii][:, None] + np.outer(theta, T_GRID)          # (pairs, |T|)
-    ug = fs.eval_u(gam - density.a)
-    wg = fs.eval_w(gam - density.a)
+    ug, wg = fs.eval_uw(gam - density.a)
 
     w_i, u_i = wn[ii][:, None], un[ii][:, None]
     w_j, u_j = wn[jj][:, None], un[jj][:, None]

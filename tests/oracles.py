@@ -46,9 +46,13 @@ def sigma_closed(kappa, t, theta):
 
 def tau_closed(kappa, n_param, t, theta):
     sig = sigma_closed(kappa / (n_param - 1), t, theta)
-    if math.isinf(sig):
-        return 0.0 if t == 0 else math.inf
-    return t ** (1 / n_param) * sig ** (1 - 1 / n_param)
+    if math.isinf(sig) or theta == 0:
+        return (0.0 if t == 0 else math.inf) if math.isinf(sig) else t
+    # t^{1/N} sigma^{1-1/N} = t q^{1-1/N} with sigma = t q: q is normal where
+    # sigma underflows for a subnormal t
+    q = _sine_over_theta(kappa / (n_param - 1), t * theta) / \
+        _sine_over_theta(kappa / (n_param - 1), theta)
+    return t * q ** (1 - 1 / n_param)
 
 
 # --- adaptive-solver route for variable coefficients ------------------------

@@ -11,10 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from lorentz_synth import cli as C
 from lorentz_synth import lipschitz_grid as L
 from lorentz_synth.cli import (COMMANDS, MODEL_KINDS, ConfigError, ExperimentConfig,
                                _build_model, _checked, _suite_row_configs, main, run, suite)
 from lorentz_synth.comparison import make_report
+from lorentz_synth.distortion import (KappaProfile, const_first_zero, const_tau, defect_bound,
+                                      sigma_coeff, tau_coeff)
+from lorentz_synth.extreal import INF, is_inf
 from lorentz_synth.models import ModelSpacetime
 from lorentz_synth.transport import DiscreteMeasure
 
@@ -582,6 +586,94 @@ class TestOutputs:
         assert main(["brenier", "--quick", "--seed", "1", "--out", str(a)]) == 0
         assert main(["brenier", "--quick", "--seed", "2", "--out", str(b)]) == 0
         assert (a / "margins.csv").read_bytes() != (b / "margins.csv").read_bytes()
+
+
+def _ordering_one_pair_at_a_time(rng, n):
+    """The distortion ordering check evaluated as each pair is drawn."""
+    worst_sigma = worst_tau = worst_dom = 0.0
+    for _ in range(n):
+        a, b = rng.uniform(-4.0, 4.0, 2)
+        d0, d1 = rng.uniform(0.0, 3.0, 2)
+        length = float(rng.uniform(1.0, 2.5))
+        n_param = float(rng.choice((2.0, 3.0, 4.5)))
+        t = float(rng.uniform(0.0, 1.0))
+        theta = float(rng.uniform(0.05, 0.95)) * length
+        upper = KappaProfile.from_samples([[0.0, a], [length, b]])
+        lower = KappaProfile.from_samples([[0.0, a - d0], [length, b - d1]])
+        s_up = sigma_coeff(upper.scaled(1.0 / n_param), t, theta)
+        s_lo = sigma_coeff(lower.scaled(1.0 / n_param), t, theta)
+        if not is_inf(s_up):
+            worst_sigma = max(worst_sigma, s_lo - s_up)
+        t_up = tau_coeff(upper, n_param, t, theta)
+        t_lo = tau_coeff(lower, n_param, t, theta)
+        if not is_inf(t_up):
+            worst_tau = max(worst_tau, t_lo - t_up)
+            if not is_inf(s_up):
+                worst_dom = max(worst_dom, s_up - t_up)
+    return [worst_sigma, worst_tau, worst_dom]
+
+
+def _defect_one_draw_at_a_time(rng, n):
+    """The distortion defect check's loop, one draw evaluated at a time:
+    (worst, used, skipped). It reads const_first_zero and const_tau from the
+    cli module, as the runner does."""
+    worst = 0.0
+    used = skipped = 0
+    while used < n and skipped < 20 * n:
+        big_k = float(rng.uniform(0.5, 2.0))
+        n_param = float(rng.choice((2.0, 2.5, 3.0)))
+        p = float(rng.uniform(max(2.0, n_param / 2.0 + 0.3), 3.5))
+        fz = C.const_first_zero(big_k / (n_param - 1.0))
+        eta = float(rng.uniform(0.05, 0.45)) * fz
+        offs = rng.uniform(-1.5, 0.5, 2)
+        prof = KappaProfile.from_samples([[0.0, big_k + offs[0]], [2.0, big_k + offs[1]]])
+        theta_max = min(2.0, fz - eta)
+        if theta_max <= 1e-2:
+            skipped += 1
+            continue
+        theta = float(rng.uniform(0.1, 0.9)) * theta_max
+        t = float(rng.uniform(0.05, 0.95))
+        bound = defect_bound(big_k, n_param, p, eta, prof, t, theta)
+        t_model = float(C.const_tau(big_k, n_param, t, theta))
+        t_prof = tau_coeff(prof, n_param, t, theta)
+        if is_inf(t_model) or is_inf(t_prof):
+            skipped += 1
+            continue
+        worst = max(worst, (t_model - t_prof) - bound)
+        used += 1
+    return worst, used, skipped
+
+
+class TestDistortionRounds:
+    """The distortion checks draw a round of pairs or loop passes, then
+    evaluate it in one batch: the results are those of one draw at a time."""
+
+    def test_ordering_rounds_match_one_pair_at_a_time(self):
+        n = C._DISTORTION_ROUND + 8
+        [report], _ = C._run_distortion(None, {"check": "ordering", "pairs": n},
+                                        np.random.default_rng(3))
+        want = _ordering_one_pair_at_a_time(np.random.default_rng(3), n)
+        assert report.lhs.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("tuples, below, radius", [(40, 0.5, 0.015), (5, 10.0, 0.005)],
+                             ids=["some-skipped", "all-skipped"])
+    def test_defect_rounds_match_one_draw_at_a_time(self, monkeypatch, tuples, below, radius):
+        # both kinds of skip: a conjugate radius so short (where K / (N - 1)
+        # is below ``below``) that theta_max <= 1e-2 for some or all eta, and
+        # an infinite model tau (t > 0.8); in the second case every draw is
+        # skipped until 20 n of them are
+        monkeypatch.setattr(C, "const_first_zero",
+                            lambda k: radius if k < below else const_first_zero(k))
+        monkeypatch.setattr(C, "const_tau",
+                            lambda K, N, t, theta: INF if t > 0.8 else const_tau(K, N, t, theta))
+        [report], _ = C._run_distortion(None, {"check": "defect", "tuples": tuples},
+                                        np.random.default_rng(5))
+        worst, used, skipped = _defect_one_draw_at_a_time(np.random.default_rng(5), tuples)
+        assert (float(report.lhs[0]), report.provenance) == \
+            (worst, {"tuples": used, "skipped": skipped})
+        assert skipped > 0
+        if below > 1.0:
+            assert (used, skipped) == (0, 20 * tuples)
 
 
 class TestRunners:

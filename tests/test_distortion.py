@@ -318,6 +318,8 @@ def _assert_matches_oracle(got, want, thetas, radius):
 @given(K=st.floats(-4.0, 4.0), n_param=st.floats(1.0, 5.0, exclude_min=True),
        t=st.floats(0.0, 1.0),
        fracs=st.lists(st.floats(0.02, 1.6), min_size=1, max_size=4))
+# t theta underflows to 0 here, where tau is about t, not 0
+@example(K=1.0, n_param=1.0625, t=5e-324, fracs=[0.5])
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_const_tau_matches_the_closed_form_oracle(K, n_param, t, fracs):
     # fractions of the conjugate radius of K/(N-1) (of 2 when it is infinite);
@@ -504,6 +506,16 @@ def test_an_overflowing_sine_names_its_cause(coeff, samples, theta, cause):
     _assert_prefix_keeps_the_full_solve(profile, 0.5, theta, 3.0)
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.1, -0.1])
+def test_sigma_where_the_sine_underflows_is_t(kappa):
+    # pieces of width 2 or 4: theta / h, and the sine at theta with it,
+    # underflow to 0, where sigma is t, as at theta = 0, and tau is t too
+    profile = profile_const(kappa, 4.0)
+    for t in (0.0, 0.3, 1.0):
+        assert sigma_coeff(profile, t, 5e-324) == t
+        assert tau_coeff(profile, 2.0, t, 5e-324) == pytest.approx(t, rel=1e-15)
+
+
 def test_sigma_input_validation():
     with pytest.raises(InvalidInputError):
         sigma_coeff(profile_const(1.0), -0.1, 0.5)
@@ -539,7 +551,7 @@ def _sigma_whole(profile, t, theta):
     num, denom = sine(t * theta), sine(theta)
     if not (math.isfinite(num) and math.isfinite(denom)):
         raise D._sine_overflow(profile, theta)
-    return num / denom
+    return num / denom if denom != 0.0 else float(t)
 
 
 def _tau_whole(profile, n_param, t, theta):
@@ -669,7 +681,7 @@ def test_a_short_scan_is_the_head_of_the_full_scan(n_steps):
     # system, bit for bit, from a scan of that many matrices
     full = D.sine_fundamental(_MANY_PIECES)
     assert len(full.widths) == 4096
-    head = D._solve(_MANY_PIECES, float(full.nodes[n_steps]))
+    [head] = D._solve([(_MANY_PIECES, float(full.nodes[n_steps]))])
     assert len(head.widths) == n_steps
     for name in ("nodes", "widths", "node_u"):
         assert getattr(head, name).tobytes() == getattr(full, name)[:len(getattr(head, name))].tobytes()
@@ -787,6 +799,8 @@ def ramps_and_thetas(draw):
 
 @given(case=ramps_and_thetas(), n_param=st.sampled_from([2.0, 2.5, 3.0]),
        rs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+# the sine at theta underflows to 0 (theta / h does)
+@example(case=(KappaProfile.constant(0.0, 2.0), 5e-324), n_param=2.0, rs=[0.0, 0.3])
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_the_defect_bound_reads_the_bits_of_sigma_coeff(case, n_param, rs):
     # every node's sigma is sigma_coeff's, bit for bit, and where the bound
@@ -794,7 +808,7 @@ def test_the_defect_bound_reads_the_bits_of_sigma_coeff(case, n_param, rs):
     profile, theta = case
     scaled = profile.scaled(1.0 / (n_param - 1.0))
     rs = np.array([0.0, 1.0] + rs)
-    got = D._sigma_profile_values(scaled, theta, rs)
+    got = D._sigma_profile_values(next(D._sines_to([(scaled, theta)])), scaled, theta, rs)
     want = [sigma_coeff(scaled, float(r), theta) for r in rs]
     if got is None:
         assert all(w == INF for w in want)
@@ -812,11 +826,11 @@ def test_the_defect_bound_takes_one_prefix_scan_and_no_cached_solve(monkeypatch)
     monkeypatch.setattr(D, "sine_fundamental", lambda p: whole.append(p) or fundamental(p))
     profile = KappaProfile.from_samples([[0.0, 0.2], [2.0, 3.0]])
     nodes = fundamental(profile).nodes
+    scaled = fundamental(profile.scaled(1.0 / 1.5)).nodes
     solved.clear()
     for theta in (0.3, 1.2, 1.9):
         assert 0.0 < defect_bound(1.0, 2.5, 2.5, 0.4, profile, 0.4, theta) < INF
     assert whole == []
-    scaled = D._pieces(profile.scaled(1.0 / 1.5))[0]
     assert solved == [int(np.searchsorted(scaled[:-1], theta / (1.0 - D.FIRST_ZERO_GUARD)))
                       for theta in (0.3, 1.2, 1.9)]
     assert len(nodes) > solved[0]
@@ -915,3 +929,125 @@ def test_ttilde_values():
     assert ttilde_coeff(1.0, 3.0, 1e-6) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(InvalidInputError):
         ttilde_coeff(1.0, 2.0, math.pi + 0.1)
+
+
+# --- batched requests: the bytes of one-request calls -------------------------
+
+# 300 sample intervals, one piece each, and no zero before L = 2: a request
+# near L solves more pieces than a chunk of the batched solve holds
+_LONG = KappaProfile(2.0, np.linspace(0.0, 2.0, 301),
+                     0.5 * np.sin(5.0 * np.linspace(0.0, 2.0, 301)))
+
+
+@st.composite
+def batch_profiles(draw):
+    """Ramps of 1 to 6 pieces, flat profiles (+-0.0, whose polynomial rows
+    are trimmed), sampled profiles in [-30, 30] (zeros before L), the
+    300-piece profile, and a steep negative ramp whose sine overflows."""
+    kind = draw(st.sampled_from(["ramp", "ramp", "flat", "sampled", "long", "overflowing"]))
+    if kind == "ramp":
+        length = draw(st.floats(0.2, 2.5))
+        k0, k1 = draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))
+        return KappaProfile.from_samples([[0.0, k0], [length, k1]])
+    if kind == "flat":
+        return KappaProfile.constant(draw(st.sampled_from([0.0, -0.0])), draw(st.floats(0.2, 3.0)))
+    if kind == "sampled":
+        return draw(sampled_profiles())
+    if kind == "long":
+        return _LONG
+    return _OVERFLOWING
+
+
+@st.composite
+def sigma_requests(draw):
+    """(profile, t, theta): theta at 0, anywhere on [0, L], on a piece end,
+    at L or just past it (past L + 1e-12 sometimes, which fails its check)."""
+    profile = draw(batch_profiles())
+    kind = draw(st.sampled_from(["zero", "theta", "theta", "past"]))
+    if kind == "zero":
+        theta = 0.0
+    elif kind == "theta":
+        theta = draw(thetas_for(profile))
+    else:
+        theta = profile.length * (1.0 + draw(st.sampled_from([1e-13, 1e-3])))
+    return profile, draw(st.floats(0.0, 1.0)), theta
+
+
+def _batch_outcome(fn, requests):
+    """The bytes of ``fn(requests)``, or the type and message it raised."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return np.array(fn(requests), dtype=float).tobytes()
+        except InvalidInputError as exc:
+            return ("raised", type(exc), str(exc))
+
+
+def _assert_batch_is_single_calls(batch, single, requests):
+    # the batch's bytes are those of one call per request; where a request
+    # raises, the batch raises what the first one that raises does
+    singles = [_outcome(single, *request) for request in requests]
+    failed = [outcome for outcome in singles if isinstance(outcome, tuple)]
+    want = failed[0] if failed else b"".join(singles)
+    assert _batch_outcome(batch, requests) == want
+
+
+@given(requests=st.lists(sigma_requests(), min_size=1, max_size=12))
+@example(requests=[(_LONG, 0.5, 1.99), (KappaProfile.constant(0.0, 1.0), 0.3, 0.7),
+                   (_OVERFLOWING, 0.5, 15.0), (_LONG, 0.5, 2.0 * (1.0 + 1e-3))])
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_batched_sigma_and_tau_give_the_bytes_of_single_calls(requests):
+    _assert_batch_is_single_calls(D.sigma_coeffs, sigma_coeff, requests)
+    tau_requests = [(profile, 1.5 + t, t, theta) for profile, t, theta in requests]
+    _assert_batch_is_single_calls(D.tau_coeffs, tau_coeff, tau_requests)
+
+
+@st.composite
+def defect_requests(draw):
+    """(K, N, p, eta, profile, t, theta) as the defect check draws them, on
+    ramps, sampled profiles or the 300-piece one; theta sometimes past its
+    bound, which fails its check."""
+    big_k = draw(st.floats(0.5, 2.0))
+    n_param = draw(st.sampled_from([2.0, 2.5, 3.0]))
+    p = draw(st.floats(max(2.0, n_param / 2.0 + 0.3), 3.5))
+    fz = const_first_zero(big_k / (n_param - 1.0))
+    eta = draw(st.floats(0.05, 0.45)) * fz
+    profile = draw(st.one_of(ramps(4.0), sampled_profiles(), st.just(_LONG)))
+    theta_max = min(profile.length, fz - eta)
+    theta = draw(st.one_of(st.floats(0.05, 0.95), st.just(1.5))) * theta_max
+    return big_k, n_param, p, eta, profile, draw(st.floats(0.05, 0.95)), theta
+
+
+@given(requests=st.lists(defect_requests(), min_size=1, max_size=6))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_batched_defect_bounds_give_the_bytes_of_single_calls(requests):
+    _assert_batch_is_single_calls(D.defect_bounds, defect_bound, requests)
+
+
+def test_a_batch_stops_solving_at_its_first_failing_request(monkeypatch):
+    # requests past one that fails its checks are never solved, and the
+    # batch raises that request's error
+    solved = []
+    transfer = D._piece_transfer
+    monkeypatch.setattr(D, "_piece_transfer",
+                        lambda a, b, h: solved.append(len(h)) or transfer(a, b, h))
+    good = KappaProfile.from_samples([[0.0, 1.0], [2.0, 3.0]])
+    sigma_coeff(good, 0.5, 1.0)
+    alone, solved[:] = list(solved), []
+    with pytest.raises(InvalidInputError, match="t = 1.5"):
+        D.sigma_coeffs([(good, 0.5, 1.0), (good, 1.5, 1.0), (_LONG, 0.5, 1.9)])
+    assert solved == alone == [3]
+
+
+def test_chunks_hold_whole_requests():
+    # a request of more than a chunk's pieces is solved alone, and the
+    # requests around it in chunks of at most _CHUNK padded entries; every
+    # system has the bits of its one-request solve
+    requests = [(KappaProfile.from_samples([[0.0, 4.0], [2.5, -4.0]]), 2.0)] * 60 + \
+        [(_LONG, 2.0)] + [(KappaProfile.constant(0.0, 1.0), 1.0)] * 3
+    systems = list(D._solve(requests))
+    assert len(systems[60].widths) == 300 > D._CHUNK
+    for request, system in zip(requests, systems):
+        [alone] = D._solve([request])
+        for name in ("nodes", "widths", "node_u", "u_series", "w_series"):
+            assert np.ascontiguousarray(getattr(system, name)).tobytes() == \
+                np.ascontiguousarray(getattr(alone, name)).tobytes()
