@@ -618,10 +618,18 @@ def _sigma_request(profile: KappaProfile, t: float, theta: float):
         num, denom = sine(t * theta), sine(theta)
         if not (math.isfinite(num) and math.isfinite(denom)):
             raise _sine_overflow(profile, theta)
-        # theta / h underflows for a subnormal theta, and the sine with it:
-        # sigma is t to double precision there
-        return num / denom if denom != 0.0 else float(t)
+        return float(t) if _sigma_is_t(profile, theta) else num / denom
     return profile, theta, finish
+
+
+def _sigma_is_t(profile: KappaProfile, theta: float) -> bool:
+    """Whether sigma^{(t)}(theta) is t to double precision for every t: the
+    rule of :func:`const_tau`, sqrt(max |kappa|) theta < 2^-27. There the
+    sine ratio loses digits where t theta or theta / h leave the normal
+    range; a sine that overflows still raises first. The test on theta
+    alone comes first, so a request at theta >= 2^-27 reads no sample."""
+    return (theta < 2.0 ** -27
+            and math.sqrt(float(np.max(np.abs(profile.values)))) * theta < 2.0 ** -27)
 
 
 def _sine_overflow(profile: KappaProfile, theta: float) -> InvalidInputError:
@@ -821,13 +829,13 @@ def _sigma_profile_values(sine, profile: KappaProfile, theta: float, r_nodes: np
     :func:`_sines_to` for (profile, theta), with the bits of
     :func:`sigma_coeff`; None at the conjugate radius (sigma is the +inf
     sentinel there) or where the sine at theta is negative; r itself where
-    it underflows to 0, as :func:`sigma_coeff` gives t."""
+    :func:`sigma_coeff` gives t (see :func:`_sigma_is_t`)."""
     if sine is None:
         return None
     num, denom = sine(r_nodes * theta), sine(theta)
     if not (math.isfinite(denom) and np.isfinite(num).all()):
         raise _sine_overflow(profile, theta)
-    if denom == 0.0:
+    if _sigma_is_t(profile, theta):
         return r_nodes.astype(float)
     if denom < 0.0:
         return None

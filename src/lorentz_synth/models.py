@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,8 +39,9 @@ from .extreal import NEG_INF
 
 FAN_MAX_DEN = 16        # Farey density of the jump fan for slopes <= 1
 FAN_WIDE_DEN = 8        # coarser density for slopes in (1, 2]
-# bytes one stacked longest-path DP may hold: its S fields of n_t x n_x
-# float64 plus the per-row candidate buffer; more sources run in chunks
+# bytes one stacked longest-path DP may hold: its S fields of at most
+# n_t x n_x float64 plus the per-row candidate buffer; more sources run in
+# chunks
 STACK_BUDGET_BYTES = 32 * 2 ** 20
 CHART_TOL = 1e-9        # how far outside its bounds a point still counts as inside
 # 3-point Gauss-Legendre nodes on [0, 1] flanked by the endpoints; the
@@ -299,60 +299,74 @@ def _lattice_axes(model: ModelSpacetime, shape):
     return np.linspace(t0, t1, shape[0]), np.linspace(x0, x1, shape[1])
 
 
-@lru_cache(maxsize=64)
-def _edge_table(model: ModelSpacetime, shape):
-    """Edge weights W[e, i] for a jump of type e leaving time index i.
+def _edge_table(model: ModelSpacetime, shape, lo: int = 0, hi: int | None = None):
+    """Edge weights W[e, i - lo] for a jump of type e leaving time index i,
+    for the rows lo <= i < hi (hi defaults to the last row plus one).
 
     Weights depend on time only (the warp is a function of t); -inf marks
     edges that leave the chart or go spacelike at some quadrature node. The
     quadrature times depend on the jump's time step only, so the warp is
     interpolated once per distinct di and every dj of that step is weighed
-    in one broadcast.
+    in one broadcast. Each row's weights are those of the whole table: every
+    entry reads its own row only. Not cached: each lattice pass builds the
+    table of its own rows once.
     """
     ts, xs = _lattice_axes(model, shape)
     dt = ts[1] - ts[0]
     dx = xs[1] - xs[0]
     n_t = len(ts)
-    W = np.full((len(_FAN), n_t), -np.inf)
+    hi = n_t if hi is None else hi
+    W = np.full((len(_FAN), hi - lo), -np.inf)
     for di, es in _FAN_STEPS:
-        imax = n_t - di
-        if imax <= 0:
+        imax = min(hi, n_t - di)
+        if imax <= lo:
             continue
-        tmat = ts[:imax, None] + _QS[None, :] * (di * dt)
+        # a one-row product takes numpy's dot route, whose bits differ from
+        # those of a row of a many-row product: weigh at least two rows where
+        # the whole table has them, and keep the window's
+        last = max(imax, min(lo + 2, n_t - di))
+        first = max(0, min(lo, last - 2))
+        tmat = ts[first:last, None] + _QS[None, :] * (di * dt)
         rad = (di * dt) ** 2 - (model.warp(tmat) * (_FAN_DJ[es, None, None] * dx)) ** 2
-        ok = np.all(rad >= -1e-15, axis=2)                  # (jumps, imax)
+        ok = np.all(rad >= -1e-15, axis=2)                  # (jumps, last - first)
         vals = np.sqrt(np.clip(rad[:, :, 1:4], 0.0, None)) @ _QW
-        W[es, :imax] = np.where(ok, vals, -np.inf)
+        W[es, :imax - lo] = np.where(ok, vals, -np.inf)[:, lo - first:imax - first]
     return ts, xs, W
 
 
-def _dp_longest(model: ModelSpacetime, shape, sources):
-    """Longest-path value to every node, one field per source lattice node.
+def _dp_longest(model: ModelSpacetime, shape, sources, stop: int | None = None):
+    """Longest-path value to every node of rows start..stop, one field per
+    source lattice node, and the edge table those rows read.
 
-    ``sources`` lists (i, j) nodes; their fields are stacked on a leading
-    axis, shape (S, n_t, n_x), and ``None`` gives the one free-start field
-    (1, n_t, n_x). The sweep starts at the lowest source row; rows below a
-    source's own row stay -inf, so every stacked field is bit-identical to
-    a one-source run. Each row takes the max over the whole jump fan in one
-    gather of predecessor windows. Memory is S x n_t x n_x float64 plus a
+    ``sources`` lists (i, j) nodes; ``start`` is the lowest source row and
+    ``stop`` defaults to the last row. ``None`` gives the one free-start
+    field, start = 0. Returns (W, dist): W is :func:`_edge_table` of rows
+    start..stop - 1, the jumps the sweep takes, and dist stacks the fields
+    on a leading axis, shape (S, stop - start + 1, n_x), its row r the
+    lattice row start + r. Rows below a source's own row stay -inf, so every
+    stacked field is bit-identical to the same rows of a one-source run: row
+    i reads only rows below i, and each edge weight only its own row. Each
+    row takes the max over the whole jump fan in one gather of predecessor
+    windows. Memory is S x (stop - start + 1) x n_x float64 plus a
     (fan x S x n_x) row buffer; callers split sources with
     :func:`_source_chunks` to stay within ``STACK_BUDGET_BYTES``.
     """
-    ts, xs, W = _edge_table(model, shape)
-    n_t, n_x = len(ts), len(xs)
+    n_t, n_x = shape
+    stop = n_t - 1 if stop is None else stop
     if sources is None:
-        dist = np.full((n_t, 1, n_x + 2 * _PAD), -np.inf)
-        dist[:, :, _PAD:-_PAD] = 0.0
         start = 0
+        dist = np.full((stop + 1, 1, n_x + 2 * _PAD), -np.inf)
+        dist[:, :, _PAD:-_PAD] = 0.0
     else:
-        dist = np.full((n_t, len(sources), n_x + 2 * _PAD), -np.inf)
-        for k, (i, j) in enumerate(sources):
-            dist[i, k, _PAD + j] = 0.0
         start = min(i for i, _ in sources)
-    windows = sliding_window_view(dist, n_x, axis=2)     # (n_t, S, 2 _PAD + 1, n_x)
-    for i in range(start + 1, n_t):
+        dist = np.full((stop - start + 1, len(sources), n_x + 2 * _PAD), -np.inf)
+        for k, (i, j) in enumerate(sources):
+            dist[i - start, k, _PAD + j] = 0.0
+    _, _, W = _edge_table(model, shape, start, stop)
+    windows = sliding_window_view(dist, n_x, axis=2)     # (rows, S, 2 _PAD + 1, n_x)
+    for i in range(1, stop - start + 1):
         ip = i - _FAN_DI
-        live = ip >= start
+        live = ip >= 0
         e, ip = _FAN_E[live], ip[live]
         w = W[e, ip]
         ok = w > -np.inf
@@ -363,7 +377,7 @@ def _dp_longest(model: ModelSpacetime, shape, sources):
         cand += w[:, None, None]
         row = dist[i, :, _PAD:-_PAD]
         np.maximum(row, cand.max(axis=0), out=row)
-    return ts, xs, np.moveaxis(dist[:, :, _PAD:-_PAD], 1, 0)
+    return W, np.moveaxis(dist[:, :, _PAD:-_PAD], 1, 0)
 
 
 def _source_chunks(shape, sources: list) -> list:
@@ -458,8 +472,10 @@ def time_separations(model: ModelSpacetime, sources, targets,
     :func:`_richardson` and clamped at 0 (a causal pair no lattice path
     reaches gets 0). Each distinct snapped source gets one longest-path field
     per lattice level, shared by all its targets: the sources are stacked in
-    one DP, S x n_t x n_x float64 per level, in chunks of at most
-    ``STACK_BUDGET_BYTES``.
+    one DP, in chunks of at most ``STACK_BUDGET_BYTES``. A chunk's sweep
+    covers only the rows from its lowest source to the highest target row it
+    reads (twice those rows on the fine level), S x rows x n_x float64, with
+    the edge table of those rows alone.
     """
     x = _chart_points(model, sources)
     y = _chart_points(model, targets)
@@ -494,10 +510,12 @@ def time_separations(model: ModelSpacetime, sources, targets,
     for k, sh in enumerate((shape, _fine_shape(shape))):
         m = 2 ** k
         for chunk in _source_chunks(sh, list(reads)):
-            _, _, dist = _dp_longest(model, sh, [(i * m, j * m) for i, j in chunk])
+            start = min(i for i, _ in chunk) * m
+            stop = max(snapped_y[j][0] for node in chunk for _, j in reads[node]) * m
+            _, dist = _dp_longest(model, sh, [(i * m, j * m) for i, j in chunk], stop)
             for node, field in zip(chunk, dist):
                 for i, j in reads[node]:
-                    lattice[k, i, j] = field[snapped_y[j][0] * m, snapped_y[j][1] * m]
+                    lattice[k, i, j] = field[snapped_y[j][0] * m - start, snapped_y[j][1] * m]
     vals = np.maximum(_richardson(*lattice), 0.0)
     for pairs in reads.values():
         for i, j in pairs:
@@ -509,7 +527,8 @@ def time_separation(model: ModelSpacetime, x, y, resolution: int = 257) -> float
     """Time separation l(x, y); -inf sentinel when y is not in J^+(x).
 
     The 1 x 1 case of :func:`time_separations`: on the lattice kinds one
-    longest-path field of n_t x n_x float64 per lattice level for x.
+    longest-path field per lattice level for x, over the rows from x's
+    snapped row to y's.
     """
     return float(time_separations(model, (x,), (y,), resolution)[0, 0])
 
@@ -552,10 +571,13 @@ def lorentz_distance_field(model: ModelSpacetime, o, resolution: int = 257):
         return ts, xs, _flat_separations(o.coords, _node_grid(ts, xs))
     shape = _lattice_shape(model, resolution)
     src = _snap(*_lattice_axes(model, shape), o)
-    _, _, (coarse,) = _dp_longest(model, shape, [src])
-    ts, xs, (fine,) = _dp_longest(model, _fine_shape(shape), [(2 * src[0], 2 * src[1])])
-    field = fine.copy()
-    field[::2, ::2] = _richardson(coarse, fine[::2, ::2])
+    _, (coarse,) = _dp_longest(model, shape, [src])
+    _, (fine,) = _dp_longest(model, _fine_shape(shape), [(2 * src[0], 2 * src[1])])
+    ts, xs = _lattice_axes(model, _fine_shape(shape))
+    # rows below o's own are -inf; the sweeps start at o's row
+    field = np.full((len(ts), len(xs)), -np.inf)
+    field[2 * src[0]:] = fine
+    field[2 * src[0]::2, ::2] = _richardson(coarse, fine[::2, ::2])
     np.maximum(field, 0.0, out=field, where=field > -np.inf)
     return ts, xs, field
 
@@ -633,8 +655,11 @@ def _backtrack(into, dist, source, target):
 
 
 def _lattice_path(ts, xs, W, dist, source, target) -> LatticePath:
-    """Backtrack the maximizer from ``source``'s field ``dist`` to ``target``."""
-    if dist[target] == -np.inf or dist[target] <= 0.0:
+    """Backtrack the maximizer from ``source``'s field ``dist`` to ``target``.
+
+    ``ts``, ``W`` and ``dist`` share one row numbering (a sweep's window, see
+    :func:`_dp_longest`); ``target`` may lie below the window's first row."""
+    if target[0] < source[0] or dist[target] == -np.inf or dist[target] <= 0.0:
         raise NoGeodesicError("endpoints are not chronologically related on the lattice")
 
     path, weights = _backtrack(_jumps_into(W, dist, source, target), dist, source, target)
@@ -647,8 +672,12 @@ def maximizing_paths(model: ModelSpacetime, pairs, resolution: int = 513) -> lis
     """:func:`maximizing_path` for every (x, y) of ``pairs``, in order.
 
     Each distinct snapped source gets one longest-path field, stacked with
-    the others in one DP (S x n_t x n_x float64, in chunks of at most
-    ``STACK_BUDGET_BYTES``), and every pair from it is backtracked there.
+    the others in one DP (in chunks of at most ``STACK_BUDGET_BYTES``), and
+    every pair from it is backtracked there, on the edge table of that sweep.
+    A chunk's sweep covers the rows from its lowest source to its pairs'
+    highest target row, or to its highest source row if that is higher (a
+    target below its source raises :class:`NoGeodesicError`): S x rows x n_x
+    float64.
     """
     ends = [(as_event(x), as_event(y)) for x, y in pairs]
     for x, y in ends:
@@ -656,15 +685,21 @@ def maximizing_paths(model: ModelSpacetime, pairs, resolution: int = 513) -> lis
     if model.kind == "minkowski":
         raise InvalidInputError("flat-chart geodesics are straight; no lattice needed")
     shape = _lattice_shape(model, resolution)
-    ts, xs, W = _edge_table(model, shape)
+    ts, xs = _lattice_axes(model, shape)
     nodes = [(_snap(ts, xs, x), _snap(ts, xs, y)) for x, y in ends]
     paths = [None] * len(nodes)
     for chunk in _source_chunks(shape, list(dict.fromkeys(s for s, _ in nodes))):
-        _, _, dist = _dp_longest(model, shape, chunk)
+        members = set(chunk)
+        mine = [k for k, (source, _) in enumerate(nodes) if source in members]
+        start = min(i for i, _ in chunk)
+        # up to the highest target row, and never below a source's row
+        stop = max(max(nodes[k][0][0], nodes[k][1][0]) for k in mine)
+        W, dist = _dp_longest(model, shape, chunk, stop)
         fields = dict(zip(chunk, dist))
-        for k, (source, target) in enumerate(nodes):
-            if source in fields:
-                paths[k] = _lattice_path(ts, xs, W, fields[source], source, target)
+        for k in mine:
+            (si, sj), (ti, tj) = nodes[k]
+            paths[k] = _lattice_path(ts[start:], xs, W, fields[si, sj],
+                                     (si - start, sj), (ti - start, tj))
     return paths
 
 
@@ -821,6 +856,6 @@ def timelike_diameter(model: ModelSpacetime, resolution: int = 257) -> float:
     if model.kind == "minkowski":
         return t1 - t0          # attained by any constant-space pair
     shape = _lattice_shape(model, resolution)
-    _, _, coarse = _dp_longest(model, shape, None)
-    _, _, fine = _dp_longest(model, _fine_shape(shape), None)
+    _, coarse = _dp_longest(model, shape, None)
+    _, fine = _dp_longest(model, _fine_shape(shape), None)
     return max(float(_richardson(np.max(coarse), np.max(fine))), 0.0)

@@ -127,9 +127,9 @@ def separation_matrix(model: ModelSpacetime, mu: DiscreteMeasure,
 
     On the lattice kinds each distinct source of ``mu`` gets one
     longest-path field per lattice level, shared by all of ``nu``: the
-    sources are stacked in one DP of S x n_t x n_x float64 per level, in
-    chunks of at most ``models.STACK_BUDGET_BYTES`` (see
-    :func:`models.time_separations`).
+    sources are stacked in one DP per level over the rows from the lowest
+    source to the highest target read, in chunks of at most
+    ``models.STACK_BUDGET_BYTES`` (see :func:`models.time_separations`).
     """
     return time_separations(model, mu.support, nu.support, resolution)
 
@@ -262,9 +262,10 @@ def dynamical_coupling(model: ModelSpacetime, plan: Coupling,
                        samples_per_curve: int = 9) -> DynamicalCoupling:
     """One sampled maximizing geodesic per positive plan entry.
 
-    On the lattice kinds the geodesics come from one stacked 513-row field
-    for the plan's distinct carrying sources, whatever resolution the plan
-    was solved at.
+    On the lattice kinds the geodesics come from one stacked sweep of the
+    513-row lattice for the plan's distinct carrying sources, whatever
+    resolution the plan was solved at; it covers only the rows from the
+    lowest carrying source to the highest carried target.
     """
     if not is_timelike_q_dualizable(plan, model):
         raise InvalidInputError("plan carries mass on non-chronological pairs")

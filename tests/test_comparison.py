@@ -531,9 +531,9 @@ class TestBishopGromov:
         passes = []
         dp = M._dp_longest
 
-        def counted(model, shape, sources):
+        def counted(model, shape, sources, stop=None):
             passes.append(shape)
-            return dp(model, shape, sources)
+            return dp(model, shape, sources, stop)
 
         monkeypatch.setattr(M, "_dp_longest", counted)
         cone = lambda p: np.abs(p[..., 1]) <= 0.6 * (p[..., 0] + 1.0)

@@ -516,6 +516,25 @@ def test_sigma_where_the_sine_underflows_is_t(kappa):
         assert tau_coeff(profile, 2.0, t, 5e-324) == pytest.approx(t, rel=1e-15)
 
 
+@pytest.mark.parametrize("theta", [5e-324, 1e-320, 3e-310, 1e-300, 1e-12])
+def test_sigma_at_a_tiny_theta_is_t(theta):
+    # sqrt(max |kappa|) theta < 2^-27: sigma is t to double precision, the
+    # rule const_tau keeps; below the normal range t theta and theta / h lose
+    # their digits, where the sine ratio read 0.0 at 5e-324, 0.29990 at
+    # 1e-320 and 0.30000000000000165 at 3e-310 for t = 0.3
+    profile = profile_const(1.0, 2.0)
+    for t in (0.0, 0.3, 1.0):
+        assert sigma_coeff(profile, t, theta) == t
+        assert D.sigma_coeffs([(profile, t, theta)]) == [t]
+        assert tau_coeff(profile, 2.0, t, theta) == pytest.approx(
+            float(const_tau(1.0, 2.0, t, theta)), rel=1e-15)
+    # the defect bound's sigma at its quadrature nodes: r itself
+    scaled = profile.scaled(0.5)
+    sine = next(D._sines_to([(scaled, theta)]))
+    r = np.linspace(0.0, 1.0, 9)
+    assert D._sigma_profile_values(sine, scaled, theta, r).tobytes() == r.tobytes()
+
+
 def test_sigma_input_validation():
     with pytest.raises(InvalidInputError):
         sigma_coeff(profile_const(1.0), -0.1, 0.5)
@@ -538,7 +557,8 @@ def _outcome(fn, *args):
 
 def _sigma_whole(profile, t, theta):
     """``sigma_coeff`` read off the sine of the whole profile, with its
-    checks, guard and overflow error."""
+    checks, guard and overflow error, and t where theta < 2^-27 and
+    sqrt(max |kappa|) theta < 2^-27 (the rule of ``const_tau``)."""
     if not 0.0 <= t <= 1.0:
         raise InvalidInputError(f"t = {t} outside [0, 1]")
     if not 0.0 <= theta <= profile.length + 1e-12:
@@ -551,7 +571,9 @@ def _sigma_whole(profile, t, theta):
     num, denom = sine(t * theta), sine(theta)
     if not (math.isfinite(num) and math.isfinite(denom)):
         raise D._sine_overflow(profile, theta)
-    return num / denom if denom != 0.0 else float(t)
+    if theta < 2.0 ** -27 and math.sqrt(np.max(np.abs(profile.values))) * theta < 2.0 ** -27:
+        return float(t)
+    return num / denom
 
 
 def _tau_whole(profile, n_param, t, theta):

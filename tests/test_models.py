@@ -119,8 +119,10 @@ class TestLatticeSeparation:
             i = np.sort(rng.choice(np.arange(0, 257, 8), 3, replace=False))
             j = rng.integers(96, 160, 3)
             x, y, z = ((int(a), int(b)) for a, b in zip(i, j))
-            _, _, (from_x, from_y) = M._dp_longest(cw, shape, [x, y])
-            lxy, lyz, lxz = from_x[y], from_y[z], from_x[z]
+            # both fields' rows start at x's row
+            _, (from_x, from_y) = M._dp_longest(cw, shape, [x, y])
+            lxy, lyz, lxz = (field[row - x[0], col]
+                             for field, (row, col) in ((from_x, y), (from_y, z), (from_x, z)))
             if lxy > 0.0 and lyz > 0.0:
                 assert lxz >= lxy + lyz - 1e-9
 
@@ -133,7 +135,8 @@ class TestLatticeSeparation:
         for n in (129, 257, 513):
             shape = _lattice_shape(cw, n)
             source, target = (M._snap(*_lattice_axes(cw, shape), p) for p in pair)
-            vals.append(M._dp_longest(cw, shape, [source])[2][0][target])
+            field = M._dp_longest(cw, shape, [source])[1][0]
+            vals.append(field[target[0] - source[0], target[1]])
         assert vals[0] <= vals[1] + 1e-12
         assert vals[1] <= vals[2] + 1e-12
         assert abs(vals[2] - vals[1]) <= 1e-3
@@ -185,6 +188,16 @@ class TestGeodesics:
         with pytest.raises(NoGeodesicError):
             M.maximizing_path(dc, (0.0, -0.9), (0.05, 0.9), resolution=129)
 
+    def test_a_target_below_its_source_has_no_geodesic(self):
+        # the sweep stops at the source's row, and starts at the lowest
+        # source's: a target below it lies outside the swept rows
+        dc = M.double_cone_kink()
+        with pytest.raises(NoGeodesicError):
+            M.maximizing_path(dc, (0.5, 0.0), (-0.5, 0.0), resolution=129)
+        with pytest.raises(NoGeodesicError):
+            M.maximizing_paths(dc, [((-0.9, 0.0), (0.9, 0.0)), ((0.5, 0.0), (-0.95, 0.0))],
+                               resolution=129)
+
 
 LATTICE_MODELS = {"desitter": M.desitter_like(), "kinked": M.kinked_slab()}
 
@@ -203,13 +216,33 @@ class TestStackedFields:
         rows = data.draw(st.lists(st.integers(0, shape[0] - 1), min_size=2,
                                   max_size=4, unique=True))
         sources = [(i, data.draw(st.integers(0, shape[1] - 1))) for i in rows]
-        ts, xs, stacked = M._dp_longest(model, shape, sources)
+        start = min(rows)
+        swept, stacked = M._dp_longest(model, shape, sources)
         _, _, W = M._edge_table(model, shape)
-        assert stacked.shape == (len(sources),) + shape
+        # the fields and the table the sweep read start at the lowest source row
+        assert stacked.shape == (len(sources), shape[0] - start, shape[1])
+        assert swept.tobytes() == W[:, start:-1].tobytes()
         for field, source in zip(stacked, sources):
             want = dp_longest_loop(W, M._FAN, *shape, source)
-            assert np.array_equal(field, want)
-            assert np.array_equal(M._dp_longest(model, shape, [source])[2][0], want)
+            assert np.array_equal(field, want[start:])
+            assert np.array_equal(M._dp_longest(model, shape, [source])[1][0], want[source[0]:])
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_MODELS))
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_sweep_to_a_stop_row_is_the_head_of_the_full_sweep(self, name, data):
+        model = LATTICE_MODELS[name]
+        shape = _lattice_shape(model, 33)
+        rows = data.draw(st.lists(st.integers(0, shape[0] - 1), min_size=2,
+                                  max_size=4, unique=True))
+        sources = [(i, data.draw(st.integers(0, shape[1] - 1))) for i in rows]
+        start = min(rows)
+        stop = data.draw(st.integers(max(rows), shape[0] - 1))
+        W, head = M._dp_longest(model, shape, sources, stop)
+        W_full, full = M._dp_longest(model, shape, sources)
+        assert head.shape == (len(sources), stop - start + 1, shape[1])
+        assert head.tobytes() == np.ascontiguousarray(full[:, :stop - start + 1]).tobytes()
+        assert W.tobytes() == W_full[:, :stop - start].tobytes()
 
     @pytest.mark.parametrize("name", sorted(LATTICE_MODELS))
     @pytest.mark.parametrize("budget", [M.STACK_BUDGET_BYTES, 1],
@@ -258,9 +291,9 @@ class TestStackedFields:
         passes = []
         dp = M._dp_longest
 
-        def counted(model, shape, sources):
+        def counted(model, shape, sources, stop=None):
             passes.append((shape[0], None if sources is None else len(sources)))
-            return dp(model, shape, sources)
+            return dp(model, shape, sources, stop)
 
         monkeypatch.setattr(M, "_dp_longest", counted)
         half = np.array([0.5, 0.5])
@@ -271,6 +304,39 @@ class TestStackedFields:
                                       tolerance=1e-2, resolution=129)
         assert rep.passed
         assert passes == [(129, 2), (257, 2), (513, 2)]
+
+    def test_lattice_tcd_sweeps_only_the_rows_it_reads(self, monkeypatch):
+        # the sources sit on rows 89/129, 178/257 and 355/513 and the
+        # targets on rows 114, 228 and 454: each pass builds one edge table,
+        # of the rows its sweep leaves, and sweeps from the source row to the
+        # target row
+        from lorentz_synth.comparison import check_tcd_semiconvexity
+        from lorentz_synth.transport import DiscreteMeasure
+
+        tables, sweeps = [], []
+        table, dp = M._edge_table, M._dp_longest
+
+        def counted_table(model, shape, lo=0, hi=None):
+            tables.append((shape[0], lo, hi))
+            return table(model, shape, lo, hi)
+
+        def counted_sweep(model, shape, sources, stop=None):
+            W, dist = dp(model, shape, sources, stop)
+            start = min(i for i, _ in sources)
+            sweeps.append((shape[0], start, start + dist.shape[1] - 1))
+            return W, dist
+
+        monkeypatch.setattr(M, "_edge_table", counted_table)
+        monkeypatch.setattr(M, "_dp_longest", counted_sweep)
+        half = np.array([0.5, 0.5])
+        mu0 = DiscreteMeasure(((0.6, -0.075), (0.6, 0.075)), half)
+        mu1 = DiscreteMeasure(((1.2, -0.075), (1.2, 0.075)), half)
+        rep = check_tcd_semiconvexity(M.desitter_like(x_half=0.5), mu0, mu1,
+                                      1.0, 2.0, 0.5, (0.25, 0.5, 0.75),
+                                      tolerance=1e-2, resolution=129)
+        assert rep.passed
+        assert sweeps == [(129, 89, 114), (257, 178, 228), (513, 355, 454)]
+        assert tables == [(129, 89, 114), (257, 178, 228), (513, 355, 454)]
 
 
 EDGE_MODELS = {"desitter": M.desitter_like, "cosh": M.cosh_warp_model,
@@ -299,6 +365,15 @@ class TestBatchedLatticeSteps:
         got = M._edge_table(model, shape)
         want = edge_table_per_jump(model, shape)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        # windows of rows: one row at each end and inside, where a group of
+        # one time step has a single row, the rows of every step's last
+        # jumps, and an empty window
+        n = shape[0]
+        for lo, hi in [(0, 1), (0, n // 2), (n // 3, n // 3 + 1), (n // 3, 2 * n // 3),
+                       (n - 17, n), (n - 17, n - 9), (n - 2, n - 1), (n - 1, n), (n, n)]:
+            _, _, W = M._edge_table(model, shape, lo, hi)
+            assert W.shape == (len(M._FAN), hi - lo)
+            assert W.tobytes() == want[2][:, lo:hi].tobytes()
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -310,9 +385,11 @@ class TestBatchedLatticeSteps:
         shape = _lattice_shape(model, data.draw(st.sampled_from([5, 17, 33, 65])))
         ts, xs, W = M._edge_table(model, shape)
         assert W.tobytes() == edge_table_per_jump(model, shape)[2].tobytes()
-        source = (data.draw(st.integers(0, shape[0] - 2)),
+        i0, j0 = (data.draw(st.integers(0, shape[0] - 2)),
                   data.draw(st.integers(0, shape[1] - 1)))
-        _, _, (dist,) = M._dp_longest(model, shape, [source])
+        # the sweep's rows, and the rows of its table, start at the source's
+        W, (dist,) = M._dp_longest(model, shape, [(i0, j0)])
+        ts, source = ts[i0:], (0, j0)
         reached = np.argwhere(dist > 0.0)
         assume(len(reached) > 0)
         target = tuple(int(c) for c in reached[data.draw(st.integers(0, len(reached) - 1))])
@@ -330,9 +407,10 @@ class TestBatchedLatticeSteps:
     ], ids=["mirror-maximizers", "comoving", "oblique"])
     def test_paths_on_the_focusing_kink_equal_the_per_jump_loop(self, pair):
         model = M.double_cone_kink()
-        ts, xs, W = M._edge_table(model, _lattice_shape(model, 257))
+        shape = _lattice_shape(model, 257)
+        ts, xs, W = M._edge_table(model, shape)
         source, target = (M._snap(ts, xs, M.as_event(p)) for p in pair)
-        _, _, (dist,) = M._dp_longest(model, _lattice_shape(model, 257), [source])
+        dist = dp_longest_loop(W, M._FAN, *shape, source)
         got = M.maximizing_path(model, *pair, resolution=257)
         assert_same_path(got, lattice_path_per_jump(ts, xs, W, dist, source, target))
 
