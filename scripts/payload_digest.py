@@ -16,7 +16,9 @@ one ``lattice-probe`` line: the sha256 of lattice separation matrices and
 lattice geodesics (see :func:`lattice_probe`), and ``grid-probe-1+1`` and
 ``grid-probe-2+1`` lines: the sha256 of the curvature of a tilted 1+1 and a
 general 2+1 grid (see :func:`grid_probe`), whose bits no output shows
-either. Two source trees whose
+either, and one ``grid-deficit-probe`` line: the sha256 of the deficit
+curves of that 1+1 grid, which varies along every axis, so the deficit
+runs at full width (see :func:`grid_deficit_probe`). Two source trees whose
 outputs agree byte for byte print the same lines, so a refactor is checked
 with
 
@@ -155,16 +157,11 @@ def lattice_probe() -> str:
     return digest.hexdigest()
 
 
-def grid_probe(dims: int) -> str:
-    """sha256 of the Christoffel symbols, the Ricci and Bakry-Emery tensors
-    (N = dims + 0.5) and the cone-scan lower bound k of a smooth chart,
-    mollified at 4 grid steps and cone-narrowed: on 65 x 49 nodes of
-    [-1, 1] x [0, 1] for dims = 2, with g_01 = 0.1 sin(2x + t); on 17 x 21 x
-    19 nodes of [-1, 1] x [0, 1]^2 for dims = 3, where every coefficient
-    varies and no off-diagonal entry vanishes; log-density 0.4 t x. The
-    default runs have only warped 1+1 grids (g_01 = 0), so no output file
-    moves with the bits of a tilted 1+1 grid or of a 2+1 grid; this line
-    does."""
+def probe_grid(dims: int):
+    """The smooth chart of :func:`grid_probe`: on 65 x 49 nodes of [-1, 1] x
+    [0, 1] for dims = 2, with g_01 = 0.1 sin(2x + t); on 17 x 21 x 19 nodes
+    of [-1, 1] x [0, 1]^2 for dims = 3, where every coefficient varies and no
+    off-diagonal entry vanishes; log-density 0.4 t x."""
     sys.path.insert(0, str(SRC))
     import numpy as np
     from lorentz_synth import lipschitz_grid as L
@@ -183,8 +180,21 @@ def grid_probe(dims: int) -> str:
         return g
 
     shape = (65, 49) if dims == 2 else (17, 21, 19)
-    grid = L.metric_grid(fn, ((-1.0, 1.0),) + ((0.0, 1.0),) * (dims - 1), shape,
+    return L.metric_grid(fn, ((-1.0, 1.0),) + ((0.0, 1.0),) * (dims - 1), shape,
                          weight=lambda p: 0.4 * p[..., 0] * p[..., 1])
+
+
+def grid_probe(dims: int) -> str:
+    """sha256 of the Christoffel symbols, the Ricci and Bakry-Emery tensors
+    (N = dims + 0.5) and the cone-scan lower bound k of :func:`probe_grid`,
+    mollified at 4 grid steps and cone-narrowed. The default runs have only
+    warped 1+1 grids (g_01 = 0), so no output file moves with the bits of a
+    tilted 1+1 grid or of a 2+1 grid; this line does."""
+    sys.path.insert(0, str(SRC))
+    import numpy as np
+    from lorentz_synth import lipschitz_grid as L
+
+    grid = probe_grid(dims)
     smooth = L.mollify(grid, 4.0 * max(grid.spacing))
     narrowed = L.cone_narrowed(smooth, L.narrowing_constant(smooth))
     field = L.bakry_emery(narrowed, dims + 0.5)
@@ -193,6 +203,22 @@ def grid_probe(dims: int) -> str:
                    L.timelike_lower_bound_fn(field, narrowed)):
         digest.update(np.ascontiguousarray(values).tobytes())
     return digest.hexdigest()
+
+
+def grid_deficit_probe() -> str:
+    """sha256 of ``lp_deficit_curves`` on the 1+1 :func:`probe_grid` for K in
+    (0, 0.3), p in (1, 2), radii 0.25 and 0.125 and N = 2.5. The default
+    runs' grids do not vary along x, so their deficits are computed on one
+    column; this grid varies along both axes, so this line digests the
+    deficit path at full width."""
+    sys.path.insert(0, str(SRC))
+    import numpy as np
+    from lorentz_synth import lipschitz_grid as L
+
+    grid = probe_grid(2)
+    curves = [L.lp_deficit_curves(grid, K, [1.0, 2.0], [0.25, 0.125], 2.5)
+              for K in (0.0, 0.3)]
+    return hashlib.sha256(np.array(curves).tobytes()).hexdigest()
 
 
 def main() -> int:
@@ -216,6 +242,7 @@ def main() -> int:
     print(f"{lattice_probe()}  lattice-probe", flush=True)
     for dims in (2, 3):
         print(f"{grid_probe(dims)}  grid-probe-{dims - 1}+1", flush=True)
+    print(f"{grid_deficit_probe()}  grid-deficit-probe", flush=True)
     return 0
 
 

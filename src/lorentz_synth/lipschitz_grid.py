@@ -9,7 +9,8 @@ convolution with a compactly supported bump before any curvature is read off:
   down to 1, edge values repeated past the ends: the summation order of
   ``scipy.ndimage.convolve1d(mode="nearest")`` for a symmetric kernel, so the
   smoothed grid has the same bits as with scipy (which the tests use as the
-  reference; the package itself needs only numpy here);
+  reference; the package itself needs only numpy here), each plane on one
+  line of every axis along which it is invariant;
 * ``cone_narrowed`` -- g - c dt (x) dt, shrinking the timelike cones;
 * ``christoffels`` / ``ricci`` / ``bakry_emery`` -- central finite differences
   (4th order, so the truncation error stays far below the mollification-scale
@@ -39,7 +40,10 @@ convolution with a compactly supported bump before any curvature is read off:
   schedule for every p in a list, the quantitative track of curvature bounds
   surviving smoothing; k is scanned once per radius and read by every p
   (``lp_deficit_curve`` is the one-p case). A schedule whose largest
-  radius leaves no node to integrate over is rejected.
+  radius leaves no node to integrate over is rejected. Every stage runs on
+  the grid cut to one node along each axis on which it is invariant (x on
+  warped grids), with the bits of the full width; the validity masks stay
+  full-shape, and k and the measure weights are broadcast back.
 
 Derivatives at a node use neighbors up to 4 steps away; every operation
 records which nodes remain trustworthy in the ``valid`` mask instead of
@@ -267,27 +271,62 @@ def _and_window(valid: np.ndarray, r: int, axis: int) -> np.ndarray:
     return np.moveaxis(falses[2 * r + 1:] == falses[:len(v)], 0, axis)
 
 
+def _first(a: np.ndarray, axes) -> np.ndarray:
+    """The view of ``a`` at the first node of each of ``axes``, each kept as
+    an axis of width 1."""
+    index = [slice(None)] * a.ndim
+    for ax in axes:
+        index[ax] = slice(0, 1)
+    return a[tuple(index)]
+
+
+def _invariant(a: np.ndarray, axis: int) -> bool:
+    """Whether ``a`` holds the same bits at every node along ``axis``: +0.0
+    and -0.0 count as different."""
+    head = _first(a, (axis,))
+    return bool((a == head).all() and (np.signbit(a) == np.signbit(head)).all())
+
+
+def _invariant_axes(grid: MetricGrid) -> tuple:
+    """The axes along which every coefficient plane and the weight of
+    ``grid`` are invariant (``_invariant``)."""
+    return tuple(ax for ax in range(len(grid.shape))
+                 if _invariant(grid.nodes, ax) and _invariant(grid.weight_nodes, ax))
+
+
 def _smoothed(a: np.ndarray, kern: np.ndarray, axis: int) -> np.ndarray:
-    """``_convolved``, except that an array whose entries all have the same
-    bits (g01 = 0 and g00 = 1 on warped charts, a zero weight) is convolved
-    at one node and broadcast: every node adds the same values in the same
-    order, so each gets those bits. +0.0 and -0.0 count as different."""
-    c = a.flat[0]
-    if (a == c).all() and (np.signbit(a) == np.signbit(c)).all():
-        return np.full(a.shape, _convolved(np.array([c]), kern, 0)[0])
-    return _convolved(a, kern, axis)
+    """``_convolved`` of ``a`` cut to its first node along every axis on which
+    it is invariant, broadcast back: each line along ``axis`` adds the same
+    values in the same order as at full width, so every node gets the same
+    bits (g00 and g01 of warped grids are convolved at one node)."""
+    axes = [ax for ax in range(a.ndim) if _invariant(a, ax)]
+    out = _convolved(_first(a, axes), kern, axis)
+    return np.broadcast_to(out, a.shape).copy() if axes else out
 
 
-def mollify(grid: MetricGrid, eps: float) -> MetricGrid:
+def _and_windows(valid: np.ndarray, radii) -> np.ndarray:
+    """``_and_window`` along every axis, ``radii[ax]`` steps along axis ax."""
+    for ax, r in enumerate(radii):
+        valid = _and_window(valid, r, ax)
+    return valid
+
+
+def mollify(grid: MetricGrid, eps: float, axes: Sequence[int] = ()) -> MetricGrid:
     """Convolve every coefficient and the weight with a smooth bump of radius
     eps; the boundary band the kernel cannot see is marked invalid. The
-    smoothed grid is built as a ``MetricGrid``, which checks its signature."""
+    smoothed grid is built as a ``MetricGrid``, which checks its signature.
+
+    With ``axes``, along which ``grid`` must be invariant
+    (``_invariant_axes``), both grids are cut to their first node along
+    each, and the mask, taken at full width, is reduced by ``any`` along
+    them: each node stands for its line, so every check and bound is a max
+    over the same values as at full width."""
     if eps < 2.0 * max(grid.spacing):
         raise InvalidInputError("kernel radius below twice the grid spacing")
-    nodes = grid.nodes.copy()
-    w, valid = grid.weight_nodes, grid.valid
-    for ax, h in enumerate(grid.spacing):
-        r = int(math.floor(eps / h))
+    radii = [int(math.floor(eps / h)) for h in grid.spacing]
+    rough, rough_w = _first(grid.nodes, axes), _first(grid.weight_nodes, axes)
+    nodes, w = rough.copy(), rough_w
+    for ax, (h, r) in enumerate(zip(grid.spacing, radii)):
         kern = _bump_kernel(r, h, eps)
         for i in range(grid.dims):
             for j in range(i, grid.dims):
@@ -295,11 +334,12 @@ def mollify(grid: MetricGrid, eps: float) -> MetricGrid:
                 nodes[..., i, j] = sm
                 nodes[..., j, i] = sm
         w = _smoothed(w, kern, ax)
-        valid = _and_window(valid, r, ax)
+    valid = _and_windows(grid.valid, radii)
     if not np.any(valid):
         raise InvalidInputError("kernel radius leaves no interior nodes")
-    sup_err = max(float(np.max(np.abs(nodes - grid.nodes)[valid])),
-                  float(np.max(np.abs(w - grid.weight_nodes)[valid])))
+    valid = np.any(valid, axis=tuple(axes), keepdims=True)
+    sup_err = max(float(np.max(np.abs(nodes - rough)[valid])),
+                  float(np.max(np.abs(w - rough_w)[valid])))
     lip = max(_fd_sup_quotient(nodes, grid.spacing, len(grid.shape)),
               _fd_sup_quotient(w, grid.spacing, len(grid.shape)))
     return MetricGrid(grid.spacing, grid.origin, nodes, w, valid, lip, sup_err)
@@ -436,13 +476,6 @@ def _gradient(f: np.ndarray, spacing) -> np.ndarray:
     return np.stack([_d1(f, k, h) for k, h in enumerate(spacing)])
 
 
-def _eroded(valid: np.ndarray, margin: int) -> np.ndarray:
-    out = valid
-    for ax in range(valid.ndim):
-        out = _and_window(out, margin, ax)
-    return out
-
-
 @dataclass(frozen=True)
 class CurvatureField:
     """Per-node curvature tensors; entries outside ``valid`` are garbage.
@@ -461,7 +494,8 @@ class CurvatureField:
 
 def _field(grid: MetricGrid, gamma: np.ndarray, ric: np.ndarray | None = None):
     """A ``CurvatureField`` of component-major planes, shown node-major."""
-    return CurvatureField(grid, _eroded(grid.valid, CURV_MARGIN), _node_major(gamma, 3),
+    valid = _and_windows(grid.valid, [CURV_MARGIN] * len(grid.shape))
+    return CurvatureField(grid, valid, _node_major(gamma, 3),
                           None if ric is None else _node_major(ric, 2))
 
 
@@ -640,7 +674,8 @@ def lp_deficit_curves(grid: MetricGrid, K: float, p_list: Sequence[float],
     """For each mollification radius: smooth, narrow cones, rebuild the
     curvature, scan k once, and integrate |(k - K)_-|^p for every p over one
     fixed interior region (the validity region of the largest radius), which
-    must hold a node.
+    must hold a node. Each node stands for its line along every invariant
+    axis (``_invariant_axes``); the masks and sums are taken at full width.
 
     Returns one curve per p, in the order of ``p_list``: a list of
     (eps, deficit) pairs."""
@@ -651,23 +686,30 @@ def lp_deficit_curves(grid: MetricGrid, K: float, p_list: Sequence[float],
         raise InvalidInputError("kernel radius below twice the grid spacing")
     if len(p_list) == 0:
         raise InvalidInputError("need at least one exponent p")
+    axes = _invariant_axes(grid)
     curves = [[] for _ in p_list]
     region = None
     for eps in eps_list:
-        sm = mollify(grid, eps)
+        sm = mollify(grid, eps, axes)
         narrowed = cone_narrowed(sm, narrowing_constant(sm))
         field = bakry_emery(narrowed, n_param)
+        # the stencils' mask at full width, where an axis of width 1 would put
+        # every node next to an end: the kernel's window of r steps and the
+        # stencils' margin make one window of r + CURV_MARGIN steps
+        valid = _and_windows(grid.valid, [int(math.floor(eps / h)) + CURV_MARGIN
+                                          for h in grid.spacing])
+        field = replace(field, valid=np.any(valid, axis=axes, keepdims=True))
         if region is None:
-            region = field.valid
+            region = valid
             if not np.any(region):
                 raise InvalidInputError("the curvature stencils leave no interior nodes "
                                         "at the largest kernel radius")
         # the weights need the smoothed grid, the cone scan does not: freed
         # before the scan (the run's memory peak), and this radius' grids and
         # tensors before the next radius is smoothed
-        weights = _measure_weights(sm)[region]
+        weights = np.broadcast_to(_measure_weights(sm), grid.shape)[region]
         del sm
-        k = timelike_lower_bound_fn(field, narrowed)
+        k = np.broadcast_to(timelike_lower_bound_fn(field, narrowed), grid.shape)
         del narrowed, field
         shortfall = np.clip(K - k[region], 0.0, None)
         for p, curve in zip(p_list, curves):

@@ -751,3 +751,72 @@ def signature_eigvalsh(nodes, mask):
     top = np.maximum(-eig[:, 0], eig[:, -1])
     low = np.minimum(-eig[:, -2], eig[:, -1])
     return float(np.max(top / low))
+
+
+# --- curvature deficit curves at full width -------------------------------------
+
+def mollify_full(grid, eps):
+    """``lipschitz_grid.mollify`` with every coefficient plane and the weight
+    convolved at full width by ``scipy.ndimage.convolve1d(mode="nearest")``
+    and the mask eroded by ``minimum_filter1d``: no plane is cut along an
+    axis on which it is invariant."""
+    from scipy import ndimage
+    from lorentz_synth import lipschitz_grid as L
+    from lorentz_synth.errors import InvalidInputError
+
+    if eps < 2.0 * max(grid.spacing):
+        raise InvalidInputError("kernel radius below twice the grid spacing")
+    nodes = grid.nodes.copy()
+    w, valid = grid.weight_nodes, grid.valid
+    for ax, h in enumerate(grid.spacing):
+        r = int(math.floor(eps / h))
+        kern = L._bump_kernel(r, h, eps)
+        for i in range(grid.dims):
+            for j in range(i, grid.dims):
+                sm = ndimage.convolve1d(nodes[..., i, j], kern, axis=ax, mode="nearest")
+                nodes[..., i, j] = sm
+                nodes[..., j, i] = sm
+        w = ndimage.convolve1d(w, kern, axis=ax, mode="nearest")
+        valid = ndimage.minimum_filter1d(valid.astype(np.uint8), 2 * r + 1, axis=ax,
+                                         mode="constant", cval=0).astype(bool)
+    if not np.any(valid):
+        raise InvalidInputError("kernel radius leaves no interior nodes")
+    sup_err = max(float(np.max(np.abs(nodes - grid.nodes)[valid])),
+                  float(np.max(np.abs(w - grid.weight_nodes)[valid])))
+    lip = max(L._fd_sup_quotient(nodes, grid.spacing, len(grid.shape)),
+              L._fd_sup_quotient(w, grid.spacing, len(grid.shape)))
+    return L.MetricGrid(grid.spacing, grid.origin, nodes, w, valid, lip, sup_err)
+
+
+def lp_deficit_curves_full(grid, K, p_list, eps_list, n_param):
+    """``lipschitz_grid.lp_deficit_curves`` on full-width arrays, the grid
+    smoothed by ``mollify_full``: every radius smooths, narrows, rebuilds the
+    Bakry-Emery tensor and scans k at every node, and integrates over the
+    validity region of the largest radius."""
+    from lorentz_synth import lipschitz_grid as L
+    from lorentz_synth.errors import InvalidInputError
+
+    eps_list = [float(e) for e in eps_list]
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise InvalidInputError("radii must be strictly decreasing")
+    if any(e < 2.0 * max(grid.spacing) for e in eps_list):
+        raise InvalidInputError("kernel radius below twice the grid spacing")
+    if len(p_list) == 0:
+        raise InvalidInputError("need at least one exponent p")
+    curves = [[] for _ in p_list]
+    region = None
+    for eps in eps_list:
+        sm = mollify_full(grid, eps)
+        narrowed = L.cone_narrowed(sm, L.narrowing_constant(sm))
+        field = L.bakry_emery(narrowed, n_param)
+        if region is None:
+            region = field.valid
+            if not np.any(region):
+                raise InvalidInputError("the curvature stencils leave no interior nodes "
+                                        "at the largest kernel radius")
+        weights = L._measure_weights(sm)[region]
+        k = L.timelike_lower_bound_fn(field, narrowed)
+        shortfall = np.clip(K - k[region], 0.0, None)
+        for p, curve in zip(p_list, curves):
+            curve.append((eps, float(np.sum(shortfall ** p * weights))))
+    return curves

@@ -14,7 +14,8 @@ from lorentz_synth.errors import DegenerateMetricError, InvalidInputError
 from lorentz_synth.lipschitz_grid import _ricci_arrays
 
 from oracles import (bakry_emery_einsum, christoffel_einsum, cone_scan_einsum, d1_roll,
-                     d2_roll, ricci_einsum, signature_eigvalsh, too_ill_conditioned_svd)
+                     d2_roll, lp_deficit_curves_full, mollify_full, ricci_einsum,
+                     signature_eigvalsh, too_ill_conditioned_svd)
 
 
 def kinked_grid(shape=(1025, 129)):
@@ -59,6 +60,39 @@ def general_grid(dims, shape):
 
     bounds = ((-1.0, 1.0),) + ((0.0, 1.0),) * (dims - 1)
     return L.metric_grid(fn, bounds, shape, weight=lambda p: 0.4 * p[..., 0] * p[..., 1])
+
+
+def signature_loss_grid():
+    """A chart that varies in t alone, whose oscillating off-diagonal
+    coefficient keeps det = -delta pointwise; smoothing replaces b^2 by its
+    average, and the determinant flips at valid nodes."""
+    def fn(pts):
+        b = np.sin(40.0 * pts[..., 0])
+        g = np.zeros(pts.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 1.0
+        g[..., 0, 1] = g[..., 1, 0] = b
+        g[..., 1, 1] = b ** 2 - 0.05
+        return g
+
+    return L.metric_grid(fn, ((0, 2), (0, 1)), (513, 17))
+
+
+def near_singular_grid(shape):
+    """A chart with g = diag(1, -1e-13): condition number 1e13, past
+    ``COND_LIMIT``."""
+    def fn(pts):
+        g = np.zeros(pts.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = -1e-13
+        return g
+
+    return L.metric_grid(fn, ((0, 1), (0, 1)), shape)
+
+
+def kink_columns(columns):
+    """A convex kink on 257 x ``columns`` nodes, x-spacing 1/64."""
+    return L.warped_grid(lambda t: 1.0 + 0.25 * np.abs(t), (-2.0, 2.0),
+                         (0.0, (columns - 1) / 64.0), (257, columns))
 
 
 class TestMetricGrid:
@@ -198,20 +232,8 @@ class TestMollify:
         assert len(seen) == 2
 
     def test_signature_loss_is_reported(self):
-        # an oscillating off-diagonal coefficient keeps det = -delta pointwise,
-        # but smoothing replaces b^2 by its average and the determinant flips
-        def fn(pts):
-            b = np.sin(40.0 * pts[..., 0])
-            g = np.zeros(pts.shape[:-1] + (2, 2))
-            g[..., 0, 0] = 1.0
-            g[..., 0, 1] = b
-            g[..., 1, 0] = b
-            g[..., 1, 1] = b ** 2 - 0.05
-            return g
-
-        g = L.metric_grid(fn, ((0, 2), (0, 1)), (513, 17))
         with pytest.raises(DegenerateMetricError):
-            L.mollify(g, 0.3)
+            L.mollify(signature_loss_grid(), 0.3)
 
 
 # values with both zeros, subnormals and mixed signs, small enough that no sum
@@ -282,8 +304,35 @@ class TestFilterReplicas:
         for plane in planes:
             want = ndimage.convolve1d(plane, kern, axis=0, mode="nearest")
             assert L._smoothed(plane, kern, 0).tobytes() == want.tobytes()
-        assert seen == [(1,), (1,), (1,), (9, 5), (9, 5)]
+        assert seen == [(1, 1), (1, 1), (1, 1), (9, 5), (9, 5)]
         assert np.all(np.signbit(L._smoothed(planes[1], kern, 0)))
+
+    @given(case=_filter_case(float, _FILTER_VALUES), data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_planes_are_convolved_on_one_line_of_each_invariant_axis(self, case, data):
+        from scipy import ndimage
+
+        a, axis, r = case
+        # repeat the first line along a drawn set of axes, so that the plane
+        # is invariant along them, with or without one entry flipped in sign
+        for ax in data.draw(st.sets(st.integers(0, a.ndim - 1))):
+            a = np.repeat(np.take(a, [0], axis=ax), a.shape[ax], axis=ax)
+        if data.draw(st.booleans()):
+            a = a.copy()
+            a.flat[data.draw(st.integers(0, a.size - 1))] *= -1.0
+        bits = a.view(np.int64)
+        want_shape = tuple(1 if (bits == np.take(bits, [0], axis=ax)).all() else n
+                           for ax, n in enumerate(a.shape))
+        seen = []
+        conv = L._convolved
+        kern = L._bump_kernel(r, 0.1, (r + 0.5) * 0.1)
+        want = ndimage.convolve1d(a, kern, axis=axis, mode="nearest")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(L, "_convolved",
+                       lambda x, kern, ax: seen.append(x.shape) or conv(x, kern, ax))
+            got = L._smoothed(a, kern, axis)
+        assert got.tobytes() == want.tobytes() and got.flags.writeable
+        assert seen == [want_shape]
 
     @pytest.mark.parametrize("grid", [
         kinked_grid((257, 33)),
@@ -663,15 +712,8 @@ class TestCurvature:
         assert np.array_equal(f.christoffel[..., :, 0, 1], f.christoffel[..., :, 1, 0])
 
     def test_near_singular_nodes_are_rejected(self):
-        def fn(pts):
-            g = np.zeros(pts.shape[:-1] + (2, 2))
-            g[..., 0, 0] = 1.0
-            g[..., 1, 1] = -1e-13
-            return g
-
-        g = L.metric_grid(fn, ((0, 1), (0, 1)), (9, 9))
         with pytest.raises(DegenerateMetricError):
-            L.christoffels(g)
+            L.christoffels(near_singular_grid((9, 9)))
 
     def test_flat_ricci_vanishes(self):
         g = L.minkowski_grid(((0, 1), (-1, 1)), (65, 65))
@@ -896,16 +938,12 @@ class TestDeficitCurve:
             L.lp_deficit_curves(g, 0.0, [], [0.5, 0.25], 2.0)
 
     def test_an_empty_region_is_rejected(self):
-        # a convex kink on x-spacing 1/64: the radius-0.2 kernel keeps the
-        # middle column of 25 and the curvature stencils none, which read as
-        # a deficit of 0 at every radius; 41 columns keep 9
-        def kink(columns):
-            return L.warped_grid(lambda t: 1.0 + 0.25 * np.abs(t), (-2.0, 2.0),
-                                 (0.0, (columns - 1) / 64.0), (257, columns))
-
+        # the radius-0.2 kernel keeps the middle column of 25 and the
+        # curvature stencils none, which read as a deficit of 0 at every
+        # radius; 41 columns keep 9
         with pytest.raises(InvalidInputError, match="no interior nodes"):
-            L.lp_deficit_curves(kink(25), 0.0, [1.0, 2.0], [0.2, 0.1], 2.0)
-        curves = L.lp_deficit_curves(kink(41), 0.0, [1.0, 2.0], [0.2, 0.1], 2.0)
+            L.lp_deficit_curves(kink_columns(25), 0.0, [1.0, 2.0], [0.2, 0.1], 2.0)
+        curves = L.lp_deficit_curves(kink_columns(41), 0.0, [1.0, 2.0], [0.2, 0.1], 2.0)
         assert all(d > 0.0 for curve in curves for _, d in curve)
 
     def test_schedule_validation(self):
@@ -914,3 +952,107 @@ class TestDeficitCurve:
             L.lp_deficit_curve(g, 0.0, 2.0, [0.1, 0.2], 2.0)
         with pytest.raises(InvalidInputError):
             L.lp_deficit_curve(g, 0.0, 2.0, [0.2, 0.01], 2.0)
+
+
+def one_ulp_off(grid, plane, index, toward):
+    """``grid`` with one entry moved by one ulp toward ``toward``: the
+    diagonal coefficient ``plane`` at ``index``, or the weight there if
+    ``plane`` is None. A grid of more than one node on each axis then has no
+    invariant axis."""
+    nodes, w = grid.nodes.copy(), grid.weight_nodes.copy()
+    if plane is None:
+        w[index] = np.nextafter(w[index], toward)
+    else:
+        entry = tuple(index) + (plane, plane)
+        nodes[entry] = np.nextafter(nodes[entry], toward)
+    return L.MetricGrid(grid.spacing, grid.origin, nodes, w, grid.valid, grid.lipschitz_bound)
+
+
+@st.composite
+def _deficit_case(draw):
+    """(grid, K, p_list, eps_list, N, moved): a kinked grid of either slope
+    sign, a cosh-warped grid with a log-density in t, or a 2+1 Minkowski
+    grid, each invariant along x (the Minkowski grid along every axis); and
+    ``moved``, whether one node of one plane was moved by one ulp."""
+    chart = draw(st.sampled_from(["kinked", "weighted-warp", "minkowski-2+1"]))
+    if chart == "kinked":
+        slope = draw(st.floats(-0.45, 0.45))
+        grid = L.warped_grid(lambda t: 1.0 - slope * np.abs(t), (-2.0, 2.0), (0.0, 2.0),
+                             (129, 33))
+        eps, n_param = [0.5, 0.25], 2.0
+    elif chart == "weighted-warp":
+        c = draw(st.floats(-1.0, 1.0))
+        grid = L.warped_grid(np.cosh, (-1.0, 1.0), (0.0, 1.0), (65, 33),
+                             weight=lambda t: c * t ** 2 + 0.1 * t)
+        eps, n_param = [0.25, 0.125], draw(st.sampled_from([2.5, 3.0]))
+    else:
+        grid = L.minkowski_grid(((0.0, 1.0),) * 3, (33, 17, 17))
+        eps, n_param = [0.2, 0.125], draw(st.sampled_from([3.0, 3.5]))
+    moved = draw(st.booleans())
+    if moved:
+        index = tuple(draw(st.integers(0, n - 1)) for n in grid.shape)
+        plane = draw(st.sampled_from([None] + list(range(grid.dims))))
+        grid = one_ulp_off(grid, plane, index, draw(st.sampled_from([-np.inf, np.inf])))
+    K = draw(st.sampled_from([0.0, 0.3, -0.5]))
+    p_list = draw(st.sampled_from([[1.0, 2.0], [0.5], [3.0, 1.0]]))
+    return grid, K, p_list, eps, n_param, moved
+
+
+class TestReducedDeficit:
+    """``lp_deficit_curves`` on the grid cut to one node along each invariant
+    axis against ``oracles.lp_deficit_curves_full``, bit for bit."""
+
+    @given(case=_deficit_case())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_curves_are_the_full_width_curves(self, case):
+        grid, K, p_list, eps, n_param, moved = case
+        assert (L._invariant_axes(grid) == ()) == moved
+        got = L.lp_deficit_curves(grid, K, p_list, eps, n_param)
+        want = lp_deficit_curves_full(grid, K, p_list, eps, n_param)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["invariant", "one-ulp-off"])
+    @pytest.mark.parametrize("grid, eps", [
+        (kink_columns(25), [0.2, 0.1]),             # the stencils leave no node
+        (kink_columns(9), [0.2, 0.1]),              # the kernel leaves no node
+        (signature_loss_grid(), [0.3]),             # a degenerate node inside
+        (near_singular_grid((33, 33)), [0.2]),      # conditioning past 1e12
+    ], ids=["empty-region", "no-interior", "signature-loss", "near-singular"])
+    def test_errors_are_the_full_width_errors(self, grid, eps, moved):
+        if moved:
+            grid = one_ulp_off(grid, 1, (grid.shape[0] // 2, 3), np.inf)
+        with pytest.raises((InvalidInputError, DegenerateMetricError)) as want:
+            lp_deficit_curves_full(grid, 0.0, [1.0, 2.0], eps, 2.0)
+        with pytest.raises(type(want.value)) as got:
+            L.lp_deficit_curves(grid, 0.0, [1.0, 2.0], eps, 2.0)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    def test_default_kinked_grid_reaches_the_curvature_as_one_column(self, monkeypatch):
+        # the default lp-deficit config: the curvature and the cone scan run
+        # on (1025, 1) planes; one ulp moved at one node puts them back at
+        # full width
+        seen = []
+        christoffel, scan = L._christoffel_arrays, L.timelike_lower_bound_fn
+
+        def counted_christoffel(nodes, spacing):
+            seen.append(("christoffel", nodes.shape[:-2]))
+            return christoffel(nodes, spacing)
+
+        def counted_scan(field, grid):
+            seen.append(("scan", grid.shape, field.valid.shape))
+            return scan(field, grid)
+
+        monkeypatch.setattr(L, "_christoffel_arrays", counted_christoffel)
+        monkeypatch.setattr(L, "timelike_lower_bound_fn", counted_scan)
+        g, eps = kinked_grid(), [0.8, 0.5, 0.3, 0.15]
+        got = L.lp_deficit_curves(g, 0.0, [1.0, 2.0], eps, 2.0)
+        assert seen == [("christoffel", (1025, 1)), ("scan", (1025, 1), (1025, 1))] * 4
+        off = one_ulp_off(g, 1, (512, 64), -np.inf)
+        seen.clear()
+        L.lp_deficit_curves(off, 0.0, [1.0, 2.0], [0.8], 2.0)
+        assert seen == [("christoffel", (1025, 129)), ("scan", (1025, 129), (1025, 129))]
+        monkeypatch.undo()
+        want = lp_deficit_curves_full(g, 0.0, [1.0, 2.0], eps, 2.0)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        for grid in (g, off):
+            assert L.mollify(grid, 0.15) == mollify_full(grid, 0.15)
