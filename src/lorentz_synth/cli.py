@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib
 import json
 import math
 import numbers
@@ -30,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _highs
 from .comparison import (BumpFunction, aubry_spacetime_check, bishop_gromov,
                          bonnet_myers, brenier_mccann_check, brunn_minkowski,
                          check_tcd_semiconvexity, check_tmcp, csv_text,
@@ -40,8 +39,9 @@ from .distortion import (KappaProfile, const_first_zero, const_sine, const_tau,
                          defect_bounds, first_zero, generalized_sine,
                          sigma_coeffs, tau_coeffs)
 from .extreal import is_inf
-from .lipschitz_grid import (MetricGrid, load_grid, lp_deficit_curves,
-                             minkowski_grid, mollify, warped_grid)
+from .lipschitz_grid import (MetricGrid, _invariant_axes, load_grid,
+                             lp_deficit_curves, minkowski_grid, mollify,
+                             warped_grid)
 from .models import (ModelSpacetime, cosh_warp_model, desitter_like, kinked_slab,
                      minkowski, region_measure, warped_product)
 from .onedim import (CDDensity, model_density, tmcp_delta, verify_cd_density)
@@ -106,13 +106,13 @@ class ExperimentConfig:
 
         The output directory is deliberately left out: it never influences
         the computation, so it must not influence the hash either.  Resolving
-        also imports the command's declared heavy modules
-        (``CommandSpec.imports``), so their import counts as set-up, not as
+        also loads the command's declared heavy modules
+        (``CommandSpec.imports``), so their load counts as set-up, not as
         part of the run.
         """
         spec = COMMANDS[self.command]
-        for module in spec.imports:
-            importlib.import_module(module)
+        if _highs.CORE in spec.imports:
+            _highs.core()
         model = self.model if self.model is not None else spec.model
         params = spec.defaults()
         for key, val in self.parameters.items():
@@ -859,10 +859,13 @@ def _run_needles(model, params, rng):
 
 def _run_mollify(grid, params, rng):
     eps_list = params["eps_list"]
+    axes = _invariant_axes(grid)
     labels, lhs, rhs = [], [], []
     errs = []
     for eps in eps_list:
-        sm = mollify(grid, eps)
+        # cut along the axes the grid does not vary on: sup_error keeps its
+        # bits (lipschitz_grid.mollify)
+        sm = mollify(grid, eps, axes)
         errs.append(sm.sup_error)
         labels.append(f"eps={eps:g}")
         lhs.append(sm.sup_error)
@@ -971,13 +974,14 @@ class CommandSpec:
     and takes the parameter's place when ``quick`` is on. ``models`` lists
     the model types the command runs on.
 
-    ``imports`` names the heavy modules the runner needs (scipy's LP and
-    sparse matrices). The package imports none of them at module level, so
-    a command that needs none starts without them;
-    ``ExperimentConfig.resolved`` imports a command's list, so the import
-    is paid while the config is set up rather than inside ``run``.
-    The functions that use a module still import it themselves, so a
-    missing entry costs time, never correctness. It is not a parameter."""
+    ``imports`` names the heavy modules the runner needs; the only one is
+    the HiGHS bindings scipy ships (``_highs.CORE``), which ``_highs.core``
+    loads alone, without any scipy package, in about 7 ms. The package
+    loads none at module level, so a command that needs none starts without
+    it; ``ExperimentConfig.resolved`` loads a command's list, so the load is
+    paid while the config is set up rather than inside ``run``. The
+    functions that use a module still load it themselves, so a missing
+    entry costs time, never correctness. It is not a parameter."""
 
     statement: str
     model: dict | None
@@ -1006,7 +1010,7 @@ _BUMPS3 = [{"center": [1.2, 0.0], "radius": 0.35},
 _ORIGIN = (_POINT, [0.0, 0.0])
 _K0, _N2, _Q_HALF = (_REAL, 0.0), (_DIM, 2.0), (_Q, 0.5)
 _EITHER = (ModelSpacetime, MetricGrid)
-_LP = ("scipy.optimize", "scipy.sparse")     # transport._optimal_plan
+_LP = (_highs.CORE,)     # transport._optimal_plan, through _highs.solve
 
 COMMANDS = {
     "distortion": CommandSpec(

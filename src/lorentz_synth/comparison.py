@@ -289,6 +289,16 @@ def _reversed_measure(mu: DiscreteMeasure) -> DiscreteMeasure:
 VORONOI_BLOCK = 2 ** 18
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-d array without NaNs, bit for bit, from
+    ``np.sort``: the middle entry, or the mean of the two middle entries taken
+    as ``np.mean`` takes it. The first ``np.median`` of a process imports
+    ``numpy.ma``, 10-25 ms."""
+    s = np.sort(values)
+    k = len(s) // 2
+    return float(s[k]) if len(s) % 2 else float((s[k - 1] + s[k]) / 2.0)
+
+
 def voronoi_cell_masses(model: ModelSpacetime, mu: DiscreteMeasure,
                         resolution: int = 256) -> np.ndarray:
     """Reference-measure masses of the nearest-support cells of ``mu``.
@@ -314,7 +324,7 @@ def voronoi_cell_masses(model: ModelSpacetime, mu: DiscreteMeasure,
         d2 += (blk[:, None, 1] - pts[None, :, 1]) ** 2
         d2[np.arange(len(blk)), np.arange(lo, lo + len(blk))] = np.inf
         np.min(d2, axis=1, out=near[lo:lo + len(blk)])
-    pad = 0.5 * float(np.median(np.sqrt(near)))
+    pad = 0.5 * _median(np.sqrt(near))
     (bt0, bt1), (bx0, bx1) = model.bounds
     t0 = max(float(pts[:, 0].min()) - pad, bt0)
     t1 = min(float(pts[:, 0].max()) + pad, bt1)

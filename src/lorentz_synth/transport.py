@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _highs
 from .errors import InvalidInputError, NoGeodesicError
 from .extreal import NEG_INF, is_neg_inf
 from .models import (Event, ModelSpacetime, as_event, maximizing_paths,
@@ -134,11 +135,11 @@ def separation_matrix(model: ModelSpacetime, mu: DiscreteMeasure,
     return time_separations(model, mu.support, nu.support, resolution)
 
 
-def _certify(cost, plan, res, allowed):
-    """Complementary slackness against the equality duals; the LP claims
+def _certify(cost, plan, duals, allowed):
+    """Complementary slackness against the equality duals (row duals of the
+    minimized -cost problem, ``linprog``'s ``eqlin.marginals``); the LP claims
     optimality, this makes the claim independently checkable."""
     n, m = cost.shape
-    duals = res.eqlin.marginals          # duals of the minimized -cost problem
     u, v = -duals[:n], -duals[n:]
     red = cost - u[:, None] - v[None, :]
     if np.any(red[allowed] > 1e-7):
@@ -160,11 +161,6 @@ def lq_distance(model: ModelSpacetime, mu: DiscreteMeasure, nu: DiscreteMeasure,
 def _optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, L: np.ndarray, q: float):
     """:func:`lq_distance` on a given separation matrix ``L`` of the supports;
     the plan keeps ``L`` as its ``separations``."""
-    # imported here, not at module level, so that importing the package loads
-    # no scipy: the import takes longer than most runs that solve no LP
-    # (cli.CommandSpec.imports)
-    from scipy import optimize, sparse
-
     if not 0.0 < q < 1.0:
         raise InvalidInputError("need q in (0, 1)")
     allowed = L > NEG_INF
@@ -175,19 +171,21 @@ def _optimal_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, L: np.ndarray, q: fl
     nvar = len(idx[0])
     if nvar == 0:
         return NEG_INF, None
-    # rows then columns as equality constraints over the allowed entries:
-    # column k has its two ones in row constraint i and column constraint n + j
-    a_eq = sparse.csc_array(
-        (np.ones(2 * nvar), np.column_stack([idx[0], n + idx[1]]).ravel(),
-         np.arange(0, 2 * nvar + 1, 2)), shape=(n + m, nvar))
-    b_eq = np.concatenate([mu.weights, nu.weights])
-    res = optimize.linprog(-cost[allowed], A_eq=a_eq, b_eq=b_eq,
-                           bounds=(0, None), method="highs")
-    if not res.success:
+    # rows then columns as equality constraints over the allowed entries, in
+    # CSC form: column k has its two ones in row constraint i and column
+    # constraint n + j. HiGHS runs through its own bindings (``_highs``), which
+    # load no scipy package: the first solve loads the extension, unless
+    # ``cli.CommandSpec.imports`` had it loaded while the config was set up
+    indices = np.column_stack([idx[0], n + idx[1]]).astype(np.int32).ravel()
+    solved = _highs.solve(-cost[allowed], np.arange(0, 2 * nvar + 1, 2, dtype=np.int32),
+                          indices, np.ones(2 * nvar),
+                          np.concatenate([mu.weights, nu.weights]))
+    if solved is None:
         return NEG_INF, None
+    x, duals = solved
     plan = np.zeros((n, m))
-    plan[idx] = res.x
-    _certify(cost, plan, res, allowed)
+    plan[idx] = x
+    _certify(cost, plan, duals, allowed)
     value = float(np.sum(cost * plan)) ** (1.0 / q)
     return value, Coupling(mu, nu, plan, separations=L)
 

@@ -272,8 +272,10 @@ def lq_bruteforce_equal_weights(xs, ys, q):
 
 
 def lq_plan_dense(mu_w, nu_w, L, q):
-    """The transport LP of ``transport._optimal_plan`` with the equality
-    matrix built dense, (n + m) x nvar: (value, plan) or (-inf, None)."""
+    """The transport LP of ``transport._optimal_plan`` through
+    ``scipy.optimize.linprog``, with the equality matrix built dense,
+    (n + m) x nvar: (value, plan, equality duals ``eqlin.marginals``) or
+    (-inf, None, None)."""
     from scipy.optimize import linprog
 
     allowed = L > -math.inf
@@ -282,17 +284,17 @@ def lq_plan_dense(mu_w, nu_w, L, q):
     idx = np.nonzero(allowed)
     nvar = len(idx[0])
     if nvar == 0:
-        return -math.inf, None
+        return -math.inf, None, None
     a_eq = np.zeros((n + m, nvar))
     a_eq[idx[0], np.arange(nvar)] = 1.0
     a_eq[n + idx[1], np.arange(nvar)] = 1.0
     res = linprog(-cost[allowed], A_eq=a_eq, b_eq=np.concatenate([mu_w, nu_w]),
                   bounds=(0, None), method="highs")
     if not res.success:
-        return -math.inf, None
+        return -math.inf, None, None
     plan = np.zeros((n, m))
     plan[idx] = res.x
-    return float(np.sum(cost * plan)) ** (1.0 / q), plan
+    return float(np.sum(cost * plan)) ** (1.0 / q), plan, res.eqlin.marginals
 
 
 # --- nearest-support reference cells ------------------------------------------

@@ -1,6 +1,8 @@
 """Cold start: importing the package loads no scipy, and each command's
 ``CommandSpec.imports`` names every scipy module its runner loads, so that
-``ExperimentConfig.resolved`` pays for them before ``run`` starts."""
+``ExperimentConfig.resolved`` pays for them before ``run`` starts. The LP
+commands load the HiGHS bindings alone, without the ``scipy.optimize``
+package or ``scipy.sparse``, and no run loads ``numpy.ma``."""
 
 import json
 import os
@@ -10,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import lorentz_synth
+from lorentz_synth._highs import CORE
 from lorentz_synth.cli import COMMANDS, _suite_row_configs
 
 SRC = str(Path(lorentz_synth.__file__).resolve().parent.parent)
@@ -37,18 +40,17 @@ from lorentz_synth import cli
 config = cli.ExperimentConfig.from_mapping(json.loads(sys.argv[1]))
 config.resolved()
 resolved = scipy_modules()
+masked = "numpy.ma" in sys.modules
 record = cli.run(config)
 print(json.dumps({"resolved": resolved, "ran": scipy_modules(),
+                  "ma_loaded_by_run": not masked and "numpy.ma" in sys.modules,
                   "passed": record.passed}))
 """
 
-# which scipy each command loads; every other command loads none
-LOADS = {
-    "transport": {"scipy.optimize", "scipy.sparse"},
-    "tmcp": {"scipy.optimize", "scipy.sparse"},
-    "tcd": {"scipy.optimize", "scipy.sparse"},
-    "brenier": {"scipy.optimize", "scipy.sparse"},
-}
+# which scipy each command declares and loads: the LP commands the HiGHS
+# core, which may register submodules of its own (CORE + "."), and nothing
+# else of scipy; every other command loads none
+LOADS = {"transport": {CORE}, "tmcp": {CORE}, "tcd": {CORE}, "brenier": {CORE}}
 
 # the --quick config of each command, cut further where its run is long; the
 # grid is the one of perfbench's grid-deficit workload
@@ -101,6 +103,10 @@ def test_declared_imports_cover_each_runner(tmp_path):
             problems[name] = f"not loaded by resolving: {sorted(LOADS[name] - resolved)}"
         elif name not in LOADS and ran:
             problems[name] = f"loads scipy: {sorted(ran)}"
+        elif name in LOADS and {m for m in ran if m.split(".")[:4] != CORE.split(".")}:
+            problems[name] = f"loads more than the HiGHS core: {sorted(ran)}"
+        elif got["ma_loaded_by_run"]:
+            problems[name] = "the run loads numpy.ma"
         elif not got["passed"]:
             problems[name] = "a report failed"
     assert problems == {}

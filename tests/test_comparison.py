@@ -195,6 +195,17 @@ class TestVoronoiCells:
         assert float(np.sum(masses)) <= 20.0 + 1e-9
 
 
+    # nonnegative, as the square roots the padding takes; small sampled values
+    # give ties, and infinities give the inf and inf + inf middles
+    @given(values=st.lists(st.floats(min_value=0.0, allow_nan=False).map(abs)
+                           | st.sampled_from([0.0, 0.5, 1.0, 3.0, math.inf]),
+                           min_size=1, max_size=299))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_padding_median_is_numpys_bit_for_bit(self, values):
+        a = np.array(values)
+        with np.errstate(over="ignore"):         # two middles near the top float
+            assert np.float64(C._median(a)).tobytes() == np.median(a).tobytes()
+
     @pytest.mark.parametrize("case", ["box", "box-9", "random", "ties", "many-chunks"])
     def test_masses_equal_the_difference_cube(self, case):
         # per-axis distance tables against the (chunk, n, 2) cube, bit for bit

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from lorentz_synth import transport
 from lorentz_synth.errors import InvalidInputError
 from lorentz_synth.extreal import NEG_INF, is_neg_inf
 from lorentz_synth.models import cosh_warp_model, minkowski
@@ -177,9 +178,37 @@ def permuted(mu, order):
     return DiscreteMeasure(tuple(mu.support[k] for k in order), mu.weights[list(order)])
 
 
+def certified_duals(monkeypatch):
+    """The duals each later ``_certify`` call reads, in call order."""
+    seen = []
+    certify = transport._certify
+
+    def spy(cost, plan, duals, allowed):
+        seen.append(duals)
+        return certify(cost, plan, duals, allowed)
+
+    monkeypatch.setattr(transport, "_certify", spy)
+    return seen
+
+
+def assert_same_solve(mu, nu, L, q, seen):
+    """``_optimal_plan`` gives ``linprog``'s value, plan and duals, bit for
+    bit, or (-inf, None) with no certificate where ``linprog`` fails."""
+    seen.clear()
+    val, plan = _optimal_plan(mu, nu, L, q)
+    want_val, want_plan, want_duals = lq_plan_dense(mu.weights, nu.weights, L, q)
+    assert val == want_val
+    if want_plan is None:
+        assert plan is None and seen == []
+    else:
+        assert plan.matrix.tobytes() == want_plan.tobytes()
+        assert len(seen) == 1 and seen[0].tobytes() == want_duals.tobytes()
+
+
 class TestSparseLp:
     @pytest.mark.parametrize("n, m", [(8, 8), (20, 30), (64, 64), (144, 144), (1, 5)])
-    def test_plan_equals_the_dense_build_bit_for_bit(self, n, m):
+    def test_plan_equals_the_dense_build_bit_for_bit(self, n, m, monkeypatch):
+        seen = certified_duals(monkeypatch)
         rng = np.random.default_rng(n * 1000 + m)
         for drop in (0.0, 0.3, 0.8):
             L = rng.uniform(0.1, 2.0, (n, m))
@@ -187,13 +216,24 @@ class TestSparseLp:
             mu_w, nu_w = rng.random(n) + 0.1, rng.random(m) + 0.1
             mu = DiscreteMeasure(tuple((float(i), 0.0) for i in range(n)), mu_w / mu_w.sum())
             nu = DiscreteMeasure(tuple((float(j), 1.0) for j in range(m)), nu_w / nu_w.sum())
-            val, plan = _optimal_plan(mu, nu, L, 0.5)
-            want_val, want_plan = lq_plan_dense(mu.weights, nu.weights, L, 0.5)
-            assert val == want_val
-            if want_plan is None:
-                assert plan is None
-            else:
-                assert plan.matrix.tobytes() == want_plan.tobytes()
+            assert_same_solve(mu, nu, L, 0.5, seen)
+
+    def test_no_causal_pair_and_an_infeasible_lp_give_no_plan(self, monkeypatch):
+        seen = certified_duals(monkeypatch)
+        mu = measure(((0.0, 0.0), (0.0, 1.0)), (0.5, 0.5))
+        nu = measure(((1.0, 0.0), (1.0, 1.0), (1.0, 2.0)), (0.2, 0.3, 0.5))
+        # every pair excluded: no LP is built
+        assert_same_solve(mu, nu, np.full((2, 3), -np.inf), 0.5, seen)
+        # the third target has no allowed pair, so its column constraint
+        # cannot hold: the LP is infeasible
+        L = np.array([[1.0, 0.5, -np.inf], [0.7, 1.2, -np.inf]])
+        assert_same_solve(mu, nu, L, 0.5, seen)
+        assert _optimal_plan(mu, nu, L, 0.5) == (NEG_INF, None)
+        # the first source reaches one target of weight 0.2 only: feasible
+        # column by column, infeasible as a whole
+        L = np.array([[1.0, -np.inf, -np.inf], [0.7, 1.2, 0.9]])
+        assert_same_solve(mu, nu, L, 0.5, seen)
+        assert _optimal_plan(mu, nu, L, 0.5) == (NEG_INF, None)
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None, derandomize=True)
