@@ -398,6 +398,10 @@ def _plot(file, x, y, rows, title):
 # runners (one per subcommand)
 # ---------------------------------------------------------------------------
 
+# Each runner takes its model (or grid), its typed parameters and the run's
+# seed ([seed, row] for a suite row). Only the runners that draw
+# (distortion, cd-verify, transport, brenier) build a generator from it, so a
+# run that draws nothing never imports numpy.random (about 9 ms cold).
 
 # the most pairs, or loop passes, the distortion checks draw before they
 # evaluate them in one batch: a round's profiles and requests are alive at
@@ -406,7 +410,8 @@ def _plot(file, x, y, rows, title):
 _DISTORTION_ROUND = 32
 
 
-def _run_distortion(model, params, rng):
+def _run_distortion(model, params, seed):
+    rng = np.random.default_rng(seed)
     check = params["check"]
     reports, plots = [], []
     if check in ("closed-forms", "all"):
@@ -503,7 +508,8 @@ def _run_distortion(model, params, rng):
     return reports, plots
 
 
-def _run_cd_verify(model, params, rng):
+def _run_cd_verify(model, params, seed):
+    rng = np.random.default_rng(seed)
     check = params["check"]
     reports, plots = [], []
     if check in ("model-density", "all"):
@@ -547,7 +553,8 @@ def _run_cd_verify(model, params, rng):
     return reports, plots
 
 
-def _run_transport(model, params, rng):
+def _run_transport(model, params, seed):
+    rng = np.random.default_rng(seed)
     check = params["check"]
     reports, plots = [], []
     if check in ("certificates", "all"):
@@ -642,7 +649,7 @@ def _tmcp_plots(rep, t_grid, n_prime_grid, stem):
     return plots
 
 
-def _run_tmcp(model, params, rng):
+def _run_tmcp(model, params, seed):
     t_grid, n_primes = params["t_grid"], params["n_prime_grid"]
     rep = check_tmcp(model, params["origin"], params["target"], params["K"],
                      params["n"], params["q"], t_grid, n_primes,
@@ -664,7 +671,7 @@ def _run_tmcp(model, params, rng):
     return reports, _tmcp_plots(rep, t_grid, n_primes, "entropy")
 
 
-def _run_tcd(model, params, rng):
+def _run_tcd(model, params, seed):
     t_grid = params["t_grid"]
     rep = check_tcd_semiconvexity(model, params["source"], params["target"],
                                   params["K"], params["n"], params["q"], t_grid,
@@ -679,7 +686,7 @@ def _run_tcd(model, params, rng):
                          "semiconvexity bound")]
 
 
-def _run_brunn_minkowski(model, params, rng):
+def _run_brunn_minkowski(model, params, seed):
     labels, lhs, rhs, prov = [], [], [], {}
     for t in params["t_list"]:
         rep = brunn_minkowski(model, params["source"], params["x1"],
@@ -698,7 +705,7 @@ def _run_brunn_minkowski(model, params, rng):
                             "volume-growth margin")]
 
 
-def _run_bishop_gromov(model, params, rng):
+def _run_bishop_gromov(model, params, seed):
     r_list = params["r_list"]
     rep = bishop_gromov(model, params["origin"], params["region"], params["K"],
                         params["n"], r_list, resolution=params["resolution"],
@@ -725,7 +732,7 @@ def _run_bishop_gromov(model, params, rng):
               "level-set area by radius")]
 
 
-def _run_bonnet_myers(model, params, rng):
+def _run_bonnet_myers(model, params, seed):
     rep = bonnet_myers(model, params["K"], params["n"],
                        resolution=params["resolution"],
                        tolerance=params["tolerance"])
@@ -739,7 +746,7 @@ def _run_bonnet_myers(model, params, rng):
     return reports, []
 
 
-def _run_eikonal(model, params, rng):
+def _run_eikonal(model, params, seed):
     labels, lhs, rhs, prov = [], [], [], {}
     devs, spacings = [], []
     for res in params["resolutions"]:
@@ -770,7 +777,8 @@ def _run_eikonal(model, params, rng):
                             "eikonal residual by grid spacing")]
 
 
-def _run_brenier(model, params, rng):
+def _run_brenier(model, params, seed):
+    rng = np.random.default_rng(seed)
     count = params["count"]
     t_lo, t_hi = params["t_range"]
     x_lo, x_hi = params["x_range"]
@@ -800,7 +808,7 @@ def _run_brenier(model, params, rng):
                             "endpoint-map deviation by grid spacing")]
 
 
-def _run_dalembert(model, params, rng):
+def _run_dalembert(model, params, seed):
     resolutions, bumps = params["resolutions"], params["bumps"]
     labels, lhs, rhs, prov, plots = [], [], [], {}, []
     for i, bump in enumerate(bumps):
@@ -828,7 +836,7 @@ def _run_dalembert(model, params, rng):
     return [merged], plots
 
 
-def _run_needles(model, params, rng):
+def _run_needles(model, params, seed):
     window, box = params["window"], params["box"]
     dec = needle_decomposition(model, params["origin"], window,
                                n_rays=params["n_rays"], r=params["r"],
@@ -857,7 +865,7 @@ def _run_needles(model, params, rng):
                          "quotient measure over the needle fan")]
 
 
-def _run_mollify(grid, params, rng):
+def _run_mollify(grid, params, seed):
     eps_list = params["eps_list"]
     axes = _invariant_axes(grid)
     labels, lhs, rhs = [], [], []
@@ -877,7 +885,7 @@ def _run_mollify(grid, params, rng):
                          "smoothing error by kernel radius")]
 
 
-def _run_lp_deficit(grid, params, rng):
+def _run_lp_deficit(grid, params, seed):
     eps_list = params["eps_list"]
     curves = lp_deficit_curves(grid, params["K"], params["p_list"], eps_list,
                                params["n"])
@@ -898,7 +906,7 @@ def _run_lp_deficit(grid, params, rng):
     return reports, plots
 
 
-def _run_aubry(model, params, rng):
+def _run_aubry(model, params, seed):
     rep = aubry_spacetime_check(model, params["K"], params["n"], params["p"],
                                 c_const=params["c_const"],
                                 k_fn=params["curvature"], boxes=params["boxes"],
@@ -1225,8 +1233,7 @@ def _dispatch(config: ExperimentConfig, model, params) -> RunRecord:
     if config.command == "suite":
         reports, plots = _suite_rows(params["mode"], config.seed)
     else:
-        reports, plots = COMMANDS[config.command].runner(
-            model, params, np.random.default_rng(config.seed))
+        reports, plots = COMMANDS[config.command].runner(model, params, config.seed)
     finished = _now()
     record = RunRecord(config.config_hash(), config.command, config.seed,
                        __version__, started, finished,
@@ -1268,10 +1275,9 @@ def _suite_rows(mode: str, seed: int):
     rows = _suite_row_configs(mode)
 
     def one(idx, title, cmd, overrides):
-        rng = np.random.default_rng([seed, idx])
         t0 = time.perf_counter()
         model, params = _checked(ExperimentConfig(cmd, None, overrides, "", seed))
-        reports, _ = COMMANDS[cmd].runner(model, params, rng)
+        reports, _ = COMMANDS[cmd].runner(model, params, [seed, idx])
         elapsed = time.perf_counter() - t0
         passed = all(rep.passed for rep in reports)
         worst = min(rep.worst_margin() for rep in reports)

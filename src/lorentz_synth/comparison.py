@@ -285,8 +285,13 @@ def _reversed_measure(mu: DiscreteMeasure) -> DiscreteMeasure:
 # ---------------------------------------------------------------------------
 
 
-# distances held at once by voronoi_cell_masses (2 MB of float64)
+# support distances held at once by the padding of voronoi_cell_masses
+# (2 MB of float64); its owner search takes tiles in bands of at most
+# VORONOI_BLOCK // max(n, VORONOI_TILE ** 2) tiles
 VORONOI_BLOCK = 2 ** 18
+# side, in raster cells, of the square tiles the owner search lists
+# nearest-support candidates for
+VORONOI_TILE = 16
 
 
 def _median(values: np.ndarray) -> float:
@@ -299,6 +304,73 @@ def _median(values: np.ndarray) -> float:
     return float(s[k]) if len(s) % 2 else float((s[k - 1] + s[k]) / 2.0)
 
 
+def _nearest_owners(tc: np.ndarray, xc: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """``np.argmin`` over p of (tc[i] - t_p)^2 + (xc[j] - x_p)^2 for every
+    cell (i, j) of the raster, in raster order, searched over per-tile
+    candidate lists.
+
+    The raster is cut into ``VORONOI_TILE``-square tiles (the last tile of
+    each axis padded with copies of its last cell, whose owners are dropped).
+    Point p is a candidate of a tile when fl(min dt2 + min dx2) over the
+    tile's rows and columns is at most min over q of fl(max dt2 + max dx2).
+    Rounded addition is monotone in each argument, so every cell's distance
+    to p lies between p's two bounds, and a point left out is strictly
+    farther than the point of least upper bound at every cell of the tile:
+    it can be neither the least distance nor tied with it. A running minimum
+    with strict ``<`` over each tile's candidates in ascending index then
+    gives the first least index, ``np.argmin``'s owner, at every cell.
+    Tiles run in bands of at most ``VORONOI_BLOCK // max(n, VORONOI_TILE**2)``,
+    each band's tiles sorted by falling candidate count, so that each rank
+    of the minimum runs over the leading tiles that have a candidate of that
+    rank. A tile with one candidate is filled with it.
+    """
+    tile = VORONOI_TILE
+    n, rt, rx = len(pts), len(tc), len(xc)
+    ni, nj = -(-rt // tile), -(-rx // tile)
+    # squared distances per axis, cut into tiles: rows[I, p, a] is
+    # (tc[I * tile + a] - t_p)^2, cols likewise, with per-tile bounds
+    rows = tc[np.minimum(np.arange(ni * tile), rt - 1)].reshape(ni, 1, tile) - pts[:, 0, None]
+    cols = xc[np.minimum(np.arange(nj * tile), rx - 1)].reshape(nj, 1, tile) - pts[:, 1, None]
+    np.square(rows, out=rows)
+    np.square(cols, out=cols)
+    row_lo, row_hi = rows.min(axis=2), rows.max(axis=2)
+    col_lo, col_hi = cols.min(axis=2), cols.max(axis=2)
+    owner = np.empty((ni, tile, nj, tile), dtype=np.intp)
+    per = max(1, VORONOI_BLOCK // max(n, tile * tile))
+    for lo in range(0, ni * nj, per):
+        tiles = np.arange(lo, min(lo + per, ni * nj))
+        ti, tj = tiles // nj, tiles % nj
+        keep = row_lo[ti] + col_lo[tj] <= np.min(row_hi[ti] + col_hi[tj], axis=1)[:, None]
+        # place[t, p] - 1: where kept point p falls among tile t's candidates
+        place = np.cumsum(keep, axis=1)
+        k = int(place[:, -1].max())
+        # the tiles by falling candidate count, so that the tiles with more
+        # than r candidates, reach[r] of them, lead; np.nonzero rather than
+        # np.argsort, whose first call faults in about 0.4 MB of numpy code
+        by_count = place[:, -1] == np.arange(k, 0, -1)[:, None]
+        order = np.nonzero(by_count)[1]
+        reach = np.cumsum(np.count_nonzero(by_count, axis=1))[::-1]
+        ti, tj, keep, place = ti[order], tj[order], keep[order], place[order]
+        t, p = np.nonzero(keep)
+        cand = np.zeros((len(ti), k), dtype=np.intp)
+        cand[t, place[t, p] - 1] = p
+        owner[ti, :, tj, :] = cand[:, :1, None]
+        if k == 1:
+            continue
+        ti, tj, cand = ti[:reach[1]], tj[:reach[1]], cand[:reach[1]]
+        best = rows[ti, cand[:, 0], :, None] + cols[tj, cand[:, 0], None, :]
+        own = owner[ti, :, tj, :]
+        dist, closer = np.empty_like(best), np.empty(best.shape, dtype=bool)
+        for r in range(1, k):
+            m, c = reach[r], cand[:reach[r], r]
+            np.add(rows[ti[:m], c, :, None], cols[tj[:m], c, None, :], out=dist[:m])
+            np.less(dist[:m], best[:m], out=closer[:m])
+            np.minimum(best[:m], dist[:m], out=best[:m])
+            np.copyto(own[:m], c[:, None, None], where=closer[:m])
+        owner[ti, :, tj, :] = own
+    return owner.reshape(ni * tile, nj * tile)[:rt, :rx].ravel()
+
+
 def voronoi_cell_masses(model: ModelSpacetime, mu: DiscreteMeasure,
                         resolution: int = 256) -> np.ndarray:
     """Reference-measure masses of the nearest-support cells of ``mu``.
@@ -306,9 +378,17 @@ def voronoi_cell_masses(model: ModelSpacetime, mu: DiscreteMeasure,
     The support's bounding box, padded by half the median nearest-neighbour
     spacing and clipped to the chart, is rasterized into ``resolution``^2
     midpoint cells; each cell contributes its measure (chart density times
-    area) to the nearest support point. Supports laid out as uniform box
-    grids get back exactly the cells they were built from. A single-point
-    support has no positive-measure partition and gets mass 0 (a pure atom).
+    area) to the nearest support point, at squared distance dt^2 + dx^2
+    rounded as numpy rounds it. A cell equidistant from several points goes
+    to the lowest index among them, as ``np.argmin`` gives it. The owners
+    are searched over per-tile candidate lists (``_nearest_owners``): since
+    rounded addition is monotone, per-axis minima and maxima over a tile
+    bound every cell's distance, and a point is left out only when it is
+    strictly farther than another at every cell of the tile, so every
+    owner, and every mass, is that of the argmin over all points. Supports
+    laid out as uniform box grids get back exactly the cells they were built
+    from. A single-point support has no positive-measure partition and gets
+    mass 0 (a pure atom).
     """
     pts = np.asarray([p.coords for p in mu.support], dtype=float)
     n = len(pts)
@@ -332,26 +412,10 @@ def voronoi_cell_masses(model: ModelSpacetime, mu: DiscreteMeasure,
     x1 = min(float(pts[:, 1].max()) + pad, bx1)
     tc, ht = cell_centers(t0, t1, resolution)
     xc, hx = cell_centers(x0, x1, resolution)
-    cell_mass = ((model.density(tc) * ht * hx)[:, None] * np.ones((1, resolution))).ravel()
-    # squared distances per axis: cell (i, j) is dt2[i] + dx2[j] from each point
-    dt2 = (tc[:, None] - pts[None, :, 0]) ** 2
-    dx2 = (xc[:, None] - pts[None, :, 1]) ** 2
-    # nearest point of every cell, a block of about VORONOI_BLOCK distances
-    # at a time: whole raster rows, or pieces of one row
-    owner = np.empty(resolution * resolution, dtype=np.intp)
-    block = max(1, VORONOI_BLOCK // n)
-    rows, cols = max(1, block // resolution), min(resolution, block)
-    buf = np.empty(min(rows, resolution) * cols * n)
-    for i in range(0, resolution, rows):
-        r = min(rows, resolution - i)
-        for j in range(0, resolution, cols):
-            c = min(cols, resolution - j)
-            d = buf[:r * c * n].reshape(r, c, n)
-            np.add(dt2[i:i + r, None, :], dx2[None, j:j + c, :], out=d)
-            lo = i * resolution + j
-            np.argmin(d.reshape(r * c, n), axis=1, out=owner[lo:lo + r * c])
+    owner = _nearest_owners(tc, xc, pts)
+    cell_mass = np.repeat(model.density(tc) * ht * hx, resolution)
     # cell measures summed per owner in fixed chunks of cells, one bincount
-    # each, so the masses do not depend on the block size
+    # each, so the masses do not depend on the tile or band size
     masses = np.zeros(n)
     chunk = max(1, int(4e6) // n)
     for lo in range(0, len(owner), chunk):

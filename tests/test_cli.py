@@ -650,8 +650,7 @@ class TestDistortionRounds:
 
     def test_ordering_rounds_match_one_pair_at_a_time(self):
         n = C._DISTORTION_ROUND + 8
-        [report], _ = C._run_distortion(None, {"check": "ordering", "pairs": n},
-                                        np.random.default_rng(3))
+        [report], _ = C._run_distortion(None, {"check": "ordering", "pairs": n}, 3)
         want = _ordering_one_pair_at_a_time(np.random.default_rng(3), n)
         assert report.lhs.tobytes() == np.array(want).tobytes()
 
@@ -666,8 +665,7 @@ class TestDistortionRounds:
                             lambda k: radius if k < below else const_first_zero(k))
         monkeypatch.setattr(C, "const_tau",
                             lambda K, N, t, theta: INF if t > 0.8 else const_tau(K, N, t, theta))
-        [report], _ = C._run_distortion(None, {"check": "defect", "tuples": tuples},
-                                        np.random.default_rng(5))
+        [report], _ = C._run_distortion(None, {"check": "defect", "tuples": tuples}, 5)
         worst, used, skipped = _defect_one_draw_at_a_time(np.random.default_rng(5), tuples)
         assert (float(report.lhs[0]), report.provenance) == \
             (worst, {"tuples": used, "skipped": skipped})

@@ -2,7 +2,8 @@
 ``CommandSpec.imports`` names every scipy module its runner loads, so that
 ``ExperimentConfig.resolved`` pays for them before ``run`` starts. The LP
 commands load the HiGHS bindings alone, without the ``scipy.optimize``
-package or ``scipy.sparse``, and no run loads ``numpy.ma``."""
+package or ``scipy.sparse``, no run loads ``numpy.ma``, and only the runs
+that draw random numbers load ``numpy.random``."""
 
 import json
 import os
@@ -10,6 +11,8 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import pytest
 
 import lorentz_synth
 from lorentz_synth._highs import CORE
@@ -41,9 +44,11 @@ config = cli.ExperimentConfig.from_mapping(json.loads(sys.argv[1]))
 config.resolved()
 resolved = scipy_modules()
 masked = "numpy.ma" in sys.modules
+drawn = "numpy.random" in sys.modules
 record = cli.run(config)
 print(json.dumps({"resolved": resolved, "ran": scipy_modules(),
                   "ma_loaded_by_run": not masked and "numpy.ma" in sys.modules,
+                  "random_loaded": drawn or "numpy.random" in sys.modules,
                   "passed": record.passed}))
 """
 
@@ -51,6 +56,9 @@ print(json.dumps({"resolved": resolved, "ran": scipy_modules(),
 # core, which may register submodules of its own (CORE + "."), and nothing
 # else of scipy; every other command loads none
 LOADS = {"transport": {CORE}, "tmcp": {CORE}, "tcd": {CORE}, "brenier": {CORE}}
+
+# the commands whose runners draw random numbers
+DRAWS = {"distortion", "cd-verify", "transport", "brenier"}
 
 # the --quick config of each command, cut further where its run is long; the
 # grid is the one of perfbench's grid-deficit workload
@@ -80,22 +88,28 @@ def test_importing_the_package_loads_no_scipy():
     assert {name: mods for name, mods in found.items() if mods} == {}
 
 
-def test_declared_imports_cover_each_runner(tmp_path):
+@pytest.fixture(scope="module")
+def quick_runs(tmp_path_factory):
+    """RESOLVE_THEN_RUN's record of every command's quick run (SMALLEST)."""
+    out = tmp_path_factory.mktemp("runs")
     commands = [name for name in COMMANDS if name != "suite"]
 
     def probe(name):
         extra = SMALLEST.get(name, {})
-        config = {"command": name, "output_dir": str(tmp_path / name),
+        config = {"command": name, "output_dir": str(out / name),
                   "parameters": {"quick": True, **extra.get("parameters", {})},
                   **({"model": extra["model"]} if "model" in extra else {})}
-        return python(RESOLVE_THEN_RUN, json.dumps(config), cwd=tmp_path)
+        return python(RESOLVE_THEN_RUN, json.dumps(config), cwd=out)
 
     with ThreadPoolExecutor(2) as pool:
-        results = dict(zip(commands, pool.map(probe, commands)))
+        return dict(zip(commands, pool.map(probe, commands)))
+
+
+def test_declared_imports_cover_each_runner(quick_runs):
     assert {name: set(COMMANDS[name].imports)
-            for name in commands if COMMANDS[name].imports} == LOADS
+            for name in quick_runs if COMMANDS[name].imports} == LOADS
     problems = {}
-    for name, got in results.items():
+    for name, got in quick_runs.items():
         resolved, ran = set(got["resolved"]), set(got["ran"])
         if ran - resolved:
             problems[name] = f"loaded during the run: {sorted(ran - resolved)}"
@@ -110,6 +124,12 @@ def test_declared_imports_cover_each_runner(tmp_path):
         elif not got["passed"]:
             problems[name] = "a report failed"
     assert problems == {}
+
+
+def test_only_the_runs_that_draw_load_numpy_random(quick_runs):
+    # numpy.random (with secrets and hmac) takes about 9 ms to import; each
+    # runner that draws builds its generator from the seed itself
+    assert {name for name, got in quick_runs.items() if got["random_loaded"]} == DRAWS
 
 
 def test_suite_declares_what_its_rows_need():

@@ -32,7 +32,7 @@ from lorentz_synth.comparison import (BumpFunction, aubry_spacetime_check,
                                       voronoi_cell_masses)
 from lorentz_synth.errors import InvalidInputError, UnsupportedModelError
 from lorentz_synth.lipschitz_grid import metric_grid, minkowski_grid
-from lorentz_synth.models import (cosh_warp_model, desitter_like, maximizing_path,
+from lorentz_synth.models import (cell_centers, cosh_warp_model, desitter_like, maximizing_path,
                                   minkowski, region_measure, time_separation)
 from lorentz_synth.onedim import aubry_diameter_bound, verify_cd_density
 from lorentz_synth.transport import DiscreteMeasure, dirac, uniform_on_box
@@ -206,21 +206,45 @@ class TestVoronoiCells:
         with np.errstate(over="ignore"):         # two middles near the top float
             assert np.float64(C._median(a)).tobytes() == np.median(a).tobytes()
 
-    @pytest.mark.parametrize("case", ["box", "box-9", "random", "ties", "many-chunks"])
+    # the shapes the tcd runs take (an 8 x 8 box, 2 points at 256 on the
+    # lattice chart), resolutions that are not multiples of the tile, and ties
+    @pytest.mark.parametrize("case", ["box", "box-9", "random", "ties", "many-chunks",
+                                      "box-8x8-256", "desitter-2", "res-1", "res-15",
+                                      "res-17", "shared-coordinates"])
     def test_masses_equal_the_difference_cube(self, case):
         # per-axis distance tables against the (chunk, n, 2) cube, bit for bit
         model = minkowski(((-2.5, 2.5), (-2.0, 2.0)), weight=lambda t: 0.1 * t)
         rng = np.random.default_rng(7)
         resolution = 128
-        if case == "box":
+        if case in ("box", "box-8x8-256"):
             mu = uniform_on_box(((0.2, 0.6), (-0.2, 0.2)), 8)
+            resolution = 256 if case == "box-8x8-256" else 128
         elif case == "box-9":
             mu, resolution = uniform_on_box(((-1.0, 1.0), (-1.5, 1.5)), 3), 97
+        elif case == "desitter-2":
+            model, resolution = desitter_like(x_half=0.5), 256
+            mu = DiscreteMeasure(((0.6, -0.075), (0.6, 0.075)), np.full(2, 0.5))
+        elif case.startswith("res-"):
+            pts = tuple(map(tuple, rng.uniform(-1.0, 1.0, (23, 2))))
+            mu, resolution = DiscreteMeasure(pts, np.full(23, 1.0 / 23)), int(case[4:])
         elif case == "ties":
             # a square and its centre: cells on the diagonals and the axes are
             # equidistant from two or more points
             pts = ((0.0, -0.5), (0.0, 0.5), (1.0, -0.5), (1.0, 0.5), (0.5, 0.0))
             mu, resolution = DiscreteMeasure(pts, np.full(5, 0.2)), 64
+        elif case == "shared-coordinates":
+            # a 2 x 2 lattice on the padded box [-0.25, 0.75] x [-0.5, 0.5]:
+            # at an odd resolution the middle row and column of cells are
+            # equidistant from two points (the middle cell from four), and
+            # they run through every tile row and column
+            pts = ((0.0, -0.25), (0.0, 0.25), (0.5, -0.25), (0.5, 0.25))
+            mu, resolution = DiscreteMeasure(pts, np.full(4, 0.25)), 97
+            tc, _ = cell_centers(-0.25, 0.75, resolution)
+            xc, _ = cell_centers(-0.5, 0.5, resolution)
+            pa = np.array(pts)
+            d = (tc[:, None, None] - pa[:, 0]) ** 2 + (xc[None, :, None] - pa[:, 1]) ** 2
+            tied = np.count_nonzero(d == d.min(axis=2, keepdims=True), axis=2) > 1
+            assert np.count_nonzero(tied) == 2 * resolution - 1
         else:
             n = 17 if case == "random" else 300
             pts = tuple(map(tuple, rng.uniform((-2.0, -1.5), (2.0, 1.5), (n, 2))))
@@ -231,7 +255,24 @@ class TestVoronoiCells:
         got = voronoi_cell_masses(model, mu, resolution)
         assert got.tobytes() == oracles.voronoi_masses_cube(model, mu, resolution).tobytes()
 
-    # one cell, 50 cells (rows split in pieces), three whole rows per block
+    # points on a coarse lattice, so that many cells are equidistant from two
+    # or more of them
+    @given(cells=st.lists(st.tuples(st.integers(0, 11), st.integers(-5, 5)),
+                          min_size=2, max_size=120, unique=True),
+           resolution=st.integers(1, 160), scale=st.sampled_from([0.25, 1.0, 3.0]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_owners_are_the_first_argmin(self, cells, resolution, scale):
+        pts = np.array(cells, dtype=float) * scale
+        tc, _ = cell_centers(-0.5 * scale, 11.5 * scale, resolution)
+        xc, _ = cell_centers(-5.5 * scale, 5.5 * scale, resolution)
+        got = C._nearest_owners(tc, xc, pts).reshape(resolution, resolution)
+        dx2 = (xc[:, None] - pts[None, :, 1]) ** 2
+        for i, t in enumerate(tc):
+            want = np.argmin((t - pts[None, :, 0]) ** 2 + dx2, axis=1)
+            assert np.array_equal(got[i], want)
+
+    # one tile per band, 12 tiles per band, one band of all 64 tiles (the
+    # padding blocks change alike)
     @pytest.mark.parametrize("block", [64, 64 * 50, 64 * 128 * 3 + 5])
     def test_masses_do_not_depend_on_the_distance_block(self, monkeypatch, block):
         model = big_flat()
@@ -240,6 +281,32 @@ class TestVoronoiCells:
         want = voronoi_cell_masses(model, mu, 128)
         monkeypatch.setattr(C, "VORONOI_BLOCK", block)
         assert voronoi_cell_masses(model, mu, 128).tobytes() == want.tobytes()
+
+    # one-cell tiles (only tied points are candidates), ragged tiles, one
+    # padded tile over the whole raster
+    @pytest.mark.parametrize("tile", [1, 5, 16, 200])
+    def test_masses_do_not_depend_on_the_tile(self, monkeypatch, tile):
+        model = big_flat()
+        pts = tuple(map(tuple, np.random.default_rng(3).uniform(-1.0, 1.0, (64, 2))))
+        mu = DiscreteMeasure(pts, np.full(64, 1.0 / 64))
+        monkeypatch.setattr(C, "VORONOI_TILE", tile)
+        got = voronoi_cell_masses(model, mu, 128)
+        assert got.tobytes() == oracles.voronoi_masses_cube(model, mu, 128).tobytes()
+
+    def test_owner_search_holds_no_distance_block(self):
+        # 2 points at 256 (lattice-tcd's shape): the owners and the cell
+        # measures, 512 KB each, and not much else; a block of cell-to-point
+        # distances took another 1 MB
+        model = desitter_like(x_half=0.5)
+        mu = DiscreteMeasure(((0.6, -0.075), (0.6, 0.075)), np.full(2, 0.5))
+        voronoi_cell_masses(model, mu, 256)
+        tracemalloc.start()
+        try:
+            voronoi_cell_masses(model, mu, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2 ** 20
 
     # one point per padding block, 7 points and a ragged last block, one block
     @pytest.mark.parametrize("block", [300, 7 * 300 + 5, 2 ** 18])
@@ -650,8 +717,7 @@ class TestBrenierMccann:
         monkeypatch.setattr(cli, "brenier_mccann_check", check)
         model, params = cli._checked(cli.ExperimentConfig.from_mapping(
             {"command": "brenier"}))
-        reports, _ = cli.COMMANDS["brenier"].runner(model, params,
-                                                    np.random.default_rng(0))
+        reports, _ = cli.COMMANDS["brenier"].runner(model, params, 0)
         return reports[0]
 
     @staticmethod
