@@ -135,9 +135,9 @@ def lattice_probe() -> str:
     nodes, cumulative lengths and length of the maximizing paths of 3 fixed
     chronological pairs, the mirror pair (-1, -0.6) -> (1, 0.6) among them,
     on ``cosh_warp_model``, ``desitter_like`` and ``double_cone_kink`` at
-    resolutions 65 and 129. The default runs compute no lattice geodesic and
-    no lattice separation matrix (only the diameter runs on a lattice
-    chart), so no output file moves with their bits; this line does."""
+    resolutions 65 and 129. No default run reads the lattice (the diameter
+    is the chart's time extent), so no output file moves with its bits; this
+    line is the digest's only coverage of it."""
     sys.path.insert(0, str(SRC))
     import numpy as np
     from lorentz_synth.models import (cosh_warp_model, desitter_like, double_cone_kink,

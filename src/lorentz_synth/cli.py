@@ -734,7 +734,6 @@ def _run_bishop_gromov(model, params, seed):
 
 def _run_bonnet_myers(model, params, seed):
     rep = bonnet_myers(model, params["K"], params["n"],
-                       resolution=params["resolution"],
                        tolerance=params["tolerance"])
     reports = [rep]
     if params["window"] is not None:
@@ -911,7 +910,6 @@ def _run_aubry(model, params, seed):
                                 c_const=params["c_const"],
                                 k_fn=params["curvature"], boxes=params["boxes"],
                                 raster=params["raster"],
-                                resolution=params["resolution"],
                                 n_needles=params["n_needles"],
                                 needle_samples=params["needle_samples"])
     rows = [(row["x"], row["deficit"]) for row in rep.provenance["needles"]
@@ -1096,8 +1094,7 @@ COMMANDS = {
     "bonnet-myers": CommandSpec(
         "the timelike Bonnet-Myers diameter bound",
         {"kind": "desitter", "delta": 0.02, "x_half": 1.0},
-        {"K": (_POSITIVE, 1.0), "n": _N2, "resolution": (_RES, 257, 129),
-         "tolerance": (_NONNEG, 0.02),
+        {"K": (_POSITIVE, 1.0), "n": _N2, "tolerance": (_NONNEG, 0.02),
          "window": (_optional(_pair(_real(as_float=True), increasing=True)),
                     [math.pi - 0.1, math.pi + 0.05])},
         _run_bonnet_myers),
@@ -1158,7 +1155,7 @@ COMMANDS = {
         {"K": (_POSITIVE, 1.0), "n": _N2, "p": (_real(1.0), 2.0),
          "c_const": (_POSITIVE, 10.0), "curvature": (_curvature, "default"),
          "boxes": (_COUNT, 4), "raster": (_RES, 256, 128),
-         "resolution": (_RES, 257, 129), "n_needles": (_COUNT, 9),
+         "n_needles": (_COUNT, 9),
          "needle_samples": (_RES, 1025)},
         _run_aubry),
 }

@@ -681,18 +681,19 @@ def bishop_gromov(model: ModelSpacetime, o, region: Callable, K: float,
 
 
 def bonnet_myers(model: ModelSpacetime, K: float, n_param: float,
-                 resolution: int = 257, tolerance: float = 0.02) -> InequalityReport:
-    """Lattice timelike diameter against the sharp bound pi sqrt((N-1)/K).
+                 tolerance: float = 0.02) -> InequalityReport:
+    """Timelike diameter against the sharp bound pi sqrt((N-1)/K).
 
-    Only meaningful on models certified to have timelike curvature at least
-    K > 0; the tolerance absorbs the lattice's diameter underestimate.
+    The diameter is the chart's time extent (:func:`timelike_diameter`), so
+    no lattice is read. Only meaningful on models certified to have timelike
+    curvature at least K > 0; the tolerance is the check's allowance above
+    the sharp bound.
     """
     if K <= 0.0:
         raise InvalidInputError("the diameter bound needs K > 0")
-    diam = timelike_diameter(model, resolution)
+    diam = timelike_diameter(model)
     bound = math.pi * math.sqrt((n_param - 1.0) / K)
-    provenance = {"K": K, "N": n_param, "resolution": resolution,
-                  "diameter": diam, "bound": bound}
+    provenance = {"K": K, "N": n_param, "diameter": diam, "bound": bound}
     return make_report("bonnet-myers", [diam], [bound], tolerance, ["diameter"],
                        provenance)
 
@@ -991,15 +992,15 @@ def _ricci_quotient_fn(model: ModelSpacetime) -> Callable:
 def aubry_spacetime_check(model: ModelSpacetime, K: float, n_param: float,
                           p: float, c_const: float = DEFAULT_C_CONST,
                           k_fn: Callable | None = None, boxes: int = 4,
-                          raster: int = 256, resolution: int = 257,
-                          n_needles: int = 9, needle_samples: int = 1025,
+                          raster: int = 256, n_needles: int = 9,
+                          needle_samples: int = 1025,
                           tolerance: float = 0.0) -> InequalityReport:
     """Deficit-perturbed diameter bound on a chart plus its needle reduction.
 
     The curvature floor ``k_fn`` is compared against K in normalized L^p over
     a family of boxes (the full chart plus a ``boxes`` x ``boxes``
     subdivision); the perturbed bound from the sup-deficit is checked against
-    the lattice diameter. Every comoving needle (a constant-x column, which
+    the timelike diameter, the chart's time extent. Every comoving needle (a constant-x column, which
     is a unit-speed maximizer on these charts) additionally runs through the
     one-dimensional deficit/diameter pipeline with k restricted to the ray.
     A deficit above 1/c_const reports the vacuous bound +inf with status
@@ -1029,7 +1030,7 @@ def aubry_spacetime_check(model: ModelSpacetime, K: float, n_param: float,
         bound = aubry_diameter_bound(K, n_param, p, deficit, c_const)
     except HypothesisViolatedError:
         bound, status = math.inf, "hypothesis-violated"
-    diam = timelike_diameter(model, resolution)
+    diam = timelike_diameter(model)
 
     lhs, rhs, labels = [diam], [bound], ["spacetime"]
     needle_rows = []
@@ -1054,6 +1055,5 @@ def aubry_spacetime_check(model: ModelSpacetime, K: float, n_param: float,
         labels.append(f"needle:x={xcol:g}")
     provenance = {"K": K, "N": n_param, "p": p, "c_const": c_const,
                   "deficit": deficit, "status": status, "boxes": boxes,
-                  "raster": raster, "resolution": resolution,
-                  "needles": needle_rows}
+                  "raster": raster, "needles": needle_rows}
     return make_report("aubry", lhs, rhs, tolerance, labels, provenance)

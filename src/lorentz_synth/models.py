@@ -19,9 +19,12 @@ The time separation convention, the same on both chart kinds: l(x, x) = 0,
 l(x, y) = -inf when y is not in the causal future of x, and causal pairs that
 are not chronological (the null cone, or pairs below the lattice's chronology
 resolution) get 0. The flat closed form lives in :func:`_flat_separations`
-and the Richardson step in :func:`_richardson`; pair matrices, whole fields,
-the diameter and the ball volumes all read l through them. Ball volumes for
-any number of radii read one l_o field and one raster pass per call.
+and the Richardson step in :func:`_richardson`; pair matrices, whole fields
+and the ball volumes all read l through them. Ball volumes for any number of
+radii read one l_o field and one raster pass per call. The diameter reads no
+l: on these charts it is the time extent t1 - t0. Causality on the lattice
+kinds reads the null reach, the exact integral of 1/a over the warp's linear
+pieces.
 """
 
 from __future__ import annotations
@@ -339,29 +342,24 @@ def _dp_longest(model: ModelSpacetime, shape, sources, stop: int | None = None):
     source lattice node, and the edge table those rows read.
 
     ``sources`` lists (i, j) nodes; ``start`` is the lowest source row and
-    ``stop`` defaults to the last row. ``None`` gives the one free-start
-    field, start = 0. Returns (W, dist): W is :func:`_edge_table` of rows
-    start..stop - 1, the jumps the sweep takes, and dist stacks the fields
-    on a leading axis, shape (S, stop - start + 1, n_x), its row r the
-    lattice row start + r. Rows below a source's own row stay -inf, so every
-    stacked field is bit-identical to the same rows of a one-source run: row
-    i reads only rows below i, and each edge weight only its own row. Each
-    row takes the max over the whole jump fan in one gather of predecessor
-    windows. Memory is S x (stop - start + 1) x n_x float64 plus a
-    (fan x S x n_x) row buffer; callers split sources with
-    :func:`_source_chunks` to stay within ``STACK_BUDGET_BYTES``.
+    ``stop`` defaults to the last row. Returns (W, dist): W is
+    :func:`_edge_table` of rows start..stop - 1, the jumps the sweep takes,
+    and dist stacks the fields on a leading axis, shape
+    (S, stop - start + 1, n_x), its row r the lattice row start + r. Rows
+    below a source's own row stay -inf, so every stacked field is
+    bit-identical to the same rows of a one-source run: row i reads only rows
+    below i, and each edge weight only its own row. Each row takes the max
+    over the whole jump fan in one gather of predecessor windows. Memory is
+    S x (stop - start + 1) x n_x float64 plus a (fan x S x n_x) row buffer;
+    callers split sources with :func:`_source_chunks` to stay within
+    ``STACK_BUDGET_BYTES``.
     """
     n_t, n_x = shape
     stop = n_t - 1 if stop is None else stop
-    if sources is None:
-        start = 0
-        dist = np.full((stop + 1, 1, n_x + 2 * _PAD), -np.inf)
-        dist[:, :, _PAD:-_PAD] = 0.0
-    else:
-        start = min(i for i, _ in sources)
-        dist = np.full((stop - start + 1, len(sources), n_x + 2 * _PAD), -np.inf)
-        for k, (i, j) in enumerate(sources):
-            dist[i - start, k, _PAD + j] = 0.0
+    start = min(i for i, _ in sources)
+    dist = np.full((stop - start + 1, len(sources), n_x + 2 * _PAD), -np.inf)
+    for k, (i, j) in enumerate(sources):
+        dist[i - start, k, _PAD + j] = 0.0
     _, _, W = _edge_table(model, shape, start, stop)
     windows = sliding_window_view(dist, n_x, axis=2)     # (rows, S, 2 _PAD + 1, n_x)
     for i in range(1, stop - start + 1):
@@ -393,10 +391,26 @@ def _snap(ts: np.ndarray, xs: np.ndarray, p: Event):
     return (min(max(i, 0), len(ts) - 1), min(max(j, 0), len(xs) - 1))
 
 
-def _null_reach(model: ModelSpacetime, t_a: float, t_b: float) -> float:
-    """Maximal |x|-displacement of causal curves between two time slices."""
-    tt = np.linspace(t_a, t_b, 1025)
-    return float(np.trapezoid(1.0 / model.warp(tt), tt))
+def _piece_reaches(h, d, a0):
+    """Integral of 1/a over pieces of width h on which the linear warp moves
+    from a0 by d, entrywise: h log1p(d / a0) / d, or h / a0 where d = 0."""
+    flat = d == 0.0
+    return np.where(flat, h / a0, h * np.log1p(d / a0) / np.where(flat, 1.0, d))
+
+
+def _null_reaches(model: ModelSpacetime, ts) -> np.ndarray:
+    """Integral of 1/a from the first warp sample to each time of ``ts``,
+    exact for the piecewise-linear warp: a causal curve between the slices
+    t_a <= t_b moves by at most the difference of the two values in |x|.
+    Outside its samples the warp is held constant, as ``np.interp`` holds
+    it."""
+    T, A = model.warp_samples[:, 0], model.warp_samples[:, 1]
+    cum = np.concatenate([[0.0], np.cumsum(_piece_reaches(np.diff(T), np.diff(A), A[:-1]))])
+    ts = np.asarray(ts, dtype=float)
+    inside = np.clip(ts, T[0], T[-1])
+    k = np.clip(np.searchsorted(T, inside, side="right") - 1, 0, len(T) - 2)
+    part = _piece_reaches(inside - T[k], np.interp(inside, T, A) - A[k], A[k])
+    return cum[k] + part + (ts - inside) / model.warp(ts)
 
 
 def causally_related(model: ModelSpacetime, x: Event, y: Event) -> bool:
@@ -408,7 +422,8 @@ def causally_related(model: ModelSpacetime, x: Event, y: Event) -> bool:
         dt = y.t - x.t
         dxs = np.asarray(y.coords[1:]) - np.asarray(x.coords[1:])
         return dt + 1e-15 >= float(np.linalg.norm(dxs))
-    return abs(y.x - x.x) <= _null_reach(model, x.t, y.t) + 1e-12
+    f_x, f_y = _null_reaches(model, [x.t, y.t])
+    return abs(y.x - x.x) <= f_y - f_x + 1e-12
 
 
 def _flat_separations(x, y) -> np.ndarray:
@@ -466,9 +481,9 @@ def time_separations(model: ModelSpacetime, sources, targets,
     the closed form. On the lattice kinds each event snaps once to the
     coarse grid, pairs that snap to one node give 0, pairs whose snapped
     nodes are not causally related give -inf (the rule of
-    :func:`causally_related`, with one null reach per distinct pair of
-    source and target rows), the rest read the longest-path
-    values at the coarse grid and its nested refinement, combined by
+    :func:`causally_related`, on the null reaches of every row read,
+    evaluated once), the rest read the longest-path values at the coarse
+    grid and its nested refinement, combined by
     :func:`_richardson` and clamped at 0 (a causal pair no lattice path
     reaches gets 0). Each distinct snapped source gets one longest-path field
     per lattice level, shared by all its targets: the sources are stacked in
@@ -490,8 +505,11 @@ def time_separations(model: ModelSpacetime, sources, targets,
     ts, xs = _lattice_axes(model, shape)
     snapped_x = [_snap(ts, xs, p) for p in srcs]
     snapped_y = [_snap(ts, xs, p) for p in tgts]
+    # causally_related on the snapped nodes: the null reaches of every row
+    # read, evaluated once
+    reach = _null_reaches(model, ts[[i for i, _ in snapped_x + snapped_y]]).tolist()
+    f_x, f_y = reach[:len(srcs)], reach[len(srcs):]
     reads: dict = {}              # snapped source -> pairs read from its field
-    reach: dict = {}              # (source row, target row) -> their null reach
     for i, x in enumerate(srcs):
         si, sj = snapped_x[i]
         for j, y in enumerate(tgts):
@@ -499,10 +517,7 @@ def time_separations(model: ModelSpacetime, sources, targets,
             if x.coords == y.coords or snapped_x[i] == snapped_y[j]:
                 out[i, j] = 0.0
                 continue
-            # causally_related on the two nodes, one null reach per row pair
-            if ti >= si and (si, ti) not in reach:
-                reach[si, ti] = _null_reach(model, float(ts[si]), float(ts[ti]))
-            if ti < si or not abs(float(xs[tj]) - float(xs[sj])) <= reach[si, ti] + 1e-12:
+            if ti < si or not abs(float(xs[tj]) - float(xs[sj])) <= f_y[j] - f_x[i] + 1e-12:
                 out[i, j] = NEG_INF
             else:
                 reads.setdefault(snapped_x[i], []).append((i, j))
@@ -531,16 +546,6 @@ def time_separation(model: ModelSpacetime, x, y, resolution: int = 257) -> float
     snapped row to y's.
     """
     return float(time_separations(model, (x,), (y,), resolution)[0, 0])
-
-
-def lorentz_distance(model: ModelSpacetime, o) -> Callable[[Event], float]:
-    """The function l_o = l(o, .); l_o(o) = 0."""
-    o = as_event(o)
-
-    def l_o(p):
-        return time_separation(model, o, p)
-
-    return l_o
 
 
 def _node_grid(ts, xs) -> np.ndarray:
@@ -709,21 +714,6 @@ def maximizing_path(model: ModelSpacetime, x, y, resolution: int = 513) -> Latti
     return maximizing_paths(model, [(x, y)], resolution)[0]
 
 
-def geodesic_point(model: ModelSpacetime, x, y, t: float, resolution: int = 513) -> Event:
-    """A point gamma_t on a maximizing geodesic, affinely parametrized:
-    l(x, gamma_t) = t l(x, y) up to lattice tolerance."""
-    x, y = as_event(x), as_event(y)
-    if not 0.0 <= t <= 1.0:
-        raise InvalidInputError("t outside [0, 1]")
-    if model.kind == "minkowski":
-        l = time_separation(model, x, y)
-        if l == NEG_INF or l <= 0.0:
-            raise NoGeodesicError("endpoints are not chronologically related")
-        return Event(tuple((1 - t) * a + t * b for a, b in zip(x.coords, y.coords)))
-    p = maximizing_path(model, x, y, resolution).points(np.array([t]))[0]
-    return Event(tuple(float(c) for c in p))
-
-
 # -- measures and volumes ---------------------------------------------------------
 
 
@@ -839,23 +829,10 @@ def ball_volumes_areas(model: ModelSpacetime, o, radii: Sequence[float],
     return vols, [(v1 - v0) / dr for v0, v1 in zip(vols, outer)]
 
 
-def ball_volume_area(model: ModelSpacetime, o, r: float,
-                     region: Callable[[np.ndarray], np.ndarray],
-                     dr: float = 0.01, resolution: int = 1024):
-    """Ball volume v(r) and area s(r): the one-radius case of
-    :func:`ball_volumes_areas`."""
-    vols, areas = ball_volumes_areas(model, o, [r], region, dr, resolution)
-    return vols[0], areas[0]
-
-
-def timelike_diameter(model: ModelSpacetime, resolution: int = 257) -> float:
-    """Sup of the time separation over chart pairs (lattice lower estimate):
-    the maxima of the free-start fields on both lattice levels, combined by
-    :func:`_richardson`."""
+def timelike_diameter(model: ModelSpacetime) -> float:
+    """Sup of the time separation over chart pairs: the chart's time extent
+    t1 - t0 on every kind. Each chart is flat or g = dt^2 - a(t)^2 dx^2, so
+    along a causal curve dl <= dt, with equality on the comoving curves
+    x = const that join the two time faces."""
     (t0, t1) = model.bounds[0]
-    if model.kind == "minkowski":
-        return t1 - t0          # attained by any constant-space pair
-    shape = _lattice_shape(model, resolution)
-    _, coarse = _dp_longest(model, shape, None)
-    _, fine = _dp_longest(model, _fine_shape(shape), None)
-    return max(float(_richardson(np.max(coarse), np.max(fine))), 0.0)
+    return t1 - t0

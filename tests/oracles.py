@@ -822,3 +822,24 @@ def lp_deficit_curves_full(grid, K, p_list, eps_list, n_param):
         for p, curve in zip(p_list, curves):
             curve.append((eps, float(np.sum(shortfall ** p * weights))))
     return curves
+
+
+def null_reach_mpmath(model, t_a, t_b, dps=20):
+    """Integral of 1/a over [t_a, t_b] for the piecewise-linear warp of a
+    lattice chart: one Gauss-Legendre ``mpmath.quad`` at ``dps`` digits over
+    each piece's overlap with the interval, summed in mpmath."""
+    import mpmath
+
+    T, A = model.warp_samples[:, 0], model.warp_samples[:, 1]
+    with mpmath.workdps(dps):
+        total = mpmath.mpf(0)
+        for k in range(len(T) - 1):
+            lo, hi = max(T[k], t_a), min(T[k + 1], t_b)
+            if lo >= hi:
+                continue
+            a0, s0 = mpmath.mpf(A[k]), mpmath.mpf(T[k])
+            slope = (mpmath.mpf(A[k + 1]) - a0) / (mpmath.mpf(T[k + 1]) - s0)
+            total += mpmath.quad(lambda t: 1 / (a0 + slope * (t - s0)),
+                                 [mpmath.mpf(lo), mpmath.mpf(hi)],
+                                 method="gauss-legendre")
+        return float(total)

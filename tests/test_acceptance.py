@@ -218,7 +218,7 @@ def test_criterion_09_bishop_gromov_equality():
 
 def test_criterion_10_diameter_sharpness():
     t0 = time.perf_counter()
-    rep = bonnet_myers(desitter_like(), 1.0, 2.0, resolution=129)
+    rep = bonnet_myers(desitter_like(), 1.0, 2.0)
     diam = float(rep.lhs[0])
     ok = math.pi - 0.1 <= diam <= math.pi + 0.05
     _line(10, "diameter window on the closed model", ok,

@@ -271,9 +271,9 @@ PINNED_HASHES = {
     "bishop-gromov --quick":
         "0ef81b73e3156302e8dff999c64c22dbb6e35d8c808b79688bd3040e5193f4cb",
     "bonnet-myers":
-        "72452bf235d9bda4ef6618d0b122bfaf223efba28df67053b5a5818245fbe796",
+        "8b1880daef135bca5fba242ba2634d8d0872ddd878d77a915fb7cf5138cd37e6",
     "bonnet-myers --quick":
-        "ba352f9b843e11962118dacb001b57ff1c5c98156d2b0dc84e136414923a8a13",
+        "1ec789ac44847d3651232a3937028b83c981d3dfca0defe79cc7c8b6817a0630",
     "dalembert":
         "e8bb008129a4ab2e0e71155506b8b44c35c0cc2acc953060075a56f4c5b37a80",
     "dalembert --quick":
@@ -299,9 +299,9 @@ PINNED_HASHES = {
     "lp-deficit --quick":
         "fc8214035affff134d95a2e9af745b6c36c10b3a28e31d7b122f94f61eb6e4e8",
     "aubry":
-        "5a2e9c1ace846c51b00667d9eea36237d4305e4878f1e989db9d03d8b531f977",
+        "e33146ec3eac9c8b02679f6db13769157fba3a521b559bbc6b78e7cd23516f6d",
     "aubry --quick":
-        "3dcef1b9891607ba2f2220124ec38984b29e49b9837df8222e59422a446bb3f5",
+        "3f29ecafa8a3b4bad2c88705662411e7f1771f08023b273acc6ccdb524342e2b",
     "suite":
         "4a53cd61291e1229cef1011b80d882da6efc4e1e2d3b5b3a4c6d2cfcd9948066",
     "suite --quick":
@@ -335,6 +335,8 @@ REPROS = [
     ("tcd", {"parameters": {"tolerance": "x"}}),
     ("tcd", {"parameters": {"source": {"points": "abc"}}}),
     ("bonnet-myers", {"parameters": {"window": [1]}}),
+    # the diameter is the chart's time extent: no lattice resolution to set
+    ("bonnet-myers", {"parameters": {"resolution": 257}}),
     ("dalembert", {"parameters": {"variant": "nope"}}),
     ("dalembert", {"parameters": {"bumps": [{"center": [1.2, 0.0]}]}}),
     ("dalembert", {"parameters": {"variant": "power", "q_prime": 0.5}}),
@@ -345,6 +347,7 @@ REPROS = [
     ("needles", {"parameters": {"window": [0.8, -0.8]}}),
     ("needles", {"parameters": {"r": -1}}),
     ("aubry", {"parameters": {"p": "x"}}),
+    ("aubry", {"parameters": {"quick_resolution": 129}}),
     ("cd-verify", {"parameters": {"n_values": [1.0]}}),
     ("cd-verify", {"parameters": {"k_values": ["a"]}}),
     ("distortion", {"parameters": {"kappas": ["a"]}}),

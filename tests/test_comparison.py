@@ -55,7 +55,7 @@ def big_flat():
 
 class TestReportPlumbing:
     def test_json_roundtrip(self):
-        rep = bonnet_myers(desitter_like(), 1.0, 2.0, resolution=65)
+        rep = bonnet_myers(desitter_like(), 1.0, 2.0)
         back = json.loads(rep.to_json())
         assert back["name"] == "bonnet-myers"
         assert back["labels"] == ["diameter"]
@@ -85,7 +85,7 @@ class TestReportPlumbing:
                 assert float(row[4]) == pytest.approx(float(m), abs=0.0)
 
     def test_worst_margin(self):
-        rep = bonnet_myers(desitter_like(), 1.0, 2.0, resolution=65)
+        rep = bonnet_myers(desitter_like(), 1.0, 2.0)
         assert rep.worst_margin() == float(np.min(rep.margin))
 
     # the step labels of the brenier, dalembert and lp-deficit runners
@@ -633,12 +633,12 @@ class TestBonnetMyers:
     def test_desitter_diameter_under_sharp_bound(self):
         rep = bonnet_myers(desitter_like(), 1.0, 2.0)
         assert rep.passed
-        # the comoving maximizer is a lattice path: diameter = pi - 2 delta
+        # the diameter is the time extent pi - 2 delta, the comoving length
         assert rep.provenance["diameter"] == pytest.approx(math.pi - 0.04, abs=1e-9)
         assert float(rep.rhs[0]) == pytest.approx(math.pi, abs=1e-12)
 
     def test_bound_formula(self):
-        rep = bonnet_myers(desitter_like(), 0.5, 3.0, resolution=65, tolerance=10.0)
+        rep = bonnet_myers(desitter_like(), 0.5, 3.0, tolerance=10.0)
         assert float(rep.rhs[0]) == pytest.approx(2.0 * math.pi, abs=1e-12)
 
     def test_needs_positive_k(self):

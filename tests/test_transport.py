@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lorentz_synth import transport
-from lorentz_synth.errors import InvalidInputError
+from lorentz_synth.errors import InvalidInputError, NoGeodesicError
 from lorentz_synth.extreal import NEG_INF, is_neg_inf
 from lorentz_synth.models import cosh_warp_model, minkowski
 from lorentz_synth.transport import (Coupling, DiscreteMeasure,
@@ -277,6 +277,23 @@ class TestDynamicalCoupling:
         assert mass == 1.0
         assert np.allclose(samples[4], [0.0, 0.25], atol=1e-15)
         dc.validate(model)
+
+    def test_flat_midpoint(self):
+        model = minkowski(((0.0, 2.0), (-2.0, 2.0)))
+        _, plan = lq_distance(model, dirac((0.0, 0.0)), dirac((2.0, 1.0)), 0.5)
+        mid = eval_pushforward(dynamical_coupling(model, plan), 0.5)
+        assert mid.support[0].coords == pytest.approx((1.0, 0.5), abs=1e-14)
+
+    def test_flat_spacelike_pair_has_no_geodesic(self):
+        # a straight segment between a spacelike pair is no causal curve, and
+        # no geodesic parameter lies outside [0, 1]
+        model = minkowski(((0.0, 2.0), (-2.0, 2.0)))
+        seg = np.array([[0.0, 0.0], [0.25, 0.5], [0.5, 1.0]])
+        with pytest.raises(NoGeodesicError):
+            DynamicalCoupling(np.array([0.0, 0.5, 1.0]), ((seg, 1.0),)).validate(model)
+        _, plan = lq_distance(model, dirac((0.0, 0.0)), dirac((2.0, 1.0)), 0.5)
+        with pytest.raises(InvalidInputError):
+            eval_pushforward(dynamical_coupling(model, plan), 1.5)
 
     def test_pushforward_marginals_exact(self):
         model = flat()
