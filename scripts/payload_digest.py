@@ -11,9 +11,11 @@ each, into a temporary directory, and prints one sha256 per output:
 plus each run's exit status, one ``sigma-tau-probe`` line: the sha256 of
 sigma, tau and the sines of fixed curvature ramps (see
 :func:`sigma_tau_probe`), one ``defect-bound-probe`` line: the sha256 of
-the defect bound over fixed tuples (see :func:`defect_bound_probe`), and
-one ``lattice-probe`` line: the sha256 of lattice separation matrices and
-lattice geodesics (see :func:`lattice_probe`), and ``grid-probe-1+1`` and
+the defect bound over fixed tuples (see :func:`defect_bound_probe`), one
+``lattice-probe`` line: the sha256 of lattice separation matrices (see
+:func:`lattice_probe`), one ``geodesic-probe`` line: the sha256 of the
+lengths and sampled points of maximizing geodesics on warped charts (see
+:func:`geodesic_probe`), and ``grid-probe-1+1`` and
 ``grid-probe-2+1`` lines: the sha256 of the curvature of a tilted 1+1 and a
 general 2+1 grid (see :func:`grid_probe`), whose bits no output shows
 either, and one ``grid-deficit-probe`` line: the sha256 of the deficit
@@ -129,31 +131,46 @@ def defect_bound_probe() -> str:
     return hashlib.sha256(np.array(values).tobytes()).hexdigest()
 
 
+PROBE_MODELS = ("cosh_warp_model", "desitter_like", "double_cone_kink")
+
+
 def lattice_probe() -> str:
     """sha256 of the lattice time separations of 3 fixed sources to 5 fixed
-    targets (coincident, non-causal and chronological pairs) and of the
-    nodes, cumulative lengths and length of the maximizing paths of 3 fixed
-    chronological pairs, the mirror pair (-1, -0.6) -> (1, 0.6) among them,
-    on ``cosh_warp_model``, ``desitter_like`` and ``double_cone_kink`` at
+    targets (coincident, non-causal and chronological pairs) on
+    ``cosh_warp_model``, ``desitter_like`` and ``double_cone_kink`` at
     resolutions 65 and 129. No default run reads the lattice (the diameter
     is the chart's time extent), so no output file moves with its bits; this
     line is the digest's only coverage of it."""
     sys.path.insert(0, str(SRC))
-    import numpy as np
-    from lorentz_synth.models import (cosh_warp_model, desitter_like, double_cone_kink,
-                                      maximizing_paths, time_separations)
+    from lorentz_synth import models
     sources = [(-0.9, -0.3), (-0.5, 0.2), (0.0, 0.0)]
     targets = [(0.9, 0.4), (0.6, -0.2), (0.0, 0.0), (0.05, 0.9), (-0.95, 0.5)]
+    digest = hashlib.sha256()
+    for name in PROBE_MODELS:
+        model = getattr(models, name)()
+        for resolution in (65, 129):
+            digest.update(models.time_separations(model, sources, targets,
+                                                  resolution).tobytes())
+    return digest.hexdigest()
+
+
+def geodesic_probe() -> str:
+    """sha256 of the length and of the points at the fractions 0, 0.25, 0.5,
+    0.75 and 1 of the maximizing geodesics of 3 fixed chronological pairs,
+    the mirror pair (-1, -0.6) -> (1, 0.6) among them, on the models of
+    :func:`lattice_probe`. Only ``length`` and ``points`` are read, so the
+    same lines digest any tree whose geodesics offer those two."""
+    sys.path.insert(0, str(SRC))
+    import numpy as np
+    from lorentz_synth import models
     pairs = [((-1.0, -0.6), (1.0, 0.6)), ((-0.9, -0.3), (0.9, 0.4)),
              ((-0.5, 0.1), (0.7, -0.4))]
+    fractions = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     digest = hashlib.sha256()
-    for model in (cosh_warp_model(), desitter_like(), double_cone_kink()):
-        for resolution in (65, 129):
-            digest.update(time_separations(model, sources, targets, resolution).tobytes())
-            for path in maximizing_paths(model, pairs, resolution):
-                digest.update(path.nodes.tobytes())
-                digest.update(path.cumlen.tobytes())
-                digest.update(np.float64(path.length).tobytes())
+    for name in PROBE_MODELS:
+        for path in models.maximizing_paths(getattr(models, name)(), pairs):
+            digest.update(np.float64(path.length).tobytes())
+            digest.update(np.ascontiguousarray(path.points(fractions)).tobytes())
     return digest.hexdigest()
 
 
@@ -240,6 +257,7 @@ def main() -> int:
     print(f"{sigma_tau_probe()}  sigma-tau-probe", flush=True)
     print(f"{defect_bound_probe()}  defect-bound-probe", flush=True)
     print(f"{lattice_probe()}  lattice-probe", flush=True)
+    print(f"{geodesic_probe()}  geodesic-probe", flush=True)
     for dims in (2, 3):
         print(f"{grid_probe(dims)}  grid-probe-{dims - 1}+1", flush=True)
     print(f"{grid_deficit_probe()}  grid-deficit-probe", flush=True)

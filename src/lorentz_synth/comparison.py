@@ -36,9 +36,8 @@ from .errors import HypothesisViolatedError, InvalidInputError, UnsupportedModel
 from .lipschitz_grid import MetricGrid
 from .models import (Event, ModelSpacetime, _node_grid, as_event,
                      ball_volumes_areas, cell_centers, lipschitz_1p1,
-                     lorentz_distance_field, maximizing_paths, minkowski,
-                     region_measure, time_separations, timelike_diameter,
-                     warped_product)
+                     lorentz_distance_field, maximizing_paths, region_measure,
+                     time_separations, timelike_diameter)
 from .onedim import (CDDensity, DEFAULT_C_CONST, aubry_diameter_bound,
                      curvature_deficit_sup, diameter_report)
 from .transport import (DiscreteMeasure, _optimal_plan, dirac, dynamical_coupling,
@@ -263,16 +262,13 @@ def _flip_event(p: Event) -> tuple:
 
 
 def _time_reversed(model: ModelSpacetime) -> ModelSpacetime:
-    """The same chart run backwards in time (bounds and coefficients flipped)."""
+    """The same chart run backwards in time: the bounds flipped and each
+    coefficient's samples (t, v) taken as (-t, v) in reverse order, so the
+    warp and weight are a(-t) and f(-t) exactly, kinks included."""
     (t0, t1), *rest = model.bounds
-    tb = (-t1, -t0)
-    weight = None
-    if model.weight_samples is not None:
-        weight = (lambda tv: model.weight(-np.asarray(tv, float)))
-    if model.kind == "minkowski":
-        return minkowski((tb,) + tuple(rest), weight=weight)
-    return warped_product(lambda tv: model.warp(-np.asarray(tv, float)),
-                          tb, rest[0], weight=weight, kind=model.kind)
+    flip = [None if s is None else np.column_stack([-s[::-1, 0], s[::-1, 1]])
+            for s in (model.warp_samples, model.weight_samples)]
+    return ModelSpacetime(model.dim, model.kind, ((-t1, -t0), *rest), *flip)
 
 
 def _reversed_measure(mu: DiscreteMeasure) -> DiscreteMeasure:
@@ -572,9 +568,9 @@ def brunn_minkowski(model: ModelSpacetime, source, X1: Callable, K: float,
     samples of the two sets, then rasterized. The one-cell dilated coverage
     carries the pass margin (raw coverage is recorded as the inner estimate);
     the lhs is inf tau^{(t)}_{K,N} over the attained separations times
-    m[X1]^{1/N}. Lattice kinds compute one longest-path field per source and
-    backtrack one lattice geodesic per pair, so keep their sample counts
-    small.
+    m[X1]^{1/N}. Warped kinds compute one longest-path field per source and
+    lattice level and solve one exact J-geodesic per pair, so keep their
+    sample counts small.
     """
     if not 0.0 <= t <= 1.0:
         raise InvalidInputError("t outside [0, 1]")
@@ -610,7 +606,7 @@ def brunn_minkowski(model: ModelSpacetime, source, X1: Callable, K: float,
     if model.kind == "minkowski":
         sweep = ((1.0 - t) * src[:, None, :] + t * tgt[None, :, :]).reshape(-1, 2)
     else:
-        # one lattice field per source and level, one backtrack per pair
+        # one momentum solve for every pair, one sampled point per pair
         paths = maximizing_paths(model, [(a, b) for a in src for b in tgt])
         sweep = np.asarray([path.points(np.array([t]))[0] for path in paths])
 

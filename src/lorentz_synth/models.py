@@ -15,6 +15,10 @@ below under refinement; one Richardson step over two nested resolutions
 cancels the leading linear error. An optional log-density weight (a function
 of t) enters the measure, never the lengths.
 
+Geodesics on the non-flat kinds are exact: along a maximizer the momentum
+J = a^2 x' / sqrt(1 - a^2 x'^2) is conserved, and its reach and length are
+closed forms on each linear piece of the warp.
+
 The time separation convention, the same on both chart kinds: l(x, x) = 0,
 l(x, y) = -inf when y is not in the causal future of x, and causal pairs that
 are not chronological (the null cone, or pairs below the lattice's chronology
@@ -44,8 +48,9 @@ FAN_MAX_DEN = 16        # Farey density of the jump fan for slopes <= 1
 FAN_WIDE_DEN = 8        # coarser density for slopes in (1, 2]
 # bytes one stacked longest-path DP may hold: its S fields of at most
 # n_t x n_x float64 plus the per-row candidate buffer; more sources run in
-# chunks
+# chunks; so do the pairs of a momentum solve, at PIECE_BYTES per warp piece
 STACK_BUDGET_BYTES = 32 * 2 ** 20
+PIECE_BYTES = 160
 CHART_TOL = 1e-9        # how far outside its bounds a point still counts as inside
 # 3-point Gauss-Legendre nodes on [0, 1] flanked by the endpoints; the
 # endpoints take part in the causality check only
@@ -248,7 +253,7 @@ def double_cone_kink() -> ModelSpacetime:
     Crossing in x is cheap near the slab ends and dear in the middle. The
     maximizer between a point-symmetric chronological pair with spatial
     offset is still unique (the length integrand is strictly concave in
-    dx/dt) and passes through the centre, though lattice paths tie near it.
+    dx/dt) and passes through the centre.
     """
     return lipschitz_1p1(lambda t: 1.0 + 1.5 * np.clip(1.0 - np.abs(t) / 0.3, 0.0, None),
                          (-1.0, 1.0), (-1.0, 1.0))
@@ -339,13 +344,12 @@ def _edge_table(model: ModelSpacetime, shape, lo: int = 0, hi: int | None = None
 
 def _dp_longest(model: ModelSpacetime, shape, sources, stop: int | None = None):
     """Longest-path value to every node of rows start..stop, one field per
-    source lattice node, and the edge table those rows read.
+    source lattice node.
 
     ``sources`` lists (i, j) nodes; ``start`` is the lowest source row and
-    ``stop`` defaults to the last row. Returns (W, dist): W is
-    :func:`_edge_table` of rows start..stop - 1, the jumps the sweep takes,
-    and dist stacks the fields on a leading axis, shape
-    (S, stop - start + 1, n_x), its row r the lattice row start + r. Rows
+    ``stop`` defaults to the last row. The fields are stacked on a leading
+    axis, shape (S, stop - start + 1, n_x), row r of each the lattice row
+    start + r; the sweep reads :func:`_edge_table` of rows start..stop - 1. Rows
     below a source's own row stay -inf, so every stacked field is
     bit-identical to the same rows of a one-source run: row i reads only rows
     below i, and each edge weight only its own row. Each row takes the max
@@ -375,7 +379,7 @@ def _dp_longest(model: ModelSpacetime, shape, sources, stop: int | None = None):
         cand += w[:, None, None]
         row = dist[i, :, _PAD:-_PAD]
         np.maximum(row, cand.max(axis=0), out=row)
-    return W, np.moveaxis(dist[:, :, _PAD:-_PAD], 1, 0)
+    return np.moveaxis(dist[:, :, _PAD:-_PAD], 1, 0)
 
 
 def _source_chunks(shape, sources: list) -> list:
@@ -527,7 +531,7 @@ def time_separations(model: ModelSpacetime, sources, targets,
         for chunk in _source_chunks(sh, list(reads)):
             start = min(i for i, _ in chunk) * m
             stop = max(snapped_y[j][0] for node in chunk for _, j in reads[node]) * m
-            _, dist = _dp_longest(model, sh, [(i * m, j * m) for i, j in chunk], stop)
+            dist = _dp_longest(model, sh, [(i * m, j * m) for i, j in chunk], stop)
             for node, field in zip(chunk, dist):
                 for i, j in reads[node]:
                     lattice[k, i, j] = field[snapped_y[j][0] * m - start, snapped_y[j][1] * m]
@@ -576,8 +580,8 @@ def lorentz_distance_field(model: ModelSpacetime, o, resolution: int = 257):
         return ts, xs, _flat_separations(o.coords, _node_grid(ts, xs))
     shape = _lattice_shape(model, resolution)
     src = _snap(*_lattice_axes(model, shape), o)
-    _, (coarse,) = _dp_longest(model, shape, [src])
-    _, (fine,) = _dp_longest(model, _fine_shape(shape), [(2 * src[0], 2 * src[1])])
+    (coarse,) = _dp_longest(model, shape, [src])
+    (fine,) = _dp_longest(model, _fine_shape(shape), [(2 * src[0], 2 * src[1])])
     ts, xs = _lattice_axes(model, _fine_shape(shape))
     # rows below o's own are -inf; the sweeps start at o's row
     field = np.full((len(ts), len(xs)), -np.inf)
@@ -587,131 +591,134 @@ def lorentz_distance_field(model: ModelSpacetime, o, resolution: int = 257):
     return ts, xs, field
 
 
-@dataclass(frozen=True)
-class LatticePath:
-    """A maximizing lattice path with its cumulative lengths."""
+# -- geodesics --------------------------------------------------------------------
 
-    nodes: np.ndarray          # (k, 2) events along the path
-    cumlen: np.ndarray         # (k,) cumulative length from the start
+
+def _warp_pieces(model: ModelSpacetime, ta: float, tb: float):
+    """(left, h, a0, a1) of the linear pieces of the warp between the times
+    ta < tb: the intervals of the warp samples cut at ta and tb, each with
+    its start, width and end values (the warp held constant outside its
+    samples, as ``np.interp`` holds it)."""
+    T, A = model.warp_samples[:, 0], model.warp_samples[:, 1]
+    lo, hi = np.searchsorted(T, ta, side="right"), np.searchsorted(T, tb, side="left")
+    ts = np.concatenate([[ta], T[lo:hi], [tb]])
+    a = np.concatenate([[model.warp(ta)], A[lo:hi], [model.warp(tb)]])
+    return ts[:-1], np.diff(ts), a[:-1], a[1:]
+
+
+def _piece_terms(h, a0, a1, J):
+    """Reach X, length l and dX/dJ of the J-geodesic across pieces of width h
+    on which the warp runs linearly from a0 to a1, entrywise. With
+    c = sqrt(a^2 + J^2): l = h (a0 + a1) / (c0 + c1), dX/dJ = l / (c0 c1) and
+    X = h (asinh(J / a0) - asinh(J / a1)) / (a1 - a0) = h z asinh(y) / y
+    with z = J (a0 + a1) / (a0 a1 (c0 + c1)) and y = (a1 - a0) z: no
+    cancellation as a1 -> a0, and h z on a constant piece."""
+    c0, c1 = np.sqrt(a0 * a0 + J * J), np.sqrt(a1 * a1 + J * J)
+    l = h * (a0 + a1) / (c0 + c1)
+    z = J * (a0 + a1) / (a0 * a1 * (c0 + c1))
+    y = (a1 - a0) * z
+    reach = h * z * np.divide(np.arcsinh(y), y, out=np.ones_like(y), where=y != 0.0)
+    return reach, l, l / (c0 * c1)
+
+
+def _momenta(owner, h, a0, a1, dx, lo, hi) -> np.ndarray:
+    """The momentum J in [lo, hi] of each pair whose reach, summed over the
+    pieces it owns, is dx. X is increasing and concave in J >= 0, so Newton
+    from lo rises monotonically to the root; a pair stops once its step is
+    rounding (the residual reached 0, or J the bound hi). dx = 0 gives 0."""
+    J = lo.copy()
+    live = np.flatnonzero(dx > 0.0)
+    keep = np.isin(owner, live)
+    own, h, a0, a1 = np.searchsorted(live, owner[keep]), h[keep], a0[keep], a1[keep]
+    for _ in range(200):
+        if len(live) == 0:
+            return J
+        reach, _, slope = _piece_terms(h, a0, a1, J[live][own])
+        gap = dx[live] - np.bincount(own, reach, len(live))
+        now = J[live]
+        J[live] = np.where(gap > 0.0, np.minimum(
+            now + gap / np.bincount(own, slope, len(live)), hi[live]), now)
+        going = J[live] - now > 4.0 * np.finfo(float).eps * J[live]
+        keep = going[own]
+        own = (np.cumsum(going) - 1)[own[keep]]
+        h, a0, a1, live = h[keep], a0[keep], a1[keep], live[going]
+    raise NoGeodesicError("the momentum of a geodesic did not converge")
+
+
+@dataclass(frozen=True, eq=False)
+class Geodesic:
+    """The maximizer from x to y on a warped chart: the curve of conserved
+    momentum J, parametrized by its length."""
+
+    model: ModelSpacetime
+    x: Event
+    y: Event
+    J: float
     length: float
 
-    def points(self, fractions: np.ndarray) -> np.ndarray:
-        """Chart points at the given fractions of the path length, linear in
-        ``cumlen`` between nodes: an (len(fractions), 2) array."""
-        want = fractions * self.length
-        k = np.clip(np.searchsorted(self.cumlen, want, side="right") - 1,
-                    0, len(self.cumlen) - 2)
-        seg = self.cumlen[k + 1] - self.cumlen[k]
-        frac = np.where(seg > 0.0,
-                        (want - self.cumlen[k]) / np.where(seg > 0, seg, 1.0), 0.0)
-        return self.nodes[k] + frac[:, None] * (self.nodes[k + 1] - self.nodes[k])
+    def points(self, fractions) -> np.ndarray:
+        """Chart points at the given fractions of the length, (n, 2). On the
+        piece reached, c = sqrt(a^2 + J^2) grows by g = r (a1 - a0) / h over
+        the length r, so a^2 = (c - J)(c + J) with c - J = a0^2 / (c0 + J) + g,
+        and the time step is r (2 c0 + g) / (a + a0) (r c0 / a0 if constant)."""
+        J = self.J
+        left, h, a0, a1 = _warp_pieces(self.model, self.x.t, self.y.t)
+        reach, l, _ = _piece_terms(h, a0, a1, J)
+        cum_l, cum_x = (np.concatenate([[0.0], np.cumsum(v)]) for v in (l, reach))
+        want = np.asarray(fractions, dtype=float) * self.length
+        k = np.clip(np.searchsorted(cum_l, want, side="right") - 1, 0, len(h) - 1)
+        r, h, a0, a1 = np.clip(want - cum_l[k], 0.0, l[k]), h[k], a0[k], a1[k]
+        c0 = np.sqrt(a0 * a0 + J * J)
+        g = r * (a1 - a0) / h
+        a = np.sqrt(np.maximum((a0 * a0 / (c0 + J) + g) * (c0 + g + J), 0.0))
+        tau = r * (2.0 * c0 + g) / (a + a0)
+        x = cum_x[k] + _piece_terms(tau, a0, a, J)[0]
+        return np.column_stack([left[k] + tau,
+                                self.x.x + math.copysign(1.0, self.y.x - self.x.x) * x])
 
 
-def _jumps_into(W, dist, source, target):
-    """Every fan jump into a node of rows source[0]..target[0] of ``dist``,
-    one gather per node.
-
-    Returns ``into(i, j)``: the weight of each jump of the fan into node
-    (i, j), in fan order, and its predecessor's value plus that weight. A
-    jump that leaves a row below the source, that leaves the chart, that is
-    spacelike or whose predecessor is unreached carries -inf in the second
-    array, so it never matches a finite value. Two tables serve every node:
-    the jump weights into each row, -inf where the jump starts below the
-    source, and the rows' values with -inf margins of _PAD columns on each
-    side and max(di) rows below.
-    """
-    i0, i1 = source[0], target[0]
-    below = int(_FAN_DI.max())
-    starts = np.arange(i0, i1 + 1)[:, None] - _FAN_DI     # (rows, jumps)
-    w_in = np.where(starts >= i0, W[_FAN_E, np.maximum(starts, 0)], -np.inf)
-    slab = np.full((below + i1 - i0 + 1, dist.shape[1] + 2 * _PAD), -np.inf)
-    slab[below:, _PAD:-_PAD] = dist[i0:i1 + 1]
-    # the predecessor row i - di of a jump sits at slab row i - i0 + below - di
-    row_shift = below - _FAN_DI
-
-    def into(i, j):
-        w = w_in[i - i0]
-        return w, slab[i - i0 + row_shift, j + _FAN_WINDOW] + w
-
-    return into
-
-
-def _backtrack(into, dist, source, target):
-    """The maximizer from ``source`` to ``target`` in ``dist``: at each node
-    the first jump in fan order whose predecessor's value plus its weight
-    gives the node's value to 1e-9 relative. ``into`` is :func:`_jumps_into`
-    of the field. Returns the nodes from source to target and the weight of
-    the jump into each node after the first."""
-    path, weights = [target], []
-    cur = target
-    rel = 1e-9 * max(1.0, abs(float(dist[target])))
-    while cur != source:
-        w, reach = into(*cur)
-        hit = np.flatnonzero(np.abs(reach - dist[cur]) <= rel)
-        if len(hit) == 0:
-            raise NoGeodesicError("backtracking lost the maximizing path")
-        e = hit[0]
-        cur = (cur[0] - int(_FAN_DI[e]), cur[1] - int(_FAN_DJ[e]))
-        path.append(cur)
-        weights.append(w[e])
-    path.reverse()
-    weights.reverse()
-    return path, weights
-
-
-def _lattice_path(ts, xs, W, dist, source, target) -> LatticePath:
-    """Backtrack the maximizer from ``source``'s field ``dist`` to ``target``.
-
-    ``ts``, ``W`` and ``dist`` share one row numbering (a sweep's window, see
-    :func:`_dp_longest`); ``target`` may lie below the window's first row."""
-    if target[0] < source[0] or dist[target] == -np.inf or dist[target] <= 0.0:
-        raise NoGeodesicError("endpoints are not chronologically related on the lattice")
-
-    path, weights = _backtrack(_jumps_into(W, dist, source, target), dist, source, target)
-    rows, cols = np.array(path).T
-    nodes = np.column_stack([ts[rows], xs[cols]])
-    return LatticePath(nodes, np.cumsum([0.0] + weights), float(dist[target]))
-
-
-def maximizing_paths(model: ModelSpacetime, pairs, resolution: int = 513) -> list:
-    """:func:`maximizing_path` for every (x, y) of ``pairs``, in order.
-
-    Each distinct snapped source gets one longest-path field, stacked with
-    the others in one DP (in chunks of at most ``STACK_BUDGET_BYTES``), and
-    every pair from it is backtracked there, on the edge table of that sweep.
-    A chunk's sweep covers the rows from its lowest source to its pairs'
-    highest target row, or to its highest source row if that is higher (a
-    target below its source raises :class:`NoGeodesicError`): S x rows x n_x
-    float64.
-    """
+def maximizing_paths(model: ModelSpacetime, pairs) -> list:
+    """:func:`maximizing_path` for every (x, y) of ``pairs``, in order: one
+    Newton solve of X(J) = |dx| (:func:`_momenta`) per chunk of pairs whose
+    pieces fit ``STACK_BUDGET_BYTES``. With r = |dx| / (null reach),
+    a_min r / sqrt(1 - r^2) <= J <= a_max r / sqrt(1 - r^2) over the pair's
+    pieces, since X(J) / (null reach) lies between J / sqrt(a^2 + J^2) at
+    a_max and at a_min."""
     ends = [(as_event(x), as_event(y)) for x, y in pairs]
     for x, y in ends:
         model.require_inside(x, y)
     if model.kind == "minkowski":
-        raise InvalidInputError("flat-chart geodesics are straight; no lattice needed")
-    shape = _lattice_shape(model, resolution)
-    ts, xs = _lattice_axes(model, shape)
-    nodes = [(_snap(ts, xs, x), _snap(ts, xs, y)) for x, y in ends]
-    paths = [None] * len(nodes)
-    for chunk in _source_chunks(shape, list(dict.fromkeys(s for s, _ in nodes))):
-        members = set(chunk)
-        mine = [k for k, (source, _) in enumerate(nodes) if source in members]
-        start = min(i for i, _ in chunk)
-        # up to the highest target row, and never below a source's row
-        stop = max(max(nodes[k][0][0], nodes[k][1][0]) for k in mine)
-        W, dist = _dp_longest(model, shape, chunk, stop)
-        fields = dict(zip(chunk, dist))
-        for k in mine:
-            (si, sj), (ti, tj) = nodes[k]
-            paths[k] = _lattice_path(ts[start:], xs, W, fields[si, sj],
-                                     (si - start, sj), (ti - start, tj))
+        raise InvalidInputError("flat-chart geodesics are straight; no warp to integrate")
+    ta, xa, tb, xb = np.array([x.coords + y.coords for x, y in ends]).reshape(-1, 4).T
+    dx = np.abs(xb - xa)
+    null = _null_reaches(model, tb) - _null_reaches(model, ta)
+    # on or past the null cone; a y not later than x (x itself too) has null <= 0
+    bad = dx >= null
+    if np.any(bad):
+        x, y = ends[int(np.argmax(bad))]
+        raise NoGeodesicError(f"{x.coords} -> {y.coords}: not chronologically related")
+    q = dx / np.sqrt((null - dx) * (null + dx))
+    size = max(1, STACK_BUDGET_BYTES // (PIECE_BYTES * (len(model.warp_samples) + 1)))
+    paths = []
+    for lo in range(0, len(ends), size):
+        sl = slice(lo, lo + size)
+        pieces = [_warp_pieces(model, a, b) for a, b in zip(ta[sl], tb[sl])]
+        counts = [len(p[1]) for p in pieces]
+        owner, starts = np.repeat(np.arange(len(counts)), counts), np.cumsum(counts) - counts
+        _, h, a0, a1 = (np.concatenate(arrays) for arrays in zip(*pieces))
+        J = _momenta(owner, h, a0, a1, dx[sl],
+                     np.minimum.reduceat(np.minimum(a0, a1), starts) * q[sl],
+                     np.maximum.reduceat(np.maximum(a0, a1), starts) * q[sl])
+        lengths = np.bincount(owner, _piece_terms(h, a0, a1, J[owner])[1], len(counts))
+        paths += [Geodesic(model, x, y, float(j), float(length))
+                  for (x, y), j, length in zip(ends[sl], J, lengths)]
     return paths
 
 
-def maximizing_path(model: ModelSpacetime, x, y, resolution: int = 513) -> LatticePath:
-    """Longest lattice path between the snapped endpoints; where lattice
-    paths tie, the backtrack takes the first jump in fan order."""
-    return maximizing_paths(model, [(x, y)], resolution)[0]
+def maximizing_path(model: ModelSpacetime, x, y) -> Geodesic:
+    """The exact J-geodesic from x to y on a warped chart; raises
+    :class:`NoGeodesicError` unless y is in the chronological future of x."""
+    return maximizing_paths(model, [(x, y)])[0]
 
 
 # -- measures and volumes ---------------------------------------------------------

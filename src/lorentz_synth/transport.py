@@ -241,18 +241,14 @@ class DynamicalCoupling:
 
 
 def _sample_geodesic(x: Event, y: Event, ts: np.ndarray, path) -> np.ndarray:
-    """Samples at parameters ``ts`` of the lattice path, or of the straight
-    segment when ``path`` is None (flat charts)."""
-    if path is None:
-        a = np.asarray(x.coords)
-        b = np.asarray(y.coords)
-        out = a[None, :] + ts[:, None] * (b - a)[None, :]
-    else:
-        out = path.points(ts)
-    # rounding (and, on lattices, endpoint snapping) would otherwise keep the
-    # time-0/1 push-forwards from reproducing the measures' support exactly
-    out[ts == 0.0] = np.asarray(x.coords)
-    out[ts == 1.0] = np.asarray(y.coords)
+    """Samples at parameters ``ts`` of the maximizing geodesic ``path``, or of
+    the straight segment when ``path`` is None (flat charts)."""
+    a, b = np.asarray(x.coords), np.asarray(y.coords)
+    out = a + ts[:, None] * (b - a) if path is None else path.points(ts)
+    # rounding would otherwise keep the time-0/1 push-forwards from
+    # reproducing the measures' support exactly
+    out[ts == 0.0] = a
+    out[ts == 1.0] = b
     return out
 
 
@@ -260,10 +256,9 @@ def dynamical_coupling(model: ModelSpacetime, plan: Coupling,
                        samples_per_curve: int = 9) -> DynamicalCoupling:
     """One sampled maximizing geodesic per positive plan entry.
 
-    On the lattice kinds the geodesics come from one stacked sweep of the
-    513-row lattice for the plan's distinct carrying sources, whatever
-    resolution the plan was solved at; it covers only the rows from the
-    lowest carrying source to the highest carried target.
+    On the warped kinds the geodesics are the exact J-geodesics of
+    :func:`maximizing_paths`, all solved in one call; they read no lattice,
+    so the resolution the plan was solved at does not enter them.
     """
     if not is_timelike_q_dualizable(plan, model):
         raise InvalidInputError("plan carries mass on non-chronological pairs")

@@ -334,11 +334,13 @@ def voronoi_masses_cube(model, mu, resolution=256):
 
 # --- warped 1+1 geodesics by shooting ----------------------------------------
 
-def warped_l_shooting(warp, src, dst):
+def warped_l_shooting(warp, src, dst, kinks=()):
     """Time separation in g = dt^2 - a(t)^2 dx^2 by shooting on the conserved
     momentum J = a^2 dx/ds: maximizers are graphs over t, with
     dx/dt = J / (a^2 sqrt(1 + J^2/a^2)) and dl = dt / sqrt(1 + J^2/a^2).
-    The spatial reach X(J) is strictly increasing, so brentq pins J."""
+    The spatial reach X(J) is strictly increasing, so brentq pins J.
+    ``kinks`` lists times where the warp's slope jumps; those inside the
+    pair's interval are handed to quad as break points."""
     from scipy.integrate import quad
     from scipy.optimize import brentq
 
@@ -347,10 +349,12 @@ def warped_l_shooting(warp, src, dst):
     if t1 <= t0:
         raise ValueError("need a strictly chronological pair")
     dx = x1 - x0
+    inside = [float(k) for k in kinks if t0 < k < t1]
+    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200, points=inside or None)
 
     def reach(J):
         return quad(lambda t: J / (warp(t) ** 2 * math.sqrt(1.0 + J ** 2 / warp(t) ** 2)),
-                    t0, t1, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+                    t0, t1, **opts)[0]
 
     if dx == 0.0:
         J = 0.0
@@ -362,8 +366,43 @@ def warped_l_shooting(warp, src, dst):
                 raise ValueError("pair too close to the light cone for shooting")
         J = brentq(lambda J: reach(J) - dx, -hi, hi, xtol=1e-13, rtol=1e-14)
 
-    return quad(lambda t: 1.0 / math.sqrt(1.0 + J ** 2 / warp(t) ** 2),
-                t0, t1, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+    return quad(lambda t: 1.0 / math.sqrt(1.0 + J ** 2 / warp(t) ** 2), t0, t1, **opts)[0]
+
+
+def warped_l_gauss(model, src, dst, order=10):
+    """Time separation on a warped chart by shooting, as
+    :func:`warped_l_shooting`, with both integrals summed piece by piece:
+    ``order``-point Gauss-Legendre on each interval of the warp samples cut
+    at the two endpoint times, where the interpolated warp is linear and the
+    integrands are analytic. Where adaptive ``quad`` over the whole interval
+    stalls at the 2048 kinks of a sampled smooth warp, this reaches rounding."""
+    from scipy.optimize import brentq
+
+    T, A = model.warp_samples[:, 0], model.warp_samples[:, 1]
+    t0, x0 = src
+    t1, x1 = dst
+    if t1 <= t0:
+        raise ValueError("need a strictly chronological pair")
+    cuts = np.concatenate([[t0], T[(T > t0) & (T < t1)], [t1]])
+    u, w = np.polynomial.legendre.leggauss(order)
+    half = np.diff(cuts)[:, None] / 2.0
+    t = (cuts[1:] + cuts[:-1])[:, None] / 2.0 + half * u
+    a = np.interp(t, T, A)
+    weights = half * w
+    dx = abs(x1 - x0)
+
+    def reach(J):
+        return float(np.sum(weights * J / (a * np.sqrt(a * a + J * J))))
+
+    J = 0.0
+    if dx > 0.0:
+        hi = 1.0
+        while reach(hi) < dx:
+            hi *= 2.0
+            if hi > 1e12:
+                raise ValueError("pair too close to the light cone for shooting")
+        J = brentq(lambda J: reach(J) - dx, 0.0, hi, xtol=1e-15, rtol=1e-15, maxiter=400)
+    return float(np.sum(weights * a / np.sqrt(a * a + J * J)))
 
 
 def lq_bruteforce_vertices(xs, mu_w, ys, nu_w, q, l_fn=None):
@@ -467,57 +506,6 @@ def edge_table_per_jump(model, shape):
         vals = np.sqrt(np.clip(rad[:, 1:4], 0.0, None)) @ M._QW
         W[e, :imax] = np.where(ok, vals, -np.inf)
     return ts, xs, W
-
-
-def backtrack_per_jump(ts, xs, W, dist, source, target):
-    """The maximizer from ``source`` to ``target`` in the field ``dist``, one
-    Python step per fan jump at every path node: the first predecessor in
-    fan order whose value plus the jump's weight gives the node's value to
-    1e-9 relative."""
-    from lorentz_synth import models as M
-    from lorentz_synth.errors import NoGeodesicError
-
-    path = [target]
-    cur = target
-    rel = 1e-9 * max(1.0, abs(float(dist[target])))
-    while cur != source:
-        best = None
-        for e, (di, dj) in enumerate(M._FAN):
-            ip, jp = cur[0] - di, cur[1] - dj
-            if ip < source[0] or not 0 <= jp < len(xs):
-                continue
-            w = W[e, ip]
-            if w == -np.inf or dist[ip, jp] == -np.inf:
-                continue
-            if abs(dist[ip, jp] + w - dist[cur]) <= rel:
-                best = (ip, jp)
-                break
-        if best is None:
-            raise NoGeodesicError("backtracking lost the maximizing path")
-        path.append(best)
-        cur = best
-    path.reverse()
-    return path
-
-
-def lattice_path_per_jump(ts, xs, W, dist, source, target):
-    """``models._lattice_path`` over :func:`backtrack_per_jump`, each
-    segment's weight looked up by its (di, dj) in the fan."""
-    from lorentz_synth import models as M
-    from lorentz_synth.errors import NoGeodesicError
-
-    if dist[target] == -np.inf or dist[target] <= 0.0:
-        raise NoGeodesicError("endpoints are not chronologically related on the lattice")
-
-    first = backtrack_per_jump(ts, xs, W, dist, source, target)
-    nodes = np.array([[ts[i], xs[j]] for i, j in first])
-    seg = np.zeros(len(first))
-    for k in range(1, len(first)):
-        i0, j0 = first[k - 1]
-        i1, j1 = first[k]
-        e = M._FAN.index((i1 - i0, j1 - j0))
-        seg[k] = W[e, i0]
-    return M.LatticePath(nodes, np.cumsum(seg), float(dist[target]))
 
 
 def time_separation_pairwise(model, x, y, resolution=257):

@@ -430,6 +430,33 @@ class TestTmcp:
         assert np.allclose(direct.lhs, fut.lhs, rtol=0.0, atol=1e-9)
         assert np.allclose(direct.rhs, fut.rhs, rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("kind", ["warped", "flat"])
+    def test_future_variant_reads_the_exact_mirror_of_an_off_grid_kink(self, kind):
+        # the kinks at t = 0.1 (warp) and t = 0.3 (weight) fall between the
+        # nodes of a 2049- or 1025-point resample of the reversed slab; the
+        # mirror chart, its apex and its measure are flipped by hand
+        weight = np.array([[-1.0, 0.0], [0.3, 0.4], [1.0, -0.2]])
+        mirror_weight = np.array([[-1.0, -0.2], [-0.3, 0.4], [1.0, 0.0]])
+        if kind == "warped":
+            model = M.warped_product(np.array([[-1.0, 1.0], [0.1, 2.0], [1.0, 1.0]]),
+                                     (-1.0, 1.0), (-1.0, 1.0), weight=weight)
+            mirror = M.warped_product(np.array([[-1.0, 1.0], [-0.1, 2.0], [1.0, 1.0]]),
+                                      (-1.0, 1.0), (-1.0, 1.0), weight=mirror_weight)
+        else:
+            model = minkowski(((-1.0, 1.0), (-1.0, 1.0)), weight=weight)
+            mirror = minkowski(((-1.0, 1.0), (-1.0, 1.0)), weight=mirror_weight)
+        mu = uniform_on_box(((-0.7, -0.5), (-0.1, 0.1)), 2)
+        mirror_mu = DiscreteMeasure(tuple((-p.t, p.x) for p in mu.support), mu.weights)
+        kw = dict(cells_resolution=64, resolution=65, samples_per_curve=9)
+        args = (0.0, 2.0, 0.5, (0.25, 0.5), (2.0, 3.0))
+        fut = check_tmcp(model, (0.6, 0.0), mu, *args, variant="future", **kw)
+        past = check_tmcp(mirror, (-0.6, 0.0), mirror_mu, *args, variant="past", **kw)
+        assert fut.labels == past.labels
+        assert fut.lhs.tobytes() == past.lhs.tobytes()
+        assert fut.rhs.tobytes() == past.rhs.tobytes()
+        assert fut.provenance == {**past.provenance, "variant": "future"}
+        assert C._time_reversed(model) == mirror
+
     def test_validation(self):
         model = big_flat()
         spacelike = uniform_on_box(((0.1, 0.3), (1.0, 1.4)), 2)
